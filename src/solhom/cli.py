@@ -27,6 +27,7 @@ from .engine import (
     kunneth_product,
     lefschetz_trace,
     principalization,
+    shifted_homology,
     transfer_colimit,
 )
 from .errors import (
@@ -175,20 +176,27 @@ def _k_group_json(group) -> dict:
 
 def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     """Full analysis of one system; side filtering happens at render
-    time so cached payloads do not depend on it."""
+    time so cached payloads do not depend on it.
+
+    Each side's finite part is built once: the forward one feeds
+    unstable homology, K-theory and the H/K comparison, the dual's
+    feeds stable homology.
+    """
+    finite = finite_part_homology(sys_)
+    k_groups = k_theory(sys_, finite)
+    hk = hk_check(sys_, finite, k_groups)
+    dual = sys_.dual_system()
     g, h = principalization(sys_)
-    k0, k1 = k_theory(sys_)
-    hk = hk_check(sys_)
     report = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
         "system": sys_.describe(),
         "principalization": {"exponent": h, "generator_norm": _rat_str(g.norm())},
         "homology": {
-            "unstable": _graded_json(groupoid_homology(sys_, "unstable")),
-            "stable": _graded_json(groupoid_homology(sys_, "stable")),
+            "unstable": _graded_json(shifted_homology(sys_, finite)),
+            "stable": _graded_json(shifted_homology(dual, finite_part_homology(dual))),
         },
-        "k_theory": {"K0": _k_group_json(k0), "K1": _k_group_json(k1)},
+        "k_theory": {"K0": _k_group_json(k_groups[0]), "K1": _k_group_json(k_groups[1])},
         "hk": {
             "verdicts": {str(i): v for i, v in hk["verdicts"].items()},
             "rank_identity": hk["rank_identity"],
@@ -268,10 +276,12 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "solhom"
 
 
-def _cache_key(min_poly: str, element: str | None, lefschetz_n: int, cap: int) -> str:
+def _cache_key(min_poly: str, lefschetz_n: int, cap: int) -> str:
+    """Key of a report: the monic minimal polynomial of c, which fixes
+    the system, plus everything else the report depends on."""
     payload = {
         "min_poly": min_poly,
-        "element": element,
+        "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "lefschetz": lefschetz_n,
         "cap_multiplier": cap,
@@ -303,7 +313,7 @@ def _cache_write(key: str, report: dict) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _system_from_args(args) -> tuple[SolenoidSystem, str, str | None]:
+def _system_from_args(args) -> SolenoidSystem:
     if (args.c is None) == (args.min_poly is None):
         raise ParseError("provide exactly one of --c or --min-poly")
     if args.element is not None and args.min_poly is None:
@@ -313,11 +323,10 @@ def _system_from_args(args) -> tuple[SolenoidSystem, str, str | None]:
             ratio = Fraction(args.c)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot read {args.c!r} as a rational") from exc
-        return _rational_system(ratio), f"x-({ratio})", None
+        return _rational_system(ratio)
     poly = parse_poly(args.min_poly)
-    canonical = poly.monic().pretty() if poly.degree >= 1 else args.min_poly
     if args.element is None:
-        return build_system(poly), canonical, None
+        return build_system(poly)
     if poly.degree < 1:
         raise ParseError("the minimal polynomial must be nonconstant")
     monic_int, scale = clear_to_monic_integer(poly.monic())
@@ -329,13 +338,13 @@ def _system_from_args(args) -> tuple[SolenoidSystem, str, str | None]:
         value = value * root + field.from_rational(coeff)
     if value.is_zero():
         raise ZeroInput("the element evaluates to zero")
-    return build_system(value.min_poly_over_q()), canonical, expr.pretty()
+    return build_system(value.min_poly_over_q())
 
 
 def cmd_analyze(args) -> int:
     start = time.perf_counter()
-    sys_, poly_key, element_key = _system_from_args(args)
-    key = _cache_key(poly_key, element_key, args.lefschetz, args.cap_multiplier)
+    sys_ = _system_from_args(args)
+    key = _cache_key(sys_.min_poly.pretty(), args.lefschetz, args.cap_multiplier)
     report = None
     cache_state = "miss"
     if not args.no_cache:
@@ -399,9 +408,10 @@ def cmd_selftest(_args) -> int:
     failures = 0
     for poly, expected in SELFTEST_CASES:
         sys_ = build_system(poly)
-        hom = groupoid_homology(sys_)
+        finite = finite_part_homology(sys_)
+        hom = shifted_homology(sys_, finite)
         ok = all(hom.entry(d).pretty() == want for d, want in expected.items())
-        hk = hk_check(sys_)
+        hk = hk_check(sys_, finite, k_theory(sys_, finite))
         ok = ok and hk["verdicts"] == {0: "equal", 1: "equal"} and hk["rank_identity"]
         ok = ok and all(
             abs(lefschetz_trace(sys_, n)) == sys_.periodic_points(n)

@@ -103,8 +103,3 @@ def radical(n: int) -> int:
     6
     """
     return math.prod(factorint(n).keys()) if abs(n) != 1 else 1
-
-
-def omega(n: int) -> int:
-    """Number of prime factors of |n| counted with multiplicity."""
-    return sum(factorint(n).values()) if abs(n) != 1 else 0

@@ -175,13 +175,6 @@ def canonical_form(G: ColimitGroup) -> LocalizedForm:
     )
 
 
-def canonical_form_rank1(G: ColimitGroup) -> LocalizedForm:
-    """Closed form for rank-one towers only; raises on higher rank."""
-    if G.rank != 1:
-        raise ValueError("canonical_form_rank1 needs a rank-one tower")
-    return canonical_form(G)
-
-
 def free_colimit(F: IntMatrix | None, name: str | None = None) -> ColimitGroup:
     """colim(Z^f, F) for a possibly non-injective F, restricted to the
     eventual image where the map becomes injective.

@@ -472,35 +472,6 @@ def hnf(A: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(reduced)
 
 
-def lattice_contains(H: IntMatrix, vec: Sequence[int]) -> bool:
-    """Membership of an integer vector in the column lattice given by H.
-
-    H must be a column HNF (staircase) matrix.  Solves by forward
-    substitution down the pivot rows.
-    """
-    residual = [int(x) for x in vec]
-    if len(residual) != H.nrows:
-        raise ValueError("dimension mismatch")
-    for j in range(H.ncols):
-        pivot_row = next(i for i in range(H.nrows) if H.rows[i][j] != 0)
-        r = residual[pivot_row]
-        p = H.rows[pivot_row][j]
-        if r % p != 0:
-            return False
-        q = r // p
-        if q:
-            col = H.column(j)
-            residual = [a - q * b for a, b in zip(residual, col)]
-    return all(a == 0 for a in residual)
-
-
-def integer_kernel(A: IntMatrix) -> list[tuple[int, ...]]:
-    """A basis (possibly empty) for the integer kernel {x : A x = 0}."""
-    S, _, V = snf(A)
-    rank = len([i for i in range(min(S.nrows, S.ncols)) if S.rows[i][i] != 0])
-    return [V.column(j) for j in range(rank, A.ncols)]
-
-
 def exterior_power_matrix(A, k: int):
     """k-th exterior power, same entry type as the input matrix.
 

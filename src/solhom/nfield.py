@@ -27,12 +27,6 @@ from .errors import IndexObstruction, InternalCheckError
 from .intfactor import factorint
 from .linalg import IntMatrix, RatMatrix, char_poly, hnf
 from .qpoly import Poly, factor_mod_p, is_irreducible_over_q
-from .rootcount import (  # noqa: F401  (module surface: root location lives here too)
-    real_root_count,
-    real_roots_in_interval,
-    roots_in_unit_disk,
-    unit_circle_root_count,
-)
 
 
 def _squarefree_decompose_int(n: int) -> tuple[int, int]:
@@ -118,10 +112,6 @@ class NumberField:
         if disc.denominator != 1:
             raise InternalCheckError("trace form discriminant is not an integer")
         return int(disc)
-
-    @property
-    def maximal_order_known(self) -> bool:
-        return self.degree <= 2
 
     # constructors -----------------------------------------------------------
     def element(self, coords: Sequence) -> "NfElement":
@@ -635,11 +625,6 @@ def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
             if v != 0:
                 out[P] = v
     return out
-
-
-def norm(x: NfElement) -> Fraction:
-    """Field norm (signed) of an element."""
-    return x.norm()
 
 
 # ---------------------------------------------------------------------------

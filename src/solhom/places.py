@@ -68,7 +68,6 @@ class SolenoidSystem:
     field: NumberField
     c: NfElement
     min_poly: Poly  # monic rational minimal polynomial of c itself
-    scale: int  # field generator theta = scale * c
     finite_stable: list[FinitePlace]
     finite_unstable: list[FinitePlace]
     archimedean: ArchimedeanSummary
@@ -76,19 +75,6 @@ class SolenoidSystem:
     transfer_index: int
     orientation_sign: int
     _dual: "SolenoidSystem | None" = dc_field(default=None, repr=False)
-
-    def gamma_lattice(self, n: int, k: int) -> FractionalIdeal:
-        """The (n, k) stage of the adapted lattice tower inside K.
-
-        Stage (0, 0) is the ring of integers; raising n deepens the
-        contracting finite part, raising k the expanding one.
-        """
-        out = FractionalIdeal.ring_of_integers(self.field)
-        for fp in self.finite_stable:
-            out = out * fp.prime.power(n * fp.valuation)
-        for fp in self.finite_unstable:
-            out = out * fp.prime.power(k * fp.valuation)
-        return out
 
     def periodic_points(self, n: int) -> int:
         """Number of points fixed by the n-th power of the map."""
@@ -210,7 +196,6 @@ def build_system(min_poly) -> SolenoidSystem:
         field=K,
         c=c,
         min_poly=f,
-        scale=s if f.degree > 1 else 1,
         finite_stable=stable,
         finite_unstable=unstable,
         archimedean=arch,
@@ -234,9 +219,3 @@ def _check_transfer_index(system: SolenoidSystem) -> None:
         raise InternalCheckError(
             f"norm product {system.transfer_index} != lattice index {idx}"
         )
-
-
-def rational_periodic_oracle(q: int, p: int, n: int) -> int:
-    """Closed form |q^n - p^n| for c = q/p in lowest terms; used as an
-    independent cross-check in tests and the self-test command."""
-    return abs(q**n - p**n)

@@ -205,11 +205,3 @@ def roots_in_unit_disk(f: Poly) -> int:
     if not 0 <= inside <= n:
         raise InternalCheckError("half-plane count out of range")
     return inside
-
-
-def roots_outside_unit_disk(f: Poly) -> int:
-    """Distinct roots with |z| > 1; raises BoundaryRoot like the inside count."""
-    F = f.squarefree_part()
-    if F.degree < 1:
-        return 0
-    return F.degree - roots_in_unit_disk(F)

@@ -1,9 +1,11 @@
 """Independent oracles used to fix expected values in the test suite.
 
-Everything here is implemented from first principles with algorithms
-different from the ones in the package (cofactor determinants instead of
-Bareiss, determinant divisors instead of elimination, rational solves
-instead of Hermite forms), so agreement is meaningful evidence.
+Everything up to the last section is implemented from first principles
+with algorithms different from the ones in the package (cofactor
+determinants instead of Bareiss, determinant divisors instead of
+elimination, rational solves instead of Hermite forms), so agreement is
+meaningful evidence.  The last section holds helpers built on package
+types that only the tests use.
 """
 
 from __future__ import annotations
@@ -11,6 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from solhom.engine import finite_part_homology, hk_check, k_theory
+from solhom.linalg import IntMatrix, snf
+from solhom.nfield import FractionalIdeal
+from solhom.qpoly import Poly
+from solhom.rootcount import roots_in_unit_disk
 
 
 def det_cofactor(rows) -> Fraction:
@@ -232,3 +240,70 @@ def _prime_power_split(qs):
                 out.append(p**e)
             p += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers on package types
+
+
+def rational_periodic_oracle(q: int, p: int, n: int) -> int:
+    """Closed form |q^n - p^n| for c = q/p in lowest terms."""
+    return abs(q**n - p**n)
+
+
+def hk_report(sys) -> dict:
+    """hk_check of a system against its own finite part and K-groups."""
+    finite = finite_part_homology(sys)
+    return hk_check(sys, finite, k_theory(sys, finite))
+
+
+def gamma_lattice(sys, n: int, k: int) -> FractionalIdeal:
+    """The (n, k) stage of the adapted lattice tower of a solenoid system
+    inside K.
+
+    Stage (0, 0) is the ring of integers; raising n deepens the
+    contracting finite part, raising k the expanding one.
+    """
+    out = FractionalIdeal.ring_of_integers(sys.field)
+    for fp in sys.finite_stable:
+        out = out * fp.prime.power(n * fp.valuation)
+    for fp in sys.finite_unstable:
+        out = out * fp.prime.power(k * fp.valuation)
+    return out
+
+
+def lattice_contains(H: IntMatrix, vec) -> bool:
+    """Membership of an integer vector in the column lattice given by H.
+
+    H must be a column HNF (staircase) matrix.  Solves by forward
+    substitution down the pivot rows.
+    """
+    residual = [int(x) for x in vec]
+    if len(residual) != H.nrows:
+        raise ValueError("dimension mismatch")
+    for j in range(H.ncols):
+        pivot_row = next(i for i in range(H.nrows) if H.rows[i][j] != 0)
+        r = residual[pivot_row]
+        p = H.rows[pivot_row][j]
+        if r % p != 0:
+            return False
+        q = r // p
+        if q:
+            col = H.column(j)
+            residual = [a - q * b for a, b in zip(residual, col)]
+    return all(a == 0 for a in residual)
+
+
+def integer_kernel(A: IntMatrix) -> list[tuple[int, ...]]:
+    """A basis (possibly empty) for the integer kernel {x : A x = 0}."""
+    S, _, V = snf(A)
+    rank = len([i for i in range(min(S.nrows, S.ncols)) if S.rows[i][i] != 0])
+    return [V.column(j) for j in range(rank, A.ncols)]
+
+
+def roots_outside_unit_disk(f: Poly) -> int:
+    """Distinct roots with |z| > 1; raises BoundaryRoot like the inside count."""
+    F = f.squarefree_part()
+    if F.degree < 1:
+        return 0
+    return F.degree - roots_in_unit_disk(F)

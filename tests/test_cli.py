@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from solhom import cli, engine
 from solhom.cli import main
+from solhom.places import build_system
 
 
 @pytest.fixture(autouse=True)
@@ -83,6 +85,33 @@ def test_cache_hit_and_byte_identity(capsys, isolated_cache):
     for volatile in ("timing_seconds", "cache"):
         r1.pop(volatile), r2.pop(volatile)
     assert r1 == r2
+
+
+def test_cache_key_is_the_monic_polynomial_and_version(capsys, monkeypatch):
+    code, out, _ = run(capsys, "analyze", "--c", "3/2", "--json")
+    assert code == 0 and json.loads(out)["cache"] == "miss"
+    code, out, _ = run(capsys, "analyze", "--min-poly", "x-3/2", "--json")
+    assert code == 0 and json.loads(out)["cache"] == "hit"
+
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    code, out, _ = run(capsys, "analyze", "--min-poly", "x-3/2", "--json")
+    assert code == 0 and json.loads(out)["cache"] == "miss"
+
+
+def test_build_report_builds_each_finite_part_once(monkeypatch):
+    calls = {"finite_part_homology": 0, "principalization": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (engine, cli):
+            monkeypatch.setattr(module, name, counted)
+    cli.build_report(build_system("x^2-x+3/2"), 6)
+    assert calls["finite_part_homology"] == 2
+    assert calls["principalization"] <= 3
 
 
 def test_no_cache_flag(capsys, isolated_cache):

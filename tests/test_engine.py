@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import hk_report
 from solhom.engine import (
     DegreeEntry,
     GradedGroup,
     finite_part_homology,
     groupoid_homology,
-    hk_check,
     k_theory,
     kunneth_product,
     lefschetz_trace,
@@ -86,7 +86,7 @@ def test_golden_homology_and_actions():
 
 def test_golden_k_theory():
     sys = build_system("x^2-x-1")
-    k0, k1 = k_theory(sys)
+    k0, k1 = k_theory(sys, finite_part_homology(sys))
     assert canonical_form(k0) == LocalizedForm.free(2)
     assert canonical_form(k1) == LocalizedForm.free(2)
 
@@ -147,9 +147,23 @@ def test_sqrt_minus_five_stable():
     assert stable.entry(0).action.rows == ((Fraction(3),),)
 
 
+def test_sqrt_minus_five_stable_top_degree_is_odd():
+    # stable H_0 is the dual's top degree, a 1x1 tower N' * N(g' * c);
+    # docs/criterion-2.md explains why this entry decides Z[1/3]
+    sys = build_system("x^2-x+3/2")
+    dual = sys.dual_system()
+    g, h = principalization(dual)
+    entry = dual.transfer_index * g.norm() * dual.c.inverse().norm()
+    assert h == 2 and entry == 2 * 3**h * Fraction(3, 2) == 3 ** (h + 1) == 27
+    tower = finite_part_homology(dual).entries[2].colimit.matrix
+    assert tower.rows == ((entry,),)
+    assert entry % 2 == 1
+    assert groupoid_homology(sys, "stable").entry(0).closed == LocalizedForm.localized(3)
+
+
 def test_sqrt_minus_five_k_theory():
     sys = build_system("x^2-x+3/2")
-    k0, k1 = k_theory(sys)
+    k0, k1 = k_theory(sys, finite_part_homology(sys))
     assert canonical_form(k0) == LocalizedForm.localized(3) + LocalizedForm.localized(2)
     assert k1.matrix == SQRT5_DELTAS[1]
     with pytest.raises(AtomClassExceeded):
@@ -174,7 +188,7 @@ def test_lefschetz_traces_match_fixed_points():
 
 def test_hk_check_fixtures():
     for poly in ("x-3/2", "x^2-x-1", "x^2-x+3/2", "x-2"):
-        report = hk_check(build_system(poly))
+        report = hk_report(build_system(poly))
         assert report["verdicts"] == {0: "equal", 1: "equal"}
         assert report["rank_identity"]
 

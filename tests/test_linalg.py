@@ -16,8 +16,6 @@ from solhom.linalg import (
     char_poly,
     exterior_power_matrix,
     hnf,
-    integer_kernel,
-    lattice_contains,
     rank_mod_p,
     snf,
     snf_diagonal,
@@ -25,7 +23,9 @@ from solhom.linalg import (
 )
 from oracles import (
     det_cofactor,
+    integer_kernel,
     invariant_factors_from_minors,
+    lattice_contains,
     lattice_equal,
     lattice_member,
     minor_entry,

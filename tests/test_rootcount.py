@@ -17,10 +17,9 @@ from solhom.rootcount import (
     real_root_count,
     real_roots_in_interval,
     roots_in_unit_disk,
-    roots_outside_unit_disk,
     unit_circle_root_count,
 )
-from oracles import poly_from_roots
+from oracles import poly_from_roots, roots_outside_unit_disk
 
 
 def test_sturm_frozen_cubic():
