@@ -35,6 +35,7 @@ from .errors import (
     BoundaryRoot,
     HypothesisN1,
     IndexObstruction,
+    InternalCheckError,
     ParseError,
     SolhomError,
     ZeroInput,
@@ -201,15 +202,17 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
             "verdicts": {str(i): v for i, v in hk["verdicts"].items()},
             "rank_identity": hk["rank_identity"],
         },
-        "lefschetz": [
-            {
-                "n": n,
-                "trace": lefschetz_trace(sys_, n),
-                "periodic_points": sys_.periodic_points(n),
-            }
-            for n in range(1, lefschetz_n + 1)
-        ],
+        "lefschetz": [],
     }
+    # the count comes from the norm of c^n - 1 and the expanding places,
+    # the trace from the transfer action and the contracting ones
+    for n in range(1, lefschetz_n + 1):
+        trace, count = lefschetz_trace(sys_, n), sys_.periodic_points(n)
+        if abs(trace) != count:
+            raise InternalCheckError(
+                f"period {n}: Lefschetz trace {trace} but {count} periodic points"
+            )
+        report["lefschetz"].append({"n": n, "trace": trace, "periodic_points": count})
     return report
 
 

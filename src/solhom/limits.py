@@ -27,6 +27,7 @@ power of the map when some power kills the free-to-torsion mixing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +66,11 @@ class ColimitGroup:
         label = f" {self.name}" if self.name else ""
         return f"ColimitGroup(rank={self.rank}, det={self.det}{label})"
 
+    @functools.cached_property
+    def det_primes(self) -> tuple[int, ...]:
+        """The primes dividing the tower determinant, factored once."""
+        return tuple(factorint(self.det))
+
     def membership_stage(self, vec: Sequence) -> int | None:
         """Least n with T^n vec integral, or None when vec is not in the
         group.  Scans past the proven bound as a self-check; a witness in
@@ -75,13 +81,19 @@ class ColimitGroup:
         den = math.lcm(*(c.denominator for c in v)) if v else 1
         if den == 1:
             return 0
-        det_primes = set(factorint(abs(self.det)))
-        den_factors = factorint(den)
-        if any(p not in det_primes for p in den_factors):
+        # Omega(den) over the determinant's primes; any other prime in
+        # den is never cleared by T.
+        omega = 0
+        rest = den
+        for p in self.det_primes:
+            while rest % p == 0:
+                rest //= p
+                omega += 1
+        if rest != 1:
             return None
         # r * Omega(den): the chain of partial preimages sits inside a
         # group of order den**r and grows strictly until the witness.
-        bound = self.rank * sum(den_factors.values())
+        bound = self.rank * omega
         cap = MEMBERSHIP_CAP_FACTOR * bound
         current = v
         for n in range(cap + 1):
@@ -112,7 +124,7 @@ class InvariantSignature:
     @staticmethod
     def of(G: ColimitGroup) -> "InvariantSignature":
         pairs = []
-        for p in sorted(factorint(abs(G.det))):
+        for p in G.det_primes:
             pairs.append((p, stable_rank_mod_p(G.matrix, p)))
         return InvariantSignature(G.rank, tuple(pairs))
 

@@ -77,26 +77,28 @@ class SolenoidSystem:
     _dual: "SolenoidSystem | None" = dc_field(default=None, repr=False)
 
     def periodic_points(self, n: int) -> int:
-        """Number of points fixed by the n-th power of the map."""
+        """Number of points fixed by the n-th power of the map.
+
+        That is the product of N(P)^v over the places P where
+        w = c^n - 1 has positive valuation v.  At an expanding place
+        v_P(w) = n * v_P(c) < 0 and at every other place v_P(w) >= 0, so
+        by the product formula the count is |N(w)| * D^n with
+        D = prod over expanding P of N(P)^(-v_P(c)); nothing is factored.
+        """
         if n < 1:
             raise ValueError("period must be positive")
         w = self.c.pow(n) - self.field.one()
         if w.is_zero():
             raise DegenerateFix(f"c^{n} = 1, so the fixed set is not finite")
-        vals = element_valuations(w)
-        count = 1
-        for P, v in vals.items():
-            if v > 0:
-                count *= P.norm() ** v
-        # product formula cross-check through the norm
-        denom = 1
-        for P, v in vals.items():
-            if v < 0:
-                denom *= P.norm() ** (-v)
-        nrm = abs(w.norm())
-        if Fraction(count, denom) != nrm:
-            raise InternalCheckError("periodic point count disagrees with the norm")
-        return count
+        expanding = 1
+        for fp in self.finite_unstable:
+            expanding *= fp.residue_norm ** (-fp.valuation)
+        count = abs(w.norm()) * expanding**n
+        if count.denominator != 1:
+            raise InternalCheckError(
+                f"norm of c^{n} - 1 times the expanding part is {count}, not an integer"
+            )
+        return int(count)
 
     def dual_system(self) -> "SolenoidSystem":
         """The same solenoid run backwards, built fresh from 1/c."""

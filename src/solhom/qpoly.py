@@ -551,24 +551,27 @@ def is_irreducible_over_q(f: Poly, prime_budget: int = 60) -> bool:
     raise ValueError("irreducibility undecided within the prime budget")
 
 
-def _divisors_signed(n: int):
-    n = abs(n)
-    out = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            out.extend([d, -d])
-    return out
+def _divisors_signed(n: int) -> list[int]:
+    """Every divisor of n != 0 with both signs, ordered by absolute value."""
+    divisors = [1]
+    for p, e in factorint(n).items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return [s * d for d in sorted(divisors) for s in (1, -1)]
 
 
 def _has_quadratic_factor(f: Poly) -> bool:
-    # A monic quadratic factor x^2 + b x + c has |b| <= 2R for the Cauchy
-    # root bound R = 1 + height, and c divides f(0).
-    height = max(abs(int(c)) for c in f.coeffs)
-    bound = 2 * (height + 1)
-    c0 = int(f.coeffs[-1])
-    for c in _divisors_signed(c0):
-        for b in range(-bound, bound + 1):
-            q = Poly([1, b, c])
-            if (f % q).is_zero():
+    # Called once f has no rational root, so f(1) and f(-1) are nonzero.
+    # A monic factor q = x^2 + b x + c of monic integer f is integral
+    # (Gauss), so c | f(0), q(1) = 1 + b + c divides f(1), and q(-1) is a
+    # nonzero divisor of f(-1).  So b = d - 1 - c for a divisor d of f(1).
+    at_one = _divisors_signed(int(f.eval(1)))
+    at_minus_one = int(f.eval(-1))
+    for c in _divisors_signed(int(f.coeffs[-1])):
+        for d in at_one:
+            b = d - 1 - c
+            q_minus_one = 1 - b + c
+            if q_minus_one == 0 or at_minus_one % q_minus_one != 0:
+                continue
+            if (f % Poly([1, b, c])).is_zero():
                 return True
     return False

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from solhom.engine import finite_part_homology, hk_check, k_theory
 from solhom.linalg import IntMatrix, snf
-from solhom.nfield import FractionalIdeal
+from solhom.nfield import FractionalIdeal, element_valuations
 from solhom.qpoly import Poly
 from solhom.rootcount import roots_in_unit_disk
 
@@ -249,6 +249,16 @@ def _prime_power_split(qs):
 def rational_periodic_oracle(q: int, p: int, n: int) -> int:
     """Closed form |q^n - p^n| for c = q/p in lowest terms."""
     return abs(q**n - p**n)
+
+
+def valuation_periodic_count(sys, n: int) -> int:
+    """Points of period n by factoring: the product of N(P)^v over the
+    places P where c^n - 1 has positive valuation v."""
+    count = 1
+    for P, v in element_valuations(sys.c.pow(n) - sys.field.one()).items():
+        if v > 0:
+            count *= P.norm() ** v
+    return count
 
 
 def hk_report(sys) -> dict:

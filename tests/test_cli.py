@@ -6,7 +6,7 @@ import pytest
 
 from solhom import cli, engine
 from solhom.cli import main
-from solhom.places import build_system
+from solhom.places import SolenoidSystem, build_system
 
 
 @pytest.fixture(autouse=True)
@@ -112,6 +112,15 @@ def test_build_report_builds_each_finite_part_once(monkeypatch):
     cli.build_report(build_system("x^2-x+3/2"), 6)
     assert calls["finite_part_homology"] == 2
     assert calls["principalization"] <= 3
+
+
+def test_lefschetz_rows_are_cross_checked(capsys, monkeypatch):
+    original = SolenoidSystem.periodic_points
+    monkeypatch.setattr(SolenoidSystem, "periodic_points", lambda self, n: original(self, n) + 1)
+    code, out, err = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
+    assert code == 3
+    assert out == ""
+    assert "InternalCheckError" in err and "period 1" in err
 
 
 def test_no_cache_flag(capsys, isolated_cache):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import brute_colimit_member
 from solhom.errors import AtomClassExceeded, NonCommuting
 from solhom.fgab import FgAbGroup
+from solhom.intfactor import factorint
 from solhom.limits import (
     ColimitGroup,
     InvariantSignature,
@@ -47,6 +48,25 @@ def test_membership_against_brute_force():
         got = G.contains(vec)
         want = brute_colimit_member(M.rows, vec, 1000)
         assert got == want, (M.rows, vec)
+
+
+def test_membership_factors_the_determinant_once(monkeypatch):
+    from solhom import limits
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorint(n)
+
+    monkeypatch.setattr(limits, "factorint", counted)
+    G = ColimitGroup(IntMatrix([[2, 1], [0, 6]]))
+    for k in range(1, 13):
+        G.contains([Fraction(1, 2**k), Fraction(k, 3 * k + 7)])
+        G.contains([Fraction(1, 6**k), 1])
+    assert G.membership_stage([Fraction(1, 3), Fraction(1, 5)]) is None
+    assert G.signature() == InvariantSignature(2, ((2, 0), (3, 1)))
+    assert calls == [12]
 
 
 def test_non_injective_tower_rejected():

@@ -1,13 +1,27 @@
 """Place analysis: degree shift, transfer index, periodic point counts."""
 
+import dataclasses
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from oracles import gamma_lattice, rational_periodic_oracle, toral_periodic_points
-from solhom.errors import BoundaryRoot, ParseError, ZeroInput
+from oracles import (
+    gamma_lattice,
+    rational_periodic_oracle,
+    toral_periodic_points,
+    valuation_periodic_count,
+)
+from solhom import engine, intfactor, nfield
+from solhom.errors import (
+    BoundaryRoot,
+    DegenerateFix,
+    InternalCheckError,
+    ParseError,
+    ZeroInput,
+)
 from solhom.places import build_system
 
 
@@ -124,3 +138,49 @@ def test_complex_contracting_system():
     assert [(fp.prime.p, fp.valuation) for fp in s.finite_unstable] == [(2, -1)]
     # |(1 + i)^n - 2^n|^2 / 2^n, checked by hand two ways
     assert [s.periodic_points(n) for n in range(1, 7)] == [1, 5, 13, 25, 41, 65]
+
+
+@pytest.mark.parametrize(
+    "poly",
+    ["x-3/2", "x^2-x+3/2", "x^2-x-1", "x^2+x+7/2", "x^2-x+5/6", "x^2-79/4", "x^3-x-1", "x^4-x-1"],
+)
+def test_periodic_points_match_valuation_route(poly):
+    s = build_system(poly)
+    for n in range(1, 9):
+        assert s.periodic_points(n) == valuation_periodic_count(s, n), n
+
+
+def test_periodic_points_never_factor(monkeypatch):
+    systems = [build_system(p) for p in ("x-3/2", "x^2+x+7/2", "x^2-x+5/6", "x^3-x-1")]
+
+    def refuse(*_args):
+        raise AssertionError("periodic_points factored an integer")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("solhom"):
+            for name in ("factorint", "element_valuations"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    assert intfactor.factorint is refuse and nfield.element_valuations is refuse
+    for s in systems:
+        for n in range(1, 9):
+            assert s.periodic_points(n) > 0
+
+
+def test_periodic_points_at_period_100():
+    # an 85-digit count; factoring the norm of c^100 - 1 took minutes
+    s = build_system("x^2+x+7/2")
+    assert s.periodic_points(100) == abs(engine.lefschetz_trace(s, 100))
+
+
+def test_periodic_points_guards():
+    # build_system refuses any c with c^n = 1 (it lies on the unit
+    # circle), so both guards are reached with c swapped by hand
+    s = build_system("x-2")
+    unit = dataclasses.replace(s, c=s.field.from_rational(-1))
+    assert unit.periodic_points(1) == 2
+    with pytest.raises(DegenerateFix):
+        unit.periodic_points(2)
+    # 3/2 with no expanding place recorded: the count would be 1/2
+    with pytest.raises(InternalCheckError):
+        dataclasses.replace(s, c=s.field.from_rational(Fraction(3, 2))).periodic_points(1)

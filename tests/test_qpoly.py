@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from solhom.errors import ParseError
 from solhom.qpoly import (
     Poly,
+    _divisors_signed,
     clear_to_monic_integer,
     factor_mod_p,
     is_irreducible_mod_p,
@@ -147,6 +148,37 @@ def test_frozen_factorization_mod3():
 )
 def test_is_irreducible_over_q(coeffs, expected):
     assert is_irreducible_over_q(Poly(coeffs)) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000), st.sampled_from([1, -1]))
+def test_divisors_signed_match_brute_force(m, sign):
+    brute = [s * d for d in range(1, m + 1) if m % d == 0 for s in (1, -1)]
+    assert _divisors_signed(sign * m) == brute
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # rational roots with constant terms near 10^12 and 10^8: the old
+        # loop over every integer up to |f(0)| took seconds on each
+        ("(x-999983)*(x+1000003)", False),
+        ("x^2+40000003", True),
+        ("x^2-100000007", True),
+        # quadratic factors with f(0) and f(1) near 10^4 and 10^8
+        ("(x^2+x+101)*(x^2-x+103)", False),
+        ("(x^2+x+10007)*(x^2-x+10009)", False),
+        ("(x^2-x-3)*(x^3-x-1)", False),
+        # reducible mod every prime, so only the quadratic factor search
+        # can certify these
+        ("x^4+1", True),
+        ("x^4-10*x^2+1", True),
+        # sqrt(13) + sqrt(5053): f(0) = 5040^2 has 405 divisors
+        ("x^4-10132*x^2+25401600", True),
+    ],
+)
+def test_is_irreducible_over_q_large_coefficients(text, expected):
+    assert is_irreducible_over_q(parse_poly(text)) is expected
 
 
 def test_reversed_poly():
