@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
+from . import __version__, limits
 from .engine import (
     GradedGroup,
     finite_part_homology,
@@ -25,7 +25,7 @@ from .engine import (
     hk_check,
     k_theory,
     kunneth_product,
-    lefschetz_trace,
+    lefschetz_traces,
     principalization,
     shifted_homology,
     transfer_colimit,
@@ -206,8 +206,8 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     }
     # the count comes from the norm of c^n - 1 and the expanding places,
     # the trace from the transfer action and the contracting ones
-    for n in range(1, lefschetz_n + 1):
-        trace, count = lefschetz_trace(sys_, n), sys_.periodic_points(n)
+    for n, trace in enumerate(lefschetz_traces(sys_, lefschetz_n), start=1):
+        count = sys_.periodic_points(n)
         if abs(trace) != count:
             raise InternalCheckError(
                 f"period {n}: Lefschetz trace {trace} but {count} periodic points"
@@ -417,8 +417,8 @@ def cmd_selftest(_args) -> int:
         hk = hk_check(sys_, finite, k_theory(sys_, finite))
         ok = ok and hk["verdicts"] == {0: "equal", 1: "equal"} and hk["rank_identity"]
         ok = ok and all(
-            abs(lefschetz_trace(sys_, n)) == sys_.periodic_points(n)
-            for n in range(1, 5)
+            abs(trace) == sys_.periodic_points(n)
+            for n, trace in enumerate(lefschetz_traces(sys_, 4), start=1)
         )
         print(f"{'ok' if ok else 'FAIL'}  {poly}")
         failures += 0 if ok else 1
@@ -485,13 +485,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; that slot means hypothesis
         # violation here, so fold usage problems into the parse code
         return 0 if exc.code == 0 else 1
-    if getattr(args, "cap_multiplier", 1) != 1:
-        from . import limits
-
-        if args.cap_multiplier < 1:
-            print("solhom: --cap-multiplier must be at least 1", file=_sys.stderr)
-            return 1
-        limits.MEMBERSHIP_CAP_FACTOR = 10 * args.cap_multiplier
+    cap_multiplier = getattr(args, "cap_multiplier", 1)
+    if cap_multiplier < 1:
+        print("solhom: --cap-multiplier must be at least 1", file=_sys.stderr)
+        return 1
+    # the factor holds for this call only, as the cache key assumes
+    default_cap_factor = limits.MEMBERSHIP_CAP_FACTOR
+    limits.MEMBERSHIP_CAP_FACTOR = default_cap_factor * cap_multiplier
     try:
         return args.func(args)
     except (ParseError, ZeroInput, ValueError) as exc:
@@ -503,6 +503,8 @@ def main(argv=None) -> int:
     except SolhomError as exc:
         print(f"solhom: internal: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3
+    finally:
+        limits.MEMBERSHIP_CAP_FACTOR = default_cap_factor
 
 
 if __name__ == "__main__":

@@ -291,22 +291,35 @@ def hk_check(
     return report
 
 
-def lefschetz_trace(sys: SolenoidSystem, n: int) -> int:
-    """Alternating trace sum of the n-th power of the transfer action.
+def lefschetz_traces(sys: SolenoidSystem, n: int) -> list[int]:
+    """Alternating trace sums of the powers 1..n of the transfer action.
 
-    Equals N^n det(I - m_{1/c}^n), an integer whose absolute value is
-    the number of points of period n.
+    Row k equals N^k det(I - m_{1/c}^k), an integer whose absolute value
+    is the number of points of period k.  The powers of c and of the
+    action are carried from one row to the next.
     """
+    one = sys.field.one()
+    m_theta = sys.c.inverse().mult_matrix_integral()
+    c_pow, m_pow, scale = one, RatMatrix.identity(sys.field.degree), Fraction(1)
+    out = []
+    for k in range(1, n + 1):
+        c_pow = c_pow * sys.c
+        if c_pow == one:
+            raise DegenerateFix(f"c^{k} = 1, the fixed set is not finite")
+        m_pow = m_pow @ m_theta
+        scale *= sys.transfer_index
+        value = scale * sum(char_poly(m_pow), Fraction(0))
+        if value.denominator != 1:
+            raise InternalCheckError("trace sum is not an integer")
+        out.append(int(value))
+    return out
+
+
+def lefschetz_trace(sys: SolenoidSystem, n: int) -> int:
+    """The period-n row of lefschetz_traces."""
     if n < 1:
         raise ValueError("period must be positive")
-    if sys.c.pow(n) == sys.field.one():
-        raise DegenerateFix(f"c^{n} = 1, the fixed set is not finite")
-    m_theta = sys.c.inverse().mult_matrix_integral()
-    coeffs = char_poly(m_theta.pow(n))
-    value = Fraction(sys.transfer_index) ** n * sum(coeffs, Fraction(0))
-    if value.denominator != 1:
-        raise InternalCheckError("trace sum is not an integer")
-    return int(value)
+    return lefschetz_traces(sys, n)[-1]
 
 
 def positive_cone_contains(sys: SolenoidSystem, components: Mapping[int, object]) -> bool:

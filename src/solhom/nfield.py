@@ -636,8 +636,14 @@ def principal_generator(I: FractionalIdeal) -> NfElement | None:
 
     Rational field: always conclusive.  Imaginary quadratic: conclusive
     (positive definite norm form enumeration).  Real quadratic:
-    conclusive via a fundamental-unit-normalized box.  Degree >= 3:
-    returns None unless a small-box search happens to succeed.
+    conclusive; I is principal exactly when the cycle of reduced forms of
+    its norm form N(a*u1 + b*u2)/N(I) holds a form with leading
+    coefficient +-1.  Of the generators +-g*eps^k, the one returned comes
+    first in a scan by increasing b, then positive before negative norm,
+    then increasing a, over the box |b| <= bmax that holds a
+    unit-normalized generator.  Degree >= 3: returns None unless a
+    small-box search happens to succeed.  A quadratic generator is
+    negated if needed so its first integral coordinate is positive.
     """
     field = I.field
     d = field.degree
@@ -705,28 +711,113 @@ def _embedding_bound(x: NfElement) -> Fraction:
     return abs(p) + abs(q) * theta_max
 
 
+# Walk steps allowed per bit of the unit trace and of the form's A and C:
+# a cycle has at most about 2*log2(eps^2) forms (two consecutive complete
+# quotients multiply to more than 2), so a longer walk is a bug.
+_CYCLE_STEPS_PER_BIT = 4
+
+
 def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | None:
-    # Any generator can be unit-scaled so that both embeddings have
-    # absolute value at most sqrt(N(I) * eps); Cramer against the lattice
-    # basis then bounds the second coordinate, since the embedding matrix
-    # of the basis has |det| = sqrt(disc) * N(I).
+    # The generators of I are the x = a*u1 + b*u2 with |N(x)| = N(I).  Any
+    # of them can be unit-scaled so that both embeddings have absolute
+    # value at most sqrt(N(I) * eps); Cramer against the lattice basis then
+    # bounds |b| by bmax, since the embedding matrix of the basis has
+    # |det| = sqrt(disc) * N(I).  The answer is the generator with
+    # |b| <= bmax and least key (b, 0 if N(x) > 0 else 1, a).
     field = I.field
     eps = fundamental_unit(field)
-    eps_bound = _embedding_bound(eps) + 1
     u1, u2 = I.basis_elements()
-    alpha, beta, gamma = _norm_form(I)
-    x_bound = _isqrt_frac(target * eps_bound) + 1
+    x_bound = _isqrt_frac(target * (_embedding_bound(eps) + 1)) + 1
     covol = _isqrt_frac(Fraction(field.discriminant)) * target
     if covol == 0:
         raise InternalCheckError("degenerate lattice in real quadratic search")
     bmax = _ceil_frac(2 * x_bound * _embedding_bound(u1) / covol) + 1
-    for b in range(-bmax, bmax + 1):
-        for sign in (1, -1):
-            for a in _solve_quadratic_int(alpha, beta * b, gamma * b * b - sign * target):
-                x = u1.scale(a) + u2.scale(b)
-                if not x.is_zero() and abs(x.norm()) == target:
-                    return x
-    return None
+    eta = eps * eps
+    t = int(eta.trace())
+    A, B, C = (c / target for c in _norm_form(I))
+    if any(c.denominator != 1 for c in (A, B, C)) or B * B - 4 * A * C != field.discriminant:
+        raise InternalCheckError("norm form of an ideal is not integral of discriminant disc(K)")
+    A, B, C = int(A), int(B), int(C)
+    cap = _CYCLE_STEPS_PER_BIT * (t.bit_length() + abs(A).bit_length() + abs(C).bit_length())
+    found = _cycle_representing_unit(A, B, C, cap)
+    if found is None:
+        return None
+    g = u1.scale(found[0]) + u2.scale(found[1])
+
+    (p1, q1), (p2, q2) = u1.coords, u2.coords
+    det = p1 * q2 - q1 * p2
+
+    def coords(x: NfElement) -> tuple[int, int]:
+        p, q = x.coords
+        a, b = (p * q2 - q * p2) / det, (p1 * q - q1 * p) / det
+        if a.denominator != 1 or b.denominator != 1:
+            raise InternalCheckError("generator candidate left the ideal lattice")
+        return int(a), int(b)
+
+    # Every generator is +-h*eta^j with h in {g, g*eps} and eta = eps^2,
+    # which has norm 1 and trace t >= 3.  From eta^2 = t*eta - 1 the
+    # coordinates obey x_{j+1} = t*x_j - x_{j-1}, read in either
+    # direction.  Once |b_j| >= |b_{j-1}| and b_j != 0,
+    # |b_{j+1}| >= t|b_j| - |b_{j-1}| >= (t - 1)|b_j| >= 2|b_j|, so by
+    # induction every later |b| at least doubles: once also |b_j| > bmax
+    # no later term lies in the box, and the walk stops.
+    best = None
+    for h in (g, g * eps):
+        sign = 0 if h.norm() > 0 else 1
+        here, up = coords(h), coords(h * eta)
+        down = (t * here[0] - up[0], t * here[1] - up[1])
+        for prev, cur in ((down, here), (up, here)):
+            while True:
+                a, b = cur
+                if abs(b) <= bmax:
+                    key = min((b, sign, a), (-b, sign, -a))
+                    best = key if best is None else min(best, key)
+                elif b != 0 and abs(b) >= abs(prev[1]):
+                    break
+                prev, cur = cur, (t * a - prev[0], t * b - prev[1])
+    if best is None:
+        raise InternalCheckError("no generator inside the proven box")
+    b, _, a = best
+    x = u1.scale(a) + u2.scale(b)
+    if abs(x.norm()) != target:
+        raise InternalCheckError("chosen generator has the wrong norm")
+    return x
+
+
+def _cycle_representing_unit(A: int, B: int, C: int, cap: int) -> tuple[int, int] | None:
+    """(a, b) with A a^2 + B ab + C b^2 = +-1, or None when the indefinite
+    form of non-square discriminant D represents neither.
+
+    rho-steps (Cohen, GTM 138, 5.6) reach a reduced form,
+    |sqrt(D) - 2|A|| < B < sqrt(D), and walk its cycle, which holds every
+    reduced form properly equivalent to it.  A form representing +-1 is
+    equivalent to (+-1, B', C') with B' in (sqrt(D) - 2, sqrt(D)), which
+    is reduced, so once round the cycle settles the question.  The basis
+    (v1, v2) of the current form is kept in the starting coordinates.
+    """
+    D = B * B - 4 * A * C
+    s = math.isqrt(D)
+    v1, v2 = (1, 0), (0, 1)
+    start = None
+    for _ in range(cap):
+        if abs(A) == 1:
+            return v1
+        if start is None and B <= s and 2 * abs(A) - B <= s < 2 * abs(A) + B:
+            start = (A, B, C)
+        # r = -B mod 2|C|, in (-|C|, |C|] when |C| > sqrt(D), else in
+        # (sqrt(D) - 2|C|, sqrt(D)); the new basis is (v2, k*v2 - v1)
+        m = 2 * abs(C)
+        if abs(C) > s:
+            r = -B % m
+            r = r - m if r > abs(C) else r
+        else:
+            r = s - (s + B) % m
+        k = (r + B) // (2 * C)
+        A, B, C = C, r, A - B * k + C * k * k
+        v1, v2 = v2, (k * v2[0] - v1[0], k * v2[1] - v1[1])
+        if (A, B, C) == start:
+            return None
+    raise InternalCheckError(f"reduced-form cycle not closed within {cap} steps")
 
 
 def _ceil_frac(q: Fraction) -> int:
@@ -773,8 +864,8 @@ def fundamental_unit(field: NumberField) -> NfElement:
     else:
         Dcf, P, Q = D0, 1, 2
     omega = field.element(field.basis_matrix.column(1))
-    tr = omega.trace()
-    nm = omega.norm()
+    # omega is integral, so its trace and norm are integers
+    tr, nm = int(omega.trace()), int(omega.norm())
     s = math.isqrt(Dcf)
     hm1, hm2 = 1, 0
     km1, km2 = 0, 1
@@ -783,7 +874,7 @@ def fundamental_unit(field: NumberField) -> NfElement:
         h = a * hm1 + hm2
         k = a * km1 + km2
         # N(h - k * conj(omega)), with conj(omega) = tr - omega
-        cand_norm = Fraction(h * h) - tr * h * k + nm * k * k
+        cand_norm = h * h - tr * h * k + nm * k * k
         if abs(cand_norm) == 1:
             unit = field.from_rational(h - tr * k) + omega.scale(k)
             if abs(unit.norm()) != 1:

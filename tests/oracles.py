@@ -15,8 +15,18 @@ import math
 from fractions import Fraction
 
 from solhom.engine import finite_part_homology, hk_check, k_theory
+from solhom.errors import InternalCheckError
 from solhom.linalg import IntMatrix, snf
-from solhom.nfield import FractionalIdeal, element_valuations
+from solhom.nfield import (
+    FractionalIdeal,
+    _ceil_frac,
+    _embedding_bound,
+    _isqrt_frac,
+    _norm_form,
+    _solve_quadratic_int,
+    element_valuations,
+    fundamental_unit,
+)
 from solhom.qpoly import Poly
 from solhom.rootcount import roots_in_unit_disk
 
@@ -259,6 +269,38 @@ def valuation_periodic_count(sys, n: int) -> int:
         if v > 0:
             count *= P.norm() ** v
     return count
+
+
+def box_scan_generator(I: FractionalIdeal):
+    """A generator of an ideal I of a real quadratic field, or None.
+
+    Scans every value b of the second lattice coordinate over the box
+    that holds a unit-scaled generator, solving the norm equation for the
+    first, so its cost grows with the fundamental unit.  This is the
+    search the package ran before it walked the cycle of reduced forms.
+    """
+    # Any generator can be unit-scaled so that both embeddings have
+    # absolute value at most sqrt(N(I) * eps); Cramer against the lattice
+    # basis then bounds the second coordinate, since the embedding matrix
+    # of the basis has |det| = sqrt(disc) * N(I).
+    target = I.norm()
+    field = I.field
+    eps = fundamental_unit(field)
+    eps_bound = _embedding_bound(eps) + 1
+    u1, u2 = I.basis_elements()
+    alpha, beta, gamma = _norm_form(I)
+    x_bound = _isqrt_frac(target * eps_bound) + 1
+    covol = _isqrt_frac(Fraction(field.discriminant)) * target
+    if covol == 0:
+        raise InternalCheckError("degenerate lattice in real quadratic search")
+    bmax = _ceil_frac(2 * x_bound * _embedding_bound(u1) / covol) + 1
+    for b in range(-bmax, bmax + 1):
+        for sign in (1, -1):
+            for a in _solve_quadratic_int(alpha, beta * b, gamma * b * b - sign * target):
+                x = u1.scale(a) + u2.scale(b)
+                if not x.is_zero() and abs(x.norm()) == target:
+                    return x
+    return None
 
 
 def hk_report(sys) -> dict:

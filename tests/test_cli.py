@@ -1,10 +1,14 @@
 """End-to-end command tests driven through main() with a temp cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from solhom import cli, engine
+from solhom import cli, engine, limits, nfield
 from solhom.cli import main
 from solhom.places import SolenoidSystem, build_system
 
@@ -167,3 +171,46 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("poly", ["x^2-409", "x^2-10007", "x^2-100000007"])
+def test_real_quadratic_former_cliffs_finish(capsys, poly):
+    # each took 90 s or more in the box-scan generator search
+    code, out, _ = run(capsys, "analyze", "--no-cache", "--json", "--min-poly", poly)
+    assert code == 0
+    assert json.loads(out)["hk"]["rank_identity"] is True
+
+
+def test_reduced_form_cap_overflow_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(nfield, "_CYCLE_STEPS_PER_BIT", 0)
+    code, out, err = run(capsys, "analyze", "--no-cache", "--min-poly", "x^2-79/4")
+    assert code == 3
+    assert out == ""
+    assert "InternalCheckError" in err and "reduced-form cycle" in err
+
+
+def test_cap_multiplier_holds_for_one_call(capsys, monkeypatch):
+    seen = []
+    original = cli.build_report
+
+    def recording(*args):
+        seen.append(limits.MEMBERSHIP_CAP_FACTOR)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "build_report", recording)
+    assert run(capsys, "analyze", "--c", "3/2", "--no-cache", "--cap-multiplier", "3")[0] == 0
+    assert run(capsys, "analyze", "--c", "3/2", "--no-cache")[0] == 0
+    assert seen == [30, 10]
+    assert limits.MEMBERSHIP_CAP_FACTOR == 10
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "solhom", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"solhom {cli.__version__}"

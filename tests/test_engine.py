@@ -19,6 +19,7 @@ from solhom.engine import (
     k_theory,
     kunneth_product,
     lefschetz_trace,
+    lefschetz_traces,
     positive_cone_contains,
     principalization,
     transfer_colimit,
@@ -182,6 +183,7 @@ def test_lefschetz_traces_match_fixed_points():
         sys = build_system(poly)
         values = [lefschetz_trace(sys, n) for n in range(1, 7)]
         assert values == expected
+        assert lefschetz_traces(sys, 6) == expected
         counts = [sys.periodic_points(n) for n in range(1, 7)]
         assert [abs(v) for v in values] == counts
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import resultant
+from oracles import box_scan_generator, resultant
+from solhom import nfield
 from solhom.errors import IndexObstruction
 from solhom.nfield import (
     FractionalIdeal,
@@ -224,10 +225,37 @@ def test_principal_generator_quadratic():
     g = principal_generator(I)
     assert g is not None and FractionalIdeal.principal(K2, g) == I
 
-    K10 = field("x^2-10")
-    for p in (2, 3):
-        P = factor_rational_prime(K10, p)[0]
-        assert principal_generator(P.ideal()) is None, f"p={p} is non-principal"
+    # class numbers 2 and 3
+    for text, p in (("x^2-10", 2), ("x^2-10", 3), ("x^2-79", 3), ("x^2-79", 5)):
+        for P in factor_rational_prime(field(text), p):
+            assert principal_generator(P.ideal()) is None, f"{text}: p={p} is non-principal"
+
+
+# Every non-square d <= 42 (units of norm -1 at d = 2, 5, 10, 13, 17, 26,
+# 29, 37, 41; discriminant d or 4d), and x^2-x-1, whose unit has trace 1.
+# The box scan takes seconds or more for d = 43, 46, 67, 94.
+BOX_SCAN_FIELDS = ["x^2-x-1"] + [f"x^2-{d}" for d in range(2, 43) if d not in (4, 9, 16, 25, 36)]
+
+
+@pytest.mark.parametrize("text", BOX_SCAN_FIELDS)
+def test_real_quadratic_generator_is_the_box_scan_pick(text):
+    K = field(text)
+    ideals = []
+    for p in (2, 3, 5, 7):
+        for P in factor_rational_prime(K, p):
+            ideals += [P.ideal(), P.ideal() * P.ideal()]
+    # a fractional ideal: the first times the last, scaled by 1/3
+    ideals.append(ideals[0] * ideals[-1].scale(Fraction(1, 3)))
+    for I in ideals:
+        assert nfield._search_real_quadratic(I, I.norm()) == box_scan_generator(I), I
+
+
+def test_principal_generator_sqrt_1009_is_the_scan_pick():
+    # the scan's pick, not the balanced generator a of the ideal (a); the
+    # box scan itself needs seconds here
+    K = field("x^2-1009")
+    g = principal_generator(FractionalIdeal.principal(K, K.gen()))
+    assert g == K.element([17153, -540])
 
 
 FUNDAMENTAL_UNITS = {
