@@ -26,7 +26,6 @@ from .engine import (
     k_theory,
     kunneth_product,
     lefschetz_traces,
-    principalization,
     shifted_homology,
     transfer_colimit,
 )
@@ -180,14 +179,14 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     time so cached payloads do not depend on it.
 
     Each side's finite part is built once: the forward one feeds
-    unstable homology, K-theory and the H/K comparison, the dual's
-    feeds stable homology.
+    unstable homology, K-theory, the H/K comparison and the reported
+    principalization, the dual's feeds stable homology.
     """
     finite = finite_part_homology(sys_)
     k_groups = k_theory(sys_, finite)
     hk = hk_check(sys_, finite, k_groups)
     dual = sys_.dual_system()
-    g, h = principalization(sys_)
+    g, h = finite.principalization
     report = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,

@@ -81,9 +81,14 @@ _ZERO_ENTRY = DegreeEntry(None, LocalizedForm.zero(), None, "trivial")
 
 @dataclass
 class GradedGroup:
-    """Finitely supported family of groups indexed by an integer degree."""
+    """Finitely supported family of groups indexed by an integer degree.
+
+    A finite part keeps the (g, h) of principalization its tower was
+    flattened with.
+    """
 
     entries: dict[int, DegreeEntry]
+    principalization: tuple[NfElement, int] | None = None
 
     def degrees(self) -> list[int]:
         return sorted(k for k, e in self.entries.items() if not e.is_zero())
@@ -159,7 +164,7 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     """
     field = sys.field
     n_index = sys.transfer_index
-    g, _h = principalization(sys)
+    g, h = principalization(sys)
     c_inv = sys.c.inverse()
     m_flat = (g * c_inv).mult_matrix_integral()
     m_g = g.mult_matrix_integral()
@@ -183,7 +188,7 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
             provenance = "tower"
         action = _scale_rows(exterior_power_matrix(m_theta, k), n_index)
         entries[k] = DegreeEntry(tower, closed, action, provenance)
-    return GradedGroup(entries)
+    return GradedGroup(entries, (g, h))
 
 
 def shifted_homology(base: SolenoidSystem, finite: GradedGroup) -> GradedGroup:

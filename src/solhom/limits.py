@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AtomClassExceeded, CapExceeded, NonCommuting
+from .errors import AtomClassExceeded, CapExceeded, InternalCheckError, NonCommuting
 from .fgab import FgAbGroup, LocalizedForm
 from .intfactor import factorint, radical
 from .linalg import IntMatrix, RatMatrix, hnf, snf_diagonal, stable_rank_mod_p
@@ -206,7 +206,7 @@ def free_colimit(F: IntMatrix | None, name: str | None = None) -> ColimitGroup:
     image = F @ basis
     T = _solve_lattice(basis.to_rat(), image)
     if not T.is_integral():
-        raise ValueError("map does not preserve its eventual image lattice")
+        raise InternalCheckError("map does not preserve its eventual image lattice")
     return ColimitGroup(T.to_int(), name)
 
 
@@ -231,7 +231,7 @@ def _solve_lattice(B: RatMatrix, image: IntMatrix) -> RatMatrix:
     for i in range(f):
         for j in range(image.ncols):
             if check.rows[i][j] != image.rows[i][j]:
-                raise ValueError("inconsistent lattice solve")
+                raise InternalCheckError("inconsistent lattice solve")
     return X
 
 
@@ -257,7 +257,7 @@ def torsion_colimit(group: FgAbGroup, relations: IntMatrix, F: IntMatrix) -> FgA
     # present L / relations: the relation lattice pulled through the basis
     M = _solve_lattice(L.to_rat(), relations)
     if not M.is_integral():
-        raise ValueError("relation lattice escaped the stabilized image")
+        raise InternalCheckError("relation lattice escaped the stabilized image")
     invs = [d for d in snf_diagonal(M.to_int()) if d > 1]
     return FgAbGroup(0, tuple(invs))
 

@@ -12,9 +12,13 @@ integer matrix in column Hermite form over the integral basis together
 with a positive denominator.  That representation is canonical, so ideal
 equality is literal equality of the pair.
 
-Valuations use anti-uniformizers: u in P^-1 \\ O_K has v_P(u) = -1 and
-v_Q(u) >= 0 elsewhere over p, so v_P(y) for integral y is the number of
-times y can absorb u and stay integral.
+Ideal products multiply integer coordinate columns through the integral
+basis's structure constants, computed once per field.  A prime P over p
+with Kummer-Dedekind data has an element gamma with (p, gamma) =
+P^(e-1) * prod of the other primes over p to their e, so P^-1 =
+O + (gamma/p) O, and v_P(y) for integral y is the number of times the
+integer coordinates of gamma * y are all divisible by p, dividing each
+time (docs/ideal-arithmetic.md).
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ class NumberField:
         self._theta_powers = self._build_theta_powers()
         self.basis_matrix = self._build_integral_basis()
         self.basis_matrix_inv = self.basis_matrix.inverse()
+        self._structure = self._build_structure_constants()
         self.discriminant = self._compute_discriminant()
-        self._prime_cache: dict[int, list["PrimeIdeal"]] = {}
 
     # representation helpers -------------------------------------------------
     def _build_theta_powers(self) -> list[tuple[Fraction, ...]]:
@@ -92,6 +96,32 @@ class NumberField:
         if index.denominator != 1:
             raise InternalCheckError("quadratic integral basis has non-integer index")
         return W
+
+    def _build_structure_constants(self) -> list[list[list[int]]]:
+        """[i][j]: the integral coordinates of w_i * w_j, as integers."""
+        basis = [self.basis_matrix.column(j) for j in range(self.degree)]
+        W_inv = self.basis_matrix_inv
+        table = [[W_inv.apply(self._mul_coords(a, b)) for b in basis] for a in basis]
+        if any(c.denominator != 1 for row in table for prod in row for c in prod):
+            raise InternalCheckError("integral basis is not closed under multiplication")
+        return [[[int(c) for c in prod] for prod in row] for row in table]
+
+    def _mul_int(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Product of two integer coordinate vectors over the integral basis."""
+        out = [0] * self.degree
+        for ai, row in zip(a, self._structure):
+            if ai:
+                for bj, prod in zip(b, row):
+                    if bj:
+                        c = ai * bj
+                        for k, t in enumerate(prod):
+                            out[k] += c * t
+        return out
+
+    def _mult_columns(self, a: Sequence[int]) -> list[list[int]]:
+        """Columns a * w_j: multiplication by a over the integral basis."""
+        d = self.degree
+        return [self._mul_int(a, [int(i == j) for i in range(d)]) for j in range(d)]
 
     def _compute_discriminant(self) -> int:
         if self.degree == 1:
@@ -276,12 +306,12 @@ class NfElement:
     def integral_coords(self) -> tuple[Fraction, ...]:
         return self.field.basis_matrix_inv.apply(self.coords)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.integral_coords())
-
-    def denominator(self) -> int:
-        """Least positive integer m with m * self in the working order."""
-        return math.lcm(*(c.denominator for c in self.integral_coords()))
+    def integer_coords(self) -> tuple[tuple[int, ...], int]:
+        """(v, m): m is the least positive integer with m * self in the
+        working order, v the integral coordinates of m * self."""
+        coords = self.integral_coords()
+        m = math.lcm(*(c.denominator for c in coords))
+        return tuple(int(c * m) for c in coords), m
 
     def pretty(self) -> str:
         sym = self.field.gen_symbol
@@ -327,19 +357,13 @@ class FractionalIdeal:
     @staticmethod
     def from_elements(field: NumberField, gens: Sequence[NfElement]) -> "FractionalIdeal":
         """The O_K-module generated by the given nonzero elements."""
-        cols = []
-        coord_sets = []
-        for g in gens:
-            if g.is_zero():
-                continue
-            for j in range(field.degree):
-                basis_elt = field.element(field.basis_matrix.column(j))
-                coord_sets.append((g * basis_elt).integral_coords())
-        if not coord_sets:
+        scaled = [g.integer_coords() for g in gens if not g.is_zero()]
+        if not scaled:
             raise ValueError("need at least one nonzero generator")
-        den = math.lcm(*(c.denominator for coords in coord_sets for c in coords))
-        for coords in coord_sets:
-            cols.append([int(c * den) for c in coords])
+        den = math.lcm(*(m for _, m in scaled))
+        cols = []
+        for v, m in scaled:
+            cols += field._mult_columns([x * (den // m) for x in v])
         return FractionalIdeal(field, IntMatrix.from_columns(cols), den)
 
     @staticmethod
@@ -379,24 +403,22 @@ class FractionalIdeal:
     def __mul__(self, other: "FractionalIdeal") -> "FractionalIdeal":
         if self.field != other.field:
             raise ValueError("ideals over different fields")
-        a_elts = self.basis_elements()
-        b_elts = other.basis_elements()
-        products = [x * y for x in a_elts for y in b_elts]
-        den = math.lcm(*(c.denominator for p in products for c in p.integral_coords()))
-        cols = [[int(c * den) for c in p.integral_coords()] for p in products]
-        return FractionalIdeal(self.field, IntMatrix.from_columns(cols), den)
+        mul = self.field._mul_int
+        cols = [mul(a, b) for a in self.num.columns() for b in other.num.columns()]
+        return FractionalIdeal(self.field, IntMatrix.from_columns(cols), self.den * other.den)
 
     def pow(self, e: int) -> "FractionalIdeal":
         if e < 0:
             raise ValueError("negative ideal powers only exist for prime ideals here")
-        out = FractionalIdeal.ring_of_integers(self.field)
+        out = None
         base = self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return FractionalIdeal.ring_of_integers(self.field) if out is None else out
 
     def scale(self, q) -> "FractionalIdeal":
         q = Fraction(q)
@@ -431,6 +453,7 @@ class PrimeIdeal:
         e: int,
         f: int,
         gen_poly_mod_p: tuple[int, ...],
+        gamma: NfElement,
     ):
         self.field = field
         self.p = p
@@ -438,9 +461,10 @@ class PrimeIdeal:
         self.e = e
         self.f = f
         self.gen_poly_mod_p = gen_poly_mod_p
+        self.gamma = gamma  # (p, gamma) = P^(e-1) * prod of the others over p to their e
         self._ideal: FractionalIdeal | None = None
         self._inverse: FractionalIdeal | None = None
-        self._anti_uniformizer: NfElement | None = None
+        self._gamma_rows: list[list[int]] | None = None
         self._power_cache: dict[int, FractionalIdeal] = {}
 
     def norm(self) -> int:
@@ -468,29 +492,40 @@ class PrimeIdeal:
         return f"PrimeIdeal(p={self.p}, g={self.second_gen.pretty()}, e={self.e}, f={self.f})"
 
     def inverse_ideal(self) -> FractionalIdeal:
-        """P^-1 = p^-1 * P^(e-1) * prod of the other primes over p (to their e)."""
+        """P^-1 = O + (gamma/p) O, since P * (p, gamma) = pO; checked
+        against P * P^-1 = O."""
         if self._inverse is None:
-            acc = self.ideal().pow(self.e - 1)
-            for q in factor_rational_prime(self.field, self.p):
-                if q != self:
-                    acc = acc * q.ideal().pow(q.e)
-            inv = FractionalIdeal(acc.field, acc.num, acc.den * self.p)
-            check = inv * self.ideal()
-            if check != FractionalIdeal.ring_of_integers(self.field):
+            field = self.field
+            inv = FractionalIdeal.from_elements(
+                field, [field.one(), self.gamma.scale(Fraction(1, self.p))]
+            )
+            if inv * self.ideal() != FractionalIdeal.ring_of_integers(field):
                 raise InternalCheckError("prime inverse failed P * P^-1 = O")
             self._inverse = inv
         return self._inverse
 
-    def anti_uniformizer(self) -> NfElement:
-        """u with v_P(u) = -1 and v_Q(u) >= 0 for the other primes over p."""
-        if self._anti_uniformizer is None:
-            for u in self.inverse_ideal().basis_elements():
-                if not u.is_integral():
-                    self._anti_uniformizer = u
-                    break
-            else:
-                raise InternalCheckError("P^-1 has no non-integral basis vector")
-        return self._anti_uniformizer
+    def valuation_of(self, y: Sequence[int], m: int) -> int:
+        """v_P(y / m) for nonzero y in O_K given by integer coordinates:
+        y * (gamma/p)^j is integral exactly for j <= v_P(y), since gamma/p
+        has v_P = -1 and no other pole."""
+        if not any(y):
+            raise ValueError("valuation of zero is infinite")
+        if self._gamma_rows is None:
+            gamma, den = self.gamma.integer_coords()
+            if den != 1:
+                raise InternalCheckError("gamma is not integral")
+            self._gamma_rows = [list(r) for r in zip(*self.field._mult_columns(gamma))]
+        p = self.p
+        count = 0
+        while m % p == 0:
+            m //= p
+            count -= self.e
+        while True:
+            z = [sum(a * b for a, b in zip(row, y)) for row in self._gamma_rows]
+            if any(c % p for c in z):
+                return count
+            y = [c // p for c in z]
+            count += 1
 
     def power(self, e: int) -> FractionalIdeal:
         """P^e for any integer e, negative powers via the inverse."""
@@ -541,18 +576,17 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     Sorted deterministically by the reduced generator polynomial.  For
     degree >= 3 a prime dividing the index of Z[theta] raises
     IndexObstruction since Kummer-Dedekind does not apply there.
+    Each prime P = (p, g_P(w)) carries gamma = g_P(w)^(e-1) times the
+    other g_Q(w)^(e_Q), so that (p, gamma) = P^(e-1) * prod Q^(e_Q)
+    (docs/ideal-arithmetic.md).
     """
-    if p in field._prime_cache:
-        return field._prime_cache[p]
     from .intfactor import is_prime
 
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     d = field.degree
     if d == 1:
-        out = [
-            PrimeIdeal(field, p, field.from_rational(p), 1, 1, (0, 1))
-        ]
+        data = [(field.from_rational(p), 1, (0, 1))]
     else:
         if d == 2:
             # factor the minimal polynomial of the basis generator omega;
@@ -567,14 +601,19 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
                 )
             work_poly = field.min_poly
             base = field.gen()
-        out = []
+        data = []
         for coeffs_asc, mult in factor_mod_p(work_poly.int_coeffs(), p):
             lift = Poly(list(reversed([c % p for c in coeffs_asc])))
-            second = _eval_at(lift, base, field)
-            out.append(PrimeIdeal(field, p, second, mult, len(coeffs_asc) - 1, coeffs_asc))
+            data.append((_eval_at(lift, base, field), mult, coeffs_asc))
+    out = []
+    for second, e, coeffs_asc in data:
+        gamma = second.pow(e - 1)
+        for other, e_other, other_coeffs in data:
+            if other_coeffs != coeffs_asc:
+                gamma = gamma * other.pow(e_other)
+        out.append(PrimeIdeal(field, p, second, e, len(coeffs_asc) - 1, coeffs_asc, gamma))
     if sum(q.e * q.f for q in out) != d:
         raise InternalCheckError("sum of e*f over p does not equal the degree")
-    field._prime_cache[p] = out
     return out
 
 
@@ -586,42 +625,24 @@ def _eval_at(poly: Poly, base: NfElement, field: NumberField) -> NfElement:
 
 
 def valuation(x: NfElement, P: PrimeIdeal) -> int:
-    """v_P(x) for nonzero x, via the anti-uniformizer absorption count."""
-    if x.is_zero():
-        raise ValueError("valuation of zero is infinite")
-    m = x.denominator()
-    y = x.scale(m)
-    vp_m = 0
-    mm = m
-    while mm % P.p == 0:
-        mm //= P.p
-        vp_m += 1
-    u = P.anti_uniformizer()
-    count = 0
-    z = y * u
-    while z.is_integral():
-        count += 1
-        z = z * u
-    return count - P.e * vp_m
+    """v_P(x) for nonzero x."""
+    return P.valuation_of(*x.integer_coords())
 
 
 def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
     """All primes where x has nonzero valuation (x nonzero)."""
     if x.is_zero():
         raise ValueError("zero has no valuation data")
-    m = x.denominator()
-    y = x.scale(m)
-    ny = y.norm()
-    if ny.denominator != 1:
-        raise InternalCheckError("integral element with non-integer norm")
+    y, m = x.integer_coords()
+    # the norm of y is the determinant of its integer multiplication matrix
+    n_int = IntMatrix.from_columns(x.field._mult_columns(y)).det()
     candidates: set[int] = set(factorint(m))
-    n_int = int(ny)
     if abs(n_int) != 1:
         candidates |= set(factorint(n_int))
     out: dict[PrimeIdeal, int] = {}
     for p in sorted(candidates):
         for P in factor_rational_prime(x.field, p):
-            v = valuation(x, P)
+            v = P.valuation_of(y, m)
             if v != 0:
                 out[P] = v
     return out

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 from .intfactor import factorint, is_prime
 
 
@@ -332,8 +332,14 @@ def parse_poly(text: str, var: str = "x") -> Poly:
         raise
     except Exception as exc:  # tokenizer slips become parse errors
         raise ParseError(str(exc)) from exc
-    if tok.peek() is not None:
-        raise ParseError(f"trailing input at position {tok.pos}")
+    nxt = tok.peek()
+    if nxt is not None:
+        message = f"trailing input at position {tok.pos}"
+        if nxt == var or nxt == "(" or nxt.isdigit():
+            # juxtaposition such as 3x: show the input with the product written
+            fixed = text[: tok.pos].rstrip() + "*" + text[tok.pos :]
+            message += f"; products need '*', so write {fixed}"
+        raise ParseError(message)
     return result
 
 
@@ -520,8 +526,8 @@ def is_irreducible_over_q(f: Poly, prime_budget: int = 60) -> bool:
     Strategy: rational root test, then degree-2/3 shortcut, then search for
     a prime p not dividing disc-like data with f irreducible mod p (a
     sufficient certificate), then a bounded search for integer factors of
-    degree 2 as a last resort for degree 4 and 5.  Raises ValueError when
-    no certificate either way is found.
+    degree 2 as a last resort for degree 4 and 5.  Raises CapExceeded when
+    no certificate either way is found within the prime budget.
     """
     if f.degree < 1:
         return False
@@ -548,7 +554,7 @@ def is_irreducible_over_q(f: Poly, prime_budget: int = 60) -> bool:
         p += 1
     if f.degree in (4, 5):
         return not _has_quadratic_factor(f)
-    raise ValueError("irreducibility undecided within the prime budget")
+    raise CapExceeded("irreducibility undecided within the prime budget")
 
 
 def _divisors_signed(n: int) -> list[int]:

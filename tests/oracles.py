@@ -25,6 +25,7 @@ from solhom.nfield import (
     _norm_form,
     _solve_quadratic_int,
     element_valuations,
+    factor_rational_prime,
     fundamental_unit,
 )
 from solhom.qpoly import Poly
@@ -301,6 +302,76 @@ def box_scan_generator(I: FractionalIdeal):
                 if not x.is_zero() and abs(x.norm()) == target:
                     return x
     return None
+
+
+def fraction_ideal_from_elements(field, gens) -> FractionalIdeal:
+    """The O_K-module generated by nonzero elements, from Fraction
+    coordinates of every product g * w_j."""
+    coord_sets = []
+    for g in gens:
+        for j in range(field.degree):
+            basis_elt = field.element(field.basis_matrix.column(j))
+            coord_sets.append((g * basis_elt).integral_coords())
+    den = math.lcm(*(c.denominator for coords in coord_sets for c in coords))
+    cols = [[int(c * den) for c in coords] for coords in coord_sets]
+    return FractionalIdeal(field, IntMatrix.from_columns(cols), den)
+
+
+def fraction_ideal_product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
+    """I * J from field-element products of the two lattice bases."""
+    coord_sets = [
+        (x * y).integral_coords() for x in I.basis_elements() for y in J.basis_elements()
+    ]
+    den = math.lcm(*(c.denominator for coords in coord_sets for c in coords))
+    cols = [[int(c * den) for c in coords] for coords in coord_sets]
+    return FractionalIdeal(I.field, IntMatrix.from_columns(cols), den)
+
+
+def fraction_ideal_power(I: FractionalIdeal, e: int) -> FractionalIdeal:
+    """I^e for e >= 0 by repeated fraction_ideal_product."""
+    out = FractionalIdeal.ring_of_integers(I.field)
+    for _ in range(e):
+        out = fraction_ideal_product(out, I)
+    return out
+
+
+def product_inverse_ideal(P) -> FractionalIdeal:
+    """P^-1 = p^-1 * P^(e-1) * prod of the other primes Q over p to
+    their e_Q, as a product of ideals."""
+    acc = fraction_ideal_power(P.ideal(), P.e - 1)
+    for Q in factor_rational_prime(P.field, P.p):
+        if Q != P:
+            acc = fraction_ideal_product(acc, fraction_ideal_power(Q.ideal(), Q.e))
+    inv = FractionalIdeal(acc.field, acc.num, acc.den * P.p)
+    if fraction_ideal_product(inv, P.ideal()) != FractionalIdeal.ring_of_integers(P.field):
+        raise InternalCheckError("prime inverse failed P * P^-1 = O")
+    return inv
+
+
+def anti_uniformizer(inverse: FractionalIdeal):
+    """u with v_P(u) = -1 and v_Q(u) >= 0 for the other primes Q over p,
+    given inverse = P^-1: a basis vector of P^-1 outside O_K."""
+    for u in inverse.basis_elements():
+        if u.integer_coords()[1] != 1:
+            return u
+    raise InternalCheckError("P^-1 has no non-integral basis vector")
+
+
+def absorption_valuation(x, P, u) -> int:
+    """v_P(x): with x = y/m, y integral, the number of times y can absorb
+    the anti-uniformizer u of P and stay integral, minus e * v_p(m)."""
+    _, m = x.integer_coords()
+    vp_m = 0
+    mm = m
+    while mm % P.p == 0:
+        mm //= P.p
+        vp_m += 1
+    count = 0
+    z = x.scale(m) * u
+    while z.integer_coords()[1] == 1:
+        count += 1
+        z = z * u
+    return count - P.e * vp_m
 
 
 def hk_report(sys) -> dict:

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from solhom import cli, engine, limits, nfield
+from solhom import cli, engine, limits, nfield, qpoly
 from solhom.cli import main
+from solhom.fgab import FgAbGroup, endomorphism
+from solhom.linalg import IntMatrix, RatMatrix
 from solhom.places import SolenoidSystem, build_system
 
 
@@ -112,10 +115,11 @@ def test_build_report_builds_each_finite_part_once(monkeypatch):
             return _original(*args)
 
         for module in (engine, cli):
-            monkeypatch.setattr(module, name, counted)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     cli.build_report(build_system("x^2-x+3/2"), 6)
     assert calls["finite_part_homology"] == 2
-    assert calls["principalization"] <= 3
+    assert calls["principalization"] == 2
 
 
 def test_lefschetz_rows_are_cross_checked(capsys, monkeypatch):
@@ -214,3 +218,52 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"solhom {cli.__version__}"
+
+
+def test_implicit_product_names_the_fix(capsys):
+    code, out, err = run(capsys, "analyze", "--no-cache", "--min-poly", "x^3-3x-1")
+    assert code == 1 and out == ""
+    assert "trailing input at position 5" in err
+    assert "write x^3-3*x-1" in err
+    assert run(capsys, "analyze", "--no-cache", "--min-poly", "x^3-3*x-1")[0] == 0
+
+
+def _singular_klein(matrix):
+    """A klein fixture whose only degree is Z^2 with a singular transfer."""
+    z2 = FgAbGroup(2, ())
+    return lambda: ([z2], [endomorphism(z2, IntMatrix(matrix))])
+
+
+def _half(*_args):
+    return RatMatrix([[Fraction(1, 2)]])
+
+
+def test_free_colimit_image_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "klein_fixture", _singular_klein([[2, 0], [0, 0]]))
+    monkeypatch.setattr(limits, "_solve_lattice", _half)
+    code, out, err = run(capsys, "kunneth", "klein", "point")
+    assert code == 3 and out == ""
+    assert "InternalCheckError" in err and "eventual image" in err
+
+
+def test_lattice_solve_failure_exits_3(capsys, monkeypatch):
+    # a wrong eventual-image basis leaves the image outside its span
+    monkeypatch.setattr(cli, "klein_fixture", _singular_klein([[1, 1], [0, 0]]))
+    monkeypatch.setattr(limits, "hnf", lambda _m: IntMatrix([[0], [1]]))
+    code, out, err = run(capsys, "kunneth", "klein", "point")
+    assert code == 3 and out == ""
+    assert "InternalCheckError" in err and "inconsistent lattice solve" in err
+
+
+def test_torsion_colimit_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(limits, "_solve_lattice", _half)
+    code, out, err = run(capsys, "kunneth", "klein", "point")
+    assert code == 3 and out == ""
+    assert "InternalCheckError" in err and "relation lattice" in err
+
+
+def test_undecided_irreducibility_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(qpoly, "is_irreducible_mod_p", lambda _f, _p: False)
+    code, out, err = run(capsys, "analyze", "--no-cache", "--min-poly", "x^6-x-1")
+    assert code == 3 and out == ""
+    assert "CapExceeded" in err and "prime budget" in err

