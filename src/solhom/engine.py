@@ -8,6 +8,10 @@ lattice when c has expanding finite places, so the tower is flattened
 first: a generator g of a principal power of the expanding ideal is
 folded in, replacing the step by an integer matrix on the same lattice
 without changing the colimit.
+
+All of this runs on integers: a multiplication matrix is a pair A / m
+(NfElement.mult_pair), its k-th exterior power is Lambda^k(A) / m^k,
+and Lefschetz rows are integer determinants, each divided exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .limits import (
     free_colimit,
     torsion_colimit,
 )
-from .linalg import IntMatrix, RatMatrix, char_poly, exterior_power_matrix
+from .linalg import IntMatrix, RatMatrix, exterior_power_matrix
 from .nfield import NfElement, principal_generator
 from .places import SolenoidSystem
 
@@ -114,11 +118,6 @@ class GradedGroup:
         return "; ".join(parts) if parts else "0"
 
 
-def _scale_rows(M: RatMatrix, s) -> RatMatrix:
-    s = Fraction(s)
-    return RatMatrix([[s * x for x in row] for row in M.rows])
-
-
 def _block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
     size = sum(b.nrows for b in blocks)
     rows = [[0] * size for _ in range(size)]
@@ -160,33 +159,33 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     in the integral basis.  The stored action is the untwisted transfer
     step N * Lambda^k(m_{1/c}), whose traces feed the fixed-point
     formula; it differs from the tower matrix by the flattening factor
-    Lambda^k(m_g), which is invertible in the colimit.
+    Lambda^k(m_g), which is invertible in the colimit, and integral
+    once g is: its entries are minors of an integer matrix.
     """
     field = sys.field
     n_index = sys.transfer_index
     g, h = principalization(sys)
-    c_inv = sys.c.inverse()
-    m_flat = (g * c_inv).mult_matrix_integral()
-    m_g = g.mult_matrix_integral()
-    if not m_g.is_integral():
+    if g.integer_coords()[1] != 1:
         raise FlatteningFailure("principal generator is not integral")
-    m_theta = c_inv.mult_matrix_integral()
+    c_inv = sys.c.inverse()
+    a_flat, m_flat = (g * c_inv).mult_pair()
+    a_theta, m_theta = c_inv.mult_pair()
 
     entries: dict[int, DegreeEntry] = {}
     for k in range(field.degree + 1):
-        delta = _scale_rows(exterior_power_matrix(m_flat, k), n_index)
-        if not delta.is_integral():
+        flat, den = exterior_power_matrix(a_flat, k).rows, m_flat**k
+        if any(n_index * x % den for row in flat for x in row):
             raise FlatteningFailure(f"transfer matrix at degree {k} is not integral")
-        if not exterior_power_matrix(m_g, k).is_integral():
-            raise FlatteningFailure(f"flattening factor at degree {k} is not integral")
-        tower = ColimitGroup(delta.to_int(), name=f"deg{k}")
+        delta = IntMatrix([[n_index * x // den for x in row] for row in flat])
+        tower = ColimitGroup(delta, name=f"deg{k}")
         try:
             closed = canonical_form(tower)
             provenance = "canonical_form_rank1" if tower.rank == 1 else "canonical_form"
         except AtomClassExceeded:
             closed = None
             provenance = "tower"
-        action = _scale_rows(exterior_power_matrix(m_theta, k), n_index)
+        theta, den = exterior_power_matrix(a_theta, k).rows, m_theta**k
+        action = RatMatrix([[Fraction(n_index * x, den) for x in row] for row in theta])
         entries[k] = DegreeEntry(tower, closed, action, provenance)
     return GradedGroup(entries, (g, h))
 
@@ -204,7 +203,7 @@ def shifted_homology(base: SolenoidSystem, finite: GradedGroup) -> GradedGroup:
         degree = k - shift
         action = e.action
         if action is not None and sign == -1 and degree % 2 != 0:
-            action = _scale_rows(action, -1)
+            action = -action
         entries[degree] = DegreeEntry(e.colimit, e.closed, action, e.provenance)
     return GradedGroup(entries)
 
@@ -266,10 +265,12 @@ def hk_check(
     """Compare each K-group with the direct sum of the finite part's
     homology in the same degree parity.
 
-    The two sides are built from different presentations (raw transfer
-    blocks against canonicalized atom towers), so the equality test is
-    doing real work.  Falls back to isomorphism invariants when the
-    block matrices do not commute.
+    The K side is the block sum of the degree towers and the homology
+    side the block sum of their canonical atom towers (the tower itself
+    where there is no closed form), block for block.  So "equal"
+    re-certifies canonical_form on each degree; it is not an independent
+    check of the HK conjecture.  Falls back to isomorphism invariants
+    when the block matrices do not commute.
     """
     shift = sys.degree_shift
     report: dict = {"verdicts": {}, "witnesses": {}}
@@ -300,23 +301,25 @@ def lefschetz_traces(sys: SolenoidSystem, n: int) -> list[int]:
     """Alternating trace sums of the powers 1..n of the transfer action.
 
     Row k equals N^k det(I - m_{1/c}^k), an integer whose absolute value
-    is the number of points of period k.  The powers of c and of the
-    action are carried from one row to the next.
+    is the number of points of period k.  With m_{1/c} = A / m for an
+    integer A, that is N^k det(m^k I - A^k) / m^(kd); the powers of A are
+    carried from one row to the next.
     """
-    one = sys.field.one()
-    m_theta = sys.c.inverse().mult_matrix_integral()
-    c_pow, m_pow, scale = one, RatMatrix.identity(sys.field.degree), Fraction(1)
+    d = sys.field.degree
+    A, m = sys.c.inverse().mult_pair()
+    power = IntMatrix.identity(d)
     out = []
     for k in range(1, n + 1):
-        c_pow = c_pow * sys.c
-        if c_pow == one:
+        power = power @ A
+        det = (IntMatrix.identity(d).scale(m**k) - power).det()
+        # the conjugates of c^-k are the eigenvalues of m_{1/c}^k, and one
+        # of them is 1 exactly when c^k = 1
+        if det == 0:
             raise DegenerateFix(f"c^{k} = 1, the fixed set is not finite")
-        m_pow = m_pow @ m_theta
-        scale *= sys.transfer_index
-        value = scale * sum(char_poly(m_pow), Fraction(0))
-        if value.denominator != 1:
+        value, den = sys.transfer_index**k * det, m ** (k * d)
+        if value % den:
             raise InternalCheckError("trace sum is not an integer")
-        out.append(int(value))
+        out.append(value // den)
     return out
 
 

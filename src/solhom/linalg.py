@@ -3,6 +3,10 @@
 Matrices are immutable tuples of row tuples.  IntMatrix holds Python ints,
 RatMatrix holds Fractions; both are arbitrary precision.  All normal forms
 are computed fraction-free or with exact rationals, never with floats.
+Determinants, exterior powers and characteristic polynomials run over Z
+(Bareiss, Faddeev-LeVerrier with exact division; a rational matrix is
+cleared to M / m first).  RatMatrix remains for rational inverses and
+solves (integral bases, lattice solves) and for the reported actions.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -13,8 +17,9 @@ Conventions fixed here and relied on elsewhere:
   each column's first nonzero entry (the pivot) is positive, pivot rows
   strictly increase left to right, and in a pivot row every entry to the
   left of the pivot lies in [0, pivot).
-* ``exterior_power_matrix(A, k)`` indexes rows and columns by k-element
-  subsets in lexicographic order; entries are k x k minors.
+* ``exterior_power_matrix(A, k)`` takes an IntMatrix and indexes rows and
+  columns by k-element subsets in lexicographic order; entries are k x k
+  minors.
 * ``char_poly(A)`` returns the coefficients of det(xI - A) in descending
   degree, starting with 1.
 """
@@ -132,25 +137,7 @@ class IntMatrix:
         """Determinant by fraction-free Bareiss elimination."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _bareiss_det([list(row) for row in self.rows])
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix([[Fraction(a) for a in row] for row in self.rows])
@@ -215,22 +202,8 @@ class RatMatrix:
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self.rows]})"
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __neg__(self) -> "RatMatrix":
         return RatMatrix([[-a for a in row] for row in self.rows])
-
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix([[c * a for a in row] for row in self.rows])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
@@ -244,20 +217,6 @@ class RatMatrix:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
         return tuple(sum(a * Fraction(x) for a, x in zip(row, vec)) for row in self.rows)
-
-    def pow(self, e: int) -> "RatMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("pow needs a square matrix")
-        if e < 0:
-            return self.inverse().pow(-e)
-        result = RatMatrix.identity(self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -472,8 +431,34 @@ def hnf(A: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(reduced)
 
 
-def exterior_power_matrix(A, k: int):
-    """k-th exterior power, same entry type as the input matrix.
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Determinant of a square list of integer rows, overwritten in place
+    by fraction-free Bareiss elimination."""
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot, pivot_row = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def exterior_power_matrix(A: IntMatrix, k: int) -> IntMatrix:
+    """k-th exterior power of an integer matrix.
 
     Rows are indexed by k-subsets of row indices, columns by k-subsets of
     column indices, both in lexicographic order.  The 0-th power is the
@@ -481,44 +466,55 @@ def exterior_power_matrix(A, k: int):
     """
     if k < 0:
         raise ValueError("negative exterior power")
-    cls = type(A)
     if k == 0:
-        return cls([[1]])
+        return IntMatrix([[1]])
     if k > min(A.nrows, A.ncols):
         raise ValueError("exterior power exceeds matrix dimensions")
-    row_sets = list(itertools.combinations(range(A.nrows), k))
+    rows = A.rows
     col_sets = list(itertools.combinations(range(A.ncols), k))
-    out = []
-    for rs in row_sets:
-        out_row = []
-        for cs in col_sets:
-            minor = cls([[A.rows[i][j] for j in cs] for i in rs])
-            out_row.append(minor.det())
-        out.append(out_row)
-    return cls(out)
+    return IntMatrix(
+        [
+            [_bareiss_det([[rows[i][j] for j in cs] for i in rs]) for cs in col_sets]
+            for rs in itertools.combinations(range(A.nrows), k)
+        ]
+    )
 
 
 def char_poly(A) -> tuple:
     """Coefficients of det(xI - A), descending degree, leading 1.
 
     Integer matrices give integer coefficients, rational matrices give
-    Fractions.  Uses the Faddeev-LeVerrier recursion.
+    Fractions: A = M / m with M integral has coefficient i equal to that
+    of M divided by m^i.
     """
     if A.nrows != A.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = A.nrows
-    M = A.to_rat() if isinstance(A, IntMatrix) else A
-    coeffs = [Fraction(1)]
-    B = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        MB = M @ B
-        c = -Fraction(sum(MB.rows[i][i] for i in range(n)), k)
-        coeffs.append(c)
-        B = MB + RatMatrix.identity(n).scale(c)
     if isinstance(A, IntMatrix):
-        if any(c.denominator != 1 for c in coeffs):
-            raise InternalCheckError("integer matrix produced non-integer char poly")
-        return tuple(int(c) for c in coeffs)
+        return _faddeev_leverrier(A.rows)
+    m = A.denominator()
+    coeffs = _faddeev_leverrier([[int(x * m) for x in row] for row in A.rows])
+    return tuple(Fraction(c, m**i) for i, c in enumerate(coeffs))
+
+
+def _faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Faddeev-LeVerrier over Z (Cohen, GTM 138, 2.2): B_0 = I,
+    c_k = -tr(A B_(k-1)) / k and B_k = A B_(k-1) + c_k I.  Each B_k is an
+    integer polynomial in A, so every division is exact, and B_n = 0 by
+    Cayley-Hamilton."""
+    n = len(a)
+    coeffs = [1]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*b))
+        b = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        t = sum(b[i][i] for i in range(n))
+        if t % k:
+            raise InternalCheckError(f"Faddeev-LeVerrier trace {t} not divisible by {k}")
+        coeffs.append(-t // k)
+        for i in range(n):
+            b[i][i] += coeffs[-1]
+    if any(any(row) for row in b):
+        raise InternalCheckError("Faddeev-LeVerrier did not end in the zero matrix")
     return tuple(coeffs)
 
 

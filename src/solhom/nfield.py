@@ -60,8 +60,11 @@ class NumberField:
         self.degree = min_poly.degree
         self.gen_symbol = gen_symbol
         self._theta_powers = self._build_theta_powers()
-        self.basis_matrix = self._build_integral_basis()
-        self.basis_matrix_inv = self.basis_matrix.inverse()
+        # omega_poly: integer minimal polynomial of omega (theta outside degree 2)
+        self.basis_matrix, self.omega_poly = self._build_integral_basis()
+        W_inv = self.basis_matrix.inverse()
+        w = W_inv.denominator()  # W^-1 = B / w, B integral
+        self._basis_inv = ([[int(x * w) for x in row] for row in W_inv.rows], w)
         self._structure = self._build_structure_constants()
         self.discriminant = self._compute_discriminant()
 
@@ -80,31 +83,33 @@ class NumberField:
             powers.append(current[:])
         return [tuple(p) for p in powers]
 
-    def _build_integral_basis(self) -> RatMatrix:
+    def _build_integral_basis(self) -> tuple[RatMatrix, Poly]:
         d = self.degree
         if d != 2:
-            return RatMatrix.identity(d)
+            return RatMatrix.identity(d), self.min_poly
         b = int(self.min_poly.coeffs[1])
         disc_f = b * b - 4 * int(self.min_poly.coeffs[2])
         u, m = _squarefree_decompose_int(disc_f)
+        # theta = (-b +- u sqrt(m)) / 2, so omega = (1 +- sqrt(m)) / 2 or +-sqrt(m)
         if m % 4 == 1:
             omega = (Fraction(u + b, 2 * u), Fraction(1, u))
+            omega_poly = Poly([1, -1, (1 - m) // 4])
         else:
             omega = (Fraction(b, u), Fraction(2, u))
+            omega_poly = Poly([1, 0, -m])
         W = RatMatrix.from_columns([(1, 0), omega])
         index = 1 / abs(W.det())
         if index.denominator != 1:
             raise InternalCheckError("quadratic integral basis has non-integer index")
-        return W
+        return W, omega_poly
 
     def _build_structure_constants(self) -> list[list[list[int]]]:
         """[i][j]: the integral coordinates of w_i * w_j, as integers."""
-        basis = [self.basis_matrix.column(j) for j in range(self.degree)]
-        W_inv = self.basis_matrix_inv
-        table = [[W_inv.apply(self._mul_coords(a, b)) for b in basis] for a in basis]
-        if any(c.denominator != 1 for row in table for prod in row for c in prod):
+        basis = [self.element(self.basis_matrix.column(j)) for j in range(self.degree)]
+        table = [[(a * b).integer_coords() for b in basis] for a in basis]
+        if any(m != 1 for row in table for _, m in row):
             raise InternalCheckError("integral basis is not closed under multiplication")
-        return [[[int(c) for c in prod] for prod in row] for row in table]
+        return [[list(v) for v, _ in row] for row in table]
 
     def _mul_int(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Product of two integer coordinate vectors over the integral basis."""
@@ -131,16 +136,12 @@ class NumberField:
             disc_f = b * b - 4 * int(self.min_poly.coeffs[2])
             _, m = _squarefree_decompose_int(disc_f)
             return m if m % 4 == 1 else 4 * m
-        # discriminant of the working order Z[theta], via the trace form
+        # discriminant of the working order Z[theta]: that of the monic f,
+        # (-1)^(d(d-1)/2) Res(f, f') = (-1)^(d(d-1)/2) N(f'(theta))
         d = self.degree
-        theta_pows = [self.one()]
-        for _ in range(2 * d - 2):
-            theta_pows.append(theta_pows[-1] * self.gen())
-        traces = [tp.trace() for tp in theta_pows]
-        trace_form = [[traces[i + j] for j in range(d)] for i in range(d)]
-        disc = RatMatrix(trace_form).det()
+        disc = (-1) ** (d * (d - 1) // 2) * self.from_poly(self.min_poly.derivative()).norm()
         if disc.denominator != 1:
-            raise InternalCheckError("trace form discriminant is not an integer")
+            raise InternalCheckError("discriminant of Z[theta] is not an integer")
         return int(disc)
 
     # constructors -----------------------------------------------------------
@@ -274,27 +275,28 @@ class NfElement:
         return out
 
     # linear data ------------------------------------------------------------
-    def mult_matrix_power_basis(self) -> RatMatrix:
-        cols = []
-        d = self.field.degree
-        for j in range(d):
-            basis_vec = tuple(Fraction(int(i == j)) for i in range(d))
-            cols.append(self.field._mul_coords(self.coords, basis_vec))
-        return RatMatrix.from_columns(cols)
+    def mult_pair(self) -> tuple[IntMatrix, int]:
+        """(A, m) with A / m the matrix of multiplication by self over the
+        integral basis: column j of A is m * self * w_j, read off the
+        structure constants, and m is least, so the pair is reduced."""
+        v, m = self.integer_coords()
+        return IntMatrix.from_columns(self.field._mult_columns(v)), m
 
     def mult_matrix_integral(self) -> RatMatrix:
-        W = self.field.basis_matrix
-        return self.field.basis_matrix_inv @ self.mult_matrix_power_basis() @ W
+        A, m = self.mult_pair()
+        return RatMatrix([[Fraction(x, m) for x in row] for row in A.rows])
 
     def norm(self) -> Fraction:
-        return self.mult_matrix_power_basis().det()
+        A, m = self.mult_pair()
+        return Fraction(A.det(), m**self.field.degree)
 
     def trace(self) -> Fraction:
-        M = self.mult_matrix_power_basis()
-        return sum(M.rows[i][i] for i in range(M.nrows))
+        A, m = self.mult_pair()
+        return Fraction(sum(A.rows[i][i] for i in range(A.nrows)), m)
 
     def char_poly_over_q(self) -> Poly:
-        return Poly(char_poly(self.mult_matrix_power_basis()))
+        A, m = self.mult_pair()
+        return Poly([Fraction(c, m**i) for i, c in enumerate(char_poly(A))])
 
     def min_poly_over_q(self) -> Poly:
         cp = self.char_poly_over_q()
@@ -304,14 +306,18 @@ class NfElement:
         return self.min_poly_over_q().degree == self.field.degree
 
     def integral_coords(self) -> tuple[Fraction, ...]:
-        return self.field.basis_matrix_inv.apply(self.coords)
+        v, m = self.integer_coords()
+        return tuple(Fraction(x, m) for x in v)
 
     def integer_coords(self) -> tuple[tuple[int, ...], int]:
         """(v, m): m is the least positive integer with m * self in the
         working order, v the integral coordinates of m * self."""
-        coords = self.integral_coords()
-        m = math.lcm(*(c.denominator for c in coords))
-        return tuple(int(c * m) for c in coords), m
+        den = math.lcm(*(c.denominator for c in self.coords))
+        y = [c.numerator * (den // c.denominator) for c in self.coords]
+        B, w = self.field._basis_inv
+        z = [sum(b * t for b, t in zip(row, y)) for row in B]
+        g = math.gcd(w * den, *z)
+        return tuple(x // g for x in z), w * den // g
 
     def pretty(self) -> str:
         sym = self.field.gen_symbol
@@ -588,23 +594,17 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     if d == 1:
         data = [(field.from_rational(p), 1, (0, 1))]
     else:
-        if d == 2:
-            # factor the minimal polynomial of the basis generator omega;
-            # Z[omega] is the full ring of integers, so no index issues
-            omega = field.element(field.basis_matrix.column(1))
-            work_poly = Poly(char_poly(omega.mult_matrix_power_basis()))
-            base = omega
-        else:
-            if not _dedekind_index_free(field, p):
-                raise IndexObstruction(
-                    f"p = {p} divides the index of the working order Z[theta]"
-                )
-            work_poly = field.min_poly
-            base = field.gen()
+        # factor the minimal polynomial of the basis generator omega; in
+        # degree 2, Z[omega] is the full ring of integers, so no index issues
+        if d > 2 and not _dedekind_index_free(field, p):
+            raise IndexObstruction(
+                f"p = {p} divides the index of the working order Z[theta]"
+            )
+        omega = field.element(field.basis_matrix.column(1))
         data = []
-        for coeffs_asc, mult in factor_mod_p(work_poly.int_coeffs(), p):
+        for coeffs_asc, mult in factor_mod_p(field.omega_poly.int_coeffs(), p):
             lift = Poly(list(reversed([c % p for c in coeffs_asc])))
-            data.append((_eval_at(lift, base, field), mult, coeffs_asc))
+            data.append((_eval_at(lift, omega, field), mult, coeffs_asc))
     out = []
     for second, e, coeffs_asc in data:
         gamma = second.pow(e - 1)

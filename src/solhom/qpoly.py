@@ -217,9 +217,13 @@ def clear_to_monic_integer(f: Poly) -> tuple[Poly, int]:
 # expression parsing
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
+class _Parser:
+    """Recursive descent over one expression, pos the next character; as
+    methods, not nested closures, a parse leaves no reference cycle."""
+
+    def __init__(self, text: str, var: str):
         self.text = text
+        self.var = var
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -232,6 +236,84 @@ class _Tokenizer:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         return int(self.text[start : self.pos])
+
+    def expr(self) -> Poly:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -sign
+            self.pos += 1
+        node = self.term()
+        if sign < 0:
+            node = -node
+        while self.peek() in ("+", "-"):
+            op = self.peek()
+            self.pos += 1
+            rhs = self.term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def term(self) -> Poly:
+        node = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.peek()
+            self.pos += 1
+            if op == "*" and self.peek() == "*":  # ** power
+                self.pos += 1
+                node = self.power_of(node)
+                continue
+            rhs = self.factor()
+            if op == "*":
+                node = node * rhs
+            else:
+                if rhs.degree != 0:
+                    raise ParseError("division by a non-constant")
+                if rhs.is_zero():
+                    raise ParseError("division by zero")
+                node = node.scale(1 / rhs.coeffs[0])
+        return node
+
+    def power_of(self, base: Poly) -> Poly:
+        ch = self.peek()
+        if ch is None or not ch.isdigit():
+            raise ParseError("exponent must be a nonnegative integer")
+        e = self.take_int()
+        out = Poly.const(1)
+        for _ in range(e):
+            out = out * base
+        return out
+
+    def factor(self) -> Poly:
+        ch = self.peek()
+        if ch == "-":
+            self.pos += 1
+            return -self.factor()
+        if ch == "+":
+            self.pos += 1
+            return self.factor()
+        node = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            node = self.power_of(node)
+        return node
+
+    def atom(self) -> Poly:
+        ch = self.peek()
+        if ch is None:
+            raise ParseError("unexpected end of expression")
+        if ch == "(":
+            self.pos += 1
+            node = self.expr()
+            if self.peek() != ")":
+                raise ParseError("unbalanced parentheses")
+            self.pos += 1
+            return node
+        if ch.isdigit():
+            return Poly.const(self.take_int())
+        if ch == self.var:
+            self.pos += 1
+            return Poly.x()
+        raise ParseError(f"unexpected character {ch!r}")
 
 
 def parse_poly(text: str, var: str = "x") -> Poly:
@@ -246,98 +328,19 @@ def parse_poly(text: str, var: str = "x") -> Poly:
     >>> parse_poly("(1 + x)/2").eval(1)
     Fraction(1, 1)
     """
-    tok = _Tokenizer(text)
-
-    def parse_expr() -> Poly:
-        sign = 1
-        while tok.peek() in ("+", "-"):
-            if tok.peek() == "-":
-                sign = -sign
-            tok.pos += 1
-        node = parse_term()
-        if sign < 0:
-            node = -node
-        while tok.peek() in ("+", "-"):
-            op = tok.peek()
-            tok.pos += 1
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term() -> Poly:
-        node = parse_factor()
-        while tok.peek() in ("*", "/"):
-            op = tok.peek()
-            tok.pos += 1
-            if op == "*" and tok.peek() == "*":  # ** power
-                tok.pos += 1
-                node = parse_power_of(node)
-                continue
-            rhs = parse_factor()
-            if op == "*":
-                node = node * rhs
-            else:
-                if rhs.degree != 0:
-                    raise ParseError("division by a non-constant")
-                if rhs.is_zero():
-                    raise ParseError("division by zero")
-                node = node.scale(1 / rhs.coeffs[0])
-        return node
-
-    def parse_power_of(base: Poly) -> Poly:
-        ch = tok.peek()
-        if ch is None or not ch.isdigit():
-            raise ParseError("exponent must be a nonnegative integer")
-        e = tok.take_int()
-        out = Poly.const(1)
-        for _ in range(e):
-            out = out * base
-        return out
-
-    def parse_factor() -> Poly:
-        ch = tok.peek()
-        if ch == "-":
-            tok.pos += 1
-            return -parse_factor()
-        if ch == "+":
-            tok.pos += 1
-            return parse_factor()
-        node = parse_atom()
-        if tok.peek() == "^":
-            tok.pos += 1
-            node = parse_power_of(node)
-        return node
-
-    def parse_atom() -> Poly:
-        ch = tok.peek()
-        if ch is None:
-            raise ParseError("unexpected end of expression")
-        if ch == "(":
-            tok.pos += 1
-            node = parse_expr()
-            if tok.peek() != ")":
-                raise ParseError("unbalanced parentheses")
-            tok.pos += 1
-            return node
-        if ch.isdigit():
-            return Poly.const(tok.take_int())
-        if ch == var:
-            tok.pos += 1
-            return Poly.x()
-        raise ParseError(f"unexpected character {ch!r}")
-
+    parser = _Parser(text, var)
     try:
-        result = parse_expr()
+        result = parser.expr()
     except ParseError:
         raise
     except Exception as exc:  # tokenizer slips become parse errors
         raise ParseError(str(exc)) from exc
-    nxt = tok.peek()
+    nxt = parser.peek()
     if nxt is not None:
-        message = f"trailing input at position {tok.pos}"
+        message = f"trailing input at position {parser.pos}"
         if nxt == var or nxt == "(" or nxt.isdigit():
             # juxtaposition such as 3x: show the input with the product written
-            fixed = text[: tok.pos].rstrip() + "*" + text[tok.pos :]
+            fixed = text[: parser.pos].rstrip() + "*" + text[parser.pos :]
             message += f"; products need '*', so write {fixed}"
         raise ParseError(message)
     return result

@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 
 from solhom.engine import finite_part_homology, hk_check, k_theory
-from solhom.errors import InternalCheckError
-from solhom.linalg import IntMatrix, snf
+from solhom.errors import DegenerateFix, InternalCheckError
+from solhom.linalg import IntMatrix, RatMatrix, snf
 from solhom.nfield import (
     FractionalIdeal,
     _ceil_frac,
@@ -430,3 +430,67 @@ def roots_outside_unit_disk(f: Poly) -> int:
     if F.degree < 1:
         return 0
     return F.degree - roots_in_unit_disk(F)
+
+
+def power_basis_mult_matrix(x) -> RatMatrix:
+    """Multiplication by x over the power basis 1, theta, ..., as
+    Fractions from the field's theta-power reduction table."""
+    field = x.field
+    d = field.degree
+    cols = [
+        field._mul_coords(x.coords, tuple(Fraction(int(i == j)) for i in range(d)))
+        for j in range(d)
+    ]
+    return RatMatrix.from_columns(cols)
+
+
+def fraction_mult_matrix(x) -> RatMatrix:
+    """W^-1 M W: multiplication by x over the integral basis, conjugated
+    from the power basis in Fractions."""
+    field = x.field
+    return field.basis_matrix.inverse() @ power_basis_mult_matrix(x) @ field.basis_matrix
+
+
+def trace_form_discriminant(field) -> Fraction:
+    """disc(Z[theta]) = det(Tr(theta^(i+j))), traces of Fraction
+    power-basis multiplication matrices."""
+    d = field.degree
+    powers = [field.one()]
+    for _ in range(2 * d - 2):
+        powers.append(powers[-1] * field.gen())
+    traces = [sum(power_basis_mult_matrix(x).rows[i][i] for i in range(d)) for x in powers]
+    return RatMatrix([[traces[i + j] for j in range(d)] for i in range(d)]).det()
+
+
+def fraction_char_poly(rows) -> tuple[Fraction, ...]:
+    """Coefficients of det(xI - A), by Faddeev-LeVerrier in Fractions."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    coeffs = [Fraction(1)]
+    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        ab = [[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+        c = -sum((ab[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs.append(c)
+        b = [[ab[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return tuple(coeffs)
+
+
+def fraction_lefschetz_traces(sys, n: int) -> list[int]:
+    """Rows N^k * det(I - m_{1/c}^k) for k = 1..n, from RatMatrix powers
+    of W^-1 M W and the Fraction char_poly at 1."""
+    one = sys.field.one()
+    m_theta = fraction_mult_matrix(sys.c.inverse())
+    c_pow, m_pow, scale = one, RatMatrix.identity(sys.field.degree), Fraction(1)
+    out = []
+    for k in range(1, n + 1):
+        c_pow = c_pow * sys.c
+        if c_pow == one:
+            raise DegenerateFix(f"c^{k} = 1, the fixed set is not finite")
+        m_pow = m_pow @ m_theta
+        scale *= sys.transfer_index
+        value = scale * sum(fraction_char_poly(m_pow.rows))
+        if value.denominator != 1:
+            raise InternalCheckError("trace sum is not an integer")
+        out.append(int(value))
+    return out

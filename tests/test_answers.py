@@ -4,6 +4,12 @@ perfbench/answers.json holds the answer of each input a benchmark
 workload can run; perfbench/answers.py checks a report or a refusal
 against it.  Running them here makes an answer change fail the test
 suite, not only a benchmark run.  Nothing under perfbench/ is written.
+
+tests/data/answer_reports.json pins more: the whole `--json` output of
+each input, tower and action matrices included, byte for byte apart
+from `timing_seconds`, with exit code and stderr.  A change that alters
+a report on purpose (a new basis, say) re-records it with
+tests/record_answer_reports.py and says why.
 """
 
 import contextlib
@@ -12,6 +18,7 @@ import io
 import json
 from pathlib import Path
 
+from record_answer_reports import DATA, answer_inputs, run_analyze
 from solhom import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,3 +47,11 @@ def test_every_answer_input_matches_its_record(monkeypatch):
             problems[key] = found
     assert len(inputs) == len(recorded["inputs"])
     assert problems == {}
+
+
+def test_every_answer_report_is_byte_identical_to_its_recording():
+    recorded = json.loads(DATA.read_text())
+    inputs = answer_inputs()
+    assert sorted(key for key, _, _ in inputs) == sorted(recorded)
+    changed = [key for key, poly, n in inputs if run_analyze(poly, n) != recorded[key]]
+    assert changed == []

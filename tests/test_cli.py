@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main() with a temp cache."""
 
+import gc
 import json
 import os
 import subprocess
@@ -105,6 +106,19 @@ def test_cache_key_is_the_monic_polynomial_and_version(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["cache"] == "miss"
 
 
+def test_reports_without_the_cache_do_not_load_hashlib():
+    code = (
+        "import sys; from solhom import cli; "
+        "assert cli.main(['analyze', '--min-poly', 'x^2-x-1', '--no-cache', '--json']) == 0; "
+        "assert 'hashlib' not in sys.modules"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_build_report_builds_each_finite_part_once(monkeypatch):
     calls = {"finite_part_homology": 0, "principalization": 0}
     for name in calls:
@@ -120,6 +134,24 @@ def test_build_report_builds_each_finite_part_once(monkeypatch):
     cli.build_report(build_system("x^2-x+3/2"), 6)
     assert calls["finite_part_homology"] == 2
     assert calls["principalization"] == 2
+
+
+def test_reports_leave_no_cyclic_garbage():
+    # Garbage in cycles waits for the cyclic collector, which then runs
+    # more often and holds memory longer; reports should free everything
+    # by reference counting.
+    polys = ("x^2-x+3/2", "x^4-x-1", "x^2-79/4")
+    cli.build_report(build_system(polys[0]), 6)  # first-use imports and caches
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for poly in polys:
+            cli.build_report(build_system(poly), 6)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_lefschetz_rows_are_cross_checked(capsys, monkeypatch):
