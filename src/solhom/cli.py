@@ -332,10 +332,7 @@ def _system_from_args(args) -> SolenoidSystem:
     monic_int, scale = clear_to_monic_integer(poly.monic())
     field = NumberField(monic_int)
     root = field.gen().scale(Fraction(1, scale))
-    expr = parse_poly(args.element)
-    value = field.zero()
-    for coeff in expr.coeffs:
-        value = value * root + field.from_rational(coeff)
+    value = field.evaluate(parse_poly(args.element), root)
     if value.is_zero():
         raise ZeroInput("the element evaluates to zero")
     return build_system(value.min_poly_over_q())

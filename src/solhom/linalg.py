@@ -67,10 +67,6 @@ class IntMatrix:
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(m: int, n: int) -> "IntMatrix":
-        return IntMatrix([[0] * n for _ in range(m)])
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
         return IntMatrix(list(zip(*cols)))
 

@@ -1,19 +1,23 @@
 """Number fields, their elements, and fractional ideal arithmetic.
 
-A field is Q[x]/(f) for a monic integer irreducible f.  Elements carry
-coordinates over the power basis 1, theta, ..., theta^(d-1).  For degree
-at most 2 the maximal order is computed in closed form; for higher degree
-the working order is Z[theta] and any prime whose factorization would be
-distorted by the index (detected with the Dedekind criterion) raises
-IndexObstruction rather than returning wrong data.
+A field is Q[x]/(f) for a monic integer irreducible f with root theta.
+Its integral basis is the power basis 1, omega, ..., omega^(d-1) of an
+integral omega with monic integer minimal polynomial omega_poly: for
+degree 2, omega generates the maximal order, computed in closed form;
+otherwise omega = theta and the working order is Z[theta], and any prime
+whose factorization would be distorted by the index (detected with the
+Dedekind criterion) raises IndexObstruction rather than returning wrong
+data.
 
-Fractional ideals are full-rank lattices inside the field, stored as an
-integer matrix in column Hermite form over the integral basis together
-with a positive denominator.  That representation is canonical, so ideal
-equality is literal equality of the pair.
+An element is num / den with num its integer coordinates over the
+integral basis and den a positive integer, reduced, so element equality
+is literal equality of the pair.  Fractional ideals are full-rank
+lattices stored the same way: an integer matrix in column Hermite form
+over the integral basis together with a positive denominator.
+Coordinates over the power basis of theta are only a derived view.
 
-Ideal products multiply integer coordinate columns through the integral
-basis's structure constants, computed once per field.  A prime P over p
+Element and ideal products multiply integer coordinates through the
+structure constants omega^(i+j) reduced by omega_poly.  A prime P over p
 with Kummer-Dedekind data has an element gamma with (p, gamma) =
 P^(e-1) * prod of the other primes over p to their e, so P^-1 =
 O + (gamma/p) O, and v_P(y) for integral y is the number of times the
@@ -32,6 +36,9 @@ from .intfactor import factorint
 from .linalg import IntMatrix, RatMatrix, char_poly, hnf
 from .qpoly import Poly, factor_mod_p, is_irreducible_over_q
 
+# how pretty() writes the field generator theta
+GEN_SYMBOL = "a"
+
 
 def _squarefree_decompose_int(n: int) -> tuple[int, int]:
     """n = u^2 * m with m squarefree (sign goes to m); returns (u, m)."""
@@ -49,7 +56,7 @@ def _squarefree_decompose_int(n: int) -> tuple[int, int]:
 class NumberField:
     """Q[x]/(min_poly) with a fixed integral (or working) basis."""
 
-    def __init__(self, min_poly: Poly, gen_symbol: str = "a", check: bool = True):
+    def __init__(self, min_poly: Poly, check: bool = True):
         if not min_poly.is_integer() or min_poly.coeffs[0] != 1:
             raise ValueError("defining polynomial must be monic with integer coefficients")
         if min_poly.degree < 1:
@@ -58,31 +65,13 @@ class NumberField:
             raise ValueError(f"{min_poly.pretty()} is reducible over Q")
         self.min_poly = min_poly
         self.degree = min_poly.degree
-        self.gen_symbol = gen_symbol
-        self._theta_powers = self._build_theta_powers()
-        # omega_poly: integer minimal polynomial of omega (theta outside degree 2)
+        # basis_matrix W: columns are the power-basis coordinates of the
+        # integral basis; omega_poly: the integer minimal polynomial of omega
         self.basis_matrix, self.omega_poly = self._build_integral_basis()
-        W_inv = self.basis_matrix.inverse()
-        w = W_inv.denominator()  # W^-1 = B / w, B integral
-        self._basis_inv = ([[int(x * w) for x in row] for row in W_inv.rows], w)
         self._structure = self._build_structure_constants()
         self.discriminant = self._compute_discriminant()
 
     # representation helpers -------------------------------------------------
-    def _build_theta_powers(self) -> list[tuple[Fraction, ...]]:
-        d = self.degree
-        powers: list[list[Fraction]] = []
-        current = [Fraction(1)] + [Fraction(0)] * (d - 1)
-        powers.append(current[:])
-        # reduction of theta^d via the minimal polynomial
-        red = [-c for c in reversed(self.min_poly.coeffs[1:])]
-        for _ in range(2 * d - 2):
-            shifted = [Fraction(0)] + current[:]
-            overflow = shifted.pop()
-            current = [c + overflow * r for c, r in zip(shifted, red)]
-            powers.append(current[:])
-        return [tuple(p) for p in powers]
-
     def _build_integral_basis(self) -> tuple[RatMatrix, Poly]:
         d = self.degree
         if d != 2:
@@ -104,12 +93,16 @@ class NumberField:
         return W, omega_poly
 
     def _build_structure_constants(self) -> list[list[list[int]]]:
-        """[i][j]: the integral coordinates of w_i * w_j, as integers."""
-        basis = [self.element(self.basis_matrix.column(j)) for j in range(self.degree)]
-        table = [[(a * b).integer_coords() for b in basis] for a in basis]
-        if any(m != 1 for row in table for _, m in row):
-            raise InternalCheckError("integral basis is not closed under multiplication")
-        return [[list(v) for v, _ in row] for row in table]
+        """[i][j]: the integer coordinates of w_i * w_j = omega^(i+j),
+        reduced by the monic integer omega_poly."""
+        d = self.degree
+        # omega^d = sum of red[k] * omega^k
+        red = [-c for c in reversed(self.omega_poly.int_coeffs()[1:])]
+        powers = [[int(k == 0) for k in range(d)]]
+        for _ in range(2 * d - 2):
+            prev = powers[-1]
+            powers.append([prev[-1] * r + c for r, c in zip(red, [0] + prev[:-1])])
+        return [powers[i : i + d] for i in range(d)]
 
     def _mul_int(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Product of two integer coordinate vectors over the integral basis."""
@@ -129,36 +122,34 @@ class NumberField:
         return [self._mul_int(a, [int(i == j) for i in range(d)]) for j in range(d)]
 
     def _compute_discriminant(self) -> int:
-        if self.degree == 1:
-            return 1
-        if self.degree == 2:
-            b = int(self.min_poly.coeffs[1])
-            disc_f = b * b - 4 * int(self.min_poly.coeffs[2])
-            _, m = _squarefree_decompose_int(disc_f)
-            return m if m % 4 == 1 else 4 * m
-        # discriminant of the working order Z[theta]: that of the monic f,
-        # (-1)^(d(d-1)/2) Res(f, f') = (-1)^(d(d-1)/2) N(f'(theta))
+        # discriminant of the order Z[omega], the maximal one up to degree 2:
+        # that of the monic g = omega_poly, (-1)^(d(d-1)/2) N(g'(omega))
         d = self.degree
-        disc = (-1) ** (d * (d - 1) // 2) * self.from_poly(self.min_poly.derivative()).norm()
+        g_prime = self.evaluate(self.omega_poly.derivative(), self.omega())
+        disc = (-1) ** (d * (d - 1) // 2) * g_prime.norm()
         if disc.denominator != 1:
-            raise InternalCheckError("discriminant of Z[theta] is not an integer")
+            raise InternalCheckError("discriminant of Z[omega] is not an integer")
         return int(disc)
 
     # constructors -----------------------------------------------------------
     def element(self, coords: Sequence) -> "NfElement":
+        """The element with the given coordinates over the power basis."""
         cs = [Fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError("coordinate length mismatch")
-        return NfElement(self, tuple(cs))
+        z = self.basis_matrix.inverse().apply(cs)
+        den = math.lcm(*(c.denominator for c in z))
+        return NfElement(self, [int(c * den) for c in z], den)
 
     def from_rational(self, q) -> "NfElement":
-        return self.element([Fraction(q)] + [Fraction(0)] * (self.degree - 1))
+        q = Fraction(q)
+        return NfElement(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
-    def from_poly(self, p: Poly) -> "NfElement":
-        """Evaluate a rational polynomial at the field generator."""
+    def evaluate(self, p: Poly, x: "NfElement") -> "NfElement":
+        """p(x) for a rational polynomial p, by Horner."""
         acc = self.zero()
         for c in p.coeffs:
-            acc = acc * self.gen() + self.from_rational(c)
+            acc = acc * x + self.from_rational(c)
         return acc
 
     def zero(self) -> "NfElement":
@@ -172,6 +163,12 @@ class NumberField:
             return self.from_rational(-self.min_poly.coeffs[1])
         return self.element([0, 1] + [0] * (self.degree - 2))
 
+    def omega(self) -> "NfElement":
+        """omega, whose powers 1, omega, ..., omega^(d-1) are the integral basis."""
+        if self.degree == 1:
+            return self.gen()
+        return NfElement(self, [int(i == 1) for i in range(self.degree)])
+
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
 
@@ -181,29 +178,20 @@ class NumberField:
     def __repr__(self) -> str:
         return f"NumberField({self.min_poly.pretty()})"
 
-    # multiplication ---------------------------------------------------------
-    def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        d = self.degree
-        out = [Fraction(0)] * d
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                coeff = ai * bj
-                for k, tk in enumerate(self._theta_powers[i + j]):
-                    if tk:
-                        out[k] += coeff * tk
-        return tuple(out)
-
 
 class NfElement:
-    __slots__ = ("field", "coords")
+    """num / den over the integral basis: num a tuple of integers, den a
+    positive integer, with gcd(num, den) = 1."""
 
-    def __init__(self, field: NumberField, coords: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: Sequence[int], den: int = 1):
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "num", tuple(x // g for x in num))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("NfElement is immutable")
@@ -212,53 +200,51 @@ class NfElement:
         return (
             isinstance(other, NfElement)
             and self.field == other.field
-            and self.coords == other.coords
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coords))
+        return hash((self.field, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"<{self.pretty()}>"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num)
 
     def __add__(self, other: "NfElement") -> "NfElement":
-        return NfElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        m, n = self.den, other.den
+        return NfElement(self.field, [a * n + b * m for a, b in zip(self.num, other.num)], m * n)
 
     def __sub__(self, other: "NfElement") -> "NfElement":
-        return NfElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        m, n = self.den, other.den
+        return NfElement(self.field, [a * n - b * m for a, b in zip(self.num, other.num)], m * n)
 
     def __neg__(self) -> "NfElement":
-        return NfElement(self.field, tuple(-a for a in self.coords))
+        return NfElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other: "NfElement") -> "NfElement":
-        return NfElement(self.field, self.field._mul_coords(self.coords, other.coords))
+        return NfElement(self.field, self.field._mul_int(self.num, other.num), self.den * other.den)
 
     def scale(self, q) -> "NfElement":
         q = Fraction(q)
-        return NfElement(self.field, tuple(q * a for a in self.coords))
+        return NfElement(self.field, [q.numerator * a for a in self.num], q.denominator * self.den)
 
     def inverse(self) -> "NfElement":
+        """Cayley-Hamilton: self = y / m with y integral, and y's integer
+        multiplication matrix A has char poly t^d + c_1 t^(d-1) + ... + c_d
+        with c_d = (-1)^d N(y) != 0, so 1/y = -(y^(d-1) + c_1 y^(d-2) +
+        ... + c_(d-1)) / c_d, evaluated by Horner on integer coordinates."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # extended euclid of the coordinate polynomial against min_poly
-        g = Poly.from_ascending(self.coords)
-        f = self.field.min_poly
-        r0, r1 = f, g
-        s0, s1 = Poly.zero(), Poly.const(1)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise InternalCheckError("element shares a factor with the minimal polynomial")
-        inv_poly = s0.scale(1 / r0.coeffs[0])
-        return self.field.from_poly(inv_poly)
+        A, m = self.mult_pair()
+        coeffs = char_poly(A)
+        z = [1] + [0] * (self.field.degree - 1)
+        for c in coeffs[1:-1]:
+            z = list(A.apply(z))
+            z[0] += c
+        return NfElement(self.field, [m * x for x in z], -coeffs[-1])
 
     def __truediv__(self, other: "NfElement") -> "NfElement":
         return self * other.inverse()
@@ -279,8 +265,7 @@ class NfElement:
         """(A, m) with A / m the matrix of multiplication by self over the
         integral basis: column j of A is m * self * w_j, read off the
         structure constants, and m is least, so the pair is reduced."""
-        v, m = self.integer_coords()
-        return IntMatrix.from_columns(self.field._mult_columns(v)), m
+        return IntMatrix.from_columns(self.field._mult_columns(self.num)), self.den
 
     def mult_matrix_integral(self) -> RatMatrix:
         A, m = self.mult_pair()
@@ -302,33 +287,24 @@ class NfElement:
         cp = self.char_poly_over_q()
         return cp.squarefree_part() if cp.gcd(cp.derivative()).degree > 0 else cp
 
-    def generates_field(self) -> bool:
-        return self.min_poly_over_q().degree == self.field.degree
-
-    def integral_coords(self) -> tuple[Fraction, ...]:
-        v, m = self.integer_coords()
-        return tuple(Fraction(x, m) for x in v)
-
     def integer_coords(self) -> tuple[tuple[int, ...], int]:
         """(v, m): m is the least positive integer with m * self in the
         working order, v the integral coordinates of m * self."""
-        den = math.lcm(*(c.denominator for c in self.coords))
-        y = [c.numerator * (den // c.denominator) for c in self.coords]
-        B, w = self.field._basis_inv
-        z = [sum(b * t for b, t in zip(row, y)) for row in B]
-        g = math.gcd(w * den, *z)
-        return tuple(x // g for x in z), w * den // g
+        return self.num, self.den
+
+    def power_coords(self) -> tuple[Fraction, ...]:
+        """Coordinates over the power basis 1, theta, ..., theta^(d-1)."""
+        return self.field.basis_matrix.apply([Fraction(x, self.den) for x in self.num])
 
     def pretty(self) -> str:
-        sym = self.field.gen_symbol
         parts = []
-        for i, c in enumerate(self.coords):
+        for i, c in enumerate(self.power_coords()):
             if c == 0:
                 continue
             if i == 0:
                 body = str(abs(c))
             else:
-                xs = sym if i == 1 else f"{sym}^{i}"
+                xs = GEN_SYMBOL if i == 1 else f"{GEN_SYMBOL}^{i}"
                 body = xs if abs(c) == 1 else f"{abs(c)}*{xs}"
             parts.append(("-" if c < 0 else "+", body))
         if not parts:
@@ -354,7 +330,6 @@ class FractionalIdeal:
         self.field = field
         self.num = IntMatrix([[x // g for x in row] for row in H.rows])
         self.den = den // g
-        self._inv_cache: RatMatrix | None = None
 
     @staticmethod
     def ring_of_integers(field: NumberField) -> "FractionalIdeal":
@@ -392,19 +367,15 @@ class FractionalIdeal:
 
     def basis_elements(self) -> list[NfElement]:
         """Lattice basis as field elements."""
-        out = []
-        W = self.field.basis_matrix
-        for j in range(self.num.ncols):
-            integral = [Fraction(x, self.den) for x in self.num.column(j)]
-            out.append(self.field.element(W.apply(integral)))
-        return out
+        return [NfElement(self.field, col, self.den) for col in self.num.columns()]
 
     def contains(self, x: NfElement) -> bool:
-        if self._inv_cache is None:
-            self._inv_cache = self.num.to_rat().inverse()
-        target = [c * self.den for c in x.integral_coords()]
-        sol = self._inv_cache.apply(target)
-        return all(c.denominator == 1 for c in sol)
+        """den * x is an integer vector whose column adds nothing to the HNF."""
+        t = [self.den * c for c in x.num]
+        if any(c % x.den for c in t):
+            return False
+        cols = self.num.columns() + [[c // x.den for c in t]]
+        return hnf(IntMatrix.from_columns(cols)) == self.num
 
     def __mul__(self, other: "FractionalIdeal") -> "FractionalIdeal":
         if self.field != other.field:
@@ -543,10 +514,10 @@ class PrimeIdeal:
         return self._power_cache[e]
 
 
-def _dedekind_index_free(field: NumberField, p: int) -> bool:
-    """Dedekind criterion: True when p does not divide [O_K : Z[theta]]."""
+def _dedekind_index_free(field: NumberField, p: int, factors) -> bool:
+    """Dedekind criterion: True when p does not divide [O_K : Z[theta]],
+    given the factorization of f mod p."""
     fpoly = field.min_poly
-    factors = factor_mod_p(fpoly.int_coeffs(), p)
     g_lift = Poly.const(1)
     h_lift = Poly.const(1)
     for coeffs_asc, mult in factors:
@@ -595,16 +566,18 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
         data = [(field.from_rational(p), 1, (0, 1))]
     else:
         # factor the minimal polynomial of the basis generator omega; in
-        # degree 2, Z[omega] is the full ring of integers, so no index issues
-        if d > 2 and not _dedekind_index_free(field, p):
+        # degree 2, Z[omega] is the full ring of integers, so no index
+        # issues, and above it omega_poly is f
+        factors = factor_mod_p(field.omega_poly.int_coeffs(), p)
+        if d > 2 and not _dedekind_index_free(field, p, factors):
             raise IndexObstruction(
                 f"p = {p} divides the index of the working order Z[theta]"
             )
-        omega = field.element(field.basis_matrix.column(1))
+        omega = field.omega()
         data = []
-        for coeffs_asc, mult in factor_mod_p(field.omega_poly.int_coeffs(), p):
+        for coeffs_asc, mult in factors:
             lift = Poly(list(reversed([c % p for c in coeffs_asc])))
-            data.append((_eval_at(lift, omega, field), mult, coeffs_asc))
+            data.append((field.evaluate(lift, omega), mult, coeffs_asc))
     out = []
     for second, e, coeffs_asc in data:
         gamma = second.pow(e - 1)
@@ -615,13 +588,6 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     if sum(q.e * q.f for q in out) != d:
         raise InternalCheckError("sum of e*f over p does not equal the degree")
     return out
-
-
-def _eval_at(poly: Poly, base: NfElement, field: NumberField) -> NfElement:
-    acc = field.zero()
-    for c in poly.coeffs:
-        acc = acc * base + field.from_rational(c)
-    return acc
 
 
 def valuation(x: NfElement, P: PrimeIdeal) -> int:
@@ -678,7 +644,7 @@ def principal_generator(I: FractionalIdeal) -> NfElement | None:
         else:
             found = _search_real_quadratic(I, target)
         if found is not None:
-            lead = next(c for c in found.integral_coords() if c != 0)
+            lead = next(c for c in found.num if c != 0)
             if lead < 0:
                 found = -found
         return found
@@ -726,7 +692,7 @@ def _search_definite(I: FractionalIdeal, target: Fraction) -> NfElement | None:
 
 def _embedding_bound(x: NfElement) -> Fraction:
     """Upper bound on |sigma(x)| over both real embeddings of a quadratic field."""
-    p, q = x.coords
+    p, q = x.power_coords()
     f = x.field.min_poly
     theta_max = 1 + max(abs(f.coeffs[1]), abs(f.coeffs[2]))
     return abs(p) + abs(q) * theta_max
@@ -765,11 +731,12 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
         return None
     g = u1.scale(found[0]) + u2.scale(found[1])
 
-    (p1, q1), (p2, q2) = u1.coords, u2.coords
+    # u1, u2 are the columns (p1, q1), (p2, q2) of I.num over I.den
+    (p1, p2), (q1, q2) = I.num.rows
     det = p1 * q2 - q1 * p2
 
     def coords(x: NfElement) -> tuple[int, int]:
-        p, q = x.coords
+        p, q = (Fraction(I.den * c, x.den) for c in x.num)
         a, b = (p * q2 - q * p2) / det, (p1 * q - q1 * p) / det
         if a.denominator != 1 or b.denominator != 1:
             raise InternalCheckError("generator candidate left the ideal lattice")
@@ -884,7 +851,7 @@ def fundamental_unit(field: NumberField) -> NfElement:
         Dcf, P, Q = D0 // 4, 0, 1
     else:
         Dcf, P, Q = D0, 1, 2
-    omega = field.element(field.basis_matrix.column(1))
+    omega = field.omega()
     # omega is integral, so its trace and norm are integers
     tr, nm = int(omega.trace()), int(omega.norm())
     s = math.isqrt(Dcf)
@@ -897,7 +864,7 @@ def fundamental_unit(field: NumberField) -> NfElement:
         # N(h - k * conj(omega)), with conj(omega) = tr - omega
         cand_norm = h * h - tr * h * k + nm * k * k
         if abs(cand_norm) == 1:
-            unit = field.from_rational(h - tr * k) + omega.scale(k)
+            unit = NfElement(field, (h - tr * k, k))
             if abs(unit.norm()) != 1:
                 raise InternalCheckError("unit candidate has wrong norm")
             return unit

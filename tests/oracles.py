@@ -304,27 +304,38 @@ def box_scan_generator(I: FractionalIdeal):
     return None
 
 
-def fraction_ideal_from_elements(field, gens) -> FractionalIdeal:
-    """The O_K-module generated by nonzero elements, from Fraction
-    coordinates of every product g * w_j."""
-    coord_sets = []
-    for g in gens:
-        for j in range(field.degree):
-            basis_elt = field.element(field.basis_matrix.column(j))
-            coord_sets.append((g * basis_elt).integral_coords())
+def _ideal_from_power_coords(field, products) -> FractionalIdeal:
+    """The lattice spanned by elements given over the power basis,
+    converted to the integral basis by W^-1 in Fractions."""
+    W_inv = field.basis_matrix.inverse()
+    coord_sets = [W_inv.apply(a) for a in products]
     den = math.lcm(*(c.denominator for coords in coord_sets for c in coords))
     cols = [[int(c * den) for c in coords] for coords in coord_sets]
     return FractionalIdeal(field, IntMatrix.from_columns(cols), den)
 
 
+def fraction_ideal_from_elements(field, gens) -> FractionalIdeal:
+    """The O_K-module generated by nonzero elements, from Poly products
+    g * w_j over the power basis."""
+    W = field.basis_matrix
+    return _ideal_from_power_coords(field, [
+        poly_mod_product(field, power_coords(g), W.column(j))
+        for g in gens for j in range(field.degree)
+    ])
+
+
 def fraction_ideal_product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
-    """I * J from field-element products of the two lattice bases."""
-    coord_sets = [
-        (x * y).integral_coords() for x in I.basis_elements() for y in J.basis_elements()
-    ]
-    den = math.lcm(*(c.denominator for coords in coord_sets for c in coords))
-    cols = [[int(c * den) for c in coords] for coords in coord_sets]
-    return FractionalIdeal(I.field, IntMatrix.from_columns(cols), den)
+    """I * J from Poly products of the two lattice bases over the power
+    basis."""
+    field = I.field
+
+    def basis(L):
+        W = field.basis_matrix
+        return [W.apply([Fraction(c, L.den) for c in col]) for col in L.num.columns()]
+
+    return _ideal_from_power_coords(
+        field, [poly_mod_product(field, a, b) for a in basis(I) for b in basis(J)]
+    )
 
 
 def fraction_ideal_power(I: FractionalIdeal, e: int) -> FractionalIdeal:
@@ -432,16 +443,50 @@ def roots_outside_unit_disk(f: Poly) -> int:
     return F.degree - roots_in_unit_disk(F)
 
 
+def power_coords(x) -> tuple[Fraction, ...]:
+    """x over the power basis 1, theta, ...: W times its integral
+    coordinates."""
+    v, m = x.integer_coords()
+    return x.field.basis_matrix.apply([Fraction(c, m) for c in v])
+
+
+def _ascending(p: Poly, d: int) -> tuple[Fraction, ...]:
+    cs = list(reversed(p.coeffs))
+    return tuple(cs + [Fraction(0)] * (d - len(cs)))
+
+
+def poly_mod_product(field, a, b) -> tuple[Fraction, ...]:
+    """a * b for power-basis coordinates a and b: the Poly product
+    reduced mod the defining polynomial f."""
+    prod = Poly.from_ascending(a) * Poly.from_ascending(b)
+    return _ascending(prod % field.min_poly, field.degree)
+
+
+def poly_mod_inverse(field, a) -> tuple[Fraction, ...]:
+    """1/a for nonzero power-basis coordinates a: the extended Euclid of
+    the coordinate polynomial against f, in Fractions."""
+    r0, r1 = field.min_poly, Poly.from_ascending(a)
+    s0, s1 = Poly.zero(), Poly.const(1)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        raise InternalCheckError("element shares a factor with the minimal polynomial")
+    return _ascending(s0.scale(1 / r0.coeffs[0]) % field.min_poly, field.degree)
+
+
+def _power_mult_matrix(field, a) -> RatMatrix:
+    d = field.degree
+    return RatMatrix.from_columns(
+        [poly_mod_product(field, a, [int(i == j) for i in range(d)]) for j in range(d)]
+    )
+
+
 def power_basis_mult_matrix(x) -> RatMatrix:
     """Multiplication by x over the power basis 1, theta, ..., as
-    Fractions from the field's theta-power reduction table."""
-    field = x.field
-    d = field.degree
-    cols = [
-        field._mul_coords(x.coords, tuple(Fraction(int(i == j)) for i in range(d)))
-        for j in range(d)
-    ]
-    return RatMatrix.from_columns(cols)
+    Fractions from Poly products mod f."""
+    return _power_mult_matrix(x.field, power_coords(x))
 
 
 def fraction_mult_matrix(x) -> RatMatrix:
@@ -455,10 +500,11 @@ def trace_form_discriminant(field) -> Fraction:
     """disc(Z[theta]) = det(Tr(theta^(i+j))), traces of Fraction
     power-basis multiplication matrices."""
     d = field.degree
-    powers = [field.one()]
+    theta = [int(i == 1) for i in range(d)]
+    powers = [[int(i == 0) for i in range(d)]]
     for _ in range(2 * d - 2):
-        powers.append(powers[-1] * field.gen())
-    traces = [sum(power_basis_mult_matrix(x).rows[i][i] for i in range(d)) for x in powers]
+        powers.append(poly_mod_product(field, powers[-1], theta))
+    traces = [sum(_power_mult_matrix(field, a).rows[i][i] for i in range(d)) for a in powers]
     return RatMatrix([[traces[i + j] for j in range(d)] for i in range(d)]).det()
 
 

@@ -21,6 +21,7 @@ from oracles import (
     fraction_ideal_product,
     product_inverse_ideal,
 )
+from solhom import nfield
 from solhom.nfield import (
     FractionalIdeal,
     NumberField,
@@ -158,3 +159,21 @@ def test_gamma_valuations(text):
         for Q in factor_rational_prime(P.field, P.p):
             if Q != P:
                 assert absorption_valuation(gamma, Q, anti[Q]) >= Q.e, (P, Q)
+
+
+@pytest.mark.parametrize("text, p", [("x^3-x-1", 23), ("x^3-2", 2), ("x^3-2", 3), ("x^4-2", 2)])
+def test_prime_factoring_factors_f_mod_p_once(text, p, monkeypatch):
+    # above degree 2 the Dedekind test and the Kummer-Dedekind factors
+    # share one factorization of f mod p
+    calls = []
+    factor = nfield.factor_mod_p
+
+    def counted(coeffs, q):
+        calls.append((coeffs, q))
+        return factor(coeffs, q)
+
+    monkeypatch.setattr(nfield, "factor_mod_p", counted)
+    K = FIELDS[text]
+    primes = factor_rational_prime(K, p)
+    assert calls == [(K.min_poly.int_coeffs(), p)]
+    assert sum(P.e * P.f for P in primes) == K.degree

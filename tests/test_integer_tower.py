@@ -4,9 +4,12 @@ The package takes multiplication matrices as integer pairs (A, m) from
 integer coordinates and the structure constants, characteristic
 polynomials from Faddeev-LeVerrier over Z, towers and actions from
 integer minors divided by m^k, and Lefschetz rows from integer
-determinants.  tests/oracles.py keeps the Fraction routes: W^-1 M W
-from the power basis, the Fraction recursion, cofactor minors of the
-Fraction matrix and RatMatrix powers.
+determinants.  Elements are reduced pairs (integer coordinates over the
+integral basis, positive denominator), multiplied on the structure
+constants and inverted by Cayley-Hamilton.  tests/oracles.py keeps the
+Fraction routes: Poly products and the extended Euclid mod f over the
+power basis, W^-1 M W from it, the Fraction recursion, cofactor minors
+of the Fraction matrix and RatMatrix powers.
 """
 
 import dataclasses
@@ -25,7 +28,10 @@ from oracles import (
     fraction_lefschetz_traces,
     fraction_mult_matrix,
     minor_entry,
+    poly_mod_inverse,
+    poly_mod_product,
     power_basis_mult_matrix,
+    power_coords,
     trace_form_discriminant,
 )
 from solhom import linalg, nfield
@@ -80,7 +86,7 @@ def test_mult_pair_matches_fraction_route(poly):
     field = _field(poly)
     for x in _elements(field, 12, seed=len(poly)):
         A, m = x.mult_pair()
-        assert x.integral_coords() == field.basis_matrix.inverse().apply(x.coords)
+        assert field.element(power_coords(x)) == x and x.power_coords() == power_coords(x)
         M = fraction_mult_matrix(x)
         assert x.mult_matrix_integral() == M, x
         assert A.rows == tuple(tuple(int(e * m) for e in row) for row in M.rows)
@@ -89,6 +95,57 @@ def test_mult_pair_matches_fraction_route(poly):
         assert x.norm() == P.det()
         assert x.trace() == sum(P.rows[i][i] for i in range(field.degree))
         assert x.char_poly_over_q() == Poly(fraction_char_poly(P.rows))
+
+
+def _reference_pow(field, a, e):
+    out = [Fraction(int(i == 0)) for i in range(field.degree)]
+    base = a if e >= 0 else poly_mod_inverse(field, a)
+    for _ in range(abs(e)):
+        out = poly_mod_product(field, out, base)
+    return out
+
+
+def _assert_reduced(x):
+    assert type(x.num) is tuple and all(type(c) is int for c in x.num)
+    assert type(x.den) is int and x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+@pytest.mark.parametrize("poly", FIELDS)
+def test_element_arithmetic_matches_poly_reference(poly):
+    field = _field(poly)
+    d = field.degree
+    rng = random.Random(poly)
+    theta = [-field.min_poly.coeffs[1]] if d == 1 else [int(i == 1) for i in range(d)]
+    omega = theta if d == 1 else field.basis_matrix.column(1)
+    samples = [theta, poly_mod_inverse(field, theta), omega]
+    while len(samples) < 9:
+        den = rng.choice([1, 2, 3, 4, 6, 9, 12])
+        samples.append([Fraction(rng.randint(-9, 9), den) for _ in range(d)])
+    assert field.gen() == field.element(theta)
+    assert field.omega() == field.element(omega)
+
+    def check(x, want):
+        _assert_reduced(x)
+        assert x.power_coords() == tuple(Fraction(c) for c in want)
+        assert x == field.element(want) and hash(x) == hash(field.element(want))
+
+    for a in samples:
+        x = field.element(a)
+        check(x, a)
+        q = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        check(x.scale(q), [q * c for c in a])
+        check(-x, [-c for c in a])
+        if x.is_zero():
+            continue
+        check(x.inverse(), poly_mod_inverse(field, a))
+        for e in (-3, -2, -1, 0, 1, 2, 3):
+            check(x.pow(e), _reference_pow(field, a, e))
+        for b in samples:
+            y = field.element(b)
+            check(x + y, [s + t for s, t in zip(a, b)])
+            check(x - y, [s - t for s, t in zip(a, b)])
+            check(x * y, poly_mod_product(field, a, b))
+            assert (x == y) == (tuple(map(Fraction, a)) == tuple(map(Fraction, b)))
 
 
 @pytest.mark.parametrize("poly", [p for p in FIELDS if not p.startswith(("x-", "x^2"))])
@@ -223,3 +280,16 @@ def test_prime_factoring_computes_no_char_poly(monkeypatch):
         build_report(build_system(poly), 6)
     assert counts["factorings"] > 0 and counts["calls"] > 0
     assert counts["inside"] == 0
+
+
+def test_tower_path_needs_no_poly_division(monkeypatch):
+    systems = [build_system(p) for p in REPORT_CORPUS]
+    systems += [s.dual_system() for s in systems]
+
+    def refuse(*_args):
+        raise AssertionError("Poly division on the integer tower path")
+
+    monkeypatch.setattr(Poly, "__divmod__", refuse)
+    for sys_ in systems:
+        finite_part_homology(sys_)
+        lefschetz_traces(sys_, 12)

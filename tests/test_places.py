@@ -34,7 +34,7 @@ def test_rational_multiplier_places():
     assert [(fp.prime.p, fp.valuation) for fp in s.finite_unstable] == [(2, -1)]
 
     d = s.dual_system()
-    assert d.c.coords == (Fraction(2, 3),)
+    assert d.c.power_coords() == (Fraction(2, 3),)
     assert d.transfer_index == 2
     assert d.degree_shift == 1
 
