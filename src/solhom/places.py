@@ -29,7 +29,7 @@ from .nfield import (
     ideal_index,
 )
 from .qpoly import Poly, clear_to_monic_integer, is_irreducible_over_q, parse_poly
-from .rootcount import real_root_count, real_roots_in_interval, roots_in_unit_disk
+from .rootcount import real_root_counts, roots_in_unit_disk
 
 RATIONAL_FIELD_POLY = Poly([1, -1])  # x - 1; fixed defining polynomial for K = Q
 
@@ -158,11 +158,13 @@ def build_system(min_poly) -> SolenoidSystem:
     if not is_irreducible_over_q(h):
         raise ParseError(f"{f.pretty()} is reducible over Q")
 
-    # archimedean analysis happens on f itself; scaling would move the circle
+    # archimedean analysis happens on f itself; scaling would move the circle.
+    # One Sturm chain cut at -1, 0 and 1, none of them a root: the disk
+    # count raises BoundaryRoot on a root at +-1, and c != 0
     inside = roots_in_unit_disk(f)
-    real_total = real_root_count(f)
-    real_inside = real_roots_in_interval(f, -1, 1)
-    real_inside_negative = real_roots_in_interval(f, -1, 0)
+    below, real_inside_negative, positive, above = real_root_counts(f, [None, -1, 0, 1, None])
+    real_inside = real_inside_negative + positive
+    real_total = below + real_inside + above
     if (inside - real_inside) % 2 != 0 or (f.degree - inside - (real_total - real_inside)) % 2 != 0:
         raise InternalCheckError("real and complex root counts are inconsistent")
     arch = ArchimedeanSummary(

@@ -48,19 +48,12 @@ class Poly:
     def x() -> "Poly":
         return Poly([1, 0])
 
-    @staticmethod
-    def from_ascending(coeffs: Sequence) -> "Poly":
-        return Poly(list(reversed(list(coeffs))))
-
     def is_zero(self) -> bool:
         return self.coeffs == (Fraction(0),)
 
     @property
     def degree(self) -> int:
         return -1 if self.is_zero() else len(self.coeffs) - 1
-
-    def leading(self) -> Fraction:
-        return self.coeffs[0]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs

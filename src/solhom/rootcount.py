@@ -15,48 +15,108 @@ algebraic units).  Instead:
 2. with the circle clean, the Cayley map w -> (w-1)/(w+1) turns the disk
    interior into the right half plane, and the number of right-half-plane
    roots of g(w) = (w+1)^n f((w-1)/(w+1)) is read off a Cauchy index
-   computed by a generalized Sturm chain.  Everything stays in Q.
+   computed by a generalized Sturm chain.  Everything runs over Z,
+   sign-preserving primitive pseudo-remainders (`_rem`) standing in for
+   remainders over Q: each chain member is a positive multiple of the
+   one over Q, with the same signs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import BoundaryRoot, InternalCheckError
 from .qpoly import Poly
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _primitive(p: list[int]) -> list[int]:
+    """p without leading zeros, over its positive content; [] is zero."""
+    while p and not p[0]:
+        p = p[1:]
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def sturm_chain(f: Poly) -> list[Poly]:
-    """Negative-remainder chain starting from (f, f')."""
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
+def _rem(a: list[int], b: list[int]) -> list[int]:
+    """a mod b times a positive rational: |lc(b)|^(delta+1) a divided by b
+    over Z, the remainder over its content.  Its signs are those of a mod
+    b over Q."""
+    d = len(a) - len(b)
+    lead, sign = abs(b[0]), 1 if b[0] > 0 else -1
+    r = a[:]
+    for i in range(d + 1):
+        if q := r[i] * sign:
+            r = [lead * c for c in r]
+            for j, c in enumerate(b, i):
+                r[j] -= q * c
+    return _primitive(r[d + 1 :] if d >= 0 else r)
+
+
+def _prs(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b, -rem, ... to the last nonzero member, gcd(a, b) up to a factor."""
+    chain = [a, b]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
     chain.pop()
     return chain
 
 
-def _variations(signs: list[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+def _sturm_chain(coeffs) -> list[list[int]]:
+    """Sturm chain over Z of the squarefree part of a polynomial with
+    rational coefficients (descending), which comes first with a positive
+    leading coefficient; [[1]] for a constant.  The chain of F ends in
+    gcd(F, F'), so a squarefree F is recognised without a second chain."""
+    m = math.lcm(*(c.denominator for c in coeffs))
+    F = _primitive([c.numerator * (m // c.denominator) for c in coeffs])
+    if len(F) < 2:
+        return [[1]]
+    if F[0] < 0:
+        F = [-c for c in F]
+    chain = _prs(F, _primitive([c * (len(F) - 1 - i) for i, c in enumerate(F[:-1])]))
+    g = chain[-1]
+    if len(g) == 1:
+        return chain
+    q, r = [], F  # F / g is integral (Gauss)
+    while len(r) >= len(g):
+        q.append(r[0] // g[0])
+        r = [s - q[-1] * t for s, t in zip(r, g + [0] * (len(r) - len(g)))][1:]
+    if any(r):
+        raise InternalCheckError("gcd(f, f') does not divide f")
+    return _sturm_chain(q)
 
 
-def _variations_at(chain: list[Poly], x: Fraction) -> int:
-    return _variations([_sign(p.eval(x)) for p in chain])
+def _values_at(chain: list[list[int]], x: Fraction | None, positive: bool) -> list[int]:
+    """The chain at the rational x as den(x)^deg p(x), or for x None its
+    leading terms' signs at +infinity (positive) or -infinity."""
+    if x is None:
+        return [p[0] if positive or len(p) % 2 else -p[0] for p in chain]
+    a, b = x.numerator, x.denominator
+    return [sum(c * a ** (len(p) - 1 - i) * b**i for i, c in enumerate(p)) for p in chain]
 
 
-def _sign_at_infinity(p: Poly, positive: bool) -> int:
-    if p.is_zero():
-        return 0
-    s = _sign(p.leading())
-    return s if positive or p.degree % 2 == 0 else -s
+def _variations(values: list[int]) -> int:
+    nz = [v for v in values if v]
+    return sum(1 for s, t in zip(nz, nz[1:]) if (s < 0) != (t < 0))
 
 
-def _variations_at_infinity(chain: list[Poly], positive: bool) -> int:
-    return _variations([_sign_at_infinity(p, positive) for p in chain])
+def _counts(coeffs, cuts: list) -> list[int]:
+    chain = _sturm_chain(coeffs)
+    values = [_values_at(chain, x if x is None else Fraction(x), i > 0) for i, x in enumerate(cuts)]
+    # roots in (a, b], less one when b itself is a root
+    counts = [_variations(lo) - _variations(hi) - (hi[0] == 0) for lo, hi in zip(values, values[1:])]
+    if min(counts) < 0:
+        raise InternalCheckError("negative Sturm count")
+    return counts
+
+
+def real_root_counts(f: Poly, cuts: list) -> list[int]:
+    """Distinct real roots of f in the open interval between each pair of
+    consecutive cuts, off one Sturm chain.  The cuts are increasing
+    rationals, with None first for -infinity and None last for +infinity."""
+    if f.is_zero():
+        raise ValueError("the zero polynomial has every point as a root")
+    return _counts(f.coeffs, cuts)
 
 
 def real_roots_in_interval(f: Poly, a, b) -> int:
@@ -69,76 +129,41 @@ def real_roots_in_interval(f: Poly, a, b) -> int:
     >>> real_roots_in_interval(Poly([1, 0, 1]), None, None)
     0
     """
-    if f.is_zero():
-        raise ValueError("the zero polynomial has every point as a root")
-    F = f.squarefree_part()
-    if F.degree < 1:
+    if a is not None and b is not None and Fraction(a) >= Fraction(b) and not f.is_zero():
         return 0
-    if a is not None and b is not None and Fraction(a) >= Fraction(b):
-        return 0
-    chain = sturm_chain(F)
-    va = _variations_at_infinity(chain, False) if a is None else _variations_at(chain, Fraction(a))
-    vb = _variations_at_infinity(chain, True) if b is None else _variations_at(chain, Fraction(b))
-    count = va - vb  # roots in (a, b]
-    if b is not None and F.eval(b) == 0:
-        count -= 1
-    if count < 0:
-        raise InternalCheckError("negative Sturm count")
-    return count
+    return real_root_counts(f, [a, b])[0]
 
 
 def real_root_count(f: Poly) -> int:
     return real_roots_in_interval(f, None, None)
 
 
-def _circle_pair_polys(F: Poly) -> tuple[Poly, Poly]:
-    """A, B with F(z) = q(z) (z^2 - x z + 1) + A(x) z + B(x)."""
-    # z^k = u_k(x) z + v_k(x) modulo z^2 - x z + 1:
+def _circle_pair_polys(F: list[int]) -> tuple[list[int], list[int]]:
+    """A, B with F(z) = q(z) (z^2 - x z + 1) + A(x) z + B(x), up to
+    positive factors."""
+    # z^k = u_k(x) z + v_k(x) modulo z^2 - x z + 1, ascending in x:
     # u_{k+1} = x u_k + v_k, v_{k+1} = -u_k
-    u, v = Poly.zero(), Poly.const(1)
-    A, B = Poly.zero(), Poly.zero()
-    x = Poly.x()
-    for c in reversed(F.coeffs):  # ascending order
-        cp = Poly.const(c)
-        A = A + cp * u
-        B = B + cp * v
-        u, v = x * u + v, -u
-    return A, B
+    n = len(F)
+    u, v, A, B = [0] * n, [1] + [0] * (n - 1), [0] * n, [0] * n
+    for c in reversed(F):  # ascending order in z
+        A = [s + c * t for s, t in zip(A, u)]
+        B = [s + c * t for s, t in zip(B, v)]
+        u, v = [v[0]] + [s + t for s, t in zip(u, v[1:])], [-t for t in u]
+    return _primitive(A[::-1]), _primitive(B[::-1])
+
+
+def _unit_circle_count(F: list[int]) -> int:
+    count = sum(_values_at([F], Fraction(x), True)[0] == 0 for x in (1, -1))
+    A, B = _circle_pair_polys(F)
+    if not A and not B:
+        raise InternalCheckError("nonzero polynomial reduced to zero remainder")
+    G = _prs(A, B)[-1]
+    return count + (2 * _counts(G, [-2, 2])[0] if len(G) > 1 else 0)
 
 
 def unit_circle_root_count(f: Poly) -> int:
     """Number of distinct roots with |z| = 1, exactly."""
-    F = f.squarefree_part()
-    if F.degree < 1:
-        return 0
-    count = int(F.eval(1) == 0) + int(F.eval(-1) == 0)
-    A, B = _circle_pair_polys(F)
-    if A.is_zero() and B.is_zero():
-        raise InternalCheckError("nonzero polynomial reduced to zero remainder")
-    if A.is_zero():
-        G = B
-    elif B.is_zero():
-        G = A
-    else:
-        G = A.gcd(B)
-    if G.degree >= 1:
-        count += 2 * real_roots_in_interval(G, -2, 2)
-    return count
-
-
-def cauchy_index(P: Poly, Q: Poly) -> int:
-    """Cauchy index of Q/P over the whole real line."""
-    if P.is_zero():
-        raise ValueError("index of a fraction with zero denominator")
-    if Q.is_zero():
-        return 0
-    chain = [P, Q]
-    while True:
-        r = chain[-2] % chain[-1]
-        if r.is_zero():
-            break
-        chain.append(-r)
-    return _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
+    return _unit_circle_count(_sturm_chain(f.coeffs)[0])
 
 
 def roots_in_unit_disk(f: Poly) -> int:
@@ -152,52 +177,32 @@ def roots_in_unit_disk(f: Poly) -> int:
     >>> roots_in_unit_disk(Poly([2, -5, 2]))    # roots 2 and 1/2
     1
     """
-    F = f.squarefree_part()
-    if F.degree < 1:
+    F = _sturm_chain(f.coeffs)[0]
+    n = len(F) - 1
+    if n < 1:
         return 0
-    on_circle = unit_circle_root_count(F)
+    on_circle = _unit_circle_count(F)
     if on_circle:
-        raise BoundaryRoot(
-            f"{on_circle} root(s) of modulus one", on_circle=on_circle
-        )
-    n = F.degree
-    # g(w) = (w+1)^n F((w-1)/(w+1)), degree preserved since F(1) != 0
-    wp = Poly([1, 1])
-    wm = Poly([1, -1])
-    g = Poly.zero()
-    up = Poly.const(1)  # (w-1)^i, built up
-    downs = [Poly.const(1)]
-    for _ in range(n):
-        downs.append(downs[-1] * wp)
-    for i, c in enumerate(reversed(F.coeffs)):  # F = sum c_i z^i
-        if c != 0:
-            g = g + (up * downs[n - i]).scale(c)
-        up = up * wm
-    if g.degree != n:
+        raise BoundaryRoot(f"{on_circle} root(s) of modulus one", on_circle=on_circle)
+    # g(w) = (w+1)^n F((w-1)/(w+1)) = sum c_i (w-1)^i (w+1)^(n-i), by
+    # Horner in (w-1) with the powers of (w+1) alongside
+    g, up = F[:1], [1]
+    for c in F[1:]:
+        up = [s + t for s, t in zip(up + [0], [0] + up)]
+        g = [s - t + c * y for s, t, y in zip(g + [0], [0] + g, up)]
+    g = _primitive(g)
+    if len(g) != n + 1:
         raise InternalCheckError("Cayley transform dropped degree")
     # g(i w) = P(w) + i Q(w)
-    p_coeffs = {}
-    q_coeffs = {}
-    for k, c in enumerate(reversed(g.coeffs)):
-        if c == 0:
-            continue
-        if k % 2 == 0:
-            p_coeffs[k] = c * (-1) ** (k // 2)
-        else:
-            q_coeffs[k] = c * (-1) ** ((k - 1) // 2)
-    P = Poly([p_coeffs.get(k, Fraction(0)) for k in range(max(p_coeffs), -1, -1)])
-    Q = (
-        Poly([q_coeffs.get(k, Fraction(0)) for k in range(max(q_coeffs), -1, -1)])
-        if q_coeffs
-        else Poly.zero()
-    )
-    index = cauchy_index(P, Q)
+    terms = [(-1) ** (k // 2) * c for k, c in enumerate(reversed(g))]
+    P = _primitive([0 if k % 2 else t for k, t in enumerate(terms)][::-1])
+    Q = _primitive([t if k % 2 else 0 for k, t in enumerate(terms)][::-1])
+    # Cauchy index of Q/P over the real line; P(0) = g(0) = F(-1) != 0
+    chain = _prs(P, Q)
+    index = _variations(_values_at(chain, None, False)) - _variations(_values_at(chain, None, True))
     # boundary correction for the atan(Q/P) limits at +-infinity
-    r = (Q.degree if not Q.is_zero() else -1) - P.degree
-    if r > 0 and r % 2 == 1:
-        s = -_sign(Q.leading() * P.leading())
-    else:
-        s = 0
+    r = len(Q) - len(P)
+    s = (-1 if Q[0] * P[0] > 0 else 1) if r > 0 and r % 2 == 1 else 0
     total = n + s + index
     if total % 2 != 0:
         raise InternalCheckError("half-plane count is not an integer")

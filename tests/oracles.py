@@ -1,11 +1,11 @@
 """Independent oracles used to fix expected values in the test suite.
 
-Everything up to the last section is implemented from first principles
-with algorithms different from the ones in the package (cofactor
-determinants instead of Bareiss, determinant divisors instead of
-elimination, rational solves instead of Hermite forms), so agreement is
-meaningful evidence.  The last section holds helpers built on package
-types that only the tests use.
+The first section is implemented from first principles with algorithms
+different from the ones in the package (cofactor determinants instead of
+Bareiss, determinant divisors instead of elimination, rational solves
+instead of Hermite forms), so agreement is meaningful evidence.  The
+sections after it hold helpers built on package types that only the
+tests use, among them the Fraction routes the package replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from solhom.engine import finite_part_homology, hk_check, k_theory
-from solhom.errors import DegenerateFix, InternalCheckError
+from solhom.errors import BoundaryRoot, DegenerateFix, InternalCheckError
 from solhom.linalg import IntMatrix, RatMatrix, snf
 from solhom.nfield import (
     FractionalIdeal,
@@ -458,14 +458,14 @@ def _ascending(p: Poly, d: int) -> tuple[Fraction, ...]:
 def poly_mod_product(field, a, b) -> tuple[Fraction, ...]:
     """a * b for power-basis coordinates a and b: the Poly product
     reduced mod the defining polynomial f."""
-    prod = Poly.from_ascending(a) * Poly.from_ascending(b)
+    prod = Poly(reversed(a)) * Poly(reversed(b))
     return _ascending(prod % field.min_poly, field.degree)
 
 
 def poly_mod_inverse(field, a) -> tuple[Fraction, ...]:
     """1/a for nonzero power-basis coordinates a: the extended Euclid of
     the coordinate polynomial against f, in Fractions."""
-    r0, r1 = field.min_poly, Poly.from_ascending(a)
+    r0, r1 = field.min_poly, Poly(reversed(a))
     s0, s1 = Poly.zero(), Poly.const(1)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
@@ -540,3 +540,173 @@ def fraction_lefschetz_traces(sys, n: int) -> list[int]:
             raise InternalCheckError("trace sum is not an integer")
         out.append(int(value))
     return out
+
+
+# ---------------------------------------------------------------------------
+# root location in Fractions: the Sturm and Cauchy chains over Q that
+# solhom.rootcount replaced by sign-preserving pseudo-remainders over Z
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def fraction_sturm_chain(f: Poly) -> list[Poly]:
+    """Negative-remainder chain starting from (f, f')."""
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return chain
+
+
+def _variations(signs: list[int]) -> int:
+    nz = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+
+
+def _variations_at(chain: list[Poly], x: Fraction) -> int:
+    return _variations([_sign(p.eval(x)) for p in chain])
+
+
+def _sign_at_infinity(p: Poly, positive: bool) -> int:
+    if p.is_zero():
+        return 0
+    s = _sign(p.coeffs[0])
+    return s if positive or p.degree % 2 == 0 else -s
+
+
+def _variations_at_infinity(chain: list[Poly], positive: bool) -> int:
+    return _variations([_sign_at_infinity(p, positive) for p in chain])
+
+
+def fraction_real_roots_in_interval(f: Poly, a, b) -> int:
+    """Distinct real roots of f in the open interval (a, b); None for an
+    infinite end."""
+    if f.is_zero():
+        raise ValueError("the zero polynomial has every point as a root")
+    F = f.squarefree_part()
+    if F.degree < 1:
+        return 0
+    if a is not None and b is not None and Fraction(a) >= Fraction(b):
+        return 0
+    chain = fraction_sturm_chain(F)
+    va = _variations_at_infinity(chain, False) if a is None else _variations_at(chain, Fraction(a))
+    vb = _variations_at_infinity(chain, True) if b is None else _variations_at(chain, Fraction(b))
+    count = va - vb  # roots in (a, b]
+    if b is not None and F.eval(b) == 0:
+        count -= 1
+    if count < 0:
+        raise InternalCheckError("negative Sturm count")
+    return count
+
+
+def fraction_real_root_count(f: Poly) -> int:
+    return fraction_real_roots_in_interval(f, None, None)
+
+
+def _circle_pair_polys(F: Poly) -> tuple[Poly, Poly]:
+    """A, B with F(z) = q(z) (z^2 - x z + 1) + A(x) z + B(x)."""
+    # z^k = u_k(x) z + v_k(x) modulo z^2 - x z + 1:
+    # u_{k+1} = x u_k + v_k, v_{k+1} = -u_k
+    u, v = Poly.zero(), Poly.const(1)
+    A, B = Poly.zero(), Poly.zero()
+    x = Poly.x()
+    for c in reversed(F.coeffs):  # ascending order
+        cp = Poly.const(c)
+        A = A + cp * u
+        B = B + cp * v
+        u, v = x * u + v, -u
+    return A, B
+
+
+def fraction_unit_circle_root_count(f: Poly) -> int:
+    """Distinct roots with |z| = 1: z = +-1 by evaluation, conjugate
+    pairs from gcd(A, B) on (-2, 2)."""
+    F = f.squarefree_part()
+    if F.degree < 1:
+        return 0
+    count = int(F.eval(1) == 0) + int(F.eval(-1) == 0)
+    A, B = _circle_pair_polys(F)
+    if A.is_zero() and B.is_zero():
+        raise InternalCheckError("nonzero polynomial reduced to zero remainder")
+    if A.is_zero():
+        G = B
+    elif B.is_zero():
+        G = A
+    else:
+        G = A.gcd(B)
+    if G.degree >= 1:
+        count += 2 * fraction_real_roots_in_interval(G, -2, 2)
+    return count
+
+
+def fraction_cauchy_index(P: Poly, Q: Poly) -> int:
+    """Cauchy index of Q/P over the whole real line."""
+    if P.is_zero():
+        raise ValueError("index of a fraction with zero denominator")
+    if Q.is_zero():
+        return 0
+    chain = [P, Q]
+    while True:
+        r = chain[-2] % chain[-1]
+        if r.is_zero():
+            break
+        chain.append(-r)
+    return _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
+
+
+def fraction_roots_in_unit_disk(f: Poly) -> int:
+    """Distinct roots with |z| < 1 from the Cayley transform and a Cauchy
+    index in Fractions; BoundaryRoot with the on-circle count."""
+    F = f.squarefree_part()
+    if F.degree < 1:
+        return 0
+    on_circle = fraction_unit_circle_root_count(F)
+    if on_circle:
+        raise BoundaryRoot(f"{on_circle} root(s) of modulus one", on_circle=on_circle)
+    n = F.degree
+    # g(w) = (w+1)^n F((w-1)/(w+1)), degree preserved since F(1) != 0
+    wp = Poly([1, 1])
+    wm = Poly([1, -1])
+    g = Poly.zero()
+    up = Poly.const(1)  # (w-1)^i, built up
+    downs = [Poly.const(1)]
+    for _ in range(n):
+        downs.append(downs[-1] * wp)
+    for i, c in enumerate(reversed(F.coeffs)):  # F = sum c_i z^i
+        if c != 0:
+            g = g + (up * downs[n - i]).scale(c)
+        up = up * wm
+    if g.degree != n:
+        raise InternalCheckError("Cayley transform dropped degree")
+    # g(i w) = P(w) + i Q(w)
+    p_coeffs = {}
+    q_coeffs = {}
+    for k, c in enumerate(reversed(g.coeffs)):
+        if c == 0:
+            continue
+        if k % 2 == 0:
+            p_coeffs[k] = c * (-1) ** (k // 2)
+        else:
+            q_coeffs[k] = c * (-1) ** ((k - 1) // 2)
+    P = Poly([p_coeffs.get(k, Fraction(0)) for k in range(max(p_coeffs), -1, -1)])
+    Q = (
+        Poly([q_coeffs.get(k, Fraction(0)) for k in range(max(q_coeffs), -1, -1)])
+        if q_coeffs
+        else Poly.zero()
+    )
+    index = fraction_cauchy_index(P, Q)
+    # boundary correction for the atan(Q/P) limits at +-infinity
+    r = (Q.degree if not Q.is_zero() else -1) - P.degree
+    if r > 0 and r % 2 == 1:
+        s = -_sign(Q.coeffs[0] * P.coeffs[0])
+    else:
+        s = 0
+    total = n + s + index
+    if total % 2 != 0:
+        raise InternalCheckError("half-plane count is not an integer")
+    inside = total // 2
+    if not 0 <= inside <= n:
+        raise InternalCheckError("half-plane count out of range")
+    return inside

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solhom import qpoly
 from solhom.errors import ParseError
 from solhom.qpoly import (
     Poly,
@@ -126,6 +127,47 @@ def test_factor_mod_p_random_reassembly():
         coeffs = [1] + [rng.randrange(p) for _ in range(deg)]
         factors = factor_mod_p(coeffs, p)
         assert _reassemble(factors, p, deg) == [c % p for c in reversed(coeffs)]
+
+
+def _irreducible_mod_2(f_asc) -> bool:
+    """No factor of degree 1 .. deg/2 over F_2, by trial division of every
+    candidate, with polynomials as bit masks."""
+    f = sum(c << i for i, c in enumerate(f_asc))
+    for g in range(2, 1 << ((len(f_asc) - 1) // 2 + 1)):
+        r = f
+        while r.bit_length() >= g.bit_length():
+            r ^= g << (r.bit_length() - g.bit_length())
+        if r == 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "factors_asc",
+    [
+        ((1, 1, 0, 1), (1, 0, 1, 1)),  # (x^3 + x + 1)(x^3 + x^2 + 1)
+        ((1, 1, 0, 0, 1), (1, 0, 0, 1, 1)),  # (x^4 + x + 1)(x^4 + x^3 + 1)
+    ],
+    ids=["two-cubics", "two-quartics"],
+)
+def test_factor_mod_2_equal_degree_split_runs_zip_pad(factors_asc, monkeypatch):
+    # both factors have the same degree, so distinct-degree factoring leaves
+    # their product to the p = 2 trace split, which adds with _zip_pad
+    calls = []
+    original = qpoly._zip_pad
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(qpoly, "_zip_pad", counted)
+    degree = sum(len(f) - 1 for f in factors_asc)
+    product = _reassemble([(f, 1) for f in factors_asc], 2, degree)
+    factors = factor_mod_p(list(reversed(product)), 2)
+    assert calls
+    assert sorted(f for f, _ in factors) == sorted(factors_asc)
+    assert _reassemble(factors, 2, degree) == product
+    assert all(m == 1 and _irreducible_mod_2(f) for f, m in factors)
 
 
 def test_frozen_factorization_mod3():

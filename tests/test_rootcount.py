@@ -2,6 +2,9 @@
 
 Expected values come from polynomials with constructed roots (the
 poly_from_roots oracle), so every count is known before the code runs.
+The integer chains are also compared with the Fraction chains they
+replaced (tests/oracles.py), and run with the Fraction Poly routes
+disabled on every benchmark answer input.
 """
 
 from __future__ import annotations
@@ -10,16 +13,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from solhom.errors import BoundaryRoot
 from solhom.qpoly import Poly, parse_poly
 from solhom.rootcount import (
     real_root_count,
+    real_root_counts,
     real_roots_in_interval,
     roots_in_unit_disk,
     unit_circle_root_count,
 )
-from oracles import poly_from_roots, roots_outside_unit_disk
+from oracles import (
+    fraction_real_root_count,
+    fraction_real_roots_in_interval,
+    fraction_roots_in_unit_disk,
+    fraction_unit_circle_root_count,
+    poly_from_roots,
+    roots_outside_unit_disk,
+)
+from record_answer_reports import answer_inputs
 
 
 def test_sturm_frozen_cubic():
@@ -136,3 +149,110 @@ def test_inside_plus_outside_plus_circle_is_squarefree_degree():
                 roots_in_unit_disk(f)
             continue
         assert roots_in_unit_disk(f) + roots_outside_unit_disk(f) == sf_deg
+
+
+def _outcome(count, f):
+    """count(f), or the on-circle count of the BoundaryRoot it raises."""
+    try:
+        return count(f)
+    except BoundaryRoot as err:
+        return ("BoundaryRoot", err.on_circle)
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+# -1, 0 and 1 are the cuts build_system reads; 2/3 and -5/2 have b > 1
+ROOTS = st.one_of(st.sampled_from([-1, 0, 1, Fraction(2, 3), Fraction(-5, 2)]), RATIONALS)
+# a +- b i; 3/5 +- 4/5 i lies on the unit circle
+PAIRS = st.one_of(
+    st.sampled_from([(Fraction(3, 5), Fraction(4, 5)), (Fraction(1, 2), Fraction(1, 2)), (0, 2)]),
+    st.tuples(RATIONALS, st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7)),
+)
+FACTORS = st.one_of(
+    ROOTS.map(lambda r: (Poly([1, -r]), r)),
+    PAIRS.map(lambda ab: (Poly([1, -2 * ab[0], ab[0] ** 2 + ab[1] ** 2]), None)),
+    st.lists(RATIONALS, min_size=2, max_size=4)
+    .filter(lambda cs: cs[0] != 0)
+    .map(lambda cs: (Poly(cs), None)),
+)
+
+
+@st.composite
+def polys_and_ends(draw):
+    """A nonzero polynomial of degree <= 8 with rational coefficients, a
+    product of factors taken once or twice (repeated roots), and two
+    interval ends, often roots of its linear factors."""
+    f, roots = Poly([draw(RATIONALS.filter(lambda c: c != 0))]), []
+    for (factor, root), times in draw(st.lists(st.tuples(FACTORS, st.integers(1, 2)), max_size=5)):
+        if f.degree + times * factor.degree <= 8:
+            for _ in range(times):
+                f = f * factor
+            roots += [] if root is None else [root]
+    ends = st.one_of(st.sampled_from(roots), RATIONALS) if roots else RATIONALS
+    return f, [draw(ends), draw(ends)]
+
+
+CIRCLE_PAIR = Poly(poly_from_roots([Fraction(2, 3)], [(Fraction(3, 5), Fraction(4, 5))]))
+REPEATED = Poly(poly_from_roots([-1, 0, 1, 1, Fraction(2, 3)], []))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_and_ends())
+@example((REPEATED, [-1, 0, 1, Fraction(2, 3)]))
+@example((CIRCLE_PAIR, [Fraction(2, 3), 1]))
+def test_real_counts_match_fraction_oracle(f_ends):
+    f, ends = f_ends
+    assert real_root_count(f) == fraction_real_root_count(f)
+    for a in [None] + ends:
+        for b in ends + [None]:
+            assert real_roots_in_interval(f, a, b) == fraction_real_roots_in_interval(f, a, b)
+    cuts = [None] + sorted(set(Fraction(x) for x in ends)) + [None]
+    expected = [fraction_real_roots_in_interval(f, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert real_root_counts(f, cuts) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_and_ends())
+@example((CIRCLE_PAIR, []))
+@example((REPEATED, []))
+def test_circle_and_disk_counts_match_fraction_oracle(f_ends):
+    f, _ = f_ends
+    assert unit_circle_root_count(f) == fraction_unit_circle_root_count(f)
+    assert _outcome(roots_in_unit_disk, f) == _outcome(fraction_roots_in_unit_disk, f)
+
+
+def test_circle_pair_with_rational_parts_is_a_boundary_root():
+    assert unit_circle_root_count(CIRCLE_PAIR) == fraction_unit_circle_root_count(CIRCLE_PAIR) == 2
+    assert _outcome(roots_in_unit_disk, CIRCLE_PAIR) == ("BoundaryRoot", 2)
+    assert _outcome(fraction_roots_in_unit_disk, CIRCLE_PAIR) == ("BoundaryRoot", 2)
+
+
+def test_answer_inputs_need_no_fraction_poly_routes(monkeypatch):
+    """Each answer input's system polynomial and its dual (the reversed
+    polynomial, the minimal polynomial of 1/c) are counted with Poly
+    division, evaluation and squarefree parts disabled, and agree with
+    the Fraction chains."""
+    polys = []
+    for _, text, _ in answer_inputs():
+        f = parse_poly(text).monic()
+        polys += [f, f.reversed_poly().monic()]
+    cuts = [None, -1, 0, 1, None]
+    counts = (
+        (roots_in_unit_disk, fraction_roots_in_unit_disk),
+        (real_root_count, fraction_real_root_count),
+        (
+            lambda f: [real_roots_in_interval(f, -1, 1), real_roots_in_interval(f, -1, 0)],
+            lambda f: [fraction_real_roots_in_interval(f, -1, 1), fraction_real_roots_in_interval(f, -1, 0)],
+        ),
+        (
+            lambda f: real_root_counts(f, cuts),
+            lambda f: [fraction_real_roots_in_interval(f, a, b) for a, b in zip(cuts, cuts[1:])],
+        ),
+    )
+    expected = [[_outcome(oracle, f) for _, oracle in counts] for f in polys]
+
+    def refuse(*_args):
+        raise AssertionError("Fraction Poly route in root counting")
+
+    for name in ("__divmod__", "eval", "squarefree_part"):
+        monkeypatch.setattr(Poly, name, refuse)
+    assert [[_outcome(count, f) for count, _ in counts] for f in polys] == expected
