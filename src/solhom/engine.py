@@ -38,12 +38,8 @@ from .limits import (
     torsion_colimit,
 )
 from .linalg import IntMatrix, RatMatrix, exterior_power_matrix
-from .nfield import NfElement, principal_generator
+from .nfield import FractionalIdeal, NfElement, principal_generator
 from .places import SolenoidSystem
-
-# Principal powers of the expanding ideal are searched up to this
-# exponent; the class number of every supported field divides it.
-MAX_PRINCIPALIZATION_EXPONENT = 12
 
 # Powers tried when splitting a transfer endomorphism off its torsion.
 MAX_SPLITTING_POWER = 24
@@ -132,23 +128,27 @@ def _block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 def principalization(sys: SolenoidSystem) -> tuple[NfElement, int]:
     """Generator g and the least exponent h with (g) equal to the h-th
-    power of the expanding ideal.  Without expanding finite places the
-    ideal is the whole ring and g = 1."""
+    power of the expanding ideal, the order of its class.  Without
+    expanding finite places the ideal is the whole ring and g = 1."""
     field = sys.field
     if not sys.finite_unstable:
         return field.one(), 1
-    for h in range(1, MAX_PRINCIPALIZATION_EXPONENT + 1):
-        ideal = None
-        for fp in sys.finite_unstable:
-            part = fp.prime.power(-h * fp.valuation)
-            ideal = part if ideal is None else ideal * part
-        gen = principal_generator(ideal)
+    ideal = FractionalIdeal.ring_of_integers(field)
+    for fp in sys.finite_unstable:
+        ideal = ideal * fp.prime.power(-fp.valuation)
+    # Degree 2: h divides the class number, at most the number of reduced
+    # forms of discriminant D, <= 2|D| (docs/principalization.md).  Degree
+    # 1 stops at h = 1.  Degree >= 3: 12 is a heuristic search limit for
+    # principal_generator's small box, not a class-number fact.
+    limit = 2 * abs(field.discriminant) if field.degree == 2 else 12
+    power = ideal
+    for h in range(1, limit + 1):
+        gen = principal_generator(power)
         if gen is not None:
             return gen, h
-    raise FlatteningFailure(
-        f"no principal power of the expanding ideal up to exponent "
-        f"{MAX_PRINCIPALIZATION_EXPONENT}"
-    )
+        power = power * ideal
+    error = InternalCheckError if field.degree == 2 else FlatteningFailure
+    raise error(f"no principal power of the expanding ideal up to exponent {limit}")
 
 
 def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
@@ -321,13 +321,6 @@ def lefschetz_traces(sys: SolenoidSystem, n: int) -> list[int]:
             raise InternalCheckError("trace sum is not an integer")
         out.append(value // den)
     return out
-
-
-def lefschetz_trace(sys: SolenoidSystem, n: int) -> int:
-    """The period-n row of lefschetz_traces."""
-    if n < 1:
-        raise ValueError("period must be positive")
-    return lefschetz_traces(sys, n)[-1]
 
 
 def positive_cone_contains(sys: SolenoidSystem, components: Mapping[int, object]) -> bool:

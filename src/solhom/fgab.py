@@ -118,11 +118,6 @@ class GroupHom:
                     if (entry * order) % target_order != 0:
                         raise ValueError("map not constant on cosets")
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        if other.codomain != self.domain:
-            raise ValueError("composition mismatch")
-        return GroupHom(other.domain, self.codomain, self.matrix @ other.matrix)
-
 
 def endomorphism(group: FgAbGroup, matrix: IntMatrix) -> GroupHom:
     return GroupHom(group, group, matrix)

@@ -621,16 +621,16 @@ def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
 def principal_generator(I: FractionalIdeal) -> NfElement | None:
     """A generator when I is principal and the search is conclusive.
 
-    Rational field: always conclusive.  Imaginary quadratic: conclusive
-    (positive definite norm form enumeration).  Real quadratic:
-    conclusive; I is principal exactly when the cycle of reduced forms of
-    its norm form N(a*u1 + b*u2)/N(I) holds a form with leading
-    coefficient +-1.  Of the generators +-g*eps^k, the one returned comes
-    first in a scan by increasing b, then positive before negative norm,
-    then increasing a, over the box |b| <= bmax that holds a
-    unit-normalized generator.  Degree >= 3: returns None unless a
-    small-box search happens to succeed.  A quadratic generator is
-    negated if needed so its first integral coordinate is positive.
+    Rational field: always conclusive.  Quadratic: conclusive from the
+    norm form N(a*u1 + b*u2)/N(I).  Imaginary: by Gauss reduction, the
+    generator with least (b, a).  Real: the cycle of reduced forms holds
+    a form with leading coefficient +-1 exactly when I is principal; of
+    the generators +-g*eps^k, the one returned comes first by increasing
+    b, then positive before negative norm, then increasing a, over the
+    box |b| <= bmax that holds a unit-normalized generator.  Degree >= 3:
+    None unless a small-box search happens to succeed.  A quadratic
+    generator is negated if needed so its first integral coordinate is
+    positive.
     """
     field = I.field
     d = field.degree
@@ -638,9 +638,8 @@ def principal_generator(I: FractionalIdeal) -> NfElement | None:
         return field.from_rational(Fraction(I.num.rows[0][0], I.den))
     target = I.norm()
     if d == 2:
-        disc = field.discriminant
-        if disc < 0:
-            found = _search_definite(I, target)
+        if field.discriminant < 0:
+            found = _search_imaginary_quadratic(I)
         else:
             found = _search_real_quadratic(I, target)
         if found is not None:
@@ -666,28 +665,45 @@ def _box(dim: int, radius: int):
     return itertools.product(range(-radius, radius + 1), repeat=dim)
 
 
-def _norm_form(I: FractionalIdeal) -> tuple[Fraction, Fraction, Fraction]:
+def _norm_form(I: FractionalIdeal) -> tuple[int, int, int]:
+    """(A, B, C) with N(a*u1 + b*u2) = N(I) (A a^2 + B ab + C b^2) for the
+    basis u1, u2 of I, checked integral of discriminant disc(K)."""
     u1, u2 = I.basis_elements()
-    alpha = u1.norm()
-    gamma = u2.norm()
-    beta = (u1 + u2).norm() - alpha - gamma
-    return alpha, beta, gamma
+    target = I.norm()
+    alpha, gamma = u1.norm(), u2.norm()
+    A, B, C = (c / target for c in (alpha, (u1 + u2).norm() - alpha - gamma, gamma))
+    if any(c.denominator != 1 for c in (A, B, C)) or B * B - 4 * A * C != I.field.discriminant:
+        raise InternalCheckError("norm form of an ideal is not integral of discriminant disc(K)")
+    return int(A), int(B), int(C)
 
 
-def _search_definite(I: FractionalIdeal, target: Fraction) -> NfElement | None:
-    alpha, beta, gamma = _norm_form(I)
+def _search_imaginary_quadratic(I: FractionalIdeal) -> NfElement | None:
+    # The norm form takes the values N(x)/N(I) >= 1 on I, and a reduced
+    # definite form has minimum A, so I is principal exactly when A = 1.
+    # A value 1 is then 4 = (2x + By)^2 + |D|y^2, so |x|, |y| <= 1.
+    (A, B, C), (v1, v2) = _reduce_definite(*_norm_form(I))
+    if A != 1:
+        return None
+    ones = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x * x + B * x * y + C * y * y == 1]
+    b, a = min((x * v1[1] + y * v2[1], x * v1[0] + y * v2[0]) for x, y in ones)
     u1, u2 = I.basis_elements()
-    # 4 alpha N = (2 alpha a + beta b)^2 + (4 alpha gamma - beta^2) b^2
-    det4 = 4 * alpha * gamma - beta * beta
-    if det4 <= 0:
-        raise InternalCheckError("norm form not definite on an imaginary field")
-    bmax = _isqrt_frac(4 * alpha * target / det4) + 1
-    for b in range(-bmax, bmax + 1):
-        for a in _solve_quadratic_int(alpha, beta * b, gamma * b * b - target):
-            x = u1.scale(a) + u2.scale(b)
-            if not x.is_zero() and abs(x.norm()) == target:
-                return x
-    return None
+    return u1.scale(a) + u2.scale(b)
+
+
+def _reduce_definite(A: int, B: int, C: int) -> tuple[tuple[int, int, int], tuple]:
+    """Gauss reduction of a positive definite form to |B| <= A <= C by
+    rho-steps (Cohen, GTM 138, 5.4), with its basis (v1, v2) in the
+    starting coordinates.  The first step leaves |B| <= A; each later
+    one lowers A.
+
+    >>> _reduce_definite(4, 5, 3)   # D = -23: not the principal form
+    ((2, -1, 3), ((-1, 1), (0, -1)))
+    """
+    v1, v2 = (1, 0), (0, 1)
+    while not abs(B) <= A <= C:
+        (A, B, C), k = _rho(A, B, C, None)
+        v1, v2 = v2, (k * v2[0] - v1[0], k * v2[1] - v1[1])
+    return (A, B, C), (v1, v2)
 
 
 def _embedding_bound(x: NfElement) -> Fraction:
@@ -721,10 +737,7 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     bmax = _ceil_frac(2 * x_bound * _embedding_bound(u1) / covol) + 1
     eta = eps * eps
     t = int(eta.trace())
-    A, B, C = (c / target for c in _norm_form(I))
-    if any(c.denominator != 1 for c in (A, B, C)) or B * B - 4 * A * C != field.discriminant:
-        raise InternalCheckError("norm form of an ideal is not integral of discriminant disc(K)")
-    A, B, C = int(A), int(B), int(C)
+    A, B, C = _norm_form(I)
     cap = _CYCLE_STEPS_PER_BIT * (t.bit_length() + abs(A).bit_length() + abs(C).bit_length())
     found = _cycle_representing_unit(A, B, C, cap)
     if found is None:
@@ -792,20 +805,25 @@ def _cycle_representing_unit(A: int, B: int, C: int, cap: int) -> tuple[int, int
             return v1
         if start is None and B <= s and 2 * abs(A) - B <= s < 2 * abs(A) + B:
             start = (A, B, C)
-        # r = -B mod 2|C|, in (-|C|, |C|] when |C| > sqrt(D), else in
-        # (sqrt(D) - 2|C|, sqrt(D)); the new basis is (v2, k*v2 - v1)
-        m = 2 * abs(C)
-        if abs(C) > s:
-            r = -B % m
-            r = r - m if r > abs(C) else r
-        else:
-            r = s - (s + B) % m
-        k = (r + B) // (2 * C)
-        A, B, C = C, r, A - B * k + C * k * k
+        (A, B, C), k = _rho(A, B, C, s)
         v1, v2 = v2, (k * v2[0] - v1[0], k * v2[1] - v1[1])
         if (A, B, C) == start:
             return None
     raise InternalCheckError(f"reduced-form cycle not closed within {cap} steps")
+
+
+def _rho(A: int, B: int, C: int, s: int | None) -> tuple[tuple[int, int, int], int]:
+    """rho: (C, r, A - B k + C k^2) and k, the basis going to (v2, k*v2 - v1);
+    r = -B mod 2|C| in (-|C|, |C|] if s is None (definite) or |C| > s =
+    isqrt(D), else in (s - 2|C|, s]."""
+    m = 2 * abs(C)
+    if s is None or abs(C) > s:
+        r = -B % m
+        r = r - m if r > abs(C) else r
+    else:
+        r = s - (s + B) % m
+    k = (r + B) // (2 * C)
+    return (C, r, A - B * k + C * k * k), k
 
 
 def _ceil_frac(q: Fraction) -> int:
@@ -817,24 +835,6 @@ def _isqrt_frac(q: Fraction) -> int:
     if q < 0:
         return 0
     return math.isqrt(q.numerator // q.denominator)
-
-
-def _solve_quadratic_int(A: Fraction, B: Fraction, C: Fraction) -> list[int]:
-    """Integer solutions a of A a^2 + B a + C = 0 (A != 0)."""
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return []
-    num = disc.numerator * disc.denominator
-    root = math.isqrt(num)
-    if root * root != num:
-        return []
-    sqrt_disc = Fraction(root, disc.denominator)
-    out = []
-    for sgn in (1, -1):
-        cand = (-B + sgn * sqrt_disc) / (2 * A)
-        if cand.denominator == 1:
-            out.append(int(cand))
-    return sorted(set(out))
 
 
 def fundamental_unit(field: NumberField) -> NfElement:

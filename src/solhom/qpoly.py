@@ -152,12 +152,6 @@ class Poly:
             raise ValueError("polynomial has non-integer coefficients")
         return tuple(int(c) for c in self.coeffs)
 
-    def reversed_poly(self) -> "Poly":
-        """x^n f(1/x); the min poly of 1/alpha up to scaling when f(0) != 0."""
-        if self.coeffs[-1] == 0:
-            raise ValueError("reversal needs a nonzero constant term")
-        return Poly(list(reversed(self.coeffs)))
-
     def pretty(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"
@@ -337,14 +331,6 @@ def parse_poly(text: str, var: str = "x") -> Poly:
             message += f"; products need '*', so write {fixed}"
         raise ParseError(message)
     return result
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a constant expression such as "3/2" or "-(1/4 + 1)"."""
-    p = parse_poly(text)
-    if p.degree > 0:
-        raise ParseError("expected a constant, found the variable")
-    return p.coeffs[0]
 
 
 # ---------------------------------------------------------------------------

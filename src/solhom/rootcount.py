@@ -134,10 +134,6 @@ def real_roots_in_interval(f: Poly, a, b) -> int:
     return real_root_counts(f, [a, b])[0]
 
 
-def real_root_count(f: Poly) -> int:
-    return real_roots_in_interval(f, None, None)
-
-
 def _circle_pair_polys(F: list[int]) -> tuple[list[int], list[int]]:
     """A, B with F(z) = q(z) (z^2 - x z + 1) + A(x) z + B(x), up to
     positive factors."""
@@ -159,11 +155,6 @@ def _unit_circle_count(F: list[int]) -> int:
         raise InternalCheckError("nonzero polynomial reduced to zero remainder")
     G = _prs(A, B)[-1]
     return count + (2 * _counts(G, [-2, 2])[0] if len(G) > 1 else 0)
-
-
-def unit_circle_root_count(f: Poly) -> int:
-    """Number of distinct roots with |z| = 1, exactly."""
-    return _unit_circle_count(_sturm_chain(f.coeffs)[0])
 
 
 def roots_in_unit_disk(f: Poly) -> int:

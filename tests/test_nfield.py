@@ -10,7 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import anti_uniformizer, box_scan_generator, product_inverse_ideal, resultant
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    anti_uniformizer,
+    box_scan_generator,
+    definite_scan_generator,
+    product_inverse_ideal,
+    resultant,
+)
 from solhom import nfield
 from solhom.errors import IndexObstruction
 from solhom.nfield import (
@@ -240,14 +249,47 @@ BOX_SCAN_FIELDS = ["x^2-x-1"] + [f"x^2-{d}" for d in range(2, 43) if d not in (4
 @pytest.mark.parametrize("text", BOX_SCAN_FIELDS)
 def test_real_quadratic_generator_is_the_box_scan_pick(text):
     K = field(text)
+    for I in prime_power_ideals(K):
+        assert nfield._search_real_quadratic(I, I.norm()) == box_scan_generator(I), I
+
+
+def prime_power_ideals(K: NumberField) -> list[FractionalIdeal]:
+    """The primes above 2, 3, 5 and 7 and their squares, then a fractional
+    ideal: the first times the last, scaled by 1/3."""
     ideals = []
     for p in (2, 3, 5, 7):
         for P in factor_rational_prime(K, p):
             ideals += [P.ideal(), P.ideal() * P.ideal()]
-    # a fractional ideal: the first times the last, scaled by 1/3
-    ideals.append(ideals[0] * ideals[-1].scale(Fraction(1, 3)))
-    for I in ideals:
-        assert nfield._search_real_quadratic(I, I.norm()) == box_scan_generator(I), I
+    return ideals + [ideals[0] * ideals[-1].scale(Fraction(1, 3))]
+
+
+# D = -3, -4, -15, -20, -23, -191, then x^2+x+k for k <= 12 (D = 1 - 4k;
+# k = 7 is Q(sqrt(-3)) again, through a non-maximal polynomial)
+DEFINITE_FIELDS = ["x^2+x+1", "x^2+1", "x^2+x+4", "x^2+5", "x^2+x+6", "x^2+x+48"] + [
+    f"x^2+x+{k}" for k in range(2, 13) if k not in (4, 6)
+]
+
+
+@pytest.mark.parametrize("text", DEFINITE_FIELDS)
+def test_imaginary_quadratic_generator_is_the_box_scan_pick(text):
+    K = field(text)
+    for I in prime_power_ideals(K):
+        assert nfield._search_imaginary_quadratic(I) == definite_scan_generator(I), I
+
+
+small = st.integers(-6, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DEFINITE_FIELDS), small, small, small, small, st.integers(1, 3))
+def test_imaginary_quadratic_generator_on_small_ideals(text, a, b, c, d, den):
+    # (x, y) with y possibly zero: principal ideals and the others
+    K = field(text)
+    x = K.element([a, b]).scale(Fraction(1, den))
+    if x.is_zero():
+        x = K.one()
+    I = FractionalIdeal.from_elements(K, [x, K.element([c, d])])
+    assert nfield._search_imaginary_quadratic(I) == definite_scan_generator(I), I
 
 
 def test_principal_generator_sqrt_1009_is_the_scan_pick():

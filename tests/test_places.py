@@ -10,11 +10,12 @@ import pytest
 
 from oracles import (
     gamma_lattice,
+    lefschetz_trace,
     rational_periodic_oracle,
     toral_periodic_points,
     valuation_periodic_count,
 )
-from solhom import engine, intfactor, nfield
+from solhom import intfactor, nfield
 from solhom.errors import (
     BoundaryRoot,
     DegenerateFix,
@@ -170,7 +171,7 @@ def test_periodic_points_never_factor(monkeypatch):
 def test_periodic_points_at_period_100():
     # an 85-digit count; factoring the norm of c^100 - 1 took minutes
     s = build_system("x^2+x+7/2")
-    assert s.periodic_points(100) == abs(engine.lefschetz_trace(s, 100))
+    assert s.periodic_points(100) == abs(lefschetz_trace(s, 100))
 
 
 def test_periodic_points_guards():

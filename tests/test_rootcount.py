@@ -17,20 +17,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from solhom.errors import BoundaryRoot
 from solhom.qpoly import Poly, parse_poly
-from solhom.rootcount import (
-    real_root_count,
-    real_root_counts,
-    real_roots_in_interval,
-    roots_in_unit_disk,
-    unit_circle_root_count,
-)
+from solhom.rootcount import real_root_counts, real_roots_in_interval, roots_in_unit_disk
 from oracles import (
     fraction_real_root_count,
     fraction_real_roots_in_interval,
     fraction_roots_in_unit_disk,
     fraction_unit_circle_root_count,
     poly_from_roots,
+    real_root_count,
+    reversed_poly,
     roots_outside_unit_disk,
+    unit_circle_root_count,
 )
 from record_answer_reports import answer_inputs
 
@@ -234,7 +231,7 @@ def test_answer_inputs_need_no_fraction_poly_routes(monkeypatch):
     polys = []
     for _, text, _ in answer_inputs():
         f = parse_poly(text).monic()
-        polys += [f, f.reversed_poly().monic()]
+        polys += [f, reversed_poly(f).monic()]
     cuts = [None, -1, 0, 1, None]
     counts = (
         (roots_in_unit_disk, fraction_roots_in_unit_disk),
