@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__, limits
 from .engine import (
     GradedGroup,
+    duality_check,
     finite_part_homology,
     groupoid_homology,
     hk_check,
@@ -179,12 +180,16 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
 
     Each side's finite part is built once: the forward one feeds
     unstable homology, K-theory, the H/K comparison and the reported
-    principalization, the dual's feeds stable homology.
+    principalization, the dual's feeds stable homology.  The two sides'
+    actions are checked against each other by Jacobi duality.
     """
     finite = finite_part_homology(sys_)
     k_groups = k_theory(sys_, finite)
     hk = hk_check(sys_, finite, k_groups)
     dual = sys_.dual_system()
+    unstable = shifted_homology(sys_, finite)
+    stable = shifted_homology(dual, finite_part_homology(dual))
+    duality_check(sys_, unstable, stable)
     g, h = finite.principalization
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -192,8 +197,8 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
         "system": sys_.describe(),
         "principalization": {"exponent": h, "generator_norm": _rat_str(g.norm())},
         "homology": {
-            "unstable": _graded_json(shifted_homology(sys_, finite)),
-            "stable": _graded_json(shifted_homology(dual, finite_part_homology(dual))),
+            "unstable": _graded_json(unstable),
+            "stable": _graded_json(stable),
         },
         "k_theory": {"K0": _k_group_json(k_groups[0]), "K1": _k_group_json(k_groups[1])},
         "hk": {

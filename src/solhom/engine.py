@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -215,6 +216,36 @@ def groupoid_homology(sys: SolenoidSystem, side: str = "unstable") -> GradedGrou
         raise ValueError(f"side must be 'stable' or 'unstable', not {side!r}")
     base = sys if side == "unstable" else sys.dual_system()
     return shifted_homology(base, finite_part_homology(base))
+
+
+def duality_check(sys: SolenoidSystem, unstable: GradedGroup, stable: GradedGroup) -> None:
+    """Jacobi's complementary-minor identity between the two sides,
+    which share one integral basis (docs/duality.md): the stable action
+    in degree -j is eps_j P_k U_j^T P_k^-1, where U_j is the unstable
+    action in degree j = k - shift, P_k sends the k-subset I to its
+    complement with sign (-1)^(sum I), and eps_j = sign N(c) for even j,
+    1 for odd j.  A mismatch raises InternalCheckError.
+    """
+    d = sys.field.degree
+    sign = 1 if sys.c.norm() > 0 else -1
+    for j, entry in unstable.entries.items():
+        k = j + sys.degree_shift
+        subsets = list(combinations(range(d), k))
+        slot = {I: i for i, I in enumerate(combinations(range(d), d - k))}
+        complement = [slot[tuple(x for x in range(d) if x not in I)] for I in subsets]
+        eps = 1 if j % 2 else sign
+        rows = entry.action.rows
+        expected = [[Fraction(0)] * len(subsets) for _ in subsets]
+        for a, I in enumerate(subsets):
+            for b, J in enumerate(subsets):
+                # entry (J^c, I^c) of the stable action
+                expected[complement[b]][complement[a]] = (
+                    eps * (-1) ** (sum(I) + sum(J)) * rows[a][b]
+                )
+        if stable.entry(-j).action != RatMatrix(expected):
+            raise InternalCheckError(
+                f"stable action in degree {-j} is not the Jacobi dual of unstable degree {j}"
+            )
 
 
 def k_theory(sys: SolenoidSystem, finite: GradedGroup) -> tuple[ColimitGroup, ColimitGroup]:

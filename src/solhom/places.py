@@ -12,6 +12,12 @@ Everything downstream keys off this module: the degree shift equals the
 number of unit-disk conjugates counted with their real dimension, the
 transfer index is the norm inflation of the contracting finite part, and
 the orientation sign counts negative real contracting conjugates.
+
+The stable side is the same solenoid run backwards.  Its system lives in
+the same field and integral basis with c' = 1/c: v_P(1/c) = -v_P(c)
+trades the finite stable and unstable places, and |1/c| < 1 exactly when
+|c| > 1 trades the archimedean ones, so nothing is factored or counted
+twice, and only build_system decides the field and the working order.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ class ArchimedeanSummary:
     contracting_real_negative: int
     contracting_complex_pairs: int
     expanding_real: int
+    expanding_real_negative: int  # real conjugates below -1
     expanding_complex_pairs: int
 
     @property
@@ -101,12 +108,29 @@ class SolenoidSystem:
         return int(count)
 
     def dual_system(self) -> "SolenoidSystem":
-        """The same solenoid run backwards, built fresh from 1/c."""
+        """The same solenoid run backwards: c' = 1/c over the same field
+        and integral basis, with the stable and unstable places traded
+        and each finite valuation negated."""
         if self._dual is None:
-            inv_poly = self.c.inverse().min_poly_over_q()
-            if inv_poly.degree != self.field.degree:
-                raise InternalCheckError("1/c does not generate the field")
-            self._dual = build_system(inv_poly)
+            arch = self.archimedean
+            swapped = ArchimedeanSummary(
+                contracting_real=arch.expanding_real,
+                contracting_real_negative=arch.expanding_real_negative,
+                contracting_complex_pairs=arch.expanding_complex_pairs,
+                expanding_real=arch.contracting_real,
+                expanding_real_negative=arch.contracting_real_negative,
+                expanding_complex_pairs=arch.contracting_complex_pairs,
+            )
+            # x^d f(1/x) / f(0), the minimal polynomial of 1/c
+            inv_poly = Poly(reversed(self.min_poly.coeffs)).monic()
+            self._dual = _assemble(
+                self.field,
+                self.c.inverse(),
+                inv_poly,
+                [FinitePlace(fp.prime, -fp.valuation) for fp in self.finite_unstable],
+                [FinitePlace(fp.prime, -fp.valuation) for fp in self.finite_stable],
+                swapped,
+            )
         return self._dual
 
     def describe(self) -> dict:
@@ -172,6 +196,7 @@ def build_system(min_poly) -> SolenoidSystem:
         contracting_real_negative=real_inside_negative,
         contracting_complex_pairs=(inside - real_inside) // 2,
         expanding_real=real_total - real_inside,
+        expanding_real_negative=below,
         expanding_complex_pairs=(f.degree - inside - (real_total - real_inside)) // 2,
     )
 
@@ -192,14 +217,26 @@ def build_system(min_poly) -> SolenoidSystem:
     stable.sort(key=lambda fp: (fp.prime.p, fp.prime.gen_poly_mod_p))
     unstable.sort(key=lambda fp: (fp.prime.p, fp.prime.gen_poly_mod_p))
 
+    return _assemble(K, c, f, stable, unstable, arch)
+
+
+def _assemble(
+    field: NumberField,
+    c: NfElement,
+    min_poly: Poly,
+    stable: list[FinitePlace],
+    unstable: list[FinitePlace],
+    arch: ArchimedeanSummary,
+) -> SolenoidSystem:
+    """The system for c from its places, with the transfer index
+    N = prod N(P)^v over the stable places checked as a lattice index."""
     N = 1
     for fp in stable:
         N *= fp.residue_norm**fp.valuation
-
     system = SolenoidSystem(
-        field=K,
+        field=field,
         c=c,
-        min_poly=f,
+        min_poly=min_poly,
         finite_stable=stable,
         finite_unstable=unstable,
         archimedean=arch,
