@@ -27,7 +27,6 @@ from .errors import (
     FlatteningFailure,
     HypothesisN1,
     InternalCheckError,
-    NonCommuting,
 )
 from .fgab import FgAbGroup, GroupHom, LocalizedForm, kunneth, localized_from_fgab
 from .intfactor import factorint
@@ -275,17 +274,12 @@ def _atom_block(atom) -> IntMatrix:
     raise InternalCheckError("torsion atom inside a free colimit comparison")
 
 
-def _homology_side_matrix(finite: GradedGroup, degrees: list[int]) -> IntMatrix:
-    """Block sum over the given degrees, using the canonical atom tower
-    where a closed form exists and the raw transfer matrix elsewhere."""
-    blocks: list[IntMatrix] = []
-    for k in degrees:
-        e = finite.entries[k]
-        if e.closed is not None:
-            blocks.extend(_atom_block(a) for a in e.closed.atoms)
-        else:
-            blocks.append(e.colimit.matrix)
-    return _block_diagonal(blocks)
+def _atom_colimit(e: DegreeEntry) -> ColimitGroup:
+    """The canonical atom tower of a degree, or its own tower where
+    there is no closed form."""
+    if e.closed is None:
+        return e.colimit
+    return ColimitGroup(_block_diagonal([_atom_block(a) for a in e.closed.atoms]))
 
 
 def hk_check(
@@ -296,26 +290,40 @@ def hk_check(
     """Compare each K-group with the direct sum of the finite part's
     homology in the same degree parity.
 
-    The K side is the block sum of the degree towers and the homology
-    side the block sum of their canonical atom towers (the tower itself
-    where there is no closed form), block for block.  So "equal"
-    re-certifies canonical_form on each degree; it is not an independent
-    check of the HK conjecture.  Falls back to isomorphism invariants
-    when the block matrices do not commute.
+    The K-group is the colimit of the block sum of the degree towers, so
+    each degree's tower is compared with its canonical atom tower (the
+    tower itself where there is no closed form), and a parity is "equal"
+    when every degree in it is.  That decides what comparing the block
+    sums decides: the colimit of a block sum is the sum of the blocks'
+    colimits, and block sums commute exactly when each pair of blocks
+    does.  A witness is padded with zeros into block-sum coordinates.
+    So "equal" re-certifies canonical_form on each degree; it is not an
+    independent check of the HK conjecture.  All commute tests run
+    first; a non-commuting degree sends its parity to isomorphism
+    invariants of the block sums.
     """
     shift = sys.degree_shift
     report: dict = {"verdicts": {}, "witnesses": {}}
     for i in (0, 1):
         degrees = [k for k in sorted(finite.entries) if (k - shift) % 2 == i]
-        hom_side = ColimitGroup(_homology_side_matrix(finite, degrees))
-        try:
-            equal, witness = equal_commuting(k_groups[i], hom_side)
-            verdict = "equal" if equal else "differ"
-            if witness is not None:
-                report["witnesses"][i] = [str(x) for x in witness]
-        except NonCommuting:
+        pairs = [(finite.entries[k].colimit, _atom_colimit(finite.entries[k])) for k in degrees]
+        if any(G.rank == H.rank and not G.matrix.commutes_with(H.matrix) for G, H in pairs):
+            hom_side = ColimitGroup(_block_diagonal([H.matrix for _, H in pairs]))
             same = k_groups[i].signature().matches(hom_side.signature())
             verdict = "invariants-agree" if same else "differ"
+        else:
+            verdict = "equal"
+            offset = 0
+            for G, H in pairs:
+                equal, witness = equal_commuting(G, H)
+                if not equal:
+                    verdict = "differ"
+                    if witness is not None:
+                        tail = k_groups[i].rank - offset - G.rank
+                        padded = (0,) * offset + witness + (0,) * tail
+                        report["witnesses"][i] = [str(x) for x in padded]
+                    break
+                offset += G.rank
         report["verdicts"][i] = verdict
 
     total = sum(e.rank for e in finite.entries.values())

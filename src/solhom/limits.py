@@ -71,14 +71,26 @@ class ColimitGroup:
         """The primes dividing the tower determinant, factored once."""
         return tuple(factorint(self.det))
 
-    def membership_stage(self, vec: Sequence) -> int | None:
-        """Least n with T^n vec integral, or None when vec is not in the
-        group.  Scans past the proven bound as a self-check; a witness in
-        the overscan region means the bound argument failed."""
-        v = [Fraction(c) for c in vec]
-        if len(v) != self.rank:
+    def membership_stage(self, vec: Sequence, den: int = 1) -> int | None:
+        """Least n with T^n (vec / den) integral, or None when vec / den is
+        not in the group.  Runs on the integer numerators against one
+        denominator (rational entries are cleared to a common one first),
+        cancelling their gcd after each step.  Scans past the proven bound
+        as a self-check; a witness in the overscan region means the bound
+        argument failed."""
+        if len(vec) != self.rank:
             raise ValueError("vector length does not match the rank")
-        den = math.lcm(*(c.denominator for c in v)) if v else 1
+        num = list(vec)
+        if not all(type(c) is int for c in num):
+            q = [Fraction(c) for c in num]
+            m = math.lcm(*(c.denominator for c in q))
+            num = [c.numerator * (m // c.denominator) for c in q]
+            den *= m
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = math.gcd(den, *num)
+        if g > 1:
+            num, den = [c // g for c in num], den // g
         if den == 1:
             return 0
         # Omega(den) over the determinant's primes; any other prime in
@@ -95,15 +107,17 @@ class ColimitGroup:
         # group of order den**r and grows strictly until the witness.
         bound = self.rank * omega
         cap = MEMBERSHIP_CAP_FACTOR * bound
-        current = v
         for n in range(cap + 1):
-            if all(c.denominator == 1 for c in current):
+            if den == 1:
                 if n > bound:
                     raise CapExceeded(
                         f"membership witness at stage {n} beyond proven bound {bound}"
                     )
                 return n
-            current = list(self.matrix.apply(current))
+            num = self.matrix.apply(num)
+            g = math.gcd(den, *num)
+            if g > 1:
+                num, den = [c // g for c in num], den // g
         return None
 
     def contains(self, vec: Sequence) -> bool:
@@ -142,23 +156,25 @@ def equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | Non
     """Decide G == H as subgroups of Q^r when the tower matrices commute.
 
     Returns (True, None) or (False, witness) where the witness vector
-    lies in exactly one of the two groups.  Raises NonCommuting when the
-    matrices do not commute, since the reduction to finitely many
-    membership tests is only proven in the commuting case.
+    (of Fractions) lies in exactly one of the two groups.  Raises
+    NonCommuting when the matrices do not commute, since the reduction
+    to finitely many membership tests is only proven in the commuting
+    case.  The columns of T^(-1) are tested as integer columns of
+    IntMatrix.inverse_pair against its one denominator.
     """
     if G.rank != H.rank:
         return False, None
     if G.rank == 0:
         return True, None
-    A, B = G.matrix, H.matrix
-    if A @ B != B @ A:
+    if not G.matrix.commutes_with(H.matrix):
         raise NonCommuting("tower matrices do not commute; only invariants can be compared")
-    for M, target in ((A, H), (B, G)):
-        inv = M.to_rat().inverse()
-        for j in range(M.ncols):
-            col = inv.column(j)
-            if not target.contains(col):
-                return False, col
+    for source, target in ((G, H), (H, G)):
+        inv, d = source.matrix.inverse_pair()
+        if abs(d) != abs(source.det):
+            raise InternalCheckError("fraction-free inverse disagrees with the determinant")
+        for col in inv.columns():
+            if target.membership_stage(col, d) is None:
+                return False, tuple(Fraction(c, d) for c in col)
     return True, None
 
 

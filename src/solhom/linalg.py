@@ -5,8 +5,10 @@ RatMatrix holds Fractions; both are arbitrary precision.  All normal forms
 are computed fraction-free or with exact rationals, never with floats.
 Determinants, exterior powers and characteristic polynomials run over Z
 (Bareiss, Faddeev-LeVerrier with exact division; a rational matrix is
-cleared to M / m first).  RatMatrix remains for rational inverses and
-solves (integral bases, lattice solves) and for the reported actions.
+cleared to M / m first), and so does the inverse that colimit membership
+needs: ``inverse_pair`` gives T^(-1) as an integer matrix over one
+denominator.  RatMatrix no longer serves membership; it remains for
+rational solves (integral bases, lattice solves) and the reported actions.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -39,16 +41,18 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rs = tuple(tuple(entry for entry in row) for row in rows)
+        rs = tuple(map(tuple, rows))
         if not rs or not rs[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(rs[0])
         for row in rs:
             if len(row) != width:
                 raise ValueError("ragged rows")
-            for entry in row:
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise TypeError(f"IntMatrix entry {entry!r} is not an int")
+            if not all(type(entry) is int for entry in row):
+                # slow path: int subclasses other than bool are accepted
+                for entry in row:
+                    if not isinstance(entry, int) or isinstance(entry, bool):
+                        raise TypeError(f"IntMatrix entry {entry!r} is not an int")
         object.__setattr__(self, "rows", rs)
 
     def __setattr__(self, name, value):
@@ -135,6 +139,34 @@ class IntMatrix:
             raise ValueError("determinant of a non-square matrix")
         return _bareiss_det([list(row) for row in self.rows])
 
+    def inverse_pair(self) -> tuple["IntMatrix", int]:
+        """(B, d) with self^(-1) = B / d and d = +-det, the adjugate up to
+        sign, by one fraction-free (Bareiss) Gauss-Jordan elimination of
+        [self | I]: every division is exact, the left half ends as d * I
+        and the right half as d * self^(-1).  Column k of the left half is
+        zero off the pivot once step k is done, so it is dropped."""
+        n = self.nrows
+        if n != self.ncols:
+            raise ValueError("inverse of a non-square matrix")
+        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
+        prev = 1
+        for k in range(n):
+            p = next((i for i in range(k, n) if a[i][0]), None)
+            if p is None:
+                raise ZeroDivisionError("matrix is singular")
+            a[k], a[p] = a[p], a[k]
+            pivot_row = a[k]
+            pivot = pivot_row[0]
+            tail = pivot_row[1:]
+            for i in range(n):
+                if i != k:
+                    row = a[i]
+                    lead = row[0]
+                    a[i] = [(x * pivot - lead * y) // prev for x, y in zip(row[1:], tail)]
+            a[k] = tail
+            prev = pivot
+        return IntMatrix(a), prev
+
     def to_rat(self) -> "RatMatrix":
         return RatMatrix([[Fraction(a) for a in row] for row in self.rows])
 
@@ -147,6 +179,20 @@ class IntMatrix:
     def is_diagonal(self) -> bool:
         return all(
             a == 0 for i, row in enumerate(self.rows) for j, a in enumerate(row) if i != j
+        )
+
+    def commutes_with(self, other: "IntMatrix") -> bool:
+        """self @ other == other @ self for square matrices of one size;
+        entrywise when either is diagonal: A D == D A exactly when
+        a_ij (d_j - d_i) == 0 for all i, j."""
+        A, D = (other, self) if self.is_diagonal() else (self, other)
+        if A is D:
+            return True
+        if not D.is_diagonal():
+            return A @ D == D @ A
+        d = [D.rows[i][i] for i in range(D.nrows)]
+        return all(
+            a == 0 or d[i] == d[j] for i, row in enumerate(A.rows) for j, a in enumerate(row)
         )
 
 

@@ -27,6 +27,7 @@ time (docs/ideal-arithmetic.md).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -168,6 +169,13 @@ class NumberField:
         if self.degree == 1:
             return self.gen()
         return NfElement(self, [int(i == 1) for i in range(self.degree)])
+
+    @functools.cached_property
+    def unit_coords(self) -> tuple[tuple[int, ...], int]:
+        """(num, den) of fundamental_unit(self), computed once.  The field
+        keeps coordinates: the element would refer back to it in a cycle."""
+        unit = fundamental_unit(self)
+        return unit.num, unit.den
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -728,7 +736,7 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     # |det| = sqrt(disc) * N(I).  The answer is the generator with
     # |b| <= bmax and least key (b, 0 if N(x) > 0 else 1, a).
     field = I.field
-    eps = fundamental_unit(field)
+    eps = NfElement(field, *field.unit_coords)
     u1, u2 = I.basis_elements()
     x_bound = _isqrt_frac(target * (_embedding_bound(eps) + 1)) + 1
     covol = _isqrt_frac(Fraction(field.discriminant)) * target

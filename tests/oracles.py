@@ -14,9 +14,24 @@ import itertools
 import math
 from fractions import Fraction
 
-from solhom.engine import finite_part_homology, hk_check, k_theory, lefschetz_traces
-from solhom.errors import BoundaryRoot, DegenerateFix, InternalCheckError, ParseError
+from solhom.engine import (
+    _atom_block,
+    _block_diagonal,
+    finite_part_homology,
+    hk_check,
+    k_theory,
+    lefschetz_traces,
+)
+from solhom.errors import (
+    BoundaryRoot,
+    CapExceeded,
+    DegenerateFix,
+    InternalCheckError,
+    NonCommuting,
+    ParseError,
+)
 from solhom.fgab import GroupHom
+from solhom.limits import MEMBERSHIP_CAP_FACTOR, ColimitGroup
 from solhom.linalg import IntMatrix, RatMatrix, snf
 from solhom.nfield import (
     FractionalIdeal,
@@ -817,3 +832,91 @@ def fraction_roots_in_unit_disk(f: Poly) -> int:
     if not 0 <= inside <= n:
         raise InternalCheckError("half-plane count out of range")
     return inside
+
+
+# ---------------------------------------------------------------------------
+# colimit comparison in Fractions: the RatMatrix.inverse route and the
+# block-sum H/K check that solhom.limits and solhom.engine replaced by the
+# integer adjugate and the per-degree comparison
+
+
+def fraction_membership_stage(G: ColimitGroup, vec) -> int | None:
+    """ColimitGroup.membership_stage on Fraction vectors, applying T
+    through IntMatrix.apply, with the same bound and overscan cap."""
+    v = [Fraction(c) for c in vec]
+    if len(v) != G.rank:
+        raise ValueError("vector length does not match the rank")
+    den = math.lcm(*(c.denominator for c in v)) if v else 1
+    if den == 1:
+        return 0
+    omega = 0
+    rest = den
+    for p in G.det_primes:
+        while rest % p == 0:
+            rest //= p
+            omega += 1
+    if rest != 1:
+        return None
+    bound = G.rank * omega
+    cap = MEMBERSHIP_CAP_FACTOR * bound
+    current = v
+    for n in range(cap + 1):
+        if all(c.denominator == 1 for c in current):
+            if n > bound:
+                raise CapExceeded(f"membership witness at stage {n} beyond proven bound {bound}")
+            return n
+        current = list(G.matrix.apply(current))
+    return None
+
+
+def fraction_equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | None]:
+    """equal_commuting with the columns of T^(-1) from RatMatrix.inverse."""
+    if G.rank != H.rank:
+        return False, None
+    if G.rank == 0:
+        return True, None
+    A, B = G.matrix, H.matrix
+    if A @ B != B @ A:
+        raise NonCommuting("tower matrices do not commute; only invariants can be compared")
+    for M, target in ((A, H), (B, G)):
+        inv = M.to_rat().inverse()
+        for j in range(M.ncols):
+            col = inv.column(j)
+            if fraction_membership_stage(target, col) is None:
+                return False, col
+    return True, None
+
+
+def block_sum_hk_check(sys, finite, k_groups) -> dict:
+    """hk_check on block sums: each K-group against the block sum of its
+    parity's atom towers (the tower itself without a closed form), by
+    fraction_equal_commuting, with the invariant fallback on
+    NonCommuting."""
+    shift = sys.degree_shift
+    report: dict = {"verdicts": {}, "witnesses": {}}
+    for i in (0, 1):
+        blocks: list[IntMatrix] = []
+        for k in sorted(finite.entries):
+            if (k - shift) % 2 != i:
+                continue
+            e = finite.entries[k]
+            if e.closed is not None:
+                blocks.extend(_atom_block(a) for a in e.closed.atoms)
+            else:
+                blocks.append(e.colimit.matrix)
+        hom_side = ColimitGroup(_block_diagonal(blocks))
+        try:
+            equal, witness = fraction_equal_commuting(k_groups[i], hom_side)
+            verdict = "equal" if equal else "differ"
+            if witness is not None:
+                report["witnesses"][i] = [str(x) for x in witness]
+        except NonCommuting:
+            same = k_groups[i].signature().matches(hom_side.signature())
+            verdict = "invariants-agree" if same else "differ"
+        report["verdicts"][i] = verdict
+    total = sum(e.rank for e in finite.entries.values())
+    rank_identity = k_groups[0].rank + k_groups[1].rank == total == 2 ** sys.field.degree
+    report["rank_identity"] = rank_identity
+    if not rank_identity:
+        raise InternalCheckError("K-group ranks do not add up to the homology total")
+    return report

@@ -10,6 +10,8 @@ each input, tower and action matrices included, byte for byte apart
 from `timing_seconds`, with exit code and stderr.  A change that alters
 a report on purpose (a new basis, say) re-records it with
 tests/record_answer_reports.py and says why.
+tests/data/high_degree_reports.json pins `x^5-x-1` … `x^8-x-1` the
+same way, since the benchmark inputs stop at degree 4.
 """
 
 import contextlib
@@ -18,7 +20,13 @@ import io
 import json
 from pathlib import Path
 
-from record_answer_reports import DATA, answer_inputs, run_analyze
+from record_answer_reports import (
+    DATA,
+    HIGH_DEGREE_DATA,
+    answer_inputs,
+    high_degree_inputs,
+    run_analyze,
+)
 from solhom import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,6 +60,14 @@ def test_every_answer_input_matches_its_record(monkeypatch):
 def test_every_answer_report_is_byte_identical_to_its_recording():
     recorded = json.loads(DATA.read_text())
     inputs = answer_inputs()
+    assert sorted(key for key, _, _ in inputs) == sorted(recorded)
+    changed = [key for key, poly, n in inputs if run_analyze(poly, n) != recorded[key]]
+    assert changed == []
+
+
+def test_high_degree_reports_are_byte_identical_to_their_recording():
+    recorded = json.loads(HIGH_DEGREE_DATA.read_text())
+    inputs = high_degree_inputs()
     assert sorted(key for key, _, _ in inputs) == sorted(recorded)
     changed = [key for key, poly, n in inputs if run_analyze(poly, n) != recorded[key]]
     assert changed == []

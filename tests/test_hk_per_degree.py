@@ -1,0 +1,264 @@
+"""The per-degree integer H/K comparison against the block-sum Fraction one.
+
+engine.hk_check compares each degree's tower with that degree's atom
+tower, and limits.equal_commuting tests the columns of T^(-1) as integer
+columns of one fraction-free adjugate.  tests/oracles.py keeps the
+routes they replaced: block_sum_hk_check (one block-diagonal matrix per
+parity) and fraction_equal_commuting (RatMatrix.inverse and Fraction
+membership).  Verdicts, equal_commuting witnesses and stages must
+agree, and an hk_check witness must separate the two block sums.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    block_sum_hk_check,
+    fraction_equal_commuting,
+    fraction_membership_stage,
+    hk_report,
+)
+from solhom import engine
+from solhom.engine import DegreeEntry, GradedGroup, _block_diagonal, hk_check, k_theory
+from solhom.errors import CapExceeded
+from solhom.fgab import LocalizedForm
+from solhom.limits import ColimitGroup, canonical_form, equal_commuting
+from solhom.linalg import IntMatrix
+from solhom.places import build_system
+
+# ---------------------------------------------------------------------------
+# graded towers
+
+
+def _entry(matrix: IntMatrix, closed: LocalizedForm | None) -> DegreeEntry:
+    return DegreeEntry(ColimitGroup(matrix), closed, None, "test")
+
+
+def _canonical(matrix: IntMatrix) -> DegreeEntry:
+    G = ColimitGroup(matrix)
+    return DegreeEntry(G, canonical_form(G), None, "test")
+
+
+nonzero = st.integers(-12, 12).filter(bool)
+
+
+@st.composite
+def rank_one(draw):
+    return _canonical(IntMatrix([[draw(nonzero)]]))
+
+
+@st.composite
+def unimodular(draw):
+    n = draw(st.integers(2, 3))
+    M = IntMatrix.identity(n)
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        E = [[int(a == b) for b in range(n)] for a in range(n)]
+        E[i][j] = draw(st.integers(-3, 3))
+        M = M @ IntMatrix(E)
+    if draw(st.booleans()):
+        M = M @ IntMatrix([[-1 if a == b == 0 else int(a == b) for b in range(n)] for a in range(n)])
+    return _canonical(M)
+
+
+@st.composite
+def diagonal(draw):
+    n = draw(st.integers(2, 3))
+    d = [draw(nonzero) for _ in range(n)]
+    return _canonical(IntMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+
+
+@st.composite
+def no_closed_form(draw):
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=2))
+    M = IntMatrix(rows)
+    if M.det() == 0 or abs(M.det()) == 1 or M.is_diagonal():
+        M = IntMatrix([[2, 10], [-2, 2]])
+    return _entry(M, None)
+
+
+@st.composite
+def differing(draw):
+    """A rank-one tower whose closed form inverts one prime too many."""
+    m = draw(nonzero)
+    q = draw(st.sampled_from([p for p in (5, 7, 11, 13) if m % p]))
+    return _entry(IntMatrix([[m]]), LocalizedForm.localized(abs(m) * q))
+
+
+@st.composite
+def non_commuting(draw):
+    """An upper-triangular tower given the closed form of its diagonal:
+    the atom tower has unequal diagonal entries, so the two do not
+    commute."""
+    a, b = draw(st.sampled_from([(2, 1), (3, 1), (2, 3), (5, 2)]))
+    M = IntMatrix([[a, draw(st.integers(1, 3))], [0, b]])
+    return _entry(M, LocalizedForm.localized(a) + LocalizedForm.localized(b))
+
+
+degree = st.one_of(
+    rank_one(), unimodular(), diagonal(), no_closed_form(), differing(), non_commuting()
+)
+
+
+def _graded(entries: list[DegreeEntry], shift: int):
+    """(fake system, finite part) over degrees 0, 1, ...; a free degree is
+    appended so the ranks add up to a power of two."""
+    total = sum(e.colimit.rank for e in entries)
+    size = 1
+    while size < total:
+        size *= 2
+    if size > total:
+        entries = entries + [_canonical(IntMatrix.identity(size - total))]
+    sys = SimpleNamespace(degree_shift=shift, field=SimpleNamespace(degree=size.bit_length() - 1))
+    return sys, GradedGroup(dict(enumerate(entries)))
+
+
+def _check_against_oracle(entries: list[DegreeEntry], shift: int) -> dict:
+    sys, finite = _graded(entries, shift)
+    k_groups = k_theory(sys, finite)
+    got = hk_check(sys, finite, k_groups)
+    want = block_sum_hk_check(sys, finite, k_groups)
+    assert got["verdicts"] == want["verdicts"]
+    assert got["rank_identity"] == want["rank_identity"]
+    assert got["witnesses"].keys() == want["witnesses"].keys()
+    for i, witness in got["witnesses"].items():
+        # a zero-padded witness lies in exactly one of the two block sums
+        vec = [Fraction(x) for x in witness]
+        degrees = [k for k in sorted(finite.entries) if (k - shift) % 2 == i]
+        atoms = [engine._atom_colimit(finite.entries[k]).matrix for k in degrees]
+        hom_side = ColimitGroup(_block_diagonal(atoms))
+        in_k = fraction_membership_stage(k_groups[i], vec) is not None
+        in_hom = fraction_membership_stage(hom_side, vec) is not None
+        assert in_k != in_hom
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(degree, min_size=2, max_size=5), st.integers(0, 1))
+def test_per_degree_verdicts_match_the_block_sum_oracle(entries, shift):
+    _check_against_oracle(entries, shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(differing(), st.lists(degree, max_size=2), non_commuting(), st.integers(0, 1))
+def test_non_commuting_degree_after_a_differing_one(first, middle, last, shift):
+    # the differing and the non-commuting degree share a parity, so the
+    # commute test must run before the first membership test
+    filler = [_canonical(IntMatrix([[1]]))] if len(middle) % 2 == 0 else []
+    entries = [first] + middle + filler + [last]
+    got = _check_against_oracle(entries, shift)
+    parity = (0 - shift) % 2
+    assert got["verdicts"][parity] in ("invariants-agree", "differ")
+    assert parity not in got["witnesses"]
+
+
+def test_differing_degree_reports_a_padded_witness():
+    entries = [
+        _canonical(IntMatrix([[2, 1], [1, 1]])),
+        _canonical(IntMatrix([[3]])),
+        _entry(IntMatrix([[2]]), LocalizedForm.localized(6)),
+        _canonical(IntMatrix([[1]])),
+    ]
+    got = _check_against_oracle(entries, 0)
+    assert got["verdicts"] == {0: "differ", 1: "equal"}
+    # 1/2 lies in Z[1/6]; 1/6 does not lie in Z[1/2].  The free Z^3 that
+    # makes the ranks add up to 8 is degree 4, also even.
+    assert got["witnesses"] == {0: ["0", "0", "1/6", "0", "0", "0"]}
+
+
+def test_wrong_canonical_form_is_caught(monkeypatch):
+    """hk_check is live: a closed form with a changed radical reads as differ."""
+
+    def wrong(G):
+        atoms = [("inv", m * 5) if kind == "inv" else (kind, m) for kind, m in canonical_form(G).atoms]
+        return LocalizedForm(atoms)
+
+    assert hk_report(build_system("x-3/2"))["verdicts"] == {0: "equal", 1: "equal"}
+    monkeypatch.setattr(engine, "canonical_form", wrong)
+    report = hk_report(build_system("x-3/2"))
+    assert set(report["verdicts"].values()) == {"differ"}
+    assert report["witnesses"]
+
+
+# ---------------------------------------------------------------------------
+# equal_commuting and membership against the Fraction route
+
+
+def _poly_in(M: IntMatrix, coeffs: list[int]) -> IntMatrix:
+    out = IntMatrix.identity(M.nrows).scale(0)
+    power = IntMatrix.identity(M.nrows)
+    for c in coeffs:
+        out = out + power.scale(c)
+        power = power @ M
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+)
+def test_equal_commuting_matches_the_fraction_route(rows, p, q):
+    M = IntMatrix(rows)
+    A, B = _poly_in(M, p), _poly_in(M, q)
+    if A.det() == 0 or B.det() == 0:
+        return
+    G, H = ColimitGroup(A), ColimitGroup(B)
+    assert equal_commuting(G, H) == fraction_equal_commuting(G, H)
+
+
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        ([[1, 1], [1, -1]], [[2, 0], [0, 2]], True),  # det -2; A^2 = 2I
+        ([[0, 1], [1, 1]], [[1, 1], [1, 2]], True),  # det -1 against its square
+        ([[-3]], [[6]], False),
+        ([[-2, 1], [1, -2]], [[2, -1], [-1, 2]], True),
+    ],
+)
+def test_negative_determinants(a, b, equal):
+    G, H = ColimitGroup(IntMatrix(a)), ColimitGroup(IntMatrix(b))
+    got = equal_commuting(G, H)
+    assert got == fraction_equal_commuting(G, H)
+    assert got[0] is equal
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+        )
+    ),
+    st.sampled_from([1, -1, 2, -4, 6, 9, -12, 35, 64]),
+)
+def test_membership_stage_matches_the_fraction_route(case, den):
+    rows, num = case
+    M = IntMatrix(rows)
+    if M.det() == 0:
+        return
+    G = ColimitGroup(M)
+    want = fraction_membership_stage(G, [Fraction(x, den) for x in num])
+    assert G.membership_stage(num, den) == want
+    assert G.membership_stage([Fraction(x, den) for x in num]) == want
+
+
+def test_membership_stage_numbers_and_overscan():
+    G = ColimitGroup(IntMatrix([[2]]))
+    assert G.membership_stage([1], 8) == G.membership_stage([-1], -8) == 3
+    assert G.membership_stage([6], 8) == 2
+    assert G.membership_stage([1], 3) is None
+    # a wrong factorization of the determinant shrinks the proven bound
+    # (Omega(4) reads as 1): the witness at stage 2 lies in the overscan
+    for stage in (G.membership_stage, lambda v: fraction_membership_stage(G, v)):
+        G.__dict__["det_primes"] = (4,)
+        with pytest.raises(CapExceeded):
+            stage([Fraction(1, 4)])

@@ -261,3 +261,72 @@ def test_det_multiplicative(rows_a, rows_b):
         return
     A, B = IntMatrix(rows_a), IntMatrix(rows_b)
     assert (A @ B).det() == A.det() * B.det()
+
+
+class Flag(int):
+    """A non-bool int subclass, which IntMatrix accepts."""
+
+
+@pytest.mark.parametrize("bad", [True, False, Fraction(1, 2), Fraction(2), 1.0, "1", None])
+def test_int_matrix_rejects_non_int_entries(bad):
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2], [3, bad]])
+    with pytest.raises(TypeError):
+        IntMatrix([[bad]])
+
+
+def test_int_matrix_accepts_int_subclasses_and_iterables():
+    M = IntMatrix([[Flag(2), 0], (x for x in (1, 3))])
+    assert M.rows == ((2, 0), (1, 3)) and M.det() == 6
+    assert IntMatrix(iter([range(2), range(1, 3)])).rows == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[], []], [[1, 2], [3]], [[1], [2, 3]], [[1], []]])
+def test_int_matrix_rejects_empty_or_ragged_rows(rows):
+    with pytest.raises(ValueError):
+        IntMatrix(rows)
+
+
+def test_ragged_rows_are_reported_before_bad_entries():
+    # rows are checked in order, each for length before its entries
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [1.5]])
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2.5], [1]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_inverse_pair_is_the_inverse_over_one_denominator(rows):
+    M = IntMatrix(rows)
+    det = M.det()
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            M.inverse_pair()
+        return
+    B, d = M.inverse_pair()
+    assert abs(d) == abs(det)
+    assert M @ B == IntMatrix.identity(M.nrows).scale(d) == B @ M
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.one_of(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+                    lambda d: [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+                ),
+                st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+            ),
+        )
+    )
+)
+def test_commutes_with_matches_the_products(pair):
+    A, B = IntMatrix(pair[0]), IntMatrix(pair[1])
+    assert A.commutes_with(B) == (A @ B == B @ A) == B.commutes_with(A)

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from oracles import reduced_form_count
-from solhom import cli
+from solhom import cli, nfield
 from solhom.intfactor import factorint
+from solhom.places import build_system
 
 
 def test_class_numbers_from_reduced_forms():
@@ -71,3 +72,21 @@ def test_forward_rank_one_degrees_match_the_derivation(tmp_path):
     unstable = report["homology"]["unstable"]
     assert unstable["0"]["group"] == f"Z[1/{radical(N)}]" == "Z[1/6]"
     assert unstable["2"]["group"] == f"Z[1/{radical(N * norm_g // norm_c)}]" == "Z[1/2]"
+
+
+def test_fundamental_unit_is_computed_once_per_report(monkeypatch):
+    # principalization tries each exponent on both sides, and the dual
+    # shares the forward field: Q(sqrt(30)) used to run the continued
+    # fraction 4 times for x^2-10/3
+    calls = []
+
+    def counted(field):
+        calls.append(field)
+        return fundamental_unit(field)
+
+    fundamental_unit = nfield.fundamental_unit
+    monkeypatch.setattr(nfield, "fundamental_unit", counted)
+    sys_ = build_system("x^2-10/3")
+    report = cli.build_report(sys_, 6)
+    assert report["principalization"]["exponent"] == 2
+    assert calls == [sys_.field]
