@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -43,8 +44,8 @@ from .fgab import FgAbGroup, endomorphism
 from .limits import canonical_form
 from .linalg import IntMatrix
 from .nfield import NumberField
-from .places import SolenoidSystem, build_system
-from .qpoly import clear_to_monic_integer, parse_poly
+from .places import SolenoidSystem, build_system, monic_min_poly
+from .qpoly import Poly, clear_to_monic_integer, parse_poly
 
 SCHEMA_VERSION = 1
 
@@ -86,18 +87,10 @@ def fixture_graded(name: str) -> GradedGroup:
         z = FgAbGroup(1, ())
         return transfer_colimit([z], [endomorphism(z, IntMatrix([[1]]))])
     if name.startswith("solenoid:"):
-        ratio = Fraction(name.split(":", 1)[1])
-        return groupoid_homology(_rational_system(ratio))
+        return groupoid_homology(build_system(Fraction(name.split(":", 1)[1])))
     if name in FIXTURE_POLYS:
         return groupoid_homology(build_system(FIXTURE_POLYS[name]))
     raise ParseError(f"unknown fixture {name!r}; see the fixtures command")
-
-
-def _rational_system(ratio: Fraction) -> SolenoidSystem:
-    if ratio == 0:
-        raise ZeroInput("c must be nonzero")
-    sign = "-" if ratio > 0 else "+"
-    return build_system(f"x{sign}{abs(ratio)}")
 
 
 def fixture_detail(name: str) -> dict:
@@ -116,7 +109,7 @@ def fixture_detail(name: str) -> dict:
     if name == "point":
         return {"kind": "transfer data", "degrees": [{"group": "Z", "transfer": [[1]]}]}
     if name.startswith("solenoid:"):
-        return {"kind": "system", **_rational_system(Fraction(name.split(":", 1)[1])).describe()}
+        return {"kind": "system", **build_system(Fraction(name.split(":", 1)[1])).describe()}
     if name in FIXTURE_POLYS:
         return {"kind": "system", **build_system(FIXTURE_POLYS[name]).describe()}
     raise ParseError(f"unknown fixture {name!r}; see the fixtures command")
@@ -318,7 +311,9 @@ def _cache_write(key: str, report: dict) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _system_from_args(args) -> SolenoidSystem:
+def _min_poly_from_args(args) -> Poly:
+    """The monic minimal polynomial of c, which fixes the system and so
+    the cache key, read from the arguments without building the system."""
     if (args.c is None) == (args.min_poly is None):
         raise ParseError("provide exactly one of --c or --min-poly")
     if args.element is not None and args.min_poly is None:
@@ -328,10 +323,10 @@ def _system_from_args(args) -> SolenoidSystem:
             ratio = Fraction(args.c)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot read {args.c!r} as a rational") from exc
-        return _rational_system(ratio)
-    poly = parse_poly(args.min_poly)
+        return monic_min_poly(ratio)
     if args.element is None:
-        return build_system(poly)
+        return monic_min_poly(args.min_poly)
+    poly = parse_poly(args.min_poly)
     if poly.degree < 1:
         raise ParseError("the minimal polynomial must be nonconstant")
     monic_int, scale = clear_to_monic_integer(poly.monic())
@@ -340,21 +335,24 @@ def _system_from_args(args) -> SolenoidSystem:
     value = field.evaluate(parse_poly(args.element), root)
     if value.is_zero():
         raise ZeroInput("the element evaluates to zero")
-    return build_system(value.min_poly_over_q())
+    return monic_min_poly(value.min_poly_over_q())
 
 
 def cmd_analyze(args) -> int:
+    """Look the report up first; only a miss builds the system.  Entries
+    are written after a successful report, so a refused input never hits
+    and is refused by build_system on every call."""
     start = time.perf_counter()
-    sys_ = _system_from_args(args)
+    min_poly = _min_poly_from_args(args)
     report = None
     cache_state = "miss"
     if not args.no_cache:
-        key = _cache_key(sys_.min_poly.pretty(), args.lefschetz, args.cap_multiplier)
+        key = _cache_key(min_poly.pretty(), args.lefschetz, args.cap_multiplier)
         report = _cache_read(key)
         if report is not None:
             cache_state = "hit"
     if report is None:
-        report = build_report(sys_, args.lefschetz)
+        report = build_report(build_system(min_poly), args.lefschetz)
         if not args.no_cache:
             _cache_write(key, report)
     report = dict(report)
@@ -431,6 +429,7 @@ def cmd_selftest(_args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache  # once per process: building it costs about what a cache hit does
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solhom",

@@ -28,7 +28,7 @@ from .errors import (
     HypothesisN1,
     InternalCheckError,
 )
-from .fgab import FgAbGroup, GroupHom, LocalizedForm, kunneth, localized_from_fgab
+from .fgab import FgAbGroup, GroupHom, LocalizedForm, _atom_sort_key, kunneth, localized_from_fgab
 from .intfactor import factorint
 from .limits import (
     ColimitGroup,
@@ -276,10 +276,24 @@ def _atom_block(atom) -> IntMatrix:
 
 def _atom_colimit(e: DegreeEntry) -> ColimitGroup:
     """The canonical atom tower of a degree, or its own tower where
-    there is no closed form."""
+    there is no closed form.
+
+    LocalizedForm sorts its atoms, so for a diagonal tower they are put
+    back in the order of its own diagonal: the i-th smallest atom goes
+    where the i-th smallest diagonal radical sits, and diag(2, 1) with
+    closed form Z + Z[1/2] meets diag(2, 1), not diag(1, 2), which is
+    another subgroup of Q^2.
+    """
     if e.closed is None:
         return e.colimit
-    return ColimitGroup(_block_diagonal([_atom_block(a) for a in e.closed.atoms]))
+    atoms = list(e.closed.atoms)
+    T = e.colimit.matrix
+    if T is not None and T.nrows > 1 and T.nrows == len(atoms) and T.is_diagonal():
+        own = [LocalizedForm.localized(abs(T.rows[i][i])).atoms[0] for i in range(T.nrows)]
+        slots = sorted(range(T.nrows), key=lambda i: _atom_sort_key(own[i]))
+        for i, atom in zip(slots, e.closed.atoms):
+            atoms[i] = atom
+    return ColimitGroup(_block_diagonal([_atom_block(a) for a in atoms]))
 
 
 def hk_check(

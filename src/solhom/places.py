@@ -162,22 +162,35 @@ class SolenoidSystem:
         }
 
 
+def monic_min_poly(c) -> Poly:
+    """The monic minimal polynomial of c, from a Poly, a parseable string,
+    or c itself when it is rational (x - c).
+
+    This is the system's min_poly and the text of the report cache key,
+    so both come from here.  Raises ParseError for a constant polynomial
+    and ZeroInput for c = 0; irreducibility is left to build_system.
+    """
+    if isinstance(c, (int, Fraction)):
+        c = Poly([1, -c])
+    elif isinstance(c, str):
+        c = parse_poly(c)
+    if c.degree < 1:
+        raise ParseError("c needs a nonconstant minimal polynomial")
+    f = c.monic()
+    if f.coeffs[-1] == 0:
+        raise ZeroInput("c must be nonzero")
+    return f
+
+
 def build_system(min_poly) -> SolenoidSystem:
     """Analyze the solenoid for the algebraic number c with the given
-    minimal polynomial (a Poly or a parseable string, monic after
-    normalization by the leading coefficient).
+    minimal polynomial (anything monic_min_poly reads).
 
     Raises ParseError for reducible or degenerate input, ZeroInput for
     c = 0, and BoundaryRoot when a conjugate of c lies on the unit
     circle.
     """
-    if isinstance(min_poly, str):
-        min_poly = parse_poly(min_poly)
-    if min_poly.degree < 1:
-        raise ParseError("c needs a nonconstant minimal polynomial")
-    f = min_poly.monic()
-    if f.coeffs[-1] == 0:
-        raise ZeroInput("c must be nonzero")
+    f = monic_min_poly(min_poly)
     h, s = clear_to_monic_integer(f)
     if not is_irreducible_over_q(h):
         raise ParseError(f"{f.pretty()} is reducible over Q")

@@ -31,6 +31,7 @@ from solhom.errors import (
     ParseError,
 )
 from solhom.fgab import GroupHom
+from solhom.intfactor import radical
 from solhom.limits import MEMBERSHIP_CAP_FACTOR, ColimitGroup
 from solhom.linalg import IntMatrix, RatMatrix, snf
 from solhom.nfield import (
@@ -887,6 +888,21 @@ def fraction_equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tu
     return True, None
 
 
+def _atoms_in_tower_order(e) -> list:
+    """The closed form's atoms, sorted by LocalizedForm; for a diagonal
+    tower, the i-th of them goes where the tower's i-th smallest
+    diagonal radical sits (a radical of 1 is Z and sorts first)."""
+    atoms = list(e.closed.atoms)
+    T = e.colimit.matrix
+    if T is None or not T.is_diagonal() or T.nrows != len(atoms):
+        return atoms
+    diagonal = [radical(abs(T.rows[i][i])) for i in range(T.nrows)]
+    placed = [None] * len(atoms)
+    for atom, i in zip(atoms, sorted(range(T.nrows), key=diagonal.__getitem__)):
+        placed[i] = atom
+    return placed
+
+
 def block_sum_hk_check(sys, finite, k_groups) -> dict:
     """hk_check on block sums: each K-group against the block sum of its
     parity's atom towers (the tower itself without a closed form), by
@@ -901,7 +917,7 @@ def block_sum_hk_check(sys, finite, k_groups) -> dict:
                 continue
             e = finite.entries[k]
             if e.closed is not None:
-                blocks.extend(_atom_block(a) for a in e.closed.atoms)
+                blocks.extend(_atom_block(a) for a in _atoms_in_tower_order(e))
             else:
                 blocks.append(e.colimit.matrix)
         hom_side = ColimitGroup(_block_diagonal(blocks))

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from solhom import cli, engine, limits, nfield, qpoly
+from record_answer_reports import answer_inputs
+from solhom import cli, engine, limits, nfield, places, qpoly
 from solhom.cli import main
+from solhom.errors import SolhomError
 from solhom.fgab import FgAbGroup, endomorphism
 from solhom.linalg import IntMatrix, RatMatrix
 from solhom.places import SolenoidSystem, build_system
@@ -104,6 +106,110 @@ def test_cache_key_is_the_monic_polynomial_and_version(capsys, monkeypatch):
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
     code, out, _ = run(capsys, "analyze", "--min-poly", "x-3/2", "--json")
     assert code == 0 and json.loads(out)["cache"] == "miss"
+
+
+def _without_volatile(out: str) -> dict:
+    report = json.loads(out)
+    report.pop("timing_seconds"), report.pop("cache")
+    return report
+
+
+def test_cache_hit_builds_no_system(capsys, monkeypatch):
+    argv = ("analyze", "--min-poly", "x^2-x+3/2", "--json")
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(miss)["cache"] == "miss"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit built a system")
+
+    monkeypatch.setattr(places, "build_system", refuse)
+    monkeypatch.setattr(cli, "build_system", refuse)
+    monkeypatch.setattr(nfield.NumberField, "__init__", refuse)
+    code, hit, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(hit)["cache"] == "hit"
+    assert _without_volatile(hit) == _without_volatile(miss)
+    with pytest.raises(AssertionError, match="built a system"):
+        main(["analyze", "--c", "5/3"])  # the patches are live: a miss builds
+
+
+@pytest.mark.parametrize("poly, code", [("x^2-4", 1), ("x^2-x+1", 2), ("x^3-3/2", 2)])
+def test_refusals_are_never_stored_or_served(capsys, isolated_cache, poly, code):
+    assert run(capsys, "analyze", "--c", "3/2")[0] == 0  # a warm cache directory
+    stored = sorted(isolated_cache.iterdir())
+    uncached = run(capsys, "analyze", "--min-poly", poly, "--no-cache")
+    for _ in range(2):
+        assert run(capsys, "analyze", "--min-poly", poly) == uncached
+    assert uncached[0] == code and uncached[1] == "" and uncached[2].startswith("solhom: ")
+    assert sorted(isolated_cache.iterdir()) == stored
+
+
+def test_truncated_cache_entry_is_a_miss_and_is_rewritten(capsys, isolated_cache):
+    code, out, _ = run(capsys, "analyze", "--c", "5/3", "--json")
+    assert code == 0
+    (path,) = isolated_cache.glob("*.json")
+    stored = path.read_bytes()
+    path.write_bytes(stored[: len(stored) // 2])
+    code, again, _ = run(capsys, "analyze", "--c", "5/3", "--json")
+    assert code == 0 and json.loads(again)["cache"] == "miss"
+    assert path.read_bytes() == stored
+    assert _without_volatile(again) == _without_volatile(out)
+    assert json.loads(run(capsys, "analyze", "--c", "5/3", "--json")[1])["cache"] == "hit"
+
+
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        [("--c", "3/2"), ("--min-poly", "x-3/2"), ("--min-poly", "2*x-3")],
+        [("--min-poly", "x^2-x-1", "--element", "x"), ("--min-poly", "x^2-x-1")],
+    ],
+)
+def test_spellings_of_one_c_share_an_entry(capsys, isolated_cache, spellings):
+    states = []
+    for spelling in spellings:
+        code, out, _ = run(capsys, "analyze", *spelling, "--json")
+        assert code == 0
+        states.append(json.loads(out)["cache"])
+    assert states == ["miss"] + ["hit"] * (len(spellings) - 1)
+    assert len(list(isolated_cache.glob("*.json"))) == 1
+
+
+def test_key_from_arguments_is_the_key_of_the_built_system():
+    parser = cli._build_parser()
+    for _, poly, n in answer_inputs():
+        args = parser.parse_args(["analyze", "--min-poly", poly, "--lefschetz", str(n)])
+        from_args = cli._cache_key(cli._min_poly_from_args(args).pretty(), n, 1)
+        try:
+            built = build_system(poly)
+        except SolhomError:
+            continue  # refused before any report exists, so never stored
+        assert from_args == cli._cache_key(built.min_poly.pretty(), n, 1), poly
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "analyze", "--c", "3/2", "--side", "stable")[0] == 0
+    assert run(capsys, "analyze", "--c", "3/2")[0] == 0
+    assert run(capsys, "fixtures")[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cached_parser_does_not_carry_options_over(capsys):
+    code, out, _ = run(capsys, "analyze", "--c", "3/2", "--side", "stable")
+    assert code == 0 and "unstable homology:" not in out
+    code, out, _ = run(capsys, "analyze", "--c", "3/2")
+    assert code == 0 and "unstable homology:" in out and "\nstable homology:" in out
+
+    code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x-1", "--element", "2*x", "--json")
+    assert code == 0 and json.loads(out)["system"]["min_poly"] == "x^2 - 2*x - 4"
+    code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x-1", "--json")
+    assert code == 0 and json.loads(out)["system"]["min_poly"] == "x^2 - x - 1"
+
+    parser = cli._build_parser()
+    parser.parse_args(["analyze", "--c", "2", "--side", "stable", "--element", "x"])
+    args = parser.parse_args(["analyze", "--c", "2"])
+    assert (args.side, args.element, args.no_cache) == ("both", None, False)
 
 
 def test_reports_without_the_cache_do_not_load_hashlib():

@@ -170,6 +170,28 @@ def test_differing_degree_reports_a_padded_witness():
     assert got["witnesses"] == {0: ["0", "0", "1/6", "0", "0", "0"]}
 
 
+def test_diagonal_tower_meets_its_atoms_in_diagonal_order():
+    # LocalizedForm sorts diag(2, 1) into Z + Z[1/2]; the atom tower must
+    # still be diag(2, 1), not diag(1, 2), another subgroup of Q^2
+    entries = [_canonical(IntMatrix([[2, 0], [0, 1]])), _canonical(IntMatrix.identity(2))]
+    got = _check_against_oracle(entries, 0)
+    assert got == {"verdicts": {0: "equal", 1: "equal"}, "witnesses": {}, "rank_identity": True}
+    assert engine._atom_colimit(entries[0]).matrix == IntMatrix([[2, 0], [0, 1]])
+    three = _canonical(IntMatrix([[-12, 0, 0], [0, 1, 0], [0, 0, 5]]))
+    assert engine._atom_colimit(three).matrix == IntMatrix([[6, 0, 0], [0, 1, 0], [0, 0, 5]])
+
+
+def test_wrong_closed_form_of_a_diagonal_tower_is_caught():
+    # the closed form still decides the atom tower: Z + Z[1/3] for
+    # diag(2, 1) becomes diag(3, 1), which differs
+    entries = [
+        _entry(IntMatrix([[2, 0], [0, 1]]), LocalizedForm.free(1) + LocalizedForm.localized(3)),
+        _canonical(IntMatrix.identity(2)),
+    ]
+    got = _check_against_oracle(entries, 0)
+    assert got["verdicts"] == {0: "differ", 1: "equal"}
+
+
 def test_wrong_canonical_form_is_caught(monkeypatch):
     """hk_check is live: a closed form with a changed radical reads as differ."""
 
