@@ -491,7 +491,16 @@ def main(argv=None) -> int:
     default_cap_factor = limits.MEMBERSHIP_CAP_FACTOR
     limits.MEMBERSHIP_CAP_FACTOR = default_cap_factor * cap_multiplier
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head -1`): stop quietly, with
+        # stdout pointed at devnull so the flush at shutdown writes nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
     except (ParseError, ZeroInput, ValueError) as exc:
         print(f"solhom: {exc}", file=_sys.stderr)
         return 1

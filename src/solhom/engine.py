@@ -16,10 +16,9 @@ and Lefschetz rows are integer determinants, each divided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     AtomClassExceeded,
@@ -45,8 +44,7 @@ from .places import SolenoidSystem
 MAX_SPLITTING_POWER = 24
 
 
-@dataclass
-class DegreeEntry:
+class DegreeEntry(NamedTuple):
     """One graded piece: the colimit presentation, its closed form when
     one exists in the supported atom class, and the reported self-map."""
 
@@ -79,7 +77,6 @@ class DegreeEntry:
 _ZERO_ENTRY = DegreeEntry(None, LocalizedForm.zero(), None, "trivial")
 
 
-@dataclass
 class GradedGroup:
     """Finitely supported family of groups indexed by an integer degree.
 
@@ -87,8 +84,16 @@ class GradedGroup:
     flattened with.
     """
 
-    entries: dict[int, DegreeEntry]
-    principalization: tuple[NfElement, int] | None = None
+    def __init__(
+        self,
+        entries: dict[int, DegreeEntry],
+        principalization: tuple[NfElement, int] | None = None,
+    ):
+        self.entries = entries
+        self.principalization = principalization
+
+    def __repr__(self) -> str:
+        return f"GradedGroup(entries={self.entries!r}, principalization={self.principalization!r})"
 
     def degrees(self) -> list[int]:
         return sorted(k for k, e in self.entries.items() if not e.is_zero())

@@ -21,29 +21,36 @@ Tor vanishes when either side is torsion-free and Tor(Z/a, Z/b) = Z/gcd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AtomClassExceeded
 from .intfactor import factorint, radical
 from .linalg import IntMatrix, snf
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
-    """Z^free_rank plus Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... | d_k."""
-
+class _FgAbGroupFields(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+
+class FgAbGroup(_FgAbGroupFields):
+    """Z^free_rank plus Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... | d_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion must form a divisibility chain")
-        if any(d < 2 for d in self.torsion):
+        if any(d < 2 for d in torsion):
             raise ValueError("trivial torsion factors must be dropped")
+        return super().__new__(cls, free_rank, torsion)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def ngens(self) -> int:
@@ -89,8 +96,13 @@ def from_presentation(ngens: int, relations: Sequence[Sequence[int]]) -> FgAbGro
     return FgAbGroup(ngens - rank_drop, torsion)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class _GroupHomFields(NamedTuple):
+    domain: FgAbGroup
+    codomain: FgAbGroup
+    matrix: IntMatrix
+
+
+class GroupHom(_GroupHomFields):
     """Homomorphism between classified groups, as an integer matrix.
 
     Generator order is free generators first, then torsion generators in
@@ -98,25 +110,28 @@ class GroupHom:
     are validated for well-definedness.
     """
 
-    domain: FgAbGroup
-    codomain: FgAbGroup
-    matrix: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.nrows != self.codomain.ngens or m.ncols != self.domain.ngens:
+    def __new__(cls, domain: FgAbGroup, codomain: FgAbGroup, matrix: IntMatrix):
+        m = matrix
+        if m.nrows != codomain.ngens or m.ncols != domain.ngens:
             raise ValueError("matrix shape does not match group generators")
-        fr = self.codomain.free_rank
-        for j, order in enumerate(self.domain.torsion, start=self.domain.free_rank):
+        fr = codomain.free_rank
+        for j, order in enumerate(domain.torsion, start=domain.free_rank):
             for i in range(m.nrows):
                 entry = m.rows[i][j]
                 if i < fr:
                     if entry != 0:
                         raise ValueError("torsion cannot map to a free generator")
                 else:
-                    target_order = self.codomain.torsion[i - fr]
+                    target_order = codomain.torsion[i - fr]
                     if (entry * order) % target_order != 0:
                         raise ValueError("map not constant on cosets")
+        return super().__new__(cls, domain, codomain, matrix)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
 def endomorphism(group: FgAbGroup, matrix: IntMatrix) -> GroupHom:

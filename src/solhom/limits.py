@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AtomClassExceeded, CapExceeded, InternalCheckError, NonCommuting
 from .fgab import FgAbGroup, LocalizedForm
@@ -127,8 +126,7 @@ class ColimitGroup:
         return InvariantSignature.of(self)
 
 
-@dataclass(frozen=True)
-class InvariantSignature:
+class InvariantSignature(NamedTuple):
     """Isomorphism invariants of a free colimit: the rank and the
     dimension of G/pG for each prime dividing the tower determinant."""
 

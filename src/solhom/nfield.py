@@ -850,7 +850,9 @@ def fundamental_unit(field: NumberField) -> NfElement:
 
     Runs the continued fraction of the integral basis generator omega,
     written as (P + sqrt(Dcf)) / Q; the first convergent h/k with
-    |N(h - k * conj(omega))| = 1 gives the fundamental unit.
+    |N(h - k * conj(omega))| = 1 gives the fundamental unit.  That norm
+    is Q_{n+1} / Q_0 for the convergent h_n / k_n, so the loop watches
+    for Q to come back to Q_0 and takes one norm, of the unit it returns.
     """
     if field.degree != 2 or field.discriminant < 0:
         raise ValueError("fundamental units computed only for real quadratic fields")
@@ -859,9 +861,9 @@ def fundamental_unit(field: NumberField) -> NfElement:
         Dcf, P, Q = D0 // 4, 0, 1
     else:
         Dcf, P, Q = D0, 1, 2
-    omega = field.omega()
-    # omega is integral, so its trace and norm are integers
-    tr, nm = int(omega.trace()), int(omega.norm())
+    Q0 = Q
+    # omega is integral, so its trace is an integer; conj(omega) = tr - omega
+    tr = int(field.omega().trace())
     s = math.isqrt(Dcf)
     hm1, hm2 = 1, 0
     km1, km2 = 0, 1
@@ -869,19 +871,17 @@ def fundamental_unit(field: NumberField) -> NfElement:
         a = (P + s) // Q
         h = a * hm1 + hm2
         k = a * km1 + km2
-        # N(h - k * conj(omega)), with conj(omega) = tr - omega
-        cand_norm = h * h - tr * h * k + nm * k * k
-        if abs(cand_norm) == 1:
-            unit = NfElement(field, (h - tr * k, k))
-            if abs(unit.norm()) != 1:
-                raise InternalCheckError("unit candidate has wrong norm")
-            return unit
-        hm2, hm1 = hm1, h
-        km2, km1 = km1, k
         P = a * Q - P
         if (Dcf - P * P) % Q != 0:
             raise InternalCheckError("continued fraction state broke the invariant")
         Q = (Dcf - P * P) // Q
         if Q <= 0:
             raise InternalCheckError("continued fraction state left the positive cycle")
+        if Q == Q0:
+            unit = NfElement(field, (h - tr * k, k))
+            if abs(unit.norm()) != 1:
+                raise InternalCheckError("unit candidate has wrong norm")
+            return unit
+        hm2, hm1 = hm1, h
+        km2, km1 = km1, k
     raise InternalCheckError("continued fraction did not produce a unit")

@@ -22,8 +22,8 @@ twice, and only build_system decides the field and the working order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateFix, InternalCheckError, ParseError, ZeroInput
 from .nfield import (
@@ -40,8 +40,7 @@ from .rootcount import real_root_counts, roots_in_unit_disk
 RATIONAL_FIELD_POLY = Poly([1, -1])  # x - 1; fixed defining polynomial for K = Q
 
 
-@dataclass(frozen=True)
-class FinitePlace:
+class FinitePlace(NamedTuple):
     """A finite place in the support of c, with its valuation of c."""
 
     prime: PrimeIdeal
@@ -52,8 +51,7 @@ class FinitePlace:
         return self.prime.norm()
 
 
-@dataclass(frozen=True)
-class ArchimedeanSummary:
+class ArchimedeanSummary(NamedTuple):
     """Counts of archimedean places split by type and contraction."""
 
     contracting_real: int
@@ -68,20 +66,35 @@ class ArchimedeanSummary:
         return self.contracting_real + 2 * self.contracting_complex_pairs
 
 
-@dataclass
 class SolenoidSystem:
     """Analyzed solenoid data for a fixed algebraic number c."""
 
-    field: NumberField
-    c: NfElement
-    min_poly: Poly  # monic rational minimal polynomial of c itself
-    finite_stable: list[FinitePlace]
-    finite_unstable: list[FinitePlace]
-    archimedean: ArchimedeanSummary
-    degree_shift: int
-    transfer_index: int
-    orientation_sign: int
-    _dual: "SolenoidSystem | None" = dc_field(default=None, repr=False)
+    def __init__(
+        self,
+        field: NumberField,
+        c: NfElement,
+        min_poly: Poly,  # monic rational minimal polynomial of c itself
+        finite_stable: list[FinitePlace],
+        finite_unstable: list[FinitePlace],
+        archimedean: ArchimedeanSummary,
+        degree_shift: int,
+        transfer_index: int,
+        orientation_sign: int,
+    ):
+        self.field = field
+        self.c = c
+        self.min_poly = min_poly
+        self.finite_stable = finite_stable
+        self.finite_unstable = finite_unstable
+        self.archimedean = archimedean
+        self.degree_shift = degree_shift
+        self.transfer_index = transfer_index
+        self.orientation_sign = orientation_sign
+        self._dual: SolenoidSystem | None = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k != "_dual")
+        return f"SolenoidSystem({fields})"
 
     def periodic_points(self, n: int) -> int:
         """Number of points fixed by the n-th power of the map.

@@ -36,6 +36,7 @@ from solhom.limits import MEMBERSHIP_CAP_FACTOR, ColimitGroup
 from solhom.linalg import IntMatrix, RatMatrix, snf
 from solhom.nfield import (
     FractionalIdeal,
+    NfElement,
     _ceil_frac,
     _embedding_bound,
     _isqrt_frac,
@@ -43,6 +44,7 @@ from solhom.nfield import (
     factor_rational_prime,
     fundamental_unit,
 )
+from solhom.places import SolenoidSystem
 from solhom.qpoly import Poly, parse_poly
 from solhom.rootcount import _sturm_chain, _unit_circle_count, real_roots_in_interval, roots_in_unit_disk
 
@@ -319,6 +321,34 @@ def box_scan_generator(I: FractionalIdeal):
     return None
 
 
+def norm_test_fundamental_unit(field):
+    """The fundamental unit of a real quadratic field by the loop the
+    package ran before it read the norm off Q: every convergent h/k has
+    N(h - k * conj(omega)) computed in full, and the first of absolute
+    value 1 gives the unit."""
+    D0 = field.discriminant
+    if D0 % 4 == 0:
+        Dcf, P, Q = D0 // 4, 0, 1
+    else:
+        Dcf, P, Q = D0, 1, 2
+    omega = field.omega()
+    tr, nm = int(omega.trace()), int(omega.norm())
+    s = math.isqrt(Dcf)
+    hm1, hm2 = 1, 0
+    km1, km2 = 0, 1
+    for _ in range(100000):
+        a = (P + s) // Q
+        h = a * hm1 + hm2
+        k = a * km1 + km2
+        if abs(h * h - tr * h * k + nm * k * k) == 1:
+            return NfElement(field, (h - tr * k, k))
+        hm2, hm1 = hm1, h
+        km2, km1 = km1, k
+        P = a * Q - P
+        Q = (Dcf - P * P) // Q
+    raise InternalCheckError("continued fraction did not produce a unit")
+
+
 def definite_scan_generator(I: FractionalIdeal):
     """A generator of an ideal I of an imaginary quadratic field, or None.
 
@@ -386,6 +416,13 @@ def reduced_form_count(D: int) -> int:
                     count += 1
         a += 1
     return count
+
+
+def system_with(sys, **changes) -> SolenoidSystem:
+    """A new system with the constructor fields of sys, some replaced by
+    changes; the dual cache starts empty."""
+    fields = {k: v for k, v in vars(sys).items() if k != "_dual"}
+    return SolenoidSystem(**{**fields, **changes})
 
 
 def lefschetz_trace(sys, n: int) -> int:

@@ -213,10 +213,13 @@ def test_cached_parser_does_not_carry_options_over(capsys):
 
 
 def test_reports_without_the_cache_do_not_load_hashlib():
+    # nor dataclasses, whose import pulls in inspect and ast and
+    # compiles generated code for every record at start-up
     code = (
         "import sys; from solhom import cli; "
         "assert cli.main(['analyze', '--min-poly', 'x^2-x-1', '--no-cache', '--json']) == 0; "
-        "assert 'hashlib' not in sys.modules"
+        "loaded = {'hashlib', 'dataclasses', 'inspect', 'ast'} & set(sys.modules); "
+        "assert not loaded, sorted(loaded)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
@@ -315,7 +318,7 @@ def test_selftest(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("poly", ["x^2-409", "x^2-10007", "x^2-100000007"])
+@pytest.mark.parametrize("poly", ["x^2-409", "x^2-10007", "x^2-100000007", "x^2-1000000007"])
 def test_real_quadratic_former_cliffs_finish(capsys, poly):
     # each took 90 s or more in the box-scan generator search
     code, out, _ = run(capsys, "analyze", "--no-cache", "--json", "--min-poly", poly)
@@ -356,6 +359,23 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"solhom {cli.__version__}"
+
+
+def test_closed_stdout_ends_quietly():
+    # a report of about 100 kB outgrows the pipe, so the child is still
+    # writing when the reader closes its end after one line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["analyze", "--min-poly", "x^2-x+3/2", "--json", "--no-cache", "--lefschetz", "400"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "solhom", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_implicit_product_names_the_fix(capsys):

@@ -1,7 +1,6 @@
 """The stable side as the forward system with c -> 1/c, and the duality
 between the two sides (docs/duality.md)."""
 
-import dataclasses
 import json
 import os
 import re
@@ -14,11 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import minor_entry, reversed_poly
+from oracles import minor_entry, reversed_poly, system_with
 from record_answer_reports import DATA
 from solhom import cli, nfield, places
 from solhom.cli import build_report
 from solhom.engine import (
+    GradedGroup,
     duality_check,
     finite_part_homology,
     principalization,
@@ -154,7 +154,7 @@ def test_duality_check_fails_without_the_orientation_swap(poly):
     dual = sys_.dual_system()
     assert sys_.orientation_sign != dual.orientation_sign
     duality_check(sys_, unstable, stable)
-    unswapped = dataclasses.replace(dual, orientation_sign=sys_.orientation_sign)
+    unswapped = system_with(dual, orientation_sign=sys_.orientation_sign)
     stable = shifted_homology(unswapped, finite_part_homology(dual))
     with pytest.raises(InternalCheckError, match="Jacobi dual"):
         duality_check(sys_, unstable, stable)
@@ -165,15 +165,14 @@ def test_duality_check_fails_on_a_wrong_stable_scale():
     sys_, unstable, stable = _sides("x-3/2")
     duality_check(sys_, unstable, stable)
     for degree, entry in stable.entries.items():
-        scaled = dataclasses.replace(
-            stable,
-            entries={
+        scaled = GradedGroup(
+            {
                 **stable.entries,
-                degree: dataclasses.replace(
-                    entry,
+                degree: entry._replace(
                     action=RatMatrix([[x / 4 for x in row] for row in entry.action.rows]),
                 ),
             },
+            stable.principalization,
         )
         with pytest.raises(InternalCheckError):
             duality_check(sys_, unstable, scaled)

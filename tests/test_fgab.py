@@ -40,6 +40,19 @@ def test_divisibility_chain_enforced():
         FgAbGroup(0, (1, 2))
 
 
+def test_replace_validates_like_the_constructor():
+    g = FgAbGroup(0, (2,))
+    assert g._replace(torsion=(2, 4)) == FgAbGroup(0, (2, 4))
+    assert repr(g._replace(free_rank=1)) == "FgAbGroup(free_rank=1, torsion=(2,))"
+    with pytest.raises(ValueError):
+        g._replace(torsion=(4, 2))
+    with pytest.raises(ValueError):
+        g._replace(free_rank=-1)
+    hom = GroupHom(g, FgAbGroup(0, (4,)), IntMatrix([[2]]))
+    with pytest.raises(ValueError):
+        hom._replace(matrix=IntMatrix([[1]]))
+
+
 def test_elementary_divisors():
     assert FgAbGroup(0, (2, 6)).elementary_divisors() == (2, 2, 3)
     assert FgAbGroup(1, (12,)).elementary_divisors() == (3, 4)

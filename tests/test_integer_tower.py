@@ -12,7 +12,6 @@ power basis, W^-1 M W from it, the Fraction recursion, cofactor minors
 of the Fraction matrix and RatMatrix powers.
 """
 
-import dataclasses
 import importlib
 import itertools
 import math
@@ -32,6 +31,7 @@ from oracles import (
     poly_mod_product,
     power_basis_mult_matrix,
     power_coords,
+    system_with,
     trace_form_discriminant,
 )
 from solhom import linalg, nfield
@@ -236,7 +236,7 @@ def test_lefschetz_stops_at_the_first_root_of_unity_power():
     field = sys_.field
     zeta = (field.gen() - field.one()).scale(Fraction(1, 2))  # (-1 + sqrt(-3)) / 2
     for c, k in ((zeta, 3), (-zeta, 6), (field.from_rational(-1), 2)):
-        fake = dataclasses.replace(sys_, c=c)
+        fake = system_with(sys_, c=c)
         for route in (lefschetz_traces, fraction_lefschetz_traces):
             with pytest.raises(DegenerateFix, match=rf"c\^{k} = 1"):
                 route(fake, 12)

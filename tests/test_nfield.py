@@ -5,6 +5,7 @@ against the product formula |N(x)| = prod N(P)^v_P(x), and the prime
 splitting of small quadratic fields against hand-checked tables.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from oracles import (
     anti_uniformizer,
     box_scan_generator,
     definite_scan_generator,
+    norm_test_fundamental_unit,
     product_inverse_ideal,
     resultant,
 )
@@ -318,6 +320,14 @@ def test_fundamental_units_frozen():
         u = fundamental_unit(K)
         assert u.power_coords() == tuple(Fraction(c) for c in coords), text
         assert abs(u.norm()) == 1
+
+
+def test_fundamental_units_match_the_full_norm_loop():
+    # both discriminant branches: D = 1 mod 4 gives omega = (1 + sqrt(D)) / 2
+    squarefree = [D for D in range(2, 3000) if all(D % (p * p) for p in range(2, math.isqrt(D) + 1))]
+    for D in squarefree:
+        K = field(f"x^2-{D}")
+        assert fundamental_unit(K) == norm_test_fundamental_unit(K), D
 
 
 def test_dedekind_obstruction():

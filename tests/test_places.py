@@ -1,6 +1,5 @@
 """Place analysis: degree shift, transfer index, periodic point counts."""
 
-import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -12,6 +11,7 @@ from oracles import (
     gamma_lattice,
     lefschetz_trace,
     rational_periodic_oracle,
+    system_with,
     toral_periodic_points,
     valuation_periodic_count,
 )
@@ -178,10 +178,10 @@ def test_periodic_points_guards():
     # build_system refuses any c with c^n = 1 (it lies on the unit
     # circle), so both guards are reached with c swapped by hand
     s = build_system("x-2")
-    unit = dataclasses.replace(s, c=s.field.from_rational(-1))
+    unit = system_with(s, c=s.field.from_rational(-1))
     assert unit.periodic_points(1) == 2
     with pytest.raises(DegenerateFix):
         unit.periodic_points(2)
     # 3/2 with no expanding place recorded: the count would be 1/2
     with pytest.raises(InternalCheckError):
-        dataclasses.replace(s, c=s.field.from_rational(Fraction(3, 2))).periodic_points(1)
+        system_with(s, c=s.field.from_rational(Fraction(3, 2))).periodic_points(1)
