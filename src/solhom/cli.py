@@ -303,7 +303,7 @@ def _cache_write(key: str, report: dict) -> None:
     try:
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{key}.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        path.write_text(json.dumps(report, sort_keys=True) + "\n")
     except OSError:
         pass  # caching is best effort
 
@@ -359,7 +359,8 @@ def cmd_analyze(args) -> int:
     report["timing_seconds"] = time.perf_counter() - start
     report["cache"] = cache_state
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # one compact line: json uses its C encoder only when indent is None
+        print(json.dumps(report, sort_keys=True))
     else:
         print(_render_text(report, args.side))
     return 0
@@ -373,7 +374,7 @@ def cmd_kunneth(args) -> int:
         str(d): graded.entry(d).closed.pretty() for d in graded.degrees()
     }
     if args.json:
-        print(json.dumps({"factors": args.fixtures, "product": payload}, indent=2))
+        print(json.dumps({"factors": args.fixtures, "product": payload}, sort_keys=True))
     else:
         print(" x ".join(args.fixtures))
         if not payload:
@@ -386,11 +387,11 @@ def cmd_kunneth(args) -> int:
 def cmd_fixtures(args) -> int:
     if args.show:
         detail = fixture_detail(args.show)
-        print(json.dumps(detail, indent=2, sort_keys=True))
+        print(json.dumps(detail, sort_keys=True))
         return 0
     names = fixture_names()
     if args.json:
-        print(json.dumps(names, indent=2))
+        print(json.dumps(names))
     else:
         for name in names:
             print(name)

@@ -114,10 +114,6 @@ class GradedGroup:
             out[k] = e.closed
         return out
 
-    def pretty(self) -> str:
-        parts = [f"H_{k} = {self.entry(k).pretty()}" for k in self.degrees()]
-        return "; ".join(parts) if parts else "0"
-
 
 def _block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
     size = sum(b.nrows for b in blocks)

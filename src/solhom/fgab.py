@@ -65,10 +65,6 @@ class FgAbGroup(_FgAbGroupFields):
             out.extend(p**e for p, e in factorint(d).items())
         return tuple(sorted(out))
 
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        return math.prod(self.torsion) if self.free_rank == 0 else None
-
     def pretty(self) -> str:
         return localized_from_fgab(self).pretty()
 

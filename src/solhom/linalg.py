@@ -102,9 +102,6 @@ class IntMatrix:
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.rows])
-
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix([[c * a for a in row] for row in self.rows])
 

@@ -37,7 +37,7 @@ from .intfactor import factorint
 from .linalg import IntMatrix, RatMatrix, char_poly, hnf
 from .qpoly import Poly, factor_mod_p, is_irreducible_over_q
 
-# how pretty() writes the field generator theta
+# how an element's repr writes the field generator theta
 GEN_SYMBOL = "a"
 
 
@@ -216,7 +216,7 @@ class NfElement:
         return hash((self.field, self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"<{self.pretty()}>"
+        return f"<{Poly(self.power_coords()[::-1]).pretty(GEN_SYMBOL)}>"
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -303,24 +303,6 @@ class NfElement:
     def power_coords(self) -> tuple[Fraction, ...]:
         """Coordinates over the power basis 1, theta, ..., theta^(d-1)."""
         return self.field.basis_matrix.apply([Fraction(x, self.den) for x in self.num])
-
-    def pretty(self) -> str:
-        parts = []
-        for i, c in enumerate(self.power_coords()):
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                xs = GEN_SYMBOL if i == 1 else f"{GEN_SYMBOL}^{i}"
-                body = xs if abs(c) == 1 else f"{abs(c)}*{xs}"
-            parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
 
 
 class FractionalIdeal:
@@ -474,7 +456,7 @@ class PrimeIdeal:
         return hash((self.field, self.p, self.gen_poly_mod_p))
 
     def __repr__(self) -> str:
-        return f"PrimeIdeal(p={self.p}, g={self.second_gen.pretty()}, e={self.e}, f={self.f})"
+        return f"PrimeIdeal(p={self.p}, g={self.second_gen!r}, e={self.e}, f={self.f})"
 
     def inverse_ideal(self) -> FractionalIdeal:
         """P^-1 = O + (gamma/p) O, since P * (p, gamma) = pO; checked

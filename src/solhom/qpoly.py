@@ -22,15 +22,20 @@ from .errors import CapExceeded, ParseError
 from .intfactor import factorint, is_prime
 
 
+# shared zero: Fractions are immutable, and building Fraction(0) per call shows in parsing
+_ZERO = Fraction(0)
+
+
 class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
+        # Fraction(c) on a Fraction rebuilds it: pass exact Fractions through
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while len(cs) > 1 and cs[0] == 0:
             cs.pop(0)
         if not cs:
-            cs = [Fraction(0)]
+            cs = [_ZERO]
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
@@ -49,7 +54,7 @@ class Poly:
         return Poly([1, 0])
 
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return self.coeffs == (_ZERO,)
 
     @property
     def degree(self) -> int:
@@ -67,8 +72,8 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         a, b = list(self.coeffs), list(other.coeffs)
         n = max(len(a), len(b))
-        a = [Fraction(0)] * (n - len(a)) + a
-        b = [Fraction(0)] * (n - len(b)) + b
+        a = [_ZERO] * (n - len(a)) + a
+        b = [_ZERO] * (n - len(b)) + b
         return Poly([x + y for x, y in zip(a, b)])
 
     def __neg__(self) -> "Poly":
@@ -80,7 +85,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -96,7 +101,7 @@ class Poly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Poly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
+        quo = [_ZERO] * (dq + 1)
         lead = other.coeffs[0]
         for i in range(dq + 1):
             f = rem[i] / lead
@@ -113,7 +118,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def eval(self, x) -> Fraction:
-        acc = Fraction(0)
+        acc = _ZERO
         x = Fraction(x)
         for c in self.coeffs:
             acc = acc * x + c

@@ -97,6 +97,40 @@ def test_cache_hit_and_byte_identity(capsys, isolated_cache):
     assert r1 == r2
 
 
+@pytest.mark.parametrize("extra", [(), ("--no-cache",)])
+def test_json_output_is_one_compact_sorted_line(capsys, extra):
+    for _ in range(2):  # a miss, then a hit unless --no-cache
+        code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json", *extra)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_cache_entry_is_the_compact_report(capsys, isolated_cache):
+    code, out, _ = run(capsys, "analyze", "--c", "5/3", "--json")
+    assert code == 0
+    (path,) = isolated_cache.glob("*.json")
+    stored = path.read_text()
+    assert stored == json.dumps(_without_volatile(out), sort_keys=True) + "\n"
+
+
+def test_indented_entries_of_earlier_versions_still_hit(capsys, isolated_cache, tmp_path, monkeypatch):
+    poly = "x^2-x+3/2"
+    monkeypatch.setenv("SOLHOM_CACHE_DIR", str(tmp_path / "fresh"))
+    code, miss, _ = run(capsys, "analyze", "--min-poly", poly, "--json")
+    assert code == 0 and json.loads(miss)["cache"] == "miss"
+
+    monkeypatch.setenv("SOLHOM_CACHE_DIR", str(isolated_cache))
+    key = cli._cache_key(places.monic_min_poly(poly).pretty(), cli.DEFAULT_LEFSCHETZ, 1)
+    isolated_cache.mkdir()
+    old = isolated_cache / f"{key}.json"
+    old.write_text(json.dumps(_without_volatile(miss), sort_keys=True, indent=2) + "\n")
+    before = old.read_bytes()
+    code, hit, _ = run(capsys, "analyze", "--min-poly", poly, "--json")
+    assert code == 0 and json.loads(hit)["cache"] == "hit"
+    assert _without_volatile(hit) == _without_volatile(miss)
+    assert old.read_bytes() == before and list(isolated_cache.iterdir()) == [old]
+
+
 def test_cache_key_is_the_monic_polynomial_and_version(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", "--c", "3/2", "--json")
     assert code == 0 and json.loads(out)["cache"] == "miss"
@@ -362,8 +396,8 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_closed_stdout_ends_quietly():
-    # a report of about 100 kB outgrows the pipe, so the child is still
-    # writing when the reader closes its end after one line
+    # a report of about 96 kB outgrows a 64 KiB pipe, so the child is
+    # still writing when the reader closes its end after one byte
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     argv = ["analyze", "--min-poly", "x^2-x+3/2", "--json", "--no-cache", "--lefschetz", "400"]
@@ -371,7 +405,7 @@ def test_closed_stdout_ends_quietly():
         [sys.executable, "-m", "solhom", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.readline() == b"{\n"
+    assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -247,3 +248,49 @@ def test_eval_matches_horner_free(coeffs, x):
     f = Poly(coeffs)
     direct = sum(Fraction(c) * Fraction(x) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
     assert f.eval(x) == direct
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ([3, -1, 0], [3, -1, 0]),
+        ([True, False, True], [1, 0, 1]),
+        ([Fraction(1, 2), Fraction(0)], [Fraction(1, 2), 0]),
+        ([0, True, 2, Fraction(3, 4), -5], [1, 2, Fraction(3, 4), -5]),
+        ([0, 0, Fraction(7)], [7]),
+        ([], [0]),
+    ],
+)
+def test_coefficients_are_exact_fractions(coeffs, expected):
+    f = Poly(coeffs)
+    assert all(type(c) is Fraction for c in f.coeffs)
+    assert f.coeffs == tuple(Fraction(c) for c in expected)
+    for g in (f + f, f * f, -f, f.scale(3), f.derivative()):
+        assert all(type(c) is Fraction for c in g.coeffs)
+
+
+def _expressions():
+    """Small expressions in x over one-digit integers, every operation
+    parenthesized so the solhom and Python readings agree."""
+    leaves = st.one_of(st.integers(0, 9).map(str), st.just("x"))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*"), children).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(children, st.integers(1, 9)).map(lambda t: f"({t[0]})/{t[1]}"),
+            children.map(lambda t: f"(-{t})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions())
+def test_parse_poly_agrees_with_eval(text):
+    f = parse_poly(text)
+    assert all(type(c) is Fraction for c in f.coeffs)
+    # a digit not after ^ is an operand: read it as a Fraction so / is exact
+    python_text = re.sub(r"(?<!\^)(\d)", r"Fraction(\1)", text).replace("^", "**")
+    for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-5, 7)):
+        assert f.eval(x) == eval(python_text, {"Fraction": Fraction, "x": x})
