@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, limits
+from . import __version__
 from .engine import (
     GradedGroup,
     duality_check,
@@ -122,8 +122,9 @@ def _rat_str(x) -> str:
     return str(Fraction(x))
 
 
-def _matrix_json(m) -> list[list[str]]:
-    return [[_rat_str(x) for x in row] for row in m.rows]
+def _matrix_json(pair) -> list[list[str]]:
+    A, m = pair
+    return [[str(Fraction(x, m)) for x in row] for row in A.rows]
 
 
 def _graded_json(graded: GradedGroup) -> dict:
@@ -275,7 +276,7 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "solhom"
 
 
-def _cache_key(min_poly: str, lefschetz_n: int, cap: int) -> str:
+def _cache_key(min_poly: str, lefschetz_n: int) -> str:
     """Key of a report: the monic minimal polynomial of c, which fixes
     the system, plus everything else the report depends on."""
     payload = {
@@ -283,7 +284,6 @@ def _cache_key(min_poly: str, lefschetz_n: int, cap: int) -> str:
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "lefschetz": lefschetz_n,
-        "cap_multiplier": cap,
     }
     import hashlib  # loads OpenSSL, about 3.6 MB resident: only cache users pay
 
@@ -347,7 +347,7 @@ def cmd_analyze(args) -> int:
     report = None
     cache_state = "miss"
     if not args.no_cache:
-        key = _cache_key(min_poly.pretty(), args.lefschetz, args.cap_multiplier)
+        key = _cache_key(min_poly.pretty(), args.lefschetz)
         report = _cache_read(key)
         if report is not None:
             cache_state = "hit"
@@ -455,10 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--json", action="store_true")
     analyze.add_argument("--no-cache", action="store_true")
-    analyze.add_argument(
-        "--cap-multiplier", type=int, default=1, metavar="M",
-        help="scale the membership overscan cap",
-    )
     analyze.set_defaults(func=cmd_analyze)
 
     kunneth = sub.add_parser("kunneth", help="graded product of fixtures")
@@ -484,13 +480,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; that slot means hypothesis
         # violation here, so fold usage problems into the parse code
         return 0 if exc.code == 0 else 1
-    cap_multiplier = getattr(args, "cap_multiplier", 1)
-    if cap_multiplier < 1:
-        print("solhom: --cap-multiplier must be at least 1", file=_sys.stderr)
-        return 1
-    # the factor holds for this call only, as the cache key assumes
-    default_cap_factor = limits.MEMBERSHIP_CAP_FACTOR
-    limits.MEMBERSHIP_CAP_FACTOR = default_cap_factor * cap_multiplier
     try:
         code = args.func(args)
         _sys.stdout.flush()
@@ -511,8 +500,6 @@ def main(argv=None) -> int:
     except SolhomError as exc:
         print(f"solhom: internal: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3
-    finally:
-        limits.MEMBERSHIP_CAP_FACTOR = default_cap_factor
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ and Lefschetz rows are integer determinants, each divided exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
@@ -36,7 +37,7 @@ from .limits import (
     free_colimit,
     torsion_colimit,
 )
-from .linalg import IntMatrix, RatMatrix, exterior_power_matrix
+from .linalg import IntMatrix, exterior_power_matrix
 from .nfield import FractionalIdeal, NfElement, principal_generator
 from .places import SolenoidSystem
 
@@ -46,11 +47,13 @@ MAX_SPLITTING_POWER = 24
 
 class DegreeEntry(NamedTuple):
     """One graded piece: the colimit presentation, its closed form when
-    one exists in the supported atom class, and the reported self-map."""
+    one exists in the supported atom class, and the reported self-map
+    as a reduced pair (A, m): the matrix A / m with m > 0 and
+    gcd(m, entries of A) = 1."""
 
     colimit: ColimitGroup | None
     closed: LocalizedForm | None
-    action: RatMatrix | None
+    action: tuple[IntMatrix, int] | None
     provenance: str
 
     @property
@@ -58,7 +61,7 @@ class DegreeEntry(NamedTuple):
         if self.colimit is not None:
             return self.colimit.rank
         if self.closed is not None:
-            return self.closed.free_rank()
+            return self.closed.free_rank
         return 0
 
     def is_zero(self) -> bool:
@@ -159,7 +162,8 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     Degree k is the colimit of the integer matrix N * Lambda^k(m_{g/c})
     in the integral basis.  The stored action is the untwisted transfer
     step N * Lambda^k(m_{1/c}), whose traces feed the fixed-point
-    formula; it differs from the tower matrix by the flattening factor
+    formula, as the pair (N * Lambda^k(A), m^k) for m_{1/c} = A / m,
+    reduced.  It differs from the tower matrix by the flattening factor
     Lambda^k(m_g), which is invertible in the colimit, and integral
     once g is: its entries are minors of an integer matrix.
     """
@@ -186,7 +190,8 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
             closed = None
             provenance = "tower"
         theta, den = exterior_power_matrix(a_theta, k).rows, m_theta**k
-        action = RatMatrix([[Fraction(n_index * x, den) for x in row] for row in theta])
+        common = math.gcd(den, *(n_index * x for row in theta for x in row))
+        action = IntMatrix([[n_index * x // common for x in row] for row in theta]), den // common
         entries[k] = DegreeEntry(tower, closed, action, provenance)
     return GradedGroup(entries, (g, h))
 
@@ -204,7 +209,7 @@ def shifted_homology(base: SolenoidSystem, finite: GradedGroup) -> GradedGroup:
         degree = k - shift
         action = e.action
         if action is not None and sign == -1 and degree % 2 != 0:
-            action = -action
+            action = action[0].scale(-1), action[1]
         entries[degree] = DegreeEntry(e.colimit, e.closed, action, e.provenance)
     return GradedGroup(entries)
 
@@ -234,15 +239,15 @@ def duality_check(sys: SolenoidSystem, unstable: GradedGroup, stable: GradedGrou
         slot = {I: i for i, I in enumerate(combinations(range(d), d - k))}
         complement = [slot[tuple(x for x in range(d) if x not in I)] for I in subsets]
         eps = 1 if j % 2 else sign
-        rows = entry.action.rows
-        expected = [[Fraction(0)] * len(subsets) for _ in subsets]
+        U, den = entry.action
+        expected = [[0] * len(subsets) for _ in subsets]
         for a, I in enumerate(subsets):
             for b, J in enumerate(subsets):
                 # entry (J^c, I^c) of the stable action
                 expected[complement[b]][complement[a]] = (
-                    eps * (-1) ** (sum(I) + sum(J)) * rows[a][b]
+                    eps * (-1) ** (sum(I) + sum(J)) * U.rows[a][b]
                 )
-        if stable.entry(-j).action != RatMatrix(expected):
+        if stable.entry(-j).action != (IntMatrix(expected), den):
             raise InternalCheckError(
                 f"stable action in degree {-j} is not the Jacobi dual of unstable degree {j}"
             )
@@ -462,8 +467,7 @@ def _stationary_entry(group: FgAbGroup, transfer: GroupHom | None) -> DegreeEntr
         ])
         stationary = torsion_colimit(finite, relations, tor_blk)
         closed = closed + localized_from_fgab(stationary)
-    action = transfer.matrix.to_rat()
-    return DegreeEntry(tower, closed, action, "transfer_colimit")
+    return DegreeEntry(tower, closed, (transfer.matrix, 1), "transfer_colimit")
 
 
 def transfer_colimit(

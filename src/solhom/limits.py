@@ -35,8 +35,11 @@ from typing import NamedTuple, Sequence
 from .errors import AtomClassExceeded, CapExceeded, InternalCheckError, NonCommuting
 from .fgab import FgAbGroup, LocalizedForm
 from .intfactor import factorint, radical
-from .linalg import IntMatrix, RatMatrix, hnf, snf_diagonal, stable_rank_mod_p
+from .linalg import IntMatrix, hnf, snf_diagonal, stable_rank_mod_p
 
+# The overscan past the proven stage bound is a self-check only: a member
+# is settled by the bound, so no answer depends on this factor while the
+# bound argument holds.
 MEMBERSHIP_CAP_FACTOR = 10
 
 
@@ -218,34 +221,33 @@ def free_colimit(F: IntMatrix | None, name: str | None = None) -> ColimitGroup:
         return ColimitGroup(None, name)
     basis = hnf(L)  # f x r_s, r_s = stable rank of F
     image = F @ basis
-    T = _solve_lattice(basis.to_rat(), image)
-    if not T.is_integral():
+    T = _solve_lattice(basis, image)
+    if T is None:
         raise InternalCheckError("map does not preserve its eventual image lattice")
-    return ColimitGroup(T.to_int(), name)
+    return ColimitGroup(T, name)
 
 
-def _solve_lattice(B: RatMatrix, image: IntMatrix) -> RatMatrix:
-    """X with B X = image, for B of full column rank."""
-    # square up: pick rank-many independent rows of B
-    f, rs = B.nrows, B.ncols
-    rows_idx: list[int] = []
-    probe: list[list[Fraction]] = []
-    for i in range(f):
-        trial = probe + [[B.rows[i][j] for j in range(rs)]]
-        if RatMatrix(trial).rank() == len(trial):
-            probe = trial
-            rows_idx.append(i)
-        if len(rows_idx) == rs:
-            break
-    square = RatMatrix(probe)
-    rhs = RatMatrix([[Fraction(image.rows[i][j]) for j in range(image.ncols)] for i in rows_idx])
-    X = square.inverse() @ rhs
-    # verify against the rows not used for the solve
-    check = B @ X
-    for i in range(f):
-        for j in range(image.ncols):
-            if check.rows[i][j] != image.rows[i][j]:
-                raise InternalCheckError("inconsistent lattice solve")
+def _solve_lattice(B: IntMatrix, image: IntMatrix) -> IntMatrix | None:
+    """The integer X with B X = image for B in column Hermite form, or
+    None when X is not integral.  Column j of B has its pivot in row p_j
+    (its first nonzero row) and later columns vanish there, so each
+    column of X is read by forward substitution over the pivot rows."""
+    pivots = [next(i for i, x in enumerate(col) if x) for col in B.columns()]
+    cols = []
+    for target in image.columns():
+        residual = list(target)
+        x = []
+        for j, p in enumerate(pivots):
+            q, r = divmod(residual[p], B.rows[p][j])
+            if r:
+                return None
+            x.append(q)
+            if q:
+                residual = [a - q * row[j] for a, row in zip(residual, B.rows)]
+        cols.append(x)
+    X = IntMatrix.from_columns(cols)
+    if B @ X != image:
+        raise InternalCheckError("inconsistent lattice solve")
     return X
 
 
@@ -269,10 +271,10 @@ def torsion_colimit(group: FgAbGroup, relations: IntMatrix, F: IntMatrix) -> FgA
     else:
         raise CapExceeded("image chain of a finite group failed to stabilize")
     # present L / relations: the relation lattice pulled through the basis
-    M = _solve_lattice(L.to_rat(), relations)
-    if not M.is_integral():
+    M = _solve_lattice(L, relations)
+    if M is None:
         raise InternalCheckError("relation lattice escaped the stabilized image")
-    invs = [d for d in snf_diagonal(M.to_int()) if d > 1]
+    invs = [d for d in snf_diagonal(M) if d > 1]
     return FgAbGroup(0, tuple(invs))
 
 

@@ -1,14 +1,13 @@
-"""Exact linear algebra over Z and Q.
+"""Exact linear algebra over Z.
 
-Matrices are immutable tuples of row tuples.  IntMatrix holds Python ints,
-RatMatrix holds Fractions; both are arbitrary precision.  All normal forms
-are computed fraction-free or with exact rationals, never with floats.
-Determinants, exterior powers and characteristic polynomials run over Z
-(Bareiss, Faddeev-LeVerrier with exact division; a rational matrix is
-cleared to M / m first), and so does the inverse that colimit membership
-needs: ``inverse_pair`` gives T^(-1) as an integer matrix over one
-denominator.  RatMatrix no longer serves membership; it remains for
-rational solves (integral bases, lattice solves) and the reported actions.
+Matrices are immutable tuples of row tuples of Python ints, arbitrary
+precision.  A rational matrix is a pair (A, m): an IntMatrix A over one
+positive denominator m, reduced when gcd(m, entries of A) = 1, so two
+reduced pairs are equal exactly when their rational matrices are.
+Normal forms, determinants (Bareiss), exterior powers and characteristic
+polynomials (Faddeev-LeVerrier with exact division) are fraction-free,
+and ``inverse_pair`` gives T^(-1) as an integer matrix over +-det T.
+Nothing here uses floats.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -29,7 +28,6 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError
@@ -164,9 +162,6 @@ class IntMatrix:
             prev = pivot
         return IntMatrix(a), prev
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix([[Fraction(a) for a in row] for row in self.rows])
-
     def mod(self, n: int) -> "IntMatrix":
         return IntMatrix([[a % n for a in row] for row in self.rows])
 
@@ -191,140 +186,6 @@ class IntMatrix:
         return all(
             a == 0 or d[i] == d[j] for i, row in enumerate(A.rows) for j, a in enumerate(row)
         )
-
-
-class RatMatrix:
-    """Immutable matrix with Fraction entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
-        if not rs or not rs[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(rs[0])
-        if any(len(row) != width for row in rs):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return IntMatrix.identity(n).to_rat()
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence]) -> "RatMatrix":
-        return RatMatrix(list(zip(*cols)))
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.rows)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[list(map(str, r)) for r in self.rows]})"
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in row] for row in self.rows])
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.transpose().rows
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(a * Fraction(x) for a, x in zip(row, vec)) for row in self.rows)
-
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        a = [list(row) for row in self.rows]
-        n = self.nrows
-        sign = 1
-        result = Fraction(1)
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            pivot = a[k][k]
-            result *= pivot
-            for i in range(k + 1, n):
-                factor = a[i][k] / pivot
-                if factor:
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-        return sign * result
-
-    def inverse(self) -> "RatMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                raise ZeroDivisionError("matrix is singular")
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            pivot = a[k][k]
-            a[k] = [x / pivot for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    factor = a[i][k]
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-        return RatMatrix([row[n:] for row in a])
-
-    def rank(self) -> int:
-        a = [list(row) for row in self.rows]
-        rank = 0
-        for col in range(self.ncols):
-            pivot_row = next((i for i in range(rank, self.nrows) if a[i][col] != 0), None)
-            if pivot_row is None:
-                continue
-            a[rank], a[pivot_row] = a[pivot_row], a[rank]
-            pivot = a[rank][col]
-            for i in range(rank + 1, self.nrows):
-                if a[i][col]:
-                    factor = a[i][col] / pivot
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
-            rank += 1
-        return rank
-
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for row in self.rows for a in row)
-
-    def to_int(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(a) for a in row] for row in self.rows])
-
-    def denominator(self) -> int:
-        from math import lcm
-
-        return lcm(*[a.denominator for row in self.rows for a in row])
 
 
 # ---------------------------------------------------------------------------
@@ -519,20 +380,13 @@ def exterior_power_matrix(A: IntMatrix, k: int) -> IntMatrix:
     )
 
 
-def char_poly(A) -> tuple:
-    """Coefficients of det(xI - A), descending degree, leading 1.
-
-    Integer matrices give integer coefficients, rational matrices give
-    Fractions: A = M / m with M integral has coefficient i equal to that
-    of M divided by m^i.
-    """
+def char_poly(A: IntMatrix) -> tuple[int, ...]:
+    """Coefficients of det(xI - A), descending degree, leading 1.  A
+    rational matrix M / m has coefficient i equal to that of M divided
+    by m^i."""
     if A.nrows != A.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if isinstance(A, IntMatrix):
-        return _faddeev_leverrier(A.rows)
-    m = A.denominator()
-    coeffs = _faddeev_leverrier([[int(x * m) for x in row] for row in A.rows])
-    return tuple(Fraction(c, m**i) for i, c in enumerate(coeffs))
+    return _faddeev_leverrier(A.rows)
 
 
 def _faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[int, ...]:

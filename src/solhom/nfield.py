@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .errors import IndexObstruction, InternalCheckError
 from .intfactor import factorint
-from .linalg import IntMatrix, RatMatrix, char_poly, hnf
+from .linalg import IntMatrix, char_poly, hnf
 from .qpoly import Poly, factor_mod_p, is_irreducible_over_q
 
 # how an element's repr writes the field generator theta
@@ -66,32 +66,34 @@ class NumberField:
             raise ValueError(f"{min_poly.pretty()} is reducible over Q")
         self.min_poly = min_poly
         self.degree = min_poly.degree
-        # basis_matrix W: columns are the power-basis coordinates of the
-        # integral basis; omega_poly: the integer minimal polynomial of omega
+        # basis_matrix (W, w): the columns of W / w are the power-basis
+        # coordinates of the integral basis; omega_poly: the integer
+        # minimal polynomial of omega
         self.basis_matrix, self.omega_poly = self._build_integral_basis()
         self._structure = self._build_structure_constants()
         self.discriminant = self._compute_discriminant()
 
     # representation helpers -------------------------------------------------
-    def _build_integral_basis(self) -> tuple[RatMatrix, Poly]:
+    def _build_integral_basis(self) -> tuple[tuple[IntMatrix, int], Poly]:
         d = self.degree
         if d != 2:
-            return RatMatrix.identity(d), self.min_poly
+            return (IntMatrix.identity(d), 1), self.min_poly
         b = int(self.min_poly.coeffs[1])
         disc_f = b * b - 4 * int(self.min_poly.coeffs[2])
         u, m = _squarefree_decompose_int(disc_f)
-        # theta = (-b +- u sqrt(m)) / 2, so omega = (1 +- sqrt(m)) / 2 or +-sqrt(m)
+        # theta = (-b +- u sqrt(m)) / 2, so omega = (1 +- sqrt(m)) / 2 or +-sqrt(m);
+        # over w = 2u, omega is (u + b, 2) or (2b, 4) in the power basis
         if m % 4 == 1:
-            omega = (Fraction(u + b, 2 * u), Fraction(1, u))
+            omega = (u + b, 2)
             omega_poly = Poly([1, -1, (1 - m) // 4])
         else:
-            omega = (Fraction(b, u), Fraction(2, u))
+            omega = (2 * b, 4)
             omega_poly = Poly([1, 0, -m])
-        W = RatMatrix.from_columns([(1, 0), omega])
-        index = 1 / abs(W.det())
-        if index.denominator != 1:
+        W, w = IntMatrix.from_columns([(2 * u, 0), omega]), 2 * u
+        # the index of Z[theta] in Z[omega] is w^2 / det W
+        if w * w % W.det():
             raise InternalCheckError("quadratic integral basis has non-integer index")
-        return W, omega_poly
+        return (W, w), omega_poly
 
     def _build_structure_constants(self) -> list[list[list[int]]]:
         """[i][j]: the integer coordinates of w_i * w_j = omega^(i+j),
@@ -138,9 +140,16 @@ class NumberField:
         cs = [Fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError("coordinate length mismatch")
-        z = self.basis_matrix.inverse().apply(cs)
-        den = math.lcm(*(c.denominator for c in z))
-        return NfElement(self, [int(c * den) for c in z], den)
+        q = math.lcm(*(c.denominator for c in cs))
+        B, e = self._basis_inverse
+        return NfElement(self, B.apply([c.numerator * (q // c.denominator) for c in cs]), e * q)
+
+    @functools.cached_property
+    def _basis_inverse(self) -> tuple[IntMatrix, int]:
+        """(W / w)^-1 as the pair (w B, e), for (B, e) = W.inverse_pair()."""
+        W, w = self.basis_matrix
+        B, e = W.inverse_pair()
+        return B.scale(w), e
 
     def from_rational(self, q) -> "NfElement":
         q = Fraction(q)
@@ -275,9 +284,10 @@ class NfElement:
         structure constants, and m is least, so the pair is reduced."""
         return IntMatrix.from_columns(self.field._mult_columns(self.num)), self.den
 
-    def mult_matrix_integral(self) -> RatMatrix:
-        A, m = self.mult_pair()
-        return RatMatrix([[Fraction(x, m) for x in row] for row in A.rows])
+    def mult_matrix_integral(self) -> tuple[IntMatrix, int]:
+        # the benchmark's tracer wraps this name, so it stays until the
+        # tracer is re-pinned (ROADMAP item 1); nothing in solhom calls it
+        return self.mult_pair()
 
     def norm(self) -> Fraction:
         A, m = self.mult_pair()
@@ -302,7 +312,8 @@ class NfElement:
 
     def power_coords(self) -> tuple[Fraction, ...]:
         """Coordinates over the power basis 1, theta, ..., theta^(d-1)."""
-        return self.field.basis_matrix.apply([Fraction(x, self.den) for x in self.num])
+        W, w = self.field.basis_matrix
+        return tuple(Fraction(x, w * self.den) for x in W.apply(self.num))
 
 
 class FractionalIdeal:

@@ -33,7 +33,7 @@ from solhom.errors import (
 from solhom.fgab import GroupHom
 from solhom.intfactor import radical
 from solhom.limits import MEMBERSHIP_CAP_FACTOR, ColimitGroup
-from solhom.linalg import IntMatrix, RatMatrix, snf
+from solhom.linalg import IntMatrix, snf
 from solhom.nfield import (
     FractionalIdeal,
     NfElement,
@@ -271,6 +271,135 @@ def _prime_power_split(qs):
 
 
 # ---------------------------------------------------------------------------
+# Fraction matrices: the reference route that solhom replaced by integer
+# pairs (A, m), an IntMatrix over one positive denominator
+
+
+class RatMatrix:
+    """Immutable matrix with Fraction entries."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rs = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
+        if not rs or not rs[0]:
+            raise ValueError("matrix must have at least one row and column")
+        width = len(rs[0])
+        if any(len(row) != width for row in rs):
+            raise ValueError("ragged rows")
+        object.__setattr__(self, "rows", rs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatMatrix is immutable")
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.rows[0])
+
+    @staticmethod
+    def identity(n: int) -> "RatMatrix":
+        return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def from_columns(cols) -> "RatMatrix":
+        return RatMatrix(list(zip(*cols)))
+
+    def column(self, j: int) -> tuple:
+        return tuple(row[j] for row in self.rows)
+
+    def transpose(self) -> "RatMatrix":
+        return RatMatrix(list(zip(*self.rows)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RatMatrix) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"RatMatrix({[list(map(str, r)) for r in self.rows]})"
+
+    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        cols = other.transpose().rows
+        return RatMatrix(
+            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+        )
+
+    def apply(self, vec) -> tuple:
+        if len(vec) != self.ncols:
+            raise ValueError("shape mismatch")
+        return tuple(sum(a * Fraction(x) for a, x in zip(row, vec)) for row in self.rows)
+
+    def det(self) -> Fraction:
+        if self.nrows != self.ncols:
+            raise ValueError("determinant of a non-square matrix")
+        a = [list(row) for row in self.rows]
+        n = self.nrows
+        sign = 1
+        result = Fraction(1)
+        for k in range(n):
+            pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+            if pivot_row is None:
+                return Fraction(0)
+            if pivot_row != k:
+                a[k], a[pivot_row] = a[pivot_row], a[k]
+                sign = -sign
+            pivot = a[k][k]
+            result *= pivot
+            for i in range(k + 1, n):
+                factor = a[i][k] / pivot
+                if factor:
+                    a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+        return sign * result
+
+    def inverse(self) -> "RatMatrix":
+        if self.nrows != self.ncols:
+            raise ValueError("inverse of a non-square matrix")
+        n = self.nrows
+        a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
+        for k in range(n):
+            pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+            if pivot_row is None:
+                raise ZeroDivisionError("matrix is singular")
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            pivot = a[k][k]
+            a[k] = [x / pivot for x in a[k]]
+            for i in range(n):
+                if i != k and a[i][k]:
+                    factor = a[i][k]
+                    a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+        return RatMatrix([row[n:] for row in a])
+
+    def denominator(self) -> int:
+        return math.lcm(*[a.denominator for row in self.rows for a in row])
+
+
+def rat(pair) -> RatMatrix:
+    """The rational matrix A / m of a pair (A, m)."""
+    A, m = pair
+    return RatMatrix([[Fraction(x, m) for x in row] for row in A.rows])
+
+
+def int_pair(M: RatMatrix) -> tuple[IntMatrix, int]:
+    """The reduced pair (A, m) of M: m is the least common denominator,
+    so gcd(m, entries of A) = 1."""
+    m = M.denominator()
+    return IntMatrix([[int(x * m) for x in row] for row in M.rows]), m
+
+
+def basis_rat(field) -> RatMatrix:
+    """W / w for field.basis_matrix = (W, w): its columns are the
+    power-basis coordinates of the integral basis."""
+    return rat(field.basis_matrix)
+
+
+# ---------------------------------------------------------------------------
 # test-only helpers on package types
 
 
@@ -467,7 +596,7 @@ def parse_rational(text: str) -> Fraction:
 def _ideal_from_power_coords(field, products) -> FractionalIdeal:
     """The lattice spanned by elements given over the power basis,
     converted to the integral basis by W^-1 in Fractions."""
-    W_inv = field.basis_matrix.inverse()
+    W_inv = basis_rat(field).inverse()
     coord_sets = [W_inv.apply(a) for a in products]
     den = math.lcm(*(c.denominator for coords in coord_sets for c in coords))
     cols = [[int(c * den) for c in coords] for coords in coord_sets]
@@ -477,7 +606,7 @@ def _ideal_from_power_coords(field, products) -> FractionalIdeal:
 def fraction_ideal_from_elements(field, gens) -> FractionalIdeal:
     """The O_K-module generated by nonzero elements, from Poly products
     g * w_j over the power basis."""
-    W = field.basis_matrix
+    W = basis_rat(field)
     return _ideal_from_power_coords(field, [
         poly_mod_product(field, power_coords(g), W.column(j))
         for g in gens for j in range(field.degree)
@@ -490,7 +619,7 @@ def fraction_ideal_product(I: FractionalIdeal, J: FractionalIdeal) -> Fractional
     field = I.field
 
     def basis(L):
-        W = field.basis_matrix
+        W = basis_rat(field)
         return [W.apply([Fraction(c, L.den) for c in col]) for col in L.num.columns()]
 
     return _ideal_from_power_coords(
@@ -607,7 +736,7 @@ def power_coords(x) -> tuple[Fraction, ...]:
     """x over the power basis 1, theta, ...: W times its integral
     coordinates."""
     v, m = x.integer_coords()
-    return x.field.basis_matrix.apply([Fraction(c, m) for c in v])
+    return basis_rat(x.field).apply([Fraction(c, m) for c in v])
 
 
 def _ascending(p: Poly, d: int) -> tuple[Fraction, ...]:
@@ -653,7 +782,8 @@ def fraction_mult_matrix(x) -> RatMatrix:
     """W^-1 M W: multiplication by x over the integral basis, conjugated
     from the power basis in Fractions."""
     field = x.field
-    return field.basis_matrix.inverse() @ power_basis_mult_matrix(x) @ field.basis_matrix
+    W = basis_rat(field)
+    return W.inverse() @ power_basis_mult_matrix(x) @ W
 
 
 def trace_form_discriminant(field) -> Fraction:
@@ -917,7 +1047,7 @@ def fraction_equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tu
     if A @ B != B @ A:
         raise NonCommuting("tower matrices do not commute; only invariants can be compared")
     for M, target in ((A, H), (B, G)):
-        inv = M.to_rat().inverse()
+        inv = rat((M, 1)).inverse()
         for j in range(M.ncols):
             col = inv.column(j)
             if fraction_membership_stage(target, col) is None:

@@ -18,6 +18,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 from pathlib import Path
 
 from record_answer_reports import (
@@ -28,6 +29,10 @@ from record_answer_reports import (
     run_analyze,
 )
 from solhom import cli
+from solhom.engine import finite_part_homology, shifted_homology
+from solhom.errors import SolhomError
+from solhom.linalg import IntMatrix
+from solhom.places import build_system
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -71,3 +76,21 @@ def test_high_degree_reports_are_byte_identical_to_their_recording():
     assert sorted(key for key, _, _ in inputs) == sorted(recorded)
     changed = [key for key, poly, n in inputs if run_analyze(poly, n) != recorded[key]]
     assert changed == []
+
+
+def test_every_action_over_the_answer_inputs_is_a_reduced_pair():
+    checked = 0
+    for poly in sorted({poly for _, poly, _ in answer_inputs()}):
+        try:
+            sys_ = build_system(poly)
+        except SolhomError:
+            continue  # refused inputs have no report
+        for side in (sys_, sys_.dual_system()):
+            finite = finite_part_homology(side)
+            for graded in (finite, shifted_homology(side, finite)):
+                for degree, entry in graded.entries.items():
+                    A, m = entry.action
+                    assert type(A) is IntMatrix and type(m) is int and m > 0, (poly, degree)
+                    assert math.gcd(m, *(x for row in A.rows for x in row)) == 1, (poly, degree)
+                    checked += 1
+    assert checked > 100

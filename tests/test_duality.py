@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import minor_entry, reversed_poly, system_with
+from oracles import RatMatrix, int_pair, minor_entry, rat, reversed_poly, system_with
 from record_answer_reports import DATA
 from solhom import cli, nfield, places
 from solhom.cli import build_report
@@ -25,7 +25,6 @@ from solhom.engine import (
     shifted_homology,
 )
 from solhom.errors import InternalCheckError
-from solhom.linalg import RatMatrix
 from solhom.places import build_system
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -169,7 +168,7 @@ def test_duality_check_fails_on_a_wrong_stable_scale():
             {
                 **stable.entries,
                 degree: entry._replace(
-                    action=RatMatrix([[x / 4 for x in row] for row in entry.action.rows]),
+                    action=int_pair(RatMatrix([[x / 4 for x in row] for row in rat(entry.action).rows])),
                 ),
             },
             stable.principalization,

@@ -51,8 +51,8 @@ def test_rational_three_halves_finite_part():
     assert finite.entries[0].closed == LocalizedForm.localized(3)
     assert finite.entries[1].closed == LocalizedForm.localized(2)
     # theta' acts by N = 3 in degree 0 and by N/c = 2 in degree 1
-    assert finite.entries[0].action.rows == ((Fraction(3),),)
-    assert finite.entries[1].action.rows == ((Fraction(2),),)
+    assert finite.entries[0].action == (IntMatrix([[3]]), 1)
+    assert finite.entries[1].action == (IntMatrix([[2]]), 1)
     g, h = principalization(sys)
     assert h == 1 and g.norm() == 2
 
@@ -79,9 +79,10 @@ def test_golden_homology_and_actions():
     assert hom.entry(0).closed == LocalizedForm.free(2)
     assert hom.entry(1).closed == LocalizedForm.free(1)
     # orientation sign -1 lands on the odd degrees
-    assert hom.entry(-1).action.rows == ((Fraction(-1),),)
-    assert hom.entry(1).action.rows == ((Fraction(1),),)
-    assert char_poly(hom.entry(0).action) == (1, 1, -1)
+    assert hom.entry(-1).action == (IntMatrix([[-1]]), 1)
+    assert hom.entry(1).action == (IntMatrix([[1]]), 1)
+    A, m = hom.entry(0).action
+    assert m == 1 and char_poly(A) == (1, 1, -1)
 
 
 def test_golden_k_theory():
@@ -108,16 +109,16 @@ def test_sqrt_minus_five_unstable():
     assert finite.entries[1].closed is None
     assert finite.entries[2].closed == LocalizedForm.localized(2)
     # theta' actions: 3, multiplication by 1 - sqrt(-5), and 2
-    assert finite.entries[0].action.rows == ((Fraction(3),),)
-    assert finite.entries[2].action.rows == ((Fraction(2),),)
+    assert finite.entries[0].action == (IntMatrix([[3]]), 1)
+    assert finite.entries[2].action == (IntMatrix([[2]]), 1)
     sqrt = sys.c.scale(2) - sys.field.one()  # sqrt(-5) = 2c - 1
-    mult = (sys.field.one() - sqrt).mult_matrix_integral()
+    mult = (sys.field.one() - sqrt).mult_pair()
     assert finite.entries[1].action == mult
 
     # the degree-1 group is the colimit of multiplication by 2(1 - sqrt(-5))
-    w = (sys.field.one() - sqrt).scale(2).mult_matrix_integral()
-    assert w.is_integral()
-    fixture = ColimitGroup(w.to_int())
+    w, den = (sys.field.one() - sqrt).scale(2).mult_pair()
+    assert den == 1
+    fixture = ColimitGroup(w)
     equal, witness = equal_commuting(finite.entries[1].colimit, fixture)
     assert equal and witness is None
 
@@ -137,14 +138,15 @@ def test_sqrt_minus_five_stable():
     # in the dual presentation sqrt(-5) = 1 - 3/c
     sqrt = dual.field.one() - dual.c.scale(3)
     assert sqrt * sqrt == dual.field.from_rational(-5)
-    w = (dual.field.one() + sqrt).scale(2).mult_matrix_integral()
-    fixture = ColimitGroup(w.to_int())
+    w, den = (dual.field.one() + sqrt).scale(2).mult_pair()
+    assert den == 1
+    fixture = ColimitGroup(w)
     equal, witness = equal_commuting(stable.entry(-1).colimit, fixture)
     assert equal and witness is None
     # theta' actions on the stable side: 2, mult by 1 + sqrt(-5), 3
-    assert stable.entry(-2).action.rows == ((Fraction(2),),)
-    assert stable.entry(-1).action == (dual.field.one() + sqrt).mult_matrix_integral()
-    assert stable.entry(0).action.rows == ((Fraction(3),),)
+    assert stable.entry(-2).action == (IntMatrix([[2]]), 1)
+    assert stable.entry(-1).action == (dual.field.one() + sqrt).mult_pair()
+    assert stable.entry(0).action == (IntMatrix([[3]]), 1)
 
 
 def test_sqrt_minus_five_stable_top_degree_is_odd():
@@ -224,6 +226,17 @@ def test_kunneth_square_of_rational_fixture():
     assert square.entry(0).closed == LocalizedForm.localized(3)
     assert square.entry(1).closed == LocalizedForm.localized(6, 2)
     assert square.entry(2).closed == LocalizedForm.localized(2)
+
+
+def test_rank_of_entries_without_a_colimit():
+    from solhom import engine
+    from solhom.cli import fixture_graded
+
+    assert engine._ZERO_ENTRY.rank == 0
+    product = kunneth_product(fixture_graded("solenoid:3/2"), fixture_graded("klein"))
+    ranks = {d: product.entry(d).rank for d in product.degrees()}
+    assert ranks == {d: product.entry(d).closed.free_rank for d in product.degrees()}
+    assert ranks[0] == 1  # Z[1/3] (x) Z[1/3]
 
 
 def test_kunneth_klein_square_and_point():

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_colimit_member
-from solhom.errors import AtomClassExceeded, NonCommuting
+from oracles import brute_colimit_member, solve_rational
+from solhom.errors import AtomClassExceeded, InternalCheckError, NonCommuting
 from solhom.fgab import FgAbGroup
 from solhom.intfactor import factorint
 from solhom.limits import (
@@ -17,9 +17,10 @@ from solhom.limits import (
     canonical_form,
     equal_commuting,
     free_colimit,
+    _solve_lattice,
     torsion_colimit,
 )
-from solhom.linalg import IntMatrix
+from solhom.linalg import IntMatrix, hnf
 
 
 def test_membership_stages_frozen():
@@ -241,3 +242,54 @@ def test_torsion_colimit_matches_order_oracle(invariants, data):
     got = torsion_colimit(group, rel, IntMatrix(F))
     oracle = _order_multiset(tuple(invariants), rel, F, steps=16)
     assert _group_order_multiset(got) == oracle
+
+
+def _matrix(rows, cols, lo=-6, hi=6):
+    return st.lists(
+        st.lists(st.integers(lo, hi), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(IntMatrix)
+
+
+@st.composite
+def _lattice_and_coefficients(draw):
+    """A full-column-rank f x r integer B and an integer r x s X."""
+    f = draw(st.integers(1, 4))
+    r = draw(st.integers(1, f))
+    B = draw(_matrix(f, r))
+    assume(not B.is_zero() and hnf(B).ncols == r)
+    return B, draw(_matrix(r, draw(st.integers(1, 3)), -9, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_and_coefficients())
+def test_lattice_solve_reads_back_the_coefficients(case):
+    B, X = case
+    H = hnf(B)
+    image = H @ X
+    assert _solve_lattice(H, image) == X
+    for target, col in zip(image.columns(), X.columns()):
+        assert solve_rational(H.columns(), target) == list(col)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_and_coefficients())
+def test_lattice_solve_refuses_targets_off_the_lattice(case):
+    # hnf(2B) = 2 hnf(B), so H X lies in the lattice of 2B exactly when X is even
+    B, X = case
+    H, H2 = hnf(B), hnf(B.scale(2))
+    assert H2 == H.scale(2)
+    got = _solve_lattice(H2, H @ X)
+    if any(x % 2 for row in X.rows for x in row):
+        assert got is None
+        assert any(c.denominator != 1 for t in (H @ X).columns() for c in solve_rational(H2.columns(), t))
+    else:
+        assert got == IntMatrix([[x // 2 for x in row] for row in X.rows])
+
+
+def test_lattice_solve_frozen():
+    H = IntMatrix([[2, 0], [1, 3]])
+    assert _solve_lattice(H, IntMatrix([[4], [5]])) == IntMatrix([[2], [1]])
+    assert _solve_lattice(H, IntMatrix([[1], [0]])) is None
+    assert _solve_lattice(H, IntMatrix([[2], [0]])) is None  # x = (1, -1/3)
+    with pytest.raises(InternalCheckError, match="inconsistent lattice solve"):
+        _solve_lattice(IntMatrix([[1], [0]]), IntMatrix([[0], [1]]))
