@@ -2,8 +2,8 @@
 the registry, and run the built-in selftest.
 
 Exit codes: 0 success, 1 bad input, 2 hypothesis violation (a conjugate
-of c on the unit circle, or a precondition like N > 1), 3 internal
-failure.
+of c on the unit circle, or a precondition such as N > 1, or a Künneth
+factor with a degree that has no closed form), 3 internal failure.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .errors import (
     SolhomError,
     ZeroInput,
 )
-from .fgab import FgAbGroup, endomorphism
-from .limits import canonical_form
+from .fgab import FgAbGroup, LocalizedForm, endomorphism
+from .limits import ColimitGroup
 from .linalg import IntMatrix
 from .nfield import NumberField
 from .places import SolenoidSystem, build_system, monic_min_poly
@@ -80,17 +80,21 @@ def klein_fixture() -> tuple[list[FgAbGroup], list]:
     return [z, z_tor, trivial], transfers
 
 
+def _fixture_system(name: str) -> SolenoidSystem:
+    if name.startswith("solenoid:"):
+        return build_system(Fraction(name.split(":", 1)[1]))
+    if name in FIXTURE_POLYS:
+        return build_system(FIXTURE_POLYS[name])
+    raise ParseError(f"unknown fixture {name!r}; see the fixtures command")
+
+
 def fixture_graded(name: str) -> GradedGroup:
     if name == "klein":
         return transfer_colimit(*klein_fixture())
     if name == "point":
         z = FgAbGroup(1, ())
         return transfer_colimit([z], [endomorphism(z, IntMatrix([[1]]))])
-    if name.startswith("solenoid:"):
-        return groupoid_homology(build_system(Fraction(name.split(":", 1)[1])))
-    if name in FIXTURE_POLYS:
-        return groupoid_homology(build_system(FIXTURE_POLYS[name]))
-    raise ParseError(f"unknown fixture {name!r}; see the fixtures command")
+    return groupoid_homology(_fixture_system(name))
 
 
 def fixture_detail(name: str) -> dict:
@@ -108,11 +112,7 @@ def fixture_detail(name: str) -> dict:
         }
     if name == "point":
         return {"kind": "transfer data", "degrees": [{"group": "Z", "transfer": [[1]]}]}
-    if name.startswith("solenoid:"):
-        return {"kind": "system", **build_system(Fraction(name.split(":", 1)[1])).describe()}
-    if name in FIXTURE_POLYS:
-        return {"kind": "system", **build_system(FIXTURE_POLYS[name]).describe()}
-    raise ParseError(f"unknown fixture {name!r}; see the fixtures command")
+    return {"kind": "system", **_fixture_system(name).describe()}
 
 
 # ---------------------------------------------------------------------------
@@ -127,45 +127,47 @@ def _matrix_json(pair) -> list[list[str]]:
     return [[str(Fraction(x, m)) for x in row] for row in A.rows]
 
 
+def _signature_only_json(group: ColimitGroup) -> dict:
+    sig = group.signature()
+    return {
+        "group": f"colim(Z^{group.rank}, tower below)",
+        "tower": [list(r) for r in group.matrix.rows],
+        "signature": {"rank": sig.rank, "mod_p_ranks": [list(pair) for pair in sig.mod_p_ranks]},
+        "provenance": "tower (signature-only)",
+    }
+
+
 def _graded_json(graded: GradedGroup) -> dict:
     out = {}
     for degree in sorted(graded.entries):
         entry = graded.entries[degree]
         if entry.is_zero():
             continue
-        record: dict = {"provenance": entry.provenance}
         if entry.closed is not None:
-            record["group"] = entry.closed.pretty()
+            record = {"group": entry.closed.pretty(), "provenance": entry.provenance}
         else:
-            record["group"] = f"colim(Z^{entry.colimit.rank}, tower below)"
-            record["tower"] = [list(r) for r in entry.colimit.matrix.rows]
-            sig = entry.colimit.signature()
-            record["signature"] = {
-                "rank": sig.rank,
-                "mod_p_ranks": [list(pair) for pair in sig.mod_p_ranks],
-            }
-            record["provenance"] = "tower (signature-only)"
+            record = _signature_only_json(entry.colimit)
         if entry.action is not None:
             record["action"] = _matrix_json(entry.action)
         out[str(degree)] = record
     return out
 
 
-def _k_group_json(group) -> dict:
-    try:
-        form = canonical_form(group)
+def _block_diagonal(blocks: list[IntMatrix]) -> IntMatrix:
+    size, off, rows = sum(b.nrows for b in blocks), 0, []
+    for b in blocks:
+        rows += [[0] * off + list(row) + [0] * (size - off - b.ncols) for row in b.rows]
+        off += b.ncols
+    return IntMatrix(rows)
+
+
+def _k_group_json(entries: list) -> dict:
+    """A K-group, the direct sum of its degree entries: the sum of their
+    closed forms, or the tower of the block sum when one has none."""
+    if all(e.closed is not None for e in entries):
+        form = LocalizedForm([atom for e in entries for atom in e.closed.atoms])
         return {"group": form.pretty(), "provenance": "canonical_form"}
-    except AtomClassExceeded:
-        sig = group.signature()
-        return {
-            "group": f"colim(Z^{group.rank}, tower below)",
-            "tower": [list(r) for r in group.matrix.rows],
-            "signature": {
-                "rank": sig.rank,
-                "mod_p_ranks": [list(pair) for pair in sig.mod_p_ranks],
-            },
-            "provenance": "tower (signature-only)",
-        }
+    return _signature_only_json(ColimitGroup(_block_diagonal([e.colimit.matrix for e in entries])))
 
 
 def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
@@ -408,16 +410,12 @@ SELFTEST_CASES = (
 def cmd_selftest(_args) -> int:
     failures = 0
     for poly, expected in SELFTEST_CASES:
-        sys_ = build_system(poly)
-        finite = finite_part_homology(sys_)
-        hom = shifted_homology(sys_, finite)
-        ok = all(hom.entry(d).pretty() == want for d, want in expected.items())
-        hk = hk_check(sys_, finite, k_theory(sys_, finite))
-        ok = ok and hk["verdicts"] == {0: "equal", 1: "equal"} and hk["rank_identity"]
-        ok = ok and all(
-            abs(trace) == sys_.periodic_points(n)
-            for n, trace in enumerate(lefschetz_traces(sys_, 4), start=1)
-        )
+        report = build_report(build_system(poly), 4)
+        hom = report["homology"]["unstable"]
+        ok = all(hom.get(str(d), {}).get("group") == want for d, want in expected.items())
+        hk = report["hk"]
+        ok = ok and hk["verdicts"] == {"0": "equal", "1": "equal"} and hk["rank_identity"]
+        ok = ok and all(abs(row["trace"]) == row["periodic_points"] for row in report["lefschetz"])
         print(f"{'ok' if ok else 'FAIL'}  {poly}")
         failures += 0 if ok else 1
     klein = transfer_colimit(*klein_fixture())
@@ -429,6 +427,12 @@ def cmd_selftest(_args) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+def _period_count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"the number of periods is at least 0, not {text}")
+    return int(text)
+
 
 @functools.cache  # once per process: building it costs about what a cache hit does
 def _build_parser() -> argparse.ArgumentParser:
@@ -450,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--side", choices=("stable", "unstable", "both"), default="both"
     )
     analyze.add_argument(
-        "--lefschetz", type=int, default=DEFAULT_LEFSCHETZ, metavar="N",
+        "--lefschetz", type=_period_count, default=DEFAULT_LEFSCHETZ, metavar="N",
         help="tabulate traces and counts for periods 1..N",
     )
     analyze.add_argument("--json", action="store_true")
@@ -494,7 +498,7 @@ def main(argv=None) -> int:
     except (ParseError, ZeroInput, ValueError) as exc:
         print(f"solhom: {exc}", file=_sys.stderr)
         return 1
-    except (BoundaryRoot, HypothesisN1, IndexObstruction) as exc:
+    except (AtomClassExceeded, BoundaryRoot, HypothesisN1, IndexObstruction) as exc:
         print(f"solhom: hypothesis violated: {exc}", file=_sys.stderr)
         return 2
     except SolhomError as exc:

@@ -21,11 +21,10 @@ Tor vanishes when either side is torsion-free and Tor(Z/a, Z/b) = Z/gcd.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import AtomClassExceeded
 from .intfactor import factorint, radical
-from .linalg import IntMatrix, snf
+from .linalg import IntMatrix
 
 
 class _FgAbGroupFields(NamedTuple):
@@ -67,29 +66,6 @@ class FgAbGroup(_FgAbGroupFields):
 
     def pretty(self) -> str:
         return localized_from_fgab(self).pretty()
-
-
-def from_presentation(ngens: int, relations: Sequence[Sequence[int]]) -> FgAbGroup:
-    """Quotient of Z^ngens by the subgroup generated by the relations.
-
-    >>> from_presentation(2, [[2, 0]])
-    FgAbGroup(free_rank=1, torsion=(2,))
-    >>> from_presentation(1, [])
-    FgAbGroup(free_rank=1, torsion=())
-    """
-    if ngens == 0:
-        return FgAbGroup(0)
-    if not relations:
-        return FgAbGroup(ngens)
-    cols = [list(r) for r in relations]
-    if any(len(c) != ngens for c in cols):
-        raise ValueError("relation length does not match generator count")
-    mat = IntMatrix.from_columns(cols)
-    S, _, _ = snf(mat)
-    diag = [S.rows[i][i] for i in range(min(S.nrows, S.ncols))]
-    rank_drop = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return FgAbGroup(ngens - rank_drop, torsion)
 
 
 class _GroupHomFields(NamedTuple):
@@ -289,22 +265,6 @@ def localized_from_fgab(group: FgAbGroup) -> LocalizedForm:
     return LocalizedForm(atoms)
 
 
-def tensor(a: FgAbGroup | LocalizedForm, b: FgAbGroup | LocalizedForm) -> LocalizedForm:
-    return _coerce(a).tensor(_coerce(b))
-
-
-def tor(a: FgAbGroup | LocalizedForm, b: FgAbGroup | LocalizedForm) -> LocalizedForm:
-    return _coerce(a).tor(_coerce(b))
-
-
-def _coerce(g) -> LocalizedForm:
-    if isinstance(g, LocalizedForm):
-        return g
-    if isinstance(g, FgAbGroup):
-        return localized_from_fgab(g)
-    raise AtomClassExceeded(f"cannot interpret {g!r} as a sum of atoms")
-
-
 def kunneth(
     a: Mapping[int, LocalizedForm], b: Mapping[int, LocalizedForm]
 ) -> dict[int, LocalizedForm]:
@@ -312,6 +272,10 @@ def kunneth(
 
     Degree k of the output collects tensor terms from degrees i + j = k
     and Tor terms from degrees i + j = k - 1.  Zero summands are dropped.
+
+    >>> circle = {0: LocalizedForm.free(1), 1: LocalizedForm.free(1)}
+    >>> {k: g.pretty() for k, g in kunneth(circle, circle).items()}
+    {0: 'Z', 1: 'Z^2', 2: 'Z'}
     """
     out: dict[int, LocalizedForm] = {}
 

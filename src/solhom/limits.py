@@ -16,9 +16,8 @@ G = union of T^(-n) Z^r inside Q^r.  Three facts drive the algorithms:
   induction carries T^(-n) Z^r inside.  This makes equality definitive
   in both directions, with an explicit witness vector on failure.
 
-* rank(G / pG) equals the stable rank of T mod p, an honest isomorphism
-  invariant used to separate colimits when no commuting comparison is
-  available.
+* rank(G / pG) equals the stable rank of T mod p, an isomorphism
+  invariant that a report prints for a colimit without a closed form.
 
 Torsion towers are finite, so their colimit is the eventual image with
 the map acting bijectively; mixed towers reduce to a block-diagonal
@@ -143,15 +142,6 @@ class InvariantSignature(NamedTuple):
             pairs.append((p, stable_rank_mod_p(G.matrix, p)))
         return InvariantSignature(G.rank, tuple(pairs))
 
-    def matches(self, other: "InvariantSignature") -> bool:
-        if self.rank != other.rank:
-            return False
-        a, b = dict(self.mod_p_ranks), dict(other.mod_p_ranks)
-        for p in set(a) | set(b):
-            if a.get(p, self.rank) != b.get(p, other.rank):
-                return False
-        return True
-
 
 def equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | None]:
     """Decide G == H as subgroups of Q^r when the tower matrices commute.
@@ -168,7 +158,7 @@ def equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | Non
     if G.rank == 0:
         return True, None
     if not G.matrix.commutes_with(H.matrix):
-        raise NonCommuting("tower matrices do not commute; only invariants can be compared")
+        raise NonCommuting("tower matrices do not commute; membership cannot decide equality")
     for source, target in ((G, H), (H, G)):
         inv, d = source.matrix.inverse_pair()
         if abs(d) != abs(source.det):

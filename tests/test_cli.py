@@ -12,7 +12,7 @@ import pytest
 from record_answer_reports import answer_inputs
 from solhom import cli, engine, limits, nfield, places, qpoly
 from solhom.cli import main
-from solhom.errors import SolhomError
+from solhom.errors import InternalCheckError, SolhomError
 from solhom.fgab import FgAbGroup, endomorphism
 from solhom.linalg import IntMatrix
 from solhom.places import SolenoidSystem, build_system
@@ -349,6 +349,41 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_checks_full_reports(capsys, monkeypatch):
+    # each system runs through build_report, so the stable side and the
+    # duality check run too; a failing duality check exits 3
+    built = []
+    original = cli.build_report
+    monkeypatch.setattr(cli, "build_report", lambda *a: built.append(a[1]) or original(*a))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0 and built == [4, 4, 4]
+    assert out == "ok  x-3/2\nok  x^2-x-1\nok  x^2-x+3/2\nok  klein transfer colimit\n"
+
+    def broken(*_):
+        raise InternalCheckError("stable action is not the Jacobi dual")
+
+    monkeypatch.setattr(cli, "duality_check", broken)
+    code, _, err = run(capsys, "selftest")
+    assert code == 3 and "Jacobi dual" in err
+
+
+def test_kunneth_factor_without_closed_forms_is_refused(capsys):
+    # sqrt-minus-5 has a signature-only degree, so the product has no
+    # atoms to work with: a precondition, not an internal failure
+    code, out, err = run(capsys, "kunneth", "sqrt-minus-5", "klein")
+    assert code == 2 and out == ""
+    assert err == "solhom: hypothesis violated: degree 1 entry has no closed form\n"
+
+
+def test_negative_period_count_is_refused(capsys, isolated_cache):
+    code, out, err = run(capsys, "analyze", "--c", "3/2", "--lefschetz", "-2")
+    assert code == 1 and out == ""
+    assert "--lefschetz" in err and "at least 0" in err
+    assert not isolated_cache.exists()
+    code, out, _ = run(capsys, "analyze", "--c", "3/2", "--lefschetz", "0", "--json")
+    assert code == 0 and json.loads(out)["lefschetz"] == []
 
 
 @pytest.mark.parametrize("poly", ["x^2-409", "x^2-10007", "x^2-100000007", "x^2-1000000007"])

@@ -12,14 +12,11 @@ from solhom.fgab import (
     GroupHom,
     LocalizedForm,
     endomorphism,
-    from_presentation,
     kunneth,
     localized_from_fgab,
-    tensor,
-    tor,
 )
 from solhom.linalg import IntMatrix
-from oracles import compose, tensor_invariant_factors, tor_invariant_factors
+from oracles import compose, from_presentation, tensor, tensor_invariant_factors, tor, tor_invariant_factors
 
 
 Z = LocalizedForm.free(1)

@@ -1,12 +1,17 @@
 """The per-degree integer H/K comparison against the block-sum Fraction one.
 
-engine.hk_check compares each degree's tower with that degree's atom
+engine.k_theory keeps each K-group as the list of its degree entries,
+engine.hk_check compares each closed form's atom tower with its own
 tower, and limits.equal_commuting tests the columns of T^(-1) as integer
 columns of one fraction-free adjugate.  tests/oracles.py keeps the
 routes they replaced: block_sum_hk_check (one block-diagonal matrix per
-parity) and fraction_equal_commuting (RatMatrix.inverse and Fraction
-membership).  Verdicts, equal_commuting witnesses and stages must
-agree, and an hk_check witness must separate the two block sums.
+parity, built by the oracle) and fraction_equal_commuting
+(RatMatrix.inverse and Fraction membership).  Verdicts, equal_commuting
+witnesses and stages must agree, an hk_check witness must separate the
+two block sums, and a closed form that does not commute with its tower
+raises NonCommuting on both routes.  A K-group's report, the sum of its
+entries' closed forms, must agree with the block sum's closed form and
+isomorphism invariants.
 """
 
 from fractions import Fraction
@@ -17,16 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    block_diagonal,
     block_sum_hk_check,
+    block_sums,
     fraction_equal_commuting,
     fraction_membership_stage,
     hk_report,
 )
 from solhom import engine
-from solhom.engine import DegreeEntry, GradedGroup, _block_diagonal, hk_check, k_theory
-from solhom.errors import CapExceeded
+from solhom.cli import _k_group_json
+from solhom.engine import DegreeEntry, GradedGroup, hk_check, k_theory
+from solhom.errors import AtomClassExceeded, CapExceeded, NonCommuting
 from solhom.fgab import LocalizedForm
-from solhom.limits import ColimitGroup, canonical_form, equal_commuting
+from solhom.limits import ColimitGroup, InvariantSignature, canonical_form, equal_commuting
 from solhom.linalg import IntMatrix
 from solhom.places import build_system
 
@@ -117,21 +125,26 @@ def _graded(entries: list[DegreeEntry], shift: int):
     return sys, GradedGroup(dict(enumerate(entries)))
 
 
-def _check_against_oracle(entries: list[DegreeEntry], shift: int) -> dict:
+def _check_against_oracle(entries: list[DegreeEntry], shift: int) -> dict | None:
+    """hk_check against the block-sum oracle; None when both raise
+    NonCommuting."""
     sys, finite = _graded(entries, shift)
     k_groups = k_theory(sys, finite)
+    try:
+        want = block_sum_hk_check(sys, finite)
+    except NonCommuting:
+        with pytest.raises(NonCommuting):
+            hk_check(sys, finite, k_groups)
+        return None
     got = hk_check(sys, finite, k_groups)
-    want = block_sum_hk_check(sys, finite, k_groups)
     assert got["verdicts"] == want["verdicts"]
     assert got["rank_identity"] == want["rank_identity"]
     assert got["witnesses"].keys() == want["witnesses"].keys()
     for i, witness in got["witnesses"].items():
         # a zero-padded witness lies in exactly one of the two block sums
         vec = [Fraction(x) for x in witness]
-        degrees = [k for k in sorted(finite.entries) if (k - shift) % 2 == i]
-        atoms = [engine._atom_colimit(finite.entries[k]).matrix for k in degrees]
-        hom_side = ColimitGroup(_block_diagonal(atoms))
-        in_k = fraction_membership_stage(k_groups[i], vec) is not None
+        k_group, hom_side = block_sums(sys, finite, i)
+        in_k = fraction_membership_stage(k_group, vec) is not None
         in_hom = fraction_membership_stage(hom_side, vec) is not None
         assert in_k != in_hom
     return got
@@ -146,14 +159,24 @@ def test_per_degree_verdicts_match_the_block_sum_oracle(entries, shift):
 @settings(max_examples=40, deadline=None)
 @given(differing(), st.lists(degree, max_size=2), non_commuting(), st.integers(0, 1))
 def test_non_commuting_degree_after_a_differing_one(first, middle, last, shift):
-    # the differing and the non-commuting degree share a parity, so the
-    # commute test must run before the first membership test
+    # the differing and the non-commuting degree share a parity: a closed
+    # form that does not commute with its tower is a bug, and the earlier
+    # mismatch does not hide it
     filler = [_canonical(IntMatrix([[1]]))] if len(middle) % 2 == 0 else []
     entries = [first] + middle + filler + [last]
-    got = _check_against_oracle(entries, shift)
-    parity = (0 - shift) % 2
-    assert got["verdicts"][parity] in ("invariants-agree", "differ")
-    assert parity not in got["witnesses"]
+    sys, finite = _graded(entries, shift)
+    with pytest.raises(NonCommuting):
+        hk_check(sys, finite, k_theory(sys, finite))
+    assert _check_against_oracle(entries, shift) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(degree, min_size=1, max_size=3), non_commuting(), st.integers(0, 4), st.integers(0, 1))
+def test_non_commuting_closed_form_raises(others, bad, at, shift):
+    entries = others[:at] + [bad] + others[at:]
+    sys, finite = _graded(entries, shift)
+    with pytest.raises(NonCommuting):
+        hk_check(sys, finite, k_theory(sys, finite))
 
 
 def test_differing_degree_reports_a_padded_witness():
@@ -190,6 +213,20 @@ def test_wrong_closed_form_of_a_diagonal_tower_is_caught():
     ]
     got = _check_against_oracle(entries, 0)
     assert got["verdicts"] == {0: "differ", 1: "equal"}
+
+
+def test_k_groups_are_the_entries_of_each_parity():
+    entries = [
+        _canonical(IntMatrix([[3]])),
+        _entry(IntMatrix([[2, 10], [-2, 2]]), None),
+        _canonical(IntMatrix([[2]])),
+        _canonical(IntMatrix([[5]])),
+    ]
+    # degree k has shifted degree k - 1; degree 4 is the appended Z^3
+    sys, finite = _graded(entries, 1)
+    k0, k1 = k_theory(sys, finite)
+    assert k0 == [entries[1], entries[3]]
+    assert k1 == [entries[0], entries[2], finite.entries[4]]
 
 
 def test_wrong_canonical_form_is_caught(monkeypatch):
@@ -284,3 +321,48 @@ def test_membership_stage_numbers_and_overscan():
         G.__dict__["det_primes"] = (4,)
         with pytest.raises(CapExceeded):
             stage([Fraction(1, 4)])
+
+
+# ---------------------------------------------------------------------------
+# K-group reports: the sum of the entries' closed forms
+
+
+def _k_signature(form: LocalizedForm, primes) -> InvariantSignature:
+    """Rank and mod-p ranks read off atoms Z and Z[1/m]: Z[1/m]/p is 0
+    when p divides m and Z/p otherwise."""
+    ranks = tuple((p, sum(1 for kind, m in form.atoms if not (kind == "inv" and m % p == 0))) for p in primes)
+    return InvariantSignature(form.free_rank, ranks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(rank_one(), unimodular(), diagonal(), no_closed_form()), min_size=1, max_size=4))
+def test_k_group_report_agrees_with_the_block_sum(entries):
+    block = ColimitGroup(block_diagonal([e.colimit.matrix for e in entries]))
+    want = InvariantSignature.of(block)
+    record = _k_group_json(entries)
+    try:
+        assert record["group"] == canonical_form(block).pretty()
+    except AtomClassExceeded:
+        pass
+    if all(e.closed is not None for e in entries):
+        form = LocalizedForm([atom for e in entries for atom in e.closed.atoms])
+        assert record == {"group": form.pretty(), "provenance": "canonical_form"}
+        assert _k_signature(form, block.det_primes) == want
+    else:
+        assert record["tower"] == [list(r) for r in block.matrix.rows]
+        assert record["signature"] == {
+            "rank": want.rank,
+            "mod_p_ranks": [list(pair) for pair in want.mod_p_ranks],
+        }
+
+
+def test_k_group_of_a_unimodular_and_a_localized_entry():
+    # canonical_form of the block sum diag([4], [[2, 1], [1, 1]]) finds no
+    # class (neither unimodular nor diagonal); the sum of the closed forms
+    # is the group
+    entries = [_canonical(IntMatrix([[4]])), _canonical(IntMatrix([[2, 1], [1, 1]]))]
+    block = ColimitGroup(block_diagonal([e.colimit.matrix for e in entries]))
+    with pytest.raises(AtomClassExceeded):
+        canonical_form(block)
+    assert _k_group_json(entries) == {"group": "Z^2 + Z[1/2]", "provenance": "canonical_form"}
+    assert _k_signature(LocalizedForm.free(2) + LocalizedForm.localized(2), block.det_primes) == block.signature()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_colimit_member, solve_rational
+from oracles import brute_colimit_member, from_presentation, signatures_match, solve_rational
 from solhom.errors import AtomClassExceeded, InternalCheckError, NonCommuting
 from solhom.fgab import FgAbGroup
 from solhom.intfactor import factorint
@@ -96,7 +96,7 @@ def test_equal_commuting_separates_same_signature_groups():
     # them apart, because different primes over 3 are being inverted
     A = ColimitGroup(MULT_DIFFERENT[0])
     B = ColimitGroup(MULT_DIFFERENT[1])
-    assert A.signature().matches(B.signature())
+    assert signatures_match(A.signature(), B.signature())
     eq, witness = equal_commuting(A, B)
     assert not eq
     assert witness is not None
@@ -236,8 +236,6 @@ def test_torsion_colimit_matches_order_oracle(invariants, data):
     )
     if not ok:
         return
-    from solhom.fgab import from_presentation
-
     group = from_presentation(n, rel.columns())
     got = torsion_colimit(group, rel, IntMatrix(F))
     oracle = _order_multiset(tuple(invariants), rel, F, steps=16)
