@@ -48,7 +48,7 @@ class ColimitGroup:
     The trivial group is matrix=None with rank zero.
     """
 
-    def __init__(self, matrix: IntMatrix | None, name: str | None = None):
+    def __init__(self, matrix: IntMatrix | None):
         if matrix is None:
             self.matrix = None
             self.rank = 0
@@ -61,11 +61,9 @@ class ColimitGroup:
             self.det = matrix.det()
             if self.det == 0:
                 raise ValueError("tower matrix must be injective; reduce with free_colimit")
-        self.name = name
 
     def __repr__(self) -> str:
-        label = f" {self.name}" if self.name else ""
-        return f"ColimitGroup(rank={self.rank}, det={self.det}{label})"
+        return f"ColimitGroup(rank={self.rank}, det={self.det})"
 
     @functools.cached_property
     def det_primes(self) -> tuple[int, ...]:
@@ -194,7 +192,7 @@ def canonical_form(G: ColimitGroup) -> LocalizedForm:
     )
 
 
-def free_colimit(F: IntMatrix | None, name: str | None = None) -> ColimitGroup:
+def free_colimit(F: IntMatrix | None) -> ColimitGroup:
     """colim(Z^f, F) for a possibly non-injective F, restricted to the
     eventual image where the map becomes injective.
 
@@ -202,19 +200,19 @@ def free_colimit(F: IntMatrix | None, name: str | None = None) -> ColimitGroup:
     sublattice F acts injectively because the rank of F^k has stabilized.
     """
     if F is None:
-        return ColimitGroup(None, name)
+        return ColimitGroup(None)
     f = F.nrows
     if F.det() != 0:
-        return ColimitGroup(F, name)
+        return ColimitGroup(F)
     L = F.pow(f)
     if L.is_zero():
-        return ColimitGroup(None, name)
+        return ColimitGroup(None)
     basis = hnf(L)  # f x r_s, r_s = stable rank of F
     image = F @ basis
     T = _solve_lattice(basis, image)
     if T is None:
         raise InternalCheckError("map does not preserve its eventual image lattice")
-    return ColimitGroup(T, name)
+    return ColimitGroup(T)
 
 
 def _solve_lattice(B: IntMatrix, image: IntMatrix) -> IntMatrix | None:

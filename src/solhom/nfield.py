@@ -700,11 +700,9 @@ def _reduce_definite(A: int, B: int, C: int) -> tuple[tuple[int, int, int], tupl
     >>> _reduce_definite(4, 5, 3)   # D = -23: not the principal form
     ((2, -1, 3), ((-1, 1), (0, -1)))
     """
-    v1, v2 = (1, 0), (0, 1)
-    while not abs(B) <= A <= C:
-        (A, B, C), k = _rho(A, B, C, None)
-        v1, v2 = v2, (k * v2[0] - v1[0], k * v2[1] - v1[1])
-    return (A, B, C), (v1, v2)
+    for (A, B, C), v1, v2 in _rho_walk(A, B, C):
+        if abs(B) <= A <= C:
+            return (A, B, C), (v1, v2)
 
 
 def _embedding_bound(x: NfElement) -> Fraction:
@@ -713,12 +711,6 @@ def _embedding_bound(x: NfElement) -> Fraction:
     f = x.field.min_poly
     theta_max = 1 + max(abs(f.coeffs[1]), abs(f.coeffs[2]))
     return abs(p) + abs(q) * theta_max
-
-
-# Walk steps allowed per bit of the unit trace and of the form's A and C:
-# a cycle has at most about 2*log2(eps^2) forms (two consecutive complete
-# quotients multiply to more than 2), so a longer walk is a bug.
-_CYCLE_STEPS_PER_BIT = 4
 
 
 def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | None:
@@ -738,9 +730,7 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     bmax = _ceil_frac(2 * x_bound * _embedding_bound(u1) / covol) + 1
     eta = eps * eps
     t = int(eta.trace())
-    A, B, C = _norm_form(I)
-    cap = _CYCLE_STEPS_PER_BIT * (t.bit_length() + abs(A).bit_length() + abs(C).bit_length())
-    found = _cycle_representing_unit(A, B, C, cap)
+    found = _cycle_representing_unit(*_norm_form(I))
     if found is None:
         return None
     g = u1.scale(found[0]) + u2.scale(found[1])
@@ -786,7 +776,7 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     return x
 
 
-def _cycle_representing_unit(A: int, B: int, C: int, cap: int) -> tuple[int, int] | None:
+def _cycle_representing_unit(A: int, B: int, C: int) -> tuple[int, int] | None:
     """(a, b) with A a^2 + B ab + C b^2 = +-1, or None when the indefinite
     form of non-square discriminant D represents neither.
 
@@ -794,37 +784,52 @@ def _cycle_representing_unit(A: int, B: int, C: int, cap: int) -> tuple[int, int
     |sqrt(D) - 2|A|| < B < sqrt(D), and walk its cycle, which holds every
     reduced form properly equivalent to it.  A form representing +-1 is
     equivalent to (+-1, B', C') with B' in (sqrt(D) - 2, sqrt(D)), which
-    is reduced, so once round the cycle settles the question.  The basis
-    (v1, v2) of the current form is kept in the starting coordinates.
+    is reduced, so once round the cycle settles the question.
     """
-    D = B * B - 4 * A * C
-    s = math.isqrt(D)
-    v1, v2 = (1, 0), (0, 1)
+    s = math.isqrt(B * B - 4 * A * C)
     start = None
-    for _ in range(cap):
+    for form, v1, _ in _rho_walk(A, B, C):
+        A, B, _ = form
         if abs(A) == 1:
             return v1
-        if start is None and B <= s and 2 * abs(A) - B <= s < 2 * abs(A) + B:
-            start = (A, B, C)
-        (A, B, C), k = _rho(A, B, C, s)
-        v1, v2 = v2, (k * v2[0] - v1[0], k * v2[1] - v1[1])
-        if (A, B, C) == start:
+        if form == start:
             return None
-    raise InternalCheckError(f"reduced-form cycle not closed within {cap} steps")
+        if start is None and B <= s and 2 * abs(A) - B <= s < 2 * abs(A) + B:
+            start = form
 
 
-def _rho(A: int, B: int, C: int, s: int | None) -> tuple[tuple[int, int, int], int]:
-    """rho: (C, r, A - B k + C k^2) and k, the basis going to (v2, k*v2 - v1);
-    r = -B mod 2|C| in (-|C|, |C|] if s is None (definite) or |C| > s =
-    isqrt(D), else in (s - 2|C|, s]."""
-    m = 2 * abs(C)
-    if s is None or abs(C) > s:
-        r = -B % m
-        r = r - m if r > abs(C) else r
-    else:
-        r = s - (s + B) % m
-    k = (r + B) // (2 * C)
-    return (C, r, A - B * k + C * k * k), k
+def _walk_cap(D: int, C: int) -> int:
+    """Forms in which a rho walk from a form (A, B, C) of discriminant D is
+    reduced and once round its cycle, for either sign of D
+    (docs/principalization.md, "How long a walk is")."""
+    return 2 * abs(D) + abs(C) + 1
+
+
+def _rho_walk(A: int, B: int, C: int):
+    """Each form of the rho walk from (A, B, C), with its basis (v1, v2) in
+    the starting coordinates, up to _walk_cap forms: a longer walk is a
+    bug.  rho (Cohen, GTM 138, 5.4 and 5.6) goes to (C, r, A - Bk + Ck^2)
+    and the basis to (v2, k v2 - v1), where r = 2Ck - B is -B mod 2|C|
+    taken in (-|C|, |C|] when |C| > s = isqrt(D), as always for a definite
+    form (s = 0), and in (s - 2|C|, s] otherwise.
+    """
+    D = B * B - 4 * A * C
+    s = math.isqrt(max(D, 0))
+    cap = _walk_cap(D, C)
+    v1, v2 = (1, 0), (0, 1)
+    for _ in range(cap):
+        yield (A, B, C), v1, v2
+        m = 2 * abs(C)
+        if m > 2 * s:
+            r = -B % m
+            if r > m // 2:
+                r -= m
+        else:
+            r = s - (s + B) % m
+        k = (r + B) // (2 * C)
+        A, B, C = C, r, A - B * k + C * k * k
+        v1, v2 = v2, (k * v2[0] - v1[0], k * v2[1] - v1[1])
+    raise InternalCheckError(f"reduced-form cycle not closed within the proven {cap} forms")
 
 
 def _ceil_frac(q: Fraction) -> int:
@@ -839,42 +844,23 @@ def _isqrt_frac(q: Fraction) -> int:
 
 
 def fundamental_unit(field: NumberField) -> NfElement:
-    """Fundamental unit (> 1) of a real quadratic field.
+    """Fundamental unit eps of a real quadratic field, the one > 1 where
+    omega = (t + sqrt(D)) / 2.
 
-    Runs the continued fraction of the integral basis generator omega,
-    written as (P + sqrt(Dcf)) / Q; the first convergent h/k with
-    |N(h - k * conj(omega))| = 1 gives the fundamental unit.  That norm
-    is Q_{n+1} / Q_0 for the convergent h_n / k_n, so the loop watches
-    for Q to come back to Q_0 and takes one norm, of the unit it returns.
+    Walks the rho cycle of the principal form a^2 + t ab + n b^2 of the
+    integral basis 1, omega, for omega^2 - t omega + n = 0.  The walk
+    reaches a reduced form at +-1 and then meets the units in increasing
+    size, so the first form with |A| = 1 whose basis vector v1 = (a, b)
+    has b != 0 gives a + b omega = +-eps, and eps has b > 0
+    (docs/principalization.md, "The fundamental unit").
     """
     if field.degree != 2 or field.discriminant < 0:
         raise ValueError("fundamental units computed only for real quadratic fields")
-    D0 = field.discriminant
-    if D0 % 4 == 0:
-        Dcf, P, Q = D0 // 4, 0, 1
-    else:
-        Dcf, P, Q = D0, 1, 2
-    Q0 = Q
-    # omega is integral, so its trace is an integer; conj(omega) = tr - omega
-    tr = int(field.omega().trace())
-    s = math.isqrt(Dcf)
-    hm1, hm2 = 1, 0
-    km1, km2 = 0, 1
-    for _ in range(100000):
-        a = (P + s) // Q
-        h = a * hm1 + hm2
-        k = a * km1 + km2
-        P = a * Q - P
-        if (Dcf - P * P) % Q != 0:
-            raise InternalCheckError("continued fraction state broke the invariant")
-        Q = (Dcf - P * P) // Q
-        if Q <= 0:
-            raise InternalCheckError("continued fraction state left the positive cycle")
-        if Q == Q0:
-            unit = NfElement(field, (h - tr * k, k))
-            if abs(unit.norm()) != 1:
-                raise InternalCheckError("unit candidate has wrong norm")
-            return unit
-        hm2, hm1 = hm1, h
-        km2, km1 = km1, k
-    raise InternalCheckError("continued fraction did not produce a unit")
+    _, minus_t, n = field.omega_poly.int_coeffs()
+    for (A, _, _), (a, b), _ in _rho_walk(1, -minus_t, n):
+        if abs(A) == 1 and b:
+            break
+    unit = NfElement(field, (a, b) if b > 0 else (-a, -b))
+    if abs(unit.norm()) != 1:
+        raise InternalCheckError("unit candidate has wrong norm")
+    return unit

@@ -258,10 +258,10 @@ class _Parser:
             if op == "*":
                 node = node * rhs
             else:
-                if rhs.degree != 0:
-                    raise ParseError("division by a non-constant")
                 if rhs.is_zero():
                     raise ParseError("division by zero")
+                if rhs.degree != 0:
+                    raise ParseError("division by a non-constant")
                 node = node.scale(1 / rhs.coeffs[0])
         return node
 
@@ -507,14 +507,18 @@ def is_irreducible_mod_p(coeffs_desc: Sequence[int], p: int) -> bool:
     return len(facs) == 1 and facs[0][1] == 1
 
 
-def is_irreducible_over_q(f: Poly, prime_budget: int = 60) -> bool:
+# Primes tried for an irreducibility certificate mod p before giving up.
+IRREDUCIBILITY_PRIME_BUDGET = 60
+
+
+def is_irreducible_over_q(f: Poly) -> bool:
     """Irreducibility over Q for a monic integer polynomial.
 
     Strategy: rational root test, then degree-2/3 shortcut, then search for
     a prime p not dividing disc-like data with f irreducible mod p (a
     sufficient certificate), then a bounded search for integer factors of
     degree 2 as a last resort for degree 4 and 5.  Raises CapExceeded when
-    no certificate either way is found within the prime budget.
+    no certificate either way is found within IRREDUCIBILITY_PRIME_BUDGET.
     """
     if f.degree < 1:
         return False
@@ -532,7 +536,7 @@ def is_irreducible_over_q(f: Poly, prime_budget: int = 60) -> bool:
         return True
     tried = 0
     p = 2
-    while tried < prime_budget:
+    while tried < IRREDUCIBILITY_PRIME_BUDGET:
         if is_prime(p):
             tried += 1
             lead_ok = int(f.coeffs[0]) % p != 0

@@ -133,7 +133,7 @@ QUADRATIC_SAMPLE = ["x^2-x-1", "x^2-x+3/2", "x^2-2*x-1", "x^2-3", "x^2-x+1/2"]
 def test_criterion_5_hk_and_rank_identity():
     for poly in ("x-3/2", "x^2-x-1", "x^2-x+3/2", "x-2"):
         report = hk_report(build_system(poly))
-        assert report["verdicts"] == {0: "equal", 1: "equal"}, poly
+        assert report["verdicts"] == {"0": "equal", "1": "equal"}, poly
 
     rng = random.Random(20260823)
     seen = 0

@@ -13,7 +13,7 @@ from record_answer_reports import answer_inputs
 from solhom import cli, engine, limits, nfield, places, qpoly
 from solhom.cli import main
 from solhom.errors import InternalCheckError, SolhomError
-from solhom.fgab import FgAbGroup, endomorphism
+from solhom.fgab import FgAbGroup, LocalizedForm, endomorphism
 from solhom.linalg import IntMatrix
 from solhom.places import SolenoidSystem, build_system
 
@@ -328,6 +328,17 @@ def test_kunneth_command(capsys):
     assert run(capsys, "kunneth", "no-such-fixture")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("kunneth", "solenoid:1/0"), ("fixtures", "--show", "solenoid:1/0"), ("analyze", "--c", "1/0")],
+)
+def test_unreadable_rational_is_bad_input(capsys, argv):
+    # every rational on the command line goes through one reader
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "solhom: cannot read '1/0' as a rational\n"
+
+
 def test_fixtures_listing_and_show(capsys):
     code, out, _ = run(capsys, "fixtures")
     assert code == 0
@@ -394,8 +405,37 @@ def test_real_quadratic_former_cliffs_finish(capsys, poly):
     assert json.loads(out)["hk"]["rank_identity"] is True
 
 
+def test_real_quadratic_with_a_long_unit_period_certifies():
+    # the continued fraction of sqrt(10000000019) has a period of 124134
+    # steps; the unit walk stops only at its proven cap
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "solhom", "analyze", "--no-cache", "--json", "--min-poly", "x^2-10000000019"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stable = json.loads(proc.stdout)["homology"]["stable"]
+    assert stable["-1"]["group"] == "(Z[1/10000000019])^2"
+
+
+def test_wrong_closed_form_exits_3(capsys, monkeypatch):
+    # a canonical_form that multiplies each radical by 5 prints H_0 = Z[1/15]
+    # for c = 3/2 unless the H/K re-certification stops the report
+    right = engine.canonical_form
+
+    def wrong(G):
+        return LocalizedForm([("inv", m * 5) if kind == "inv" else (kind, m) for kind, m in right(G).atoms])
+
+    monkeypatch.setattr(engine, "canonical_form", wrong)
+    code, out, err = run(capsys, "analyze", "--c", "3/2", "--json", "--no-cache")
+    assert code == 3
+    assert out == ""
+    assert "InternalCheckError" in err and "closed form Z[1/15] differs from its tower" in err
+
+
 def test_reduced_form_cap_overflow_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(nfield, "_CYCLE_STEPS_PER_BIT", 0)
+    monkeypatch.setattr(nfield, "_walk_cap", lambda D, C: 0)
     code, out, err = run(capsys, "analyze", "--no-cache", "--min-poly", "x^2-79/4")
     assert code == 3
     assert out == ""

@@ -200,7 +200,7 @@ def test_lefschetz_traces_match_fixed_points():
 def test_hk_check_fixtures():
     for poly in ("x-3/2", "x^2-x-1", "x^2-x+3/2", "x-2"):
         report = hk_report(build_system(poly))
-        assert report["verdicts"] == {0: "equal", 1: "equal"}
+        assert report["verdicts"] == {"0": "equal", "1": "equal"}
         assert report["rank_identity"]
 
 

@@ -6,14 +6,17 @@ tower, and limits.equal_commuting tests the columns of T^(-1) as integer
 columns of one fraction-free adjugate.  tests/oracles.py keeps the
 routes they replaced: block_sum_hk_check (one block-diagonal matrix per
 parity, built by the oracle) and fraction_equal_commuting
-(RatMatrix.inverse and Fraction membership).  Verdicts, equal_commuting
-witnesses and stages must agree, an hk_check witness must separate the
-two block sums, and a closed form that does not commute with its tower
-raises NonCommuting on both routes.  A K-group's report, the sum of its
-entries' closed forms, must agree with the block sum's closed form and
-isomorphism invariants.
+(RatMatrix.inverse and Fraction membership).  equal_commuting witnesses
+and stages must agree.  Where the oracle reads "differ", hk_check
+raises InternalCheckError for the first such parity, and the witness it
+names must lie in exactly one of an entry's tower and its atom tower.
+A closed form that does not commute with its tower raises NonCommuting
+on both routes.  A K-group's report, the sum of its entries' closed
+forms, must agree with the block sum's closed form and isomorphism
+invariants.
 """
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,15 +27,14 @@ from hypothesis import strategies as st
 from oracles import (
     block_diagonal,
     block_sum_hk_check,
-    block_sums,
     fraction_equal_commuting,
     fraction_membership_stage,
     hk_report,
 )
 from solhom import engine
 from solhom.cli import _k_group_json
-from solhom.engine import DegreeEntry, GradedGroup, hk_check, k_theory
-from solhom.errors import AtomClassExceeded, CapExceeded, NonCommuting
+from solhom.engine import DegreeEntry, GradedGroup, finite_part_homology, hk_check, k_theory
+from solhom.errors import AtomClassExceeded, CapExceeded, InternalCheckError, NonCommuting
 from solhom.fgab import LocalizedForm
 from solhom.limits import ColimitGroup, InvariantSignature, canonical_form, equal_commuting
 from solhom.linalg import IntMatrix
@@ -125,9 +127,32 @@ def _graded(entries: list[DegreeEntry], shift: int):
     return sys, GradedGroup(dict(enumerate(entries)))
 
 
-def _check_against_oracle(entries: list[DegreeEntry], shift: int) -> dict | None:
-    """hk_check against the block-sum oracle; None when both raise
-    NonCommuting."""
+PASSED = {"verdicts": {"0": "equal", "1": "equal"}, "rank_identity": True}
+
+
+def _separating_entry(error: InternalCheckError, k_groups) -> DegreeEntry:
+    """The entry named by hk_check's error: the parity and closed form in
+    its message, with the witness lying in exactly one of the entry's
+    tower and its atom tower."""
+    found = re.fullmatch(r"K(\d): closed form (.+) differs from its tower; witness \((.+)\)", str(error))
+    assert found, str(error)
+    parity, form = int(found[1]), found[2]
+    witness = [Fraction(x) for x in found[3].split(", ")]
+    for e in k_groups[parity]:
+        if e.closed is not None and e.closed.pretty() == form and e.colimit.rank == len(witness):
+            in_tower = fraction_membership_stage(e.colimit, witness) is not None
+            in_atoms = fraction_membership_stage(engine._atom_colimit(e), witness) is not None
+            if in_tower != in_atoms:
+                return e
+    raise AssertionError(f"no entry of K{parity} is separated by {witness}")
+
+
+def _check_against_oracle(entries: list[DegreeEntry], shift: int):
+    """hk_check against the block-sum oracle: its passed record when the
+    oracle reads equal on both parities, None when both raise
+    NonCommuting, and otherwise its InternalCheckError, which names the
+    first parity that the oracle reads differ, with a witness that
+    separates an entry of it from its atom tower."""
     sys, finite = _graded(entries, shift)
     k_groups = k_theory(sys, finite)
     try:
@@ -136,18 +161,16 @@ def _check_against_oracle(entries: list[DegreeEntry], shift: int) -> dict | None
         with pytest.raises(NonCommuting):
             hk_check(sys, finite, k_groups)
         return None
-    got = hk_check(sys, finite, k_groups)
-    assert got["verdicts"] == want["verdicts"]
-    assert got["rank_identity"] == want["rank_identity"]
-    assert got["witnesses"].keys() == want["witnesses"].keys()
-    for i, witness in got["witnesses"].items():
-        # a zero-padded witness lies in exactly one of the two block sums
-        vec = [Fraction(x) for x in witness]
-        k_group, hom_side = block_sums(sys, finite, i)
-        in_k = fraction_membership_stage(k_group, vec) is not None
-        in_hom = fraction_membership_stage(hom_side, vec) is not None
-        assert in_k != in_hom
-    return got
+    assert want["rank_identity"]
+    differ = [i for i, v in sorted(want["verdicts"].items()) if v == "differ"]
+    if not differ:
+        assert hk_check(sys, finite, k_groups) == PASSED
+        return PASSED
+    with pytest.raises(InternalCheckError) as info:
+        hk_check(sys, finite, k_groups)
+    assert str(info.value).startswith(f"K{differ[0]}: ")
+    _separating_entry(info.value, k_groups)
+    return info.value
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,26 +202,23 @@ def test_non_commuting_closed_form_raises(others, bad, at, shift):
         hk_check(sys, finite, k_theory(sys, finite))
 
 
-def test_differing_degree_reports_a_padded_witness():
+def test_differing_degree_raises_with_its_witness():
     entries = [
         _canonical(IntMatrix([[2, 1], [1, 1]])),
         _canonical(IntMatrix([[3]])),
         _entry(IntMatrix([[2]]), LocalizedForm.localized(6)),
         _canonical(IntMatrix([[1]])),
     ]
-    got = _check_against_oracle(entries, 0)
-    assert got["verdicts"] == {0: "differ", 1: "equal"}
-    # 1/2 lies in Z[1/6]; 1/6 does not lie in Z[1/2].  The free Z^3 that
-    # makes the ranks add up to 8 is degree 4, also even.
-    assert got["witnesses"] == {0: ["0", "0", "1/6", "0", "0", "0"]}
+    error = _check_against_oracle(entries, 0)
+    # 1/2 lies in Z[1/6]; 1/6 does not lie in Z[1/2].  Degree 2 is even.
+    assert str(error) == "K0: closed form Z[1/6] differs from its tower; witness (1/6)"
 
 
 def test_diagonal_tower_meets_its_atoms_in_diagonal_order():
     # LocalizedForm sorts diag(2, 1) into Z + Z[1/2]; the atom tower must
     # still be diag(2, 1), not diag(1, 2), another subgroup of Q^2
     entries = [_canonical(IntMatrix([[2, 0], [0, 1]])), _canonical(IntMatrix.identity(2))]
-    got = _check_against_oracle(entries, 0)
-    assert got == {"verdicts": {0: "equal", 1: "equal"}, "witnesses": {}, "rank_identity": True}
+    assert _check_against_oracle(entries, 0) == PASSED
     assert engine._atom_colimit(entries[0]).matrix == IntMatrix([[2, 0], [0, 1]])
     three = _canonical(IntMatrix([[-12, 0, 0], [0, 1, 0], [0, 0, 5]]))
     assert engine._atom_colimit(three).matrix == IntMatrix([[6, 0, 0], [0, 1, 0], [0, 0, 5]])
@@ -211,8 +231,8 @@ def test_wrong_closed_form_of_a_diagonal_tower_is_caught():
         _entry(IntMatrix([[2, 0], [0, 1]]), LocalizedForm.free(1) + LocalizedForm.localized(3)),
         _canonical(IntMatrix.identity(2)),
     ]
-    got = _check_against_oracle(entries, 0)
-    assert got["verdicts"] == {0: "differ", 1: "equal"}
+    error = _check_against_oracle(entries, 0)
+    assert str(error).startswith("K0: closed form Z + Z[1/3] differs from its tower")
 
 
 def test_k_groups_are_the_entries_of_each_parity():
@@ -230,17 +250,21 @@ def test_k_groups_are_the_entries_of_each_parity():
 
 
 def test_wrong_canonical_form_is_caught(monkeypatch):
-    """hk_check is live: a closed form with a changed radical reads as differ."""
+    """hk_check is live: a closed form with a changed radical raises."""
 
     def wrong(G):
         atoms = [("inv", m * 5) if kind == "inv" else (kind, m) for kind, m in canonical_form(G).atoms]
         return LocalizedForm(atoms)
 
-    assert hk_report(build_system("x-3/2"))["verdicts"] == {0: "equal", 1: "equal"}
+    assert hk_report(build_system("x-3/2")) == PASSED
     monkeypatch.setattr(engine, "canonical_form", wrong)
-    report = hk_report(build_system("x-3/2"))
-    assert set(report["verdicts"].values()) == {"differ"}
-    assert report["witnesses"]
+    sys = build_system("x-3/2")
+    finite = finite_part_homology(sys)
+    k_groups = k_theory(sys, finite)
+    with pytest.raises(InternalCheckError) as info:
+        hk_check(sys, finite, k_groups)
+    assert str(info.value).startswith("K0: closed form Z[1/15] differs from its tower")
+    _separating_entry(info.value, k_groups)
 
 
 # ---------------------------------------------------------------------------

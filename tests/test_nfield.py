@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -324,11 +324,39 @@ def test_fundamental_units_frozen():
 
 
 def test_fundamental_units_match_the_full_norm_loop():
-    # both discriminant branches: D = 1 mod 4 gives omega = (1 + sqrt(D)) / 2
-    squarefree = [D for D in range(2, 3000) if all(D % (p * p) for p in range(2, math.isqrt(D) + 1))]
+    # both discriminant branches: D = 1 mod 4 gives omega = (1 + sqrt(D)) / 2;
+    # and both defining polynomials of such a field, x^2-D and x^2-x-(D-1)/4
+    squarefree = [D for D in range(2, 4000) if all(D % (p * p) for p in range(2, math.isqrt(D) + 1))]
     for D in squarefree:
-        K = field(f"x^2-{D}")
-        assert fundamental_unit(K) == norm_test_fundamental_unit(K), D
+        for text in [f"x^2-{D}"] + ([f"x^2-x-{(D - 1) // 4}"] if D % 4 == 1 else []):
+            K = field(text)
+            assert fundamental_unit(K) == norm_test_fundamental_unit(K), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-300, 300), st.integers(-300, 300), st.integers(-300, 300))
+def test_rho_walks_stay_within_the_proven_bounds(A, B, C):
+    # docs/principalization.md, "How long a walk is": reduced within |C|
+    # steps (definite) or |C| + 2 (indefinite), then a cycle of at most
+    # D + sqrt(D) forms; _rho_walk raises past its cap
+    D = B * B - 4 * A * C
+    assume(D < 0 or math.isqrt(D) ** 2 != D)
+    if D < 0 and A < 0:
+        A, B, C = -A, -B, -C
+    s = math.isqrt(max(D, 0))
+    start, steps = None, 0
+    for form, _, _ in nfield._rho_walk(A, B, C):
+        a, b, c = form
+        if start is None:
+            if abs(b) <= a <= c if D < 0 else b <= s and 2 * abs(a) - b <= s < 2 * abs(a) + b:
+                assert steps <= abs(C) + (2 if D > 0 else 0)
+                if D < 0:
+                    return
+                start, steps = form, 0
+        elif form == start:
+            assert steps <= D + s
+            return
+        steps += 1
 
 
 def test_dedekind_obstruction():

@@ -76,8 +76,8 @@ def test_forward_rank_one_degrees_match_the_derivation(tmp_path):
 
 def test_fundamental_unit_is_computed_once_per_report(monkeypatch):
     # principalization tries each exponent on both sides, and the dual
-    # shares the forward field: Q(sqrt(30)) used to run the continued
-    # fraction 4 times for x^2-10/3
+    # shares the forward field: Q(sqrt(30)) used to walk its unit's
+    # cycle 4 times for x^2-10/3
     calls = []
 
     def counted(field):
