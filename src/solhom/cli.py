@@ -3,7 +3,8 @@ the registry, and run the built-in selftest.
 
 Exit codes: 0 success, 1 bad input, 2 hypothesis violation (a conjugate
 of c on the unit circle, or a precondition such as N > 1, or a Künneth
-factor with a degree that has no closed form), 3 internal failure.
+factor with a degree that has no closed form) or an input whose
+irreducibility the method cannot decide, 3 internal failure.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     HypothesisN1,
     IndexObstruction,
     InternalCheckError,
+    IrreducibilityUndecided,
     ParseError,
     SolhomError,
     ZeroInput,
@@ -136,7 +138,7 @@ def _matrix_json(pair) -> list[list[str]]:
 
 
 def _signature_only_json(group: ColimitGroup) -> dict:
-    sig = group.signature()
+    sig = group.signature
     return {
         "group": f"colim(Z^{group.rank}, tower below)",
         "tower": [list(r) for r in group.matrix.rows],
@@ -171,10 +173,13 @@ def _block_diagonal(blocks: list[IntMatrix]) -> IntMatrix:
 
 def _k_group_json(entries: list) -> dict:
     """A K-group, the direct sum of its degree entries: the sum of their
-    closed forms, or the tower of the block sum when one has none."""
+    closed forms, or, when one has none, the tower of the block sum (of
+    the one entry's own tower when it is alone)."""
     if all(e.closed is not None for e in entries):
         form = LocalizedForm([atom for e in entries for atom in e.closed.atoms])
         return {"group": form.pretty(), "provenance": "canonical_form"}
+    if len(entries) == 1:
+        return _signature_only_json(entries[0].colimit)
     return _signature_only_json(ColimitGroup(_block_diagonal([e.colimit.matrix for e in entries])))
 
 
@@ -210,8 +215,8 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     }
     # the count comes from the norm of c^n - 1 and the expanding places,
     # the trace from the transfer action and the contracting ones
-    for n, trace in enumerate(lefschetz_traces(sys_, lefschetz_n), start=1):
-        count = sys_.periodic_points(n)
+    traces = lefschetz_traces(sys_, lefschetz_n)
+    for n, (trace, count) in enumerate(zip(traces, sys_.periodic_counts(lefschetz_n)), start=1):
         if abs(trace) != count:
             raise InternalCheckError(
                 f"period {n}: Lefschetz trace {trace} but {count} periodic points"
@@ -498,6 +503,9 @@ def main(argv=None) -> int:
         return 1
     except (AtomClassExceeded, BoundaryRoot, HypothesisN1, IndexObstruction) as exc:
         print(f"solhom: hypothesis violated: {exc}", file=_sys.stderr)
+        return 2
+    except IrreducibilityUndecided as exc:
+        print(f"solhom: outside the supported class: {exc}", file=_sys.stderr)
         return 2
     except SolhomError as exc:
         print(f"solhom: internal: {type(exc).__name__}: {exc}", file=_sys.stderr)

@@ -16,7 +16,9 @@ and Lefschetz rows are integer determinants, each divided exactly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
@@ -38,7 +40,7 @@ from .limits import (
     torsion_colimit,
 )
 from .linalg import IntMatrix, exterior_power_matrix
-from .nfield import FractionalIdeal, NfElement, principal_generator
+from .nfield import NfElement, principal_generator
 from .places import SolenoidSystem
 
 # Powers tried when splitting a transfer endomorphism off its torsion.
@@ -125,9 +127,9 @@ def principalization(sys: SolenoidSystem) -> tuple[NfElement, int]:
     field = sys.field
     if not sys.finite_unstable:
         return field.one(), 1
-    ideal = FractionalIdeal.ring_of_integers(field)
-    for fp in sys.finite_unstable:
-        ideal = ideal * fp.prime.power(-fp.valuation)
+    ideal = functools.reduce(
+        operator.mul, (fp.prime.power(-fp.valuation) for fp in sys.finite_unstable)
+    )
     # Degree 2: h divides the class number, at most the number of reduced
     # forms of discriminant D, <= 2|D| (docs/principalization.md).  Degree
     # 1 stops at h = 1.  Degree >= 3: 12 is a heuristic search limit for

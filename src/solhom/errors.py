@@ -65,6 +65,11 @@ class AtomClassExceeded(SolhomError):
     """A group falls outside the supported atom class Z, Z/q, Z[1/m]."""
 
 
+class IrreducibilityUndecided(SolhomError):
+    """No certificate either way for irreducibility over Q within the
+    method's limits: a limit of the method, not a bound violation."""
+
+
 class CapExceeded(SolhomError):
     """An iteration hit its safety cap inside the diagnostic margin.
 

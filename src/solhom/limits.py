@@ -122,7 +122,9 @@ class ColimitGroup:
     def contains(self, vec: Sequence) -> bool:
         return self.membership_stage(vec) is not None
 
+    @functools.cached_property
     def signature(self) -> "InvariantSignature":
+        """The signature, computed once for this tower."""
         return InvariantSignature.of(self)
 
 

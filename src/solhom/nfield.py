@@ -410,16 +410,6 @@ class FractionalIdeal:
         return abs(Fraction(self.num.det(), self.den**d))
 
 
-def ideal_index(I: FractionalIdeal, J: FractionalIdeal) -> Fraction:
-    """Generalized index [I : J] = N(J) / N(I), a positive rational.
-
-    When J is contained in I this is the honest subgroup index.
-    """
-    if I.field != J.field:
-        raise ValueError("ideals over different fields")
-    return J.norm() / I.norm()
-
-
 class PrimeIdeal:
     """Prime over p with two-element form (p, g(w)), w the basis generator."""
 
@@ -637,18 +627,18 @@ def principal_generator(I: FractionalIdeal) -> NfElement | None:
     d = field.degree
     if d == 1:
         return field.from_rational(Fraction(I.num.rows[0][0], I.den))
-    target = I.norm()
     if d == 2:
         if field.discriminant < 0:
             found = _search_imaginary_quadratic(I)
         else:
-            found = _search_real_quadratic(I, target)
+            found = _search_real_quadratic(I, I.norm())
         if found is not None:
             lead = next(c for c in found.num if c != 0)
             if lead < 0:
                 found = -found
         return found
     # bounded heuristic box for higher degree
+    target = I.norm()
     basis = I.basis_elements()
     for radius in (1, 2, 3):
         for combo in _box(d, radius):
@@ -668,14 +658,21 @@ def _box(dim: int, radius: int):
 
 def _norm_form(I: FractionalIdeal) -> tuple[int, int, int]:
     """(A, B, C) with N(a*u1 + b*u2) = N(I) (A a^2 + B ab + C b^2) for the
-    basis u1, u2 of I, checked integral of discriminant disc(K)."""
-    u1, u2 = I.basis_elements()
-    target = I.norm()
-    alpha, gamma = u1.norm(), u2.norm()
-    A, B, C = (c / target for c in (alpha, (u1 + u2).norm() - alpha - gamma, gamma))
-    if any(c.denominator != 1 for c in (A, B, C)) or B * B - 4 * A * C != I.field.discriminant:
+    basis u1, u2 of I, checked integral of discriminant disc(K).
+
+    N(a + b omega) = a^2 + t ab + n b^2 for omega^2 = t omega - n, and the
+    columns (p1, q1), (p2, q2) of I.num over I.den are u1, u2, so each
+    coefficient is a value of that form or its polarization over |det|
+    (docs/principalization.md)."""
+    _, minus_t, n = I.field.omega_poly.int_coeffs()
+    (p1, p2), (q1, q2) = I.num.rows
+    det = abs(p1 * q2 - q1 * p2)
+    A, ra = divmod(p1 * p1 - minus_t * p1 * q1 + n * q1 * q1, det)
+    B, rb = divmod(2 * p1 * p2 - minus_t * (p1 * q2 + p2 * q1) + 2 * n * q1 * q2, det)
+    C, rc = divmod(p2 * p2 - minus_t * p2 * q2 + n * q2 * q2, det)
+    if ra or rb or rc or B * B - 4 * A * C != I.field.discriminant:
         raise InternalCheckError("norm form of an ideal is not integral of discriminant disc(K)")
-    return int(A), int(B), int(C)
+    return A, B, C
 
 
 def _search_imaginary_quadratic(I: FractionalIdeal) -> NfElement | None:
@@ -687,8 +684,8 @@ def _search_imaginary_quadratic(I: FractionalIdeal) -> NfElement | None:
         return None
     ones = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x * x + B * x * y + C * y * y == 1]
     b, a = min((x * v1[1] + y * v2[1], x * v1[0] + y * v2[0]) for x, y in ones)
-    u1, u2 = I.basis_elements()
-    return u1.scale(a) + u2.scale(b)
+    (p1, p2), (q1, q2) = I.num.rows
+    return NfElement(I.field, (a * p1 + b * p2, a * q1 + b * q2), I.den)
 
 
 def _reduce_definite(A: int, B: int, C: int) -> tuple[tuple[int, int, int], tuple]:

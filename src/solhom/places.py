@@ -22,18 +22,13 @@ twice, and only build_system decides the field and the working order.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateFix, InternalCheckError, ParseError, ZeroInput
-from .nfield import (
-    FractionalIdeal,
-    NfElement,
-    NumberField,
-    PrimeIdeal,
-    element_valuations,
-    ideal_index,
-)
+from .nfield import NfElement, NumberField, PrimeIdeal, element_valuations
 from .qpoly import Poly, clear_to_monic_integer, is_irreducible_over_q, parse_poly
 from .rootcount import real_root_counts, roots_in_unit_disk
 
@@ -96,29 +91,35 @@ class SolenoidSystem:
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k != "_dual")
         return f"SolenoidSystem({fields})"
 
-    def periodic_points(self, n: int) -> int:
-        """Number of points fixed by the n-th power of the map.
+    def periodic_counts(self, n: int) -> list[int]:
+        """Numbers of points fixed by the powers 1..n of the map, with c^k
+        carried from one row to the next.
 
-        That is the product of N(P)^v over the places P where
-        w = c^n - 1 has positive valuation v.  At an expanding place
-        v_P(w) = n * v_P(c) < 0 and at every other place v_P(w) >= 0, so
-        by the product formula the count is |N(w)| * D^n with
+        Row k is the product of N(P)^v over the places P where
+        w = c^k - 1 has positive valuation v.  At an expanding place
+        v_P(w) = k * v_P(c) < 0 and at every other place v_P(w) >= 0, so
+        by the product formula the count is |N(w)| * D^k with
         D = prod over expanding P of N(P)^(-v_P(c)); nothing is factored.
         """
-        if n < 1:
-            raise ValueError("period must be positive")
-        w = self.c.pow(n) - self.field.one()
-        if w.is_zero():
-            raise DegenerateFix(f"c^{n} = 1, so the fixed set is not finite")
         expanding = 1
         for fp in self.finite_unstable:
             expanding *= fp.residue_norm ** (-fp.valuation)
-        count = abs(w.norm()) * expanding**n
-        if count.denominator != 1:
-            raise InternalCheckError(
-                f"norm of c^{n} - 1 times the expanding part is {count}, not an integer"
-            )
-        return int(count)
+        one = self.field.one()
+        power = one
+        out = []
+        for k in range(1, n + 1):
+            power = power * self.c
+            w = power - one
+            if w.is_zero():
+                raise DegenerateFix(f"c^{k} = 1, so the fixed set is not finite")
+            A, m = w.mult_pair()
+            count, rest = divmod(abs(A.det()) * expanding**k, m**self.field.degree)
+            if rest:
+                raise InternalCheckError(
+                    f"norm of c^{k} - 1 times the expanding part is not integral"
+                )
+            out.append(count)
+        return out
 
     def dual_system(self) -> "SolenoidSystem":
         """The same solenoid run backwards: c' = 1/c over the same field
@@ -276,12 +277,14 @@ def _assemble(
 
 def _check_transfer_index(system: SolenoidSystem) -> None:
     """The transfer index must equal the lattice index of one contracting
-    step of the tower inside the ring of integers."""
-    O = FractionalIdeal.ring_of_integers(system.field)
-    step = O
-    for fp in system.finite_stable:
-        step = step * fp.prime.power(fp.valuation)
-    idx = ideal_index(O, step)
+    step of the tower inside the ring of integers, the norm of the step
+    ideal (1 without contracting finite places)."""
+    idx = 1
+    if system.finite_stable:
+        step = functools.reduce(
+            operator.mul, (fp.prime.power(fp.valuation) for fp in system.finite_stable)
+        )
+        idx = step.norm()
     if idx != system.transfer_index:
         raise InternalCheckError(
             f"norm product {system.transfer_index} != lattice index {idx}"

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, ParseError
+from .errors import IrreducibilityUndecided, ParseError
 from .intfactor import factorint, is_prime
 
 
@@ -48,10 +48,6 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         return Poly([c])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([1, 0])
 
     def is_zero(self) -> bool:
         return self.coeffs == (_ZERO,)
@@ -83,13 +79,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return Poly(_mul(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Poly":
         return Poly([Fraction(c) * a for a in self.coeffs])
@@ -116,13 +106,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def eval(self, x) -> Fraction:
-        acc = _ZERO
-        x = Fraction(x)
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
 
     def derivative(self) -> "Poly":
         n = self.degree
@@ -211,7 +194,9 @@ def clear_to_monic_integer(f: Poly) -> tuple[Poly, int]:
 
 class _Parser:
     """Recursive descent over one expression, pos the next character; as
-    methods, not nested closures, a parse leaves no reference cycle."""
+    methods, not nested closures, a parse leaves no reference cycle.
+    Each rule returns ascending coefficients with no trailing zeros
+    ([] is zero), ints until a division makes Fractions."""
 
     def __init__(self, text: str, var: str):
         self.text = text
@@ -229,7 +214,7 @@ class _Parser:
             self.pos += 1
         return int(self.text[start : self.pos])
 
-    def expr(self) -> Poly:
+    def expr(self) -> list:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.peek() == "-":
@@ -237,15 +222,15 @@ class _Parser:
             self.pos += 1
         node = self.term()
         if sign < 0:
-            node = -node
+            node = [-c for c in node]
         while self.peek() in ("+", "-"):
-            op = self.peek()
+            sign = 1 if self.peek() == "+" else -1
             self.pos += 1
             rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
+            node = _trim([a + sign * b for a, b in _zip_pad(node, rhs)])
         return node
 
-    def term(self) -> Poly:
+    def term(self) -> list:
         node = self.factor()
         while self.peek() in ("*", "/"):
             op = self.peek()
@@ -256,30 +241,30 @@ class _Parser:
                 continue
             rhs = self.factor()
             if op == "*":
-                node = node * rhs
+                node = _mul(node, rhs)
             else:
-                if rhs.is_zero():
+                if not rhs:
                     raise ParseError("division by zero")
-                if rhs.degree != 0:
+                if len(rhs) != 1:
                     raise ParseError("division by a non-constant")
-                node = node.scale(1 / rhs.coeffs[0])
+                node = [Fraction(c) / rhs[0] for c in node]
         return node
 
-    def power_of(self, base: Poly) -> Poly:
+    def power_of(self, base: list) -> list:
         ch = self.peek()
         if ch is None or not ch.isdigit():
             raise ParseError("exponent must be a nonnegative integer")
         e = self.take_int()
-        out = Poly.const(1)
+        out = [1]
         for _ in range(e):
-            out = out * base
+            out = _mul(out, base)
         return out
 
-    def factor(self) -> Poly:
+    def factor(self) -> list:
         ch = self.peek()
         if ch == "-":
             self.pos += 1
-            return -self.factor()
+            return [-c for c in self.factor()]
         if ch == "+":
             self.pos += 1
             return self.factor()
@@ -289,7 +274,7 @@ class _Parser:
             node = self.power_of(node)
         return node
 
-    def atom(self) -> Poly:
+    def atom(self) -> list:
         ch = self.peek()
         if ch is None:
             raise ParseError("unexpected end of expression")
@@ -301,11 +286,23 @@ class _Parser:
             self.pos += 1
             return node
         if ch.isdigit():
-            return Poly.const(self.take_int())
+            return _trim([self.take_int()])
         if ch == self.var:
             self.pos += 1
-            return Poly.x()
+            return [0, 1]
         raise ParseError(f"unexpected character {ch!r}")
+
+
+def _mul(a: Sequence, b: Sequence) -> list:
+    """Product of coefficient sequences over Q, both ascending or both
+    descending."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def parse_poly(text: str, var: str = "x") -> Poly:
@@ -317,12 +314,12 @@ def parse_poly(text: str, var: str = "x") -> Poly:
 
     >>> parse_poly("x^2 - x - 1").coeffs
     (Fraction(1, 1), Fraction(-1, 1), Fraction(-1, 1))
-    >>> parse_poly("(1 + x)/2").eval(1)
-    Fraction(1, 1)
+    >>> parse_poly("(1 + x)/2").coeffs
+    (Fraction(1, 2), Fraction(1, 2))
     """
     parser = _Parser(text, var)
     try:
-        result = parser.expr()
+        coeffs = parser.expr()
     except ParseError:
         raise
     except Exception as exc:  # tokenizer slips become parse errors
@@ -335,7 +332,7 @@ def parse_poly(text: str, var: str = "x") -> Poly:
             fixed = text[: parser.pos].rstrip() + "*" + text[parser.pos :]
             message += f"; products need '*', so write {fixed}"
         raise ParseError(message)
-    return result
+    return Poly(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +514,9 @@ def is_irreducible_over_q(f: Poly) -> bool:
     Strategy: rational root test, then degree-2/3 shortcut, then search for
     a prime p not dividing disc-like data with f irreducible mod p (a
     sufficient certificate), then a bounded search for integer factors of
-    degree 2 as a last resort for degree 4 and 5.  Raises CapExceeded when
-    no certificate either way is found within IRREDUCIBILITY_PRIME_BUDGET.
+    degree 2 as a last resort for degree 4 and 5.  Raises
+    IrreducibilityUndecided when no certificate either way is found within
+    IRREDUCIBILITY_PRIME_BUDGET.
     """
     if f.degree < 1:
         return False
@@ -526,12 +524,11 @@ def is_irreducible_over_q(f: Poly) -> bool:
         raise ValueError("expects a monic integer polynomial")
     if f.degree == 1:
         return True
-    c0 = int(f.coeffs[-1])
-    if c0 == 0:
+    coeffs = f.int_coeffs()
+    if coeffs[-1] == 0:
         return False
-    for r in _divisors_signed(c0):
-        if f.eval(r) == 0:
-            return False
+    if any(_horner(coeffs, r) == 0 for r in _divisors_signed(coeffs[-1])):
+        return False
     if f.degree <= 3:
         return True
     tried = 0
@@ -539,13 +536,23 @@ def is_irreducible_over_q(f: Poly) -> bool:
     while tried < IRREDUCIBILITY_PRIME_BUDGET:
         if is_prime(p):
             tried += 1
-            lead_ok = int(f.coeffs[0]) % p != 0
-            if lead_ok and is_irreducible_mod_p(f.int_coeffs(), p):
+            if is_irreducible_mod_p(coeffs, p):
                 return True
         p += 1
     if f.degree in (4, 5):
         return not _has_quadratic_factor(f)
-    raise CapExceeded("irreducibility undecided within the prime budget")
+    raise IrreducibilityUndecided(
+        f"irreducibility of {f.pretty()} over Q is undecided: it factors modulo each "
+        f"of the first IRREDUCIBILITY_PRIME_BUDGET = {IRREDUCIBILITY_PRIME_BUDGET} "
+        f"primes, and degree {f.degree} > 5 has no factor search"
+    )
+
+
+def _horner(coeffs_desc: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in coeffs_desc:
+        acc = acc * x + c
+    return acc
 
 
 def _divisors_signed(n: int) -> list[int]:
@@ -561,9 +568,10 @@ def _has_quadratic_factor(f: Poly) -> bool:
     # A monic factor q = x^2 + b x + c of monic integer f is integral
     # (Gauss), so c | f(0), q(1) = 1 + b + c divides f(1), and q(-1) is a
     # nonzero divisor of f(-1).  So b = d - 1 - c for a divisor d of f(1).
-    at_one = _divisors_signed(int(f.eval(1)))
-    at_minus_one = int(f.eval(-1))
-    for c in _divisors_signed(int(f.coeffs[-1])):
+    coeffs = f.int_coeffs()
+    at_one = _divisors_signed(_horner(coeffs, 1))
+    at_minus_one = _horner(coeffs, -1)
+    for c in _divisors_signed(coeffs[-1]):
         for d in at_one:
             b = d - 1 - c
             q_minus_one = 1 - b + c

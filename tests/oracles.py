@@ -511,6 +511,28 @@ def _element_norm_form(I: FractionalIdeal) -> tuple[Fraction, Fraction, Fraction
     return alpha, beta, gamma
 
 
+def element_norm_form(I: FractionalIdeal) -> tuple[int, int, int]:
+    """The norm form (A, B, C) of a quadratic ideal from element norms,
+    the route the package took before it read the form off the HNF
+    columns: (N(u1), N(u1 + u2) - N(u1) - N(u2), N(u2)) / N(I), checked
+    integral of discriminant disc(K)."""
+    target = I.norm()
+    A, B, C = (c / target for c in _element_norm_form(I))
+    if any(c.denominator != 1 for c in (A, B, C)) or B * B - 4 * A * C != I.field.discriminant:
+        raise InternalCheckError("norm form of an ideal is not integral of discriminant disc(K)")
+    return int(A), int(B), int(C)
+
+
+def ideal_index(I: FractionalIdeal, J: FractionalIdeal) -> Fraction:
+    """Generalized index [I : J] = N(J) / N(I), a positive rational.
+
+    When J is contained in I this is the honest subgroup index.
+    """
+    if I.field != J.field:
+        raise ValueError("ideals over different fields")
+    return J.norm() / I.norm()
+
+
 def _solve_quadratic_int(A: Fraction, B: Fraction, C: Fraction) -> list[int]:
     """Integer solutions a of A a^2 + B a + C = 0 (A != 0)."""
     disc = B * B - 4 * A * C
@@ -903,7 +925,7 @@ def _variations(signs: list[int]) -> int:
 
 
 def _variations_at(chain: list[Poly], x: Fraction) -> int:
-    return _variations([_sign(p.eval(x)) for p in chain])
+    return _variations([_sign(poly_eval(p.coeffs, x)) for p in chain])
 
 
 def _sign_at_infinity(p: Poly, positive: bool) -> int:
@@ -931,7 +953,7 @@ def fraction_real_roots_in_interval(f: Poly, a, b) -> int:
     va = _variations_at_infinity(chain, False) if a is None else _variations_at(chain, Fraction(a))
     vb = _variations_at_infinity(chain, True) if b is None else _variations_at(chain, Fraction(b))
     count = va - vb  # roots in (a, b]
-    if b is not None and F.eval(b) == 0:
+    if b is not None and poly_eval(F.coeffs, b) == 0:
         count -= 1
     if count < 0:
         raise InternalCheckError("negative Sturm count")
@@ -948,7 +970,7 @@ def _circle_pair_polys(F: Poly) -> tuple[Poly, Poly]:
     # u_{k+1} = x u_k + v_k, v_{k+1} = -u_k
     u, v = Poly.zero(), Poly.const(1)
     A, B = Poly.zero(), Poly.zero()
-    x = Poly.x()
+    x = Poly([1, 0])
     for c in reversed(F.coeffs):  # ascending order
         cp = Poly.const(c)
         A = A + cp * u
@@ -963,7 +985,7 @@ def fraction_unit_circle_root_count(f: Poly) -> int:
     F = f.squarefree_part()
     if F.degree < 1:
         return 0
-    count = int(F.eval(1) == 0) + int(F.eval(-1) == 0)
+    count = int(poly_eval(F.coeffs, 1) == 0) + int(poly_eval(F.coeffs, -1) == 0)
     A, B = _circle_pair_polys(F)
     if A.is_zero() and B.is_zero():
         raise InternalCheckError("nonzero polynomial reduced to zero remainder")

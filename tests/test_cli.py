@@ -296,9 +296,28 @@ def test_reports_leave_no_cyclic_garbage():
             gc.enable()
 
 
+def test_one_entry_k_group_prints_as_its_block_sum():
+    # a K-group with one signature-only entry prints that entry's own
+    # tower; the one-block block sum is the same matrix and signature
+    alone = 0
+    for _, poly, _ in answer_inputs():
+        try:
+            sys_ = build_system(poly)
+        except SolhomError:
+            continue
+        for entries in engine.k_theory(sys_, engine.finite_part_homology(sys_)):
+            if len(entries) == 1 and entries[0].closed is None:
+                block = limits.ColimitGroup(cli._block_diagonal([entries[0].colimit.matrix]))
+                assert cli._k_group_json(entries) == cli._signature_only_json(block), poly
+                alone += 1
+    assert alone > 0
+
+
 def test_lefschetz_rows_are_cross_checked(capsys, monkeypatch):
-    original = SolenoidSystem.periodic_points
-    monkeypatch.setattr(SolenoidSystem, "periodic_points", lambda self, n: original(self, n) + 1)
+    original = SolenoidSystem.periodic_counts
+    monkeypatch.setattr(
+        SolenoidSystem, "periodic_counts", lambda self, n: [c + 1 for c in original(self, n)]
+    )
     code, out, err = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
     assert code == 3
     assert out == ""
@@ -509,8 +528,23 @@ def test_torsion_colimit_failure_exits_3(capsys, monkeypatch):
     assert "InternalCheckError" in err and "relation lattice" in err
 
 
-def test_undecided_irreducibility_exits_3(capsys, monkeypatch):
+def test_undecided_irreducibility_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(qpoly, "is_irreducible_mod_p", lambda _f, _p: False)
     code, out, err = run(capsys, "analyze", "--no-cache", "--min-poly", "x^6-x-1")
-    assert code == 3 and out == ""
-    assert "CapExceeded" in err and "prime budget" in err
+    assert code == 2 and out == ""
+    assert "IRREDUCIBILITY_PRIME_BUDGET = 60" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        "x^6-5*x^3+6",  # (x^3 - 2)(x^3 - 3): reducible, no rational root
+        "x^8-x^4+1",  # the 24th cyclotomic polynomial: irreducible
+    ],
+)
+def test_inputs_that_factor_modulo_every_prime_are_refused(capsys, poly):
+    # both factor modulo every prime, so no prime certifies either way
+    code, out, err = run(capsys, "analyze", "--no-cache", "--json", "--min-poly", poly)
+    assert code == 2 and out == ""
+    assert err.startswith("solhom: outside the supported class: irreducibility of ")
+    assert "IRREDUCIBILITY_PRIME_BUDGET = 60" in err and err.count("\n") == 1

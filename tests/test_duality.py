@@ -233,7 +233,7 @@ def test_unstable_and_stable_closed_forms_agree(poly):
         if u.closed is not None and s.closed is not None:
             assert u.closed == s.closed, j
         else:
-            assert signatures_match(u.colimit.signature(), s.colimit.signature()), j
+            assert signatures_match(u.colimit.signature, s.colimit.signature), j
             if (u.closed is None) != (s.closed is None):
                 mixed.append(j)
     # these two have a closed form on one side and a signature on the other

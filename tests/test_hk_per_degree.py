@@ -389,4 +389,4 @@ def test_k_group_of_a_unimodular_and_a_localized_entry():
     with pytest.raises(AtomClassExceeded):
         canonical_form(block)
     assert _k_group_json(entries) == {"group": "Z^2 + Z[1/2]", "provenance": "canonical_form"}
-    assert _k_signature(LocalizedForm.free(2) + LocalizedForm.localized(2), block.det_primes) == block.signature()
+    assert _k_signature(LocalizedForm.free(2) + LocalizedForm.localized(2), block.det_primes) == block.signature

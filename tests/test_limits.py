@@ -66,7 +66,7 @@ def test_membership_factors_the_determinant_once(monkeypatch):
         G.contains([Fraction(1, 2**k), Fraction(k, 3 * k + 7)])
         G.contains([Fraction(1, 6**k), 1])
     assert G.membership_stage([Fraction(1, 3), Fraction(1, 5)]) is None
-    assert G.signature() == InvariantSignature(2, ((2, 0), (3, 1)))
+    assert G.signature == InvariantSignature(2, ((2, 0), (3, 1)))
     assert calls == [12]
 
 
@@ -96,7 +96,7 @@ def test_equal_commuting_separates_same_signature_groups():
     # them apart, because different primes over 3 are being inverted
     A = ColimitGroup(MULT_DIFFERENT[0])
     B = ColimitGroup(MULT_DIFFERENT[1])
-    assert signatures_match(A.signature(), B.signature())
+    assert signatures_match(A.signature, B.signature)
     eq, witness = equal_commuting(A, B)
     assert not eq
     assert witness is not None
@@ -119,11 +119,11 @@ def test_equal_commuting_rank_mismatch():
 
 def test_signature_frozen():
     G = ColimitGroup(IntMatrix([[2, 10], [-2, 2]]))
-    assert G.signature() == InvariantSignature(2, ((2, 0), (3, 1)))
+    assert G.signature == InvariantSignature(2, ((2, 0), (3, 1)))
     H = ColimitGroup(IntMatrix([[4]]))
-    assert H.signature() == InvariantSignature(1, ((2, 0),))
+    assert H.signature == InvariantSignature(1, ((2, 0),))
     U = ColimitGroup(IntMatrix([[0, 1], [-1, 0]]))
-    assert U.signature() == InvariantSignature(2, ())
+    assert U.signature == InvariantSignature(2, ())
 
 
 def test_canonical_forms():

@@ -19,6 +19,7 @@ from oracles import (
     basis_rat,
     box_scan_generator,
     definite_scan_generator,
+    ideal_index,
     norm_test_fundamental_unit,
     product_inverse_ideal,
     resultant,
@@ -31,7 +32,6 @@ from solhom.nfield import (
     element_valuations,
     factor_rational_prime,
     fundamental_unit,
-    ideal_index,
     principal_generator,
     valuation,
 )

@@ -6,16 +6,22 @@ rank-one degrees of x^2-1/2*x+12 must be the ones derived from the place
 data alone in docs/principalization.md.
 """
 
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import reduced_form_count
+from oracles import element_norm_form, reduced_form_count
+from record_answer_reports import answer_inputs
 from solhom import cli, nfield
+from solhom.engine import principalization
+from solhom.errors import SolhomError
 from solhom.intfactor import factorint
 from solhom.places import build_system
 
@@ -90,3 +96,57 @@ def test_fundamental_unit_is_computed_once_per_report(monkeypatch):
     report = cli.build_report(sys_, 6)
     assert report["principalization"]["exponent"] == 2
     assert calls == [sys_.field]
+
+
+def expanding_ideal_powers(sys_) -> list:
+    """J, J^2, ..., J^h for the expanding ideal J of sys_ and its class
+    order h; empty without expanding finite places."""
+    if not sys_.finite_unstable:
+        return []
+    J = functools.reduce(
+        operator.mul, (fp.prime.power(-fp.valuation) for fp in sys_.finite_unstable)
+    )
+    _, h = principalization(sys_)
+    powers = [J]
+    while len(powers) < h:
+        powers.append(powers[-1] * J)
+    return powers
+
+
+def assert_norm_forms_match(sys_) -> int:
+    """Compare the two norm-form routes on both sides' expanding ideal
+    powers; returns how many ideals were compared."""
+    compared = 0
+    for side in (sys_, sys_.dual_system()):
+        for I in expanding_ideal_powers(side):
+            assert nfield._norm_form(I) == element_norm_form(I), I
+            compared += 1
+    return compared
+
+
+def test_norm_form_matches_element_norms_on_answer_inputs():
+    signs = set()
+    for _, poly, _ in answer_inputs():
+        try:
+            sys_ = build_system(poly)
+        except SolhomError:
+            continue  # the refused answer inputs
+        if sys_.field.degree == 2 and assert_norm_forms_match(sys_):
+            signs.add(sys_.field.discriminant > 0)
+    assert signs == {False, True}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.fractions(min_value=-30, max_value=30, max_denominator=7),
+)
+def test_norm_form_matches_element_norms_on_drawn_quadratics(b, n):
+    # the system's c is a root of x^2 + b x + n
+    assume(n != 0)
+    try:
+        sys_ = build_system(f"x^2 + ({b})*x + ({n})")
+    except SolhomError:
+        assume(False)  # reducible, or a conjugate on the unit circle
+    assume(sys_.field.degree == 2)
+    assert_norm_forms_match(sys_)

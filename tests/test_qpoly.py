@@ -20,7 +20,7 @@ from solhom.qpoly import (
     is_irreducible_over_q,
     parse_poly,
 )
-from oracles import parse_rational, reversed_poly
+from oracles import parse_rational, poly_eval, reversed_poly
 
 
 def test_parse_basic_polys():
@@ -47,6 +47,74 @@ def test_parse_errors(bad):
     if bad == "1/0":
         # the zero polynomial has degree -1, so it is caught before the degree test
         assert str(info.value) == "division by zero"
+
+
+# (text, coefficients in descending degree), as the parser has always read them
+PARSE_TABLE = [
+    ("x^3", [1, 0, 0, 0]),
+    ("x**3", [1, 0, 0, 0]),
+    ("2^3", [8]),
+    ("2**3*x", [8, 0]),
+    ("(x+1)^2", [1, 2, 1]),
+    ("(x+1)**2", [1, 2, 1]),
+    ("-(x-1)*(x+1)", [-1, 0, 1]),
+    ("--x", [1, 0]),
+    ("-x^2", [-1, 0, 0]),
+    ("- -x", [1, 0]),
+    ("+x", [1, 0]),
+    ("x/2 + 1/3", ["1/2", "1/3"]),
+    ("(x^2 - 1)/(3/2)", ["2/3", 0, "-2/3"]),
+    ("x/(1/2)/4", ["1/2", 0]),
+    ("x - x", [0]),
+    ("(x-x)*x", [0]),
+    ("x^0", [1]),
+    ("0^0", [1]),
+    ("0*x + 5", [5]),
+    ("3*x*x/6", ["1/2", 0, 0]),
+    ("-3/-4", ["3/4"]),
+    ("(((x)))", [1, 0]),
+    ("  x  ^ 2  - 3 ", [1, 0, -3]),
+]
+
+
+@pytest.mark.parametrize("text, expected", PARSE_TABLE)
+def test_parse_table(text, expected):
+    f = parse_poly(text)
+    assert all(type(c) is Fraction for c in f.coeffs)
+    assert f.coeffs == tuple(Fraction(c) for c in expected)
+
+
+# (text, the ParseError message), as the parser has always worded them
+PARSE_ERROR_TABLE = [
+    ("x/0", "division by zero"),
+    ("x/(x-x)", "division by zero"),
+    ("1/x", "division by a non-constant"),
+    ("x/(x+1)", "division by a non-constant"),
+    ("3x", "trailing input at position 1; products need '*', so write 3*x"),
+    ("2(x+1)", "trailing input at position 1; products need '*', so write 2*(x+1)"),
+    ("x 3", "trailing input at position 2; products need '*', so write x*3"),
+    ("x(x+1)", "trailing input at position 1; products need '*', so write x*(x+1)"),
+    ("x x", "trailing input at position 2; products need '*', so write x*x"),
+    ("2/3x", "trailing input at position 3; products need '*', so write 2/3*x"),
+    ("(x+1", "unbalanced parentheses"),
+    ("x)", "trailing input at position 1"),
+    ("x^2^2", "trailing input at position 3"),
+    ("x^", "exponent must be a nonnegative integer"),
+    ("x^-1", "exponent must be a nonnegative integer"),
+    ("x**y", "exponent must be a nonnegative integer"),
+    ("x*/2", "unexpected character '/'"),
+    ("y", "unexpected character 'y'"),
+    ("", "unexpected end of expression"),
+    ("x+", "unexpected end of expression"),
+    ("x^\u00b2", "invalid literal for int() with base 10: '\u00b2'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERROR_TABLE)
+def test_parse_error_table(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert str(info.value) == message
 
 
 def test_poly_divmod_and_gcd():
@@ -250,7 +318,7 @@ def test_pretty_round_trip():
 def test_eval_matches_horner_free(coeffs, x):
     f = Poly(coeffs)
     direct = sum(Fraction(c) * Fraction(x) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
-    assert f.eval(x) == direct
+    assert poly_eval(f.coeffs, x) == direct
 
 
 @pytest.mark.parametrize(
@@ -296,4 +364,4 @@ def test_parse_poly_agrees_with_eval(text):
     # a digit not after ^ is an operand: read it as a Fraction so / is exact
     python_text = re.sub(r"(?<!\^)(\d)", r"Fraction(\1)", text).replace("^", "**")
     for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-5, 7)):
-        assert f.eval(x) == eval(python_text, {"Fraction": Fraction, "x": x})
+        assert poly_eval(f.coeffs, x) == eval(python_text, {"Fraction": Fraction, "x": x})

@@ -226,8 +226,8 @@ def test_circle_pair_with_rational_parts_is_a_boundary_root():
 def test_answer_inputs_need_no_fraction_poly_routes(monkeypatch):
     """Each answer input's system polynomial and its dual (the reversed
     polynomial, the minimal polynomial of 1/c) are counted with Poly
-    division, evaluation and squarefree parts disabled, and agree with
-    the Fraction chains."""
+    division and squarefree parts disabled (Poly has no evaluation), and
+    agree with the Fraction chains."""
     polys = []
     for _, text, _ in answer_inputs():
         f = parse_poly(text).monic()
@@ -250,6 +250,6 @@ def test_answer_inputs_need_no_fraction_poly_routes(monkeypatch):
     def refuse(*_args):
         raise AssertionError("Fraction Poly route in root counting")
 
-    for name in ("__divmod__", "eval", "squarefree_part"):
+    for name in ("__divmod__", "squarefree_part"):
         monkeypatch.setattr(Poly, name, refuse)
     assert [[_outcome(count, f) for count, _ in counts] for f in polys] == expected
