@@ -171,7 +171,7 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
         flat, den = exterior_power_matrix(a_flat, k).rows, m_flat**k
         if any(n_index * x % den for row in flat for x in row):
             raise FlatteningFailure(f"transfer matrix at degree {k} is not integral")
-        delta = IntMatrix([[n_index * x // den for x in row] for row in flat])
+        delta = IntMatrix._trusted(tuple(tuple(n_index * x // den for x in row) for row in flat))
         tower = ColimitGroup(delta)
         try:
             closed = canonical_form(tower)
@@ -181,7 +181,10 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
             provenance = "tower"
         theta, den = exterior_power_matrix(a_theta, k).rows, m_theta**k
         common = math.gcd(den, *(n_index * x for row in theta for x in row))
-        action = IntMatrix([[n_index * x // common for x in row] for row in theta]), den // common
+        action = (
+            IntMatrix._trusted(tuple(tuple(n_index * x // common for x in row) for row in theta)),
+            den // common,
+        )
         entries[k] = DegreeEntry(tower, closed, action, provenance)
     return GradedGroup(entries, (g, h))
 

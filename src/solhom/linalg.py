@@ -23,11 +23,18 @@ Conventions fixed here and relied on elsewhere:
   minors.
 * ``char_poly(A)`` returns the coefficients of det(xI - A) in descending
   degree, starting with 1.
+
+``IntMatrix(rows)`` and ``from_columns`` check every entry.
+``IntMatrix._trusted(rows)`` checks nothing: its rows must be a tuple of
+tuples of exact ints, of one nonzero length, built by ``linalg``,
+``nfield`` or ``engine`` arithmetic from matrices that were already
+checked.  It never takes input from outside the program.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError
@@ -53,6 +60,13 @@ class IntMatrix:
                         raise TypeError(f"IntMatrix entry {entry!r} is not an int")
         object.__setattr__(self, "rows", rs)
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix on rows that need no check (see the module docstring)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -66,7 +80,9 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix must have at least one row and column")
+        return IntMatrix._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -76,10 +92,10 @@ class IntMatrix:
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)))
+        return IntMatrix._trusted(tuple(zip(*self.rows)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -90,31 +106,36 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+    def _entrywise(self, other: "IntMatrix", op) -> "IntMatrix":
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch")
+        return IntMatrix._trusted(
+            tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._entrywise(other, operator.sub)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * a for a in row] for row in self.rows])
+        if not isinstance(c, int):
+            raise TypeError(f"IntMatrix scale {c!r} is not an int")
+        return IntMatrix._trusted(tuple(tuple(c * a for a in row) for row in self.rows))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = other.transpose().rows
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+        cols = tuple(zip(*other.rows))
+        return IntMatrix._trusted(
+            tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.rows)
         )
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
+        return tuple(sum(map(operator.mul, row, vec)) for row in self.rows)
 
     def pow(self, e: int) -> "IntMatrix":
         if self.nrows != self.ncols or e < 0:
@@ -160,10 +181,12 @@ class IntMatrix:
                     a[i] = [(x * pivot - lead * y) // prev for x, y in zip(row[1:], tail)]
             a[k] = tail
             prev = pivot
-        return IntMatrix(a), prev
+        return IntMatrix._trusted(tuple(map(tuple, a))), prev
 
     def mod(self, n: int) -> "IntMatrix":
-        return IntMatrix([[a % n for a in row] for row in self.rows])
+        if not isinstance(n, int):
+            raise TypeError(f"IntMatrix modulus {n!r} is not an int")
+        return IntMatrix._trusted(tuple(tuple(a % n for a in row) for row in self.rows))
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.rows for a in row)
@@ -273,7 +296,7 @@ def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             s[i] = [-a for a in s[i]]
             u[i] = [-a for a in u[i]]
 
-    S, U, V = IntMatrix(s), IntMatrix(u), IntMatrix(v)
+    S, U, V = (IntMatrix._trusted(tuple(map(tuple, x))) for x in (s, u, v))
     if U @ A @ V != S:
         raise InternalCheckError("snf transform identity violated")
     return S, U, V
@@ -328,13 +351,17 @@ def hnf(A: IntMatrix) -> IntMatrix:
     reduced = _row_hnf([list(col) for col in A.columns()])
     if not reduced:
         raise ValueError("zero lattice has no HNF basis")
-    return IntMatrix.from_columns(reduced)
+    return IntMatrix._trusted(tuple(zip(*reduced)))
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
     """Determinant of a square list of integer rows, overwritten in place
-    by fraction-free Bareiss elimination."""
+    by fraction-free Bareiss elimination; sizes 1 and 2 in closed form."""
     n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -367,16 +394,16 @@ def exterior_power_matrix(A: IntMatrix, k: int) -> IntMatrix:
     if k < 0:
         raise ValueError("negative exterior power")
     if k == 0:
-        return IntMatrix([[1]])
+        return IntMatrix._trusted(((1,),))
     if k > min(A.nrows, A.ncols):
         raise ValueError("exterior power exceeds matrix dimensions")
     rows = A.rows
     col_sets = list(itertools.combinations(range(A.ncols), k))
-    return IntMatrix(
-        [
-            [_bareiss_det([[rows[i][j] for j in cs] for i in rs]) for cs in col_sets]
+    return IntMatrix._trusted(
+        tuple(
+            tuple(_bareiss_det([[rows[i][j] for j in cs] for i in rs]) for cs in col_sets)
             for rs in itertools.combinations(range(A.nrows), k)
-        ]
+        )
     )
 
 
@@ -399,7 +426,7 @@ def _faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         cols = list(zip(*b))
-        b = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        b = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
         t = sum(b[i][i] for i in range(n))
         if t % k:
             raise InternalCheckError(f"Faddeev-LeVerrier trace {t} not divisible by {k}")
@@ -413,16 +440,22 @@ def _faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank of A over the field with p elements (p prime)."""
-    a = [[x % p for x in row] for row in A.rows]
+    return _rank_rows_mod_p([[x % p for x in row] for row in A.rows], p)
+
+
+def _rank_rows_mod_p(a: list[list[int]], p: int) -> int:
+    """Rank over F_p of a list of rows with entries in [0, p), by
+    Gauss-Jordan elimination that overwrites the list."""
+    nrows = len(a)
     rank = 0
-    for col in range(A.ncols):
-        pivot_row = next((i for i in range(rank, A.nrows) if a[i][col] % p != 0), None)
+    for col in range(len(a[0])):
+        pivot_row = next((i for i in range(rank, nrows) if a[i][col]), None)
         if pivot_row is None:
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
         inv = pow(a[rank][col], -1, p)
         a[rank] = [x * inv % p for x in a[rank]]
-        for i in range(A.nrows):
+        for i in range(nrows):
             if i != rank and a[i][col]:
                 f = a[i][col]
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
@@ -430,21 +463,28 @@ def rank_mod_p(A: IntMatrix, p: int) -> int:
     return rank
 
 
+def _mul_rows_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in a]
+
+
 def stable_rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank of A^n mod p for n = dim(A); the eventual rank of all powers.
 
     This is the dimension of the largest subspace of F_p^n on which A
     acts invertibly, an invariant of the colimit of A acting on Z^n.
+    A is reduced mod p once; A^n is then taken by square-and-multiply on
+    row lists, reduced mod p after each product.
     """
     if A.nrows != A.ncols:
         raise ValueError("stable rank needs a square matrix")
-    n = A.nrows
-    power = IntMatrix.identity(n)
-    base = A.mod(p)
-    e = n
-    while e:
+    base = [[x % p for x in row] for row in A.rows]
+    power = None
+    e = A.nrows
+    while True:
         if e & 1:
-            power = (power @ base).mod(p)
-        base = (base @ base).mod(p)
+            power = base if power is None else _mul_rows_mod_p(power, base, p)
         e >>= 1
-    return rank_mod_p(power, p)
+        if not e:
+            return _rank_rows_mod_p(power, p)
+        base = _mul_rows_mod_p(base, base, p)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -120,9 +121,11 @@ class NumberField:
         return out
 
     def _mult_columns(self, a: Sequence[int]) -> list[list[int]]:
-        """Columns a * w_j: multiplication by a over the integral basis."""
-        d = self.degree
-        return [self._mul_int(a, [int(i == j) for i in range(d)]) for j in range(d)]
+        """Columns a * w_j: multiplication by a over the integral basis.
+        Coordinate k of a * w_j is the sum over i of a_i times coordinate
+        k of w_i * w_j = w_j * w_i, so column j is a applied to the
+        transpose of the structure constants' row j."""
+        return [[sum(map(operator.mul, a, t)) for t in zip(*row)] for row in self._structure]
 
     def _compute_discriminant(self) -> int:
         # discriminant of the order Z[omega], the maximal one up to degree 2:
@@ -282,7 +285,7 @@ class NfElement:
         """(A, m) with A / m the matrix of multiplication by self over the
         integral basis: column j of A is m * self * w_j, read off the
         structure constants, and m is least, so the pair is reduced."""
-        return IntMatrix.from_columns(self.field._mult_columns(self.num)), self.den
+        return IntMatrix._trusted(tuple(zip(*self.field._mult_columns(self.num)))), self.den
 
     def mult_matrix_integral(self) -> tuple[IntMatrix, int]:
         # the benchmark's tracer wraps this name, so it stays until the
@@ -329,7 +332,9 @@ class FractionalIdeal:
             raise ValueError("ideal lattice must have full rank")
         g = math.gcd(den, *(x for row in H.rows for x in row))
         self.field = field
-        self.num = IntMatrix([[x // g for x in row] for row in H.rows])
+        if g != 1:
+            H = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in H.rows))
+        self.num = H
         self.den = den // g
 
     @staticmethod
@@ -592,7 +597,7 @@ def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
         raise ValueError("zero has no valuation data")
     y, m = x.integer_coords()
     # the norm of y is the determinant of its integer multiplication matrix
-    n_int = IntMatrix.from_columns(x.field._mult_columns(y)).det()
+    n_int = x.mult_pair()[0].det()
     candidates: set[int] = set(factorint(m))
     if abs(n_int) != 1:
         candidates |= set(factorint(n_int))

@@ -137,6 +137,41 @@ def minor_entry(rows, row_set, col_set) -> Fraction:
     return det_cofactor([[rows[i][j] for j in col_set] for i in row_set])
 
 
+def rank_mod_p_by_sifting(rows, p: int) -> int:
+    """Rank over F_p: each row is reduced against the kept rows, keyed by
+    their leading column, and kept when it does not reduce to zero."""
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        v = [x % p for x in row]
+        for c in range(len(v)):
+            if not v[c]:
+                continue
+            if c not in basis:
+                inv = pow(v[c], -1, p)
+                basis[c] = [x * inv % p for x in v]
+                break
+            f = v[c]
+            v = [(x - f * y) % p for x, y in zip(v, basis[c])]
+    return len(basis)
+
+
+def stable_rank_by_powers(rows, p: int) -> int:
+    """The eventual rank of A^k mod p: the ranks of A, A^2, ... until two
+    in a row are equal, after which the image of A^k no longer shrinks."""
+    n = len(rows)
+    power = rows
+    rank = rank_mod_p_by_sifting(power, p)
+    while True:
+        power = [
+            [sum(power[i][m] * rows[m][j] for m in range(n)) % p for j in range(n)]
+            for i in range(n)
+        ]
+        following = rank_mod_p_by_sifting(power, p)
+        if following == rank:
+            return rank
+        rank = following
+
+
 def poly_eval(coeffs, x):
     """Evaluate a polynomial given by descending coefficients."""
     acc = Fraction(0)
@@ -762,6 +797,16 @@ def gamma_lattice(sys, n: int, k: int) -> FractionalIdeal:
     for fp in sys.finite_unstable:
         out = out * fp.prime.power(k * fp.valuation)
     return out
+
+
+def is_checked_matrix(M: IntMatrix) -> bool:
+    """M's rows are a tuple of tuples of exact ints, and the checking
+    constructor accepts them and builds an equal matrix."""
+    return (
+        type(M.rows) is tuple
+        and all(type(row) is tuple and all(type(x) is int for x in row) for row in M.rows)
+        and IntMatrix(M.rows) == M
+    )
 
 
 def lattice_contains(H: IntMatrix, vec) -> bool:

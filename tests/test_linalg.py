@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from solhom.linalg import (
     IntMatrix,
+    _bareiss_det,
     char_poly,
     exterior_power_matrix,
     hnf,
@@ -25,10 +26,12 @@ from oracles import (
     det_cofactor,
     integer_kernel,
     invariant_factors_from_minors,
+    is_checked_matrix,
     lattice_contains,
     lattice_equal,
     lattice_member,
     minor_entry,
+    stable_rank_by_powers,
 )
 
 
@@ -331,3 +334,60 @@ def test_inverse_pair_is_the_inverse_over_one_denominator(rows):
 def test_commutes_with_matches_the_products(pair):
     A, B = IntMatrix(pair[0]), IntMatrix(pair[1])
     assert A.commutes_with(B) == (A @ B == B @ A) == B.commutes_with(A)
+
+
+def test_sum_and_difference_need_one_shape():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMatrix([[1, 2]]) + IntMatrix([[1]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMatrix([[1, 2], [3, 4]]) - IntMatrix([[1, 1]])
+    with pytest.raises(ValueError):
+        IntMatrix.identity(0)
+
+
+def square_rows(n: int, entries=st.integers(-6, 6)):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            square_rows(n),
+            square_rows(n),
+            st.lists(st.lists(st.integers(-6, 6), min_size=n + 1, max_size=n + 1), min_size=n, max_size=n),
+        )
+    ),
+    st.integers(-5, 5),
+    st.integers(1, 9),
+)
+def test_unchecked_results_are_checked_matrices(matrices, c, n):
+    A, B, R = (IntMatrix(rows) for rows in matrices)
+    results = [A @ B, A.transpose(), R.transpose(), A.scale(c), A.mod(n), A + B, A - B]
+    results += [IntMatrix.identity(A.nrows), A.pow(3), *snf(R)]
+    results += [exterior_power_matrix(R, k) for k in range(R.nrows + 1)]
+    if A.det():
+        results.append(A.inverse_pair()[0])
+    if not R.is_zero():
+        results.append(hnf(R))
+    assert all(is_checked_matrix(M) for M in results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(square_rows(n, st.sampled_from([0, 0, 0, 1, -1, 2, 3, 5, 6, 7, 10, 21])), st.booleans())
+    ),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_stable_rank_mod_p_matches_the_power_sequence(case, p):
+    rows, nilpotent = case
+    if nilpotent:
+        rows = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    assert stable_rank_mod_p(IntMatrix(rows), p) == stable_rank_by_powers(rows, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: square_rows(n, st.integers(-10**12, 10**12))))
+def test_small_determinants_match_the_cofactor_oracle(rows):
+    assert _bareiss_det([list(row) for row in rows]) == det_cofactor(rows)

@@ -20,6 +20,7 @@ from oracles import (
     box_scan_generator,
     definite_scan_generator,
     ideal_index,
+    is_checked_matrix,
     norm_test_fundamental_unit,
     product_inverse_ideal,
     resultant,
@@ -28,6 +29,7 @@ from solhom import nfield
 from solhom.errors import IndexObstruction
 from solhom.nfield import (
     FractionalIdeal,
+    NfElement,
     NumberField,
     element_valuations,
     factor_rational_prime,
@@ -393,3 +395,28 @@ def test_from_generators_matches_hnf():
     I = FractionalIdeal.from_elements(K5, [K5.from_rational(2), K5.one() + t])
     assert I == factor_rational_prime(K5, 2)[0].ideal()
     assert I.norm() == 2
+
+
+# one field of each degree 1..5
+MULT_FIELDS = [field(text) for text in ("x-3", "x^2-x-1", "x^2+5", "x^3-x-1", "x^4-x-1", "x^5-x-1")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(MULT_FIELDS).flatmap(
+        lambda K: st.tuples(
+            st.just(K),
+            st.lists(st.integers(-9, 9), min_size=K.degree, max_size=K.degree),
+            st.integers(1, 6),
+            st.integers(1, 4),
+        )
+    )
+)
+def test_multiplication_columns_and_their_matrices(case):
+    K, a, den, s = case
+    d = K.degree
+    assert K._mult_columns(a) == [K._mul_int(a, [int(i == j) for i in range(d)]) for j in range(d)]
+    A, m = NfElement(K, a, den).mult_pair()
+    assert is_checked_matrix(A)
+    assume(any(a))
+    assert is_checked_matrix(FractionalIdeal(K, A.scale(s), den).num)
