@@ -162,7 +162,7 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     g, h = principalization(sys)
     if g.integer_coords()[1] != 1:
         raise FlatteningFailure("principal generator is not integral")
-    c_inv = sys.c.inverse()
+    c_inv = sys.c_inverse
     a_flat, m_flat = (g * c_inv).mult_pair()
     a_theta, m_theta = c_inv.mult_pair()
 
@@ -331,7 +331,7 @@ def lefschetz_traces(sys: SolenoidSystem, n: int) -> list[int]:
     carried from one row to the next.
     """
     d = sys.field.degree
-    A, m = sys.c.inverse().mult_pair()
+    A, m = sys.c_inverse.mult_pair()
     power = IntMatrix.identity(d)
     out = []
     for k in range(1, n + 1):

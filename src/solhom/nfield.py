@@ -17,12 +17,14 @@ over the integral basis together with a positive denominator.
 Coordinates over the power basis of theta are only a derived view.
 
 Element and ideal products multiply integer coordinates through the
-structure constants omega^(i+j) reduced by omega_poly.  A prime P over p
-with Kummer-Dedekind data has an element gamma with (p, gamma) =
-P^(e-1) * prod of the other primes over p to their e, so P^-1 =
-O + (gamma/p) O, and v_P(y) for integral y is the number of times the
-integer coordinates of gamma * y are all divisible by p, dividing each
-time (docs/ideal-arithmetic.md).
+structure constants omega^(i+j) reduced by omega_poly.  A prime's
+generator g_P(omega) is read off as coordinates: the coefficients of the
+lift of g_P mod p, less omega_poly's when both have degree d.  A prime
+P over p with Kummer-Dedekind data has an element gamma with
+(p, gamma) = P^(e-1) * prod of the other primes over p to their e, so
+P^-1 = O + (gamma/p) O, and v_P(y) for integral y is the number of
+times the integer coordinates of gamma * y are all divisible by p,
+dividing each time (docs/ideal-arithmetic.md).
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ class NumberField:
         self.degree = min_poly.degree
         # basis_matrix (W, w): the columns of W / w are the power-basis
         # coordinates of the integral basis; omega_poly: the integer
-        # minimal polynomial of omega
+        # minimal polynomial of omega; omega_coeffs: its integer
+        # coefficients, descending, converted once
         self.basis_matrix, self.omega_poly = self._build_integral_basis()
+        self.omega_coeffs = self.omega_poly.int_coeffs()
         self._structure = self._build_structure_constants()
         self.discriminant = self._compute_discriminant()
 
@@ -101,7 +105,7 @@ class NumberField:
         reduced by the monic integer omega_poly."""
         d = self.degree
         # omega^d = sum of red[k] * omega^k
-        red = [-c for c in reversed(self.omega_poly.int_coeffs()[1:])]
+        red = [-c for c in reversed(self.omega_coeffs[1:])]
         powers = [[int(k == 0) for k in range(d)]]
         for _ in range(2 * d - 2):
             prev = powers[-1]
@@ -129,13 +133,13 @@ class NumberField:
 
     def _compute_discriminant(self) -> int:
         # discriminant of the order Z[omega], the maximal one up to degree 2:
-        # that of the monic g = omega_poly, (-1)^(d(d-1)/2) N(g'(omega))
+        # that of the monic g = omega_poly, (-1)^(d(d-1)/2) N(g'(omega)).
+        # g' has degree d - 1, so its ascending coefficients are the
+        # coordinates of g'(omega) over the powers of omega
         d = self.degree
-        g_prime = self.evaluate(self.omega_poly.derivative(), self.omega())
-        disc = (-1) ** (d * (d - 1) // 2) * g_prime.norm()
-        if disc.denominator != 1:
-            raise InternalCheckError("discriminant of Z[omega] is not an integer")
-        return int(disc)
+        g = self.omega_coeffs
+        g_prime = [(k + 1) * g[d - k - 1] for k in range(d)]
+        return (-1) ** (d * (d - 1) // 2) * NfElement(self, g_prime).mult_pair()[0].det()
 
     # constructors -----------------------------------------------------------
     def element(self, coords: Sequence) -> "NfElement":
@@ -175,12 +179,6 @@ class NumberField:
         if self.degree == 1:
             return self.from_rational(-self.min_poly.coeffs[1])
         return self.element([0, 1] + [0] * (self.degree - 2))
-
-    def omega(self) -> "NfElement":
-        """omega, whose powers 1, omega, ..., omega^(d-1) are the integral basis."""
-        if self.degree == 1:
-            return self.gen()
-        return NfElement(self, [int(i == 1) for i in range(self.degree)])
 
     @functools.cached_property
     def unit_coords(self) -> tuple[tuple[int, ...], int]:
@@ -272,13 +270,14 @@ class NfElement:
     def pow(self, e: int) -> "NfElement":
         base = self if e >= 0 else self.inverse()
         e = abs(e)
-        out = self.field.one()
+        out = None
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return self.field.one() if out is None else out
 
     # linear data ------------------------------------------------------------
     def mult_pair(self) -> tuple[IntMatrix, int]:
@@ -564,16 +563,12 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
         # factor the minimal polynomial of the basis generator omega; in
         # degree 2, Z[omega] is the full ring of integers, so no index
         # issues, and above it omega_poly is f
-        factors = factor_mod_p(field.omega_poly.int_coeffs(), p)
+        factors = factor_mod_p(field.omega_coeffs, p)
         if d > 2 and not _dedekind_index_free(field, p, factors):
             raise IndexObstruction(
                 f"p = {p} divides the index of the working order Z[theta]"
             )
-        omega = field.omega()
-        data = []
-        for coeffs_asc, mult in factors:
-            lift = Poly(list(reversed([c % p for c in coeffs_asc])))
-            data.append((field.evaluate(lift, omega), mult, coeffs_asc))
+        data = [(_lift_at_omega(field, irr), mult, irr) for irr, mult in factors]
     out = []
     for second, e, coeffs_asc in data:
         gamma = second.pow(e - 1)
@@ -584,6 +579,18 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     if sum(q.e * q.f for q in out) != d:
         raise InternalCheckError("sum of e*f over p does not equal the degree")
     return out
+
+
+def _lift_at_omega(field: NumberField, coeffs_asc: Sequence[int]) -> NfElement:
+    """g(omega) for the lift g of a monic factor of omega_poly mod p,
+    coefficients in [0, p): below degree d its coefficients are the
+    coordinates of g(omega) over the powers of omega; of degree d, both g
+    and omega_poly are monic, so g(omega) = (g - omega_poly)(omega)
+    (docs/ideal-arithmetic.md, "Reading g_P(omega)")."""
+    d = field.degree
+    if len(coeffs_asc) > d:
+        coeffs_asc = [a - b for a, b in zip(coeffs_asc, reversed(field.omega_coeffs))]
+    return NfElement(field, (list(coeffs_asc) + [0] * d)[:d])
 
 
 def valuation(x: NfElement, P: PrimeIdeal) -> int:
@@ -669,7 +676,7 @@ def _norm_form(I: FractionalIdeal) -> tuple[int, int, int]:
     columns (p1, q1), (p2, q2) of I.num over I.den are u1, u2, so each
     coefficient is a value of that form or its polarization over |det|
     (docs/principalization.md)."""
-    _, minus_t, n = I.field.omega_poly.int_coeffs()
+    _, minus_t, n = I.field.omega_coeffs
     (p1, p2), (q1, q2) = I.num.rows
     det = abs(p1 * q2 - q1 * p2)
     A, ra = divmod(p1 * p1 - minus_t * p1 * q1 + n * q1 * q1, det)
@@ -858,7 +865,7 @@ def fundamental_unit(field: NumberField) -> NfElement:
     """
     if field.degree != 2 or field.discriminant < 0:
         raise ValueError("fundamental units computed only for real quadratic fields")
-    _, minus_t, n = field.omega_poly.int_coeffs()
+    _, minus_t, n = field.omega_coeffs
     for (A, _, _), (a, b), _ in _rho_walk(1, -minus_t, n):
         if abs(A) == 1 and b:
             break

@@ -85,11 +85,21 @@ class SolenoidSystem:
         self.degree_shift = degree_shift
         self.transfer_index = transfer_index
         self.orientation_sign = orientation_sign
+        # caches, filled on first use; their names start with "_"
         self._dual: SolenoidSystem | None = None
+        self._c_inverse: NfElement | None = None
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k != "_dual")
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
         return f"SolenoidSystem({fields})"
+
+    @property
+    def c_inverse(self) -> NfElement:
+        """1/c, computed once per system: the transfer action, the
+        Lefschetz traces and the dual system all start from it."""
+        if self._c_inverse is None:
+            self._c_inverse = self.c.inverse()
+        return self._c_inverse
 
     def periodic_counts(self, n: int) -> list[int]:
         """Numbers of points fixed by the powers 1..n of the map, with c^k
@@ -139,12 +149,14 @@ class SolenoidSystem:
             inv_poly = Poly(reversed(self.min_poly.coeffs)).monic()
             self._dual = _assemble(
                 self.field,
-                self.c.inverse(),
+                self.c_inverse,
                 inv_poly,
                 [FinitePlace(fp.prime, -fp.valuation) for fp in self.finite_unstable],
                 [FinitePlace(fp.prime, -fp.valuation) for fp in self.finite_stable],
                 swapped,
             )
+            # the inverse of 1/c is c
+            self._dual._c_inverse = self.c
         return self._dual
 
     def describe(self) -> dict:

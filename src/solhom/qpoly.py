@@ -488,6 +488,8 @@ def factor_mod_p(coeffs_desc: Sequence[int], p: int) -> list[tuple[tuple[int, ..
         raise ValueError("cannot factor a constant")
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
+    if len(f) == 3:
+        return _factor_quadratic(f[1], f[0], p)
     out: list[tuple[tuple[int, ...], int]] = []
     for sq, mult in _squarefree_decomposition(f, p):
         for irr in _distinct_degree_then_split(sq, p):
@@ -497,6 +499,53 @@ def factor_mod_p(coeffs_desc: Sequence[int], p: int) -> list[tuple[tuple[int, ..
     if total != len(f) - 1:
         raise AssertionError("factor degrees do not sum to the input degree")
     return out
+
+
+def _factor_quadratic(b: int, c: int, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """factor_mod_p of x^2 + b x + c, b and c reduced mod p, from its
+    roots: at p = 2 the roots are read off at 0 and 1; for odd p they are
+    (-b +- sqrt(D)) / 2 with D = b^2 - 4c, a double root when D = 0 and
+    none when D is a non-residue (docs/ideal-arithmetic.md)."""
+    if p == 2:
+        roots = [r for r in (0, 1) if (r * r + b * r + c) % 2 == 0]
+    else:
+        disc = (b * b - 4 * c) % p
+        half = (p + 1) // 2
+        if disc == 0:
+            roots = [-b * half % p]
+        elif pow(disc, (p - 1) // 2, p) != 1:
+            roots = []
+        else:
+            s = _sqrt_mod_p(disc, p)
+            roots = [(-b + s) * half % p, (-b - s) * half % p]
+    if not roots:
+        return [((c, b, 1), 1)]
+    if len(roots) == 1:
+        return [((-roots[0] % p, 1), 2)]
+    return sorted(((-r % p, 1), 1) for r in roots)
+
+
+def _sqrt_mod_p(a: int, p: int) -> int:
+    """A square root of the nonzero quadratic residue a mod the odd prime
+    p, by Tonelli-Shanks with the least non-residue z (Cohen, GTM 138,
+    1.5.1).  With p - 1 = 2^k q, q odd, root^2 = a t holds throughout,
+    and each round lowers the 2-power order of t until t = 1."""
+    q, k = p - 1, 0
+    while q % 2 == 0:
+        q, k = q // 2, k + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, step, t, root = k, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then step^(2^(m - i - 1)) fixes t's order
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(step, 1 << (m - i - 1), p)
+        m, step = i, b * b % p
+        t, root = t * step % p, root * b % p
+    return root
 
 
 def is_irreducible_mod_p(coeffs_desc: Sequence[int], p: int) -> bool:

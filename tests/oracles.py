@@ -484,6 +484,14 @@ def box_scan_generator(I: FractionalIdeal):
     return None
 
 
+def omega(field) -> NfElement:
+    """omega, whose powers 1, omega, ..., omega^(d-1) are the integral
+    basis; theta in degree 1."""
+    if field.degree == 1:
+        return field.gen()
+    return NfElement(field, [int(i == 1) for i in range(field.degree)])
+
+
 def norm_test_fundamental_unit(field):
     """The fundamental unit of a real quadratic field by the loop the
     package ran before it read the norm off Q: every convergent h/k has
@@ -494,8 +502,8 @@ def norm_test_fundamental_unit(field):
         Dcf, P, Q = D0 // 4, 0, 1
     else:
         Dcf, P, Q = D0, 1, 2
-    omega = field.omega()
-    tr, nm = int(omega.trace()), int(omega.norm())
+    w = omega(field)
+    tr, nm = int(w.trace()), int(w.norm())
     s = math.isqrt(Dcf)
     hm1, hm2 = 1, 0
     km1, km2 = 0, 1
@@ -605,8 +613,8 @@ def reduced_form_count(D: int) -> int:
 
 def system_with(sys, **changes) -> SolenoidSystem:
     """A new system with the constructor fields of sys, some replaced by
-    changes; the dual cache starts empty."""
-    fields = {k: v for k, v in vars(sys).items() if k != "_dual"}
+    changes; every cache (a private attribute) starts empty."""
+    fields = {k: v for k, v in vars(sys).items() if not k.startswith("_")}
     return SolenoidSystem(**{**fields, **changes})
 
 

@@ -29,6 +29,7 @@ from oracles import (
     fraction_lefschetz_traces,
     fraction_mult_matrix,
     minor_entry,
+    omega,
     poly_mod_inverse,
     poly_mod_product,
     power_basis_mult_matrix,
@@ -119,13 +120,13 @@ def test_element_arithmetic_matches_poly_reference(poly):
     d = field.degree
     rng = random.Random(poly)
     theta = [-field.min_poly.coeffs[1]] if d == 1 else [int(i == 1) for i in range(d)]
-    omega = theta if d == 1 else basis_rat(field).column(1)
-    samples = [theta, poly_mod_inverse(field, theta), omega]
+    omega_coords = theta if d == 1 else basis_rat(field).column(1)
+    samples = [theta, poly_mod_inverse(field, theta), omega_coords]
     while len(samples) < 9:
         den = rng.choice([1, 2, 3, 4, 6, 9, 12])
         samples.append([Fraction(rng.randint(-9, 9), den) for _ in range(d)])
     assert field.gen() == field.element(theta)
-    assert field.omega() == field.element(omega)
+    assert omega(field) == field.element(omega_coords)
 
     def check(x, want):
         _assert_reduced(x)

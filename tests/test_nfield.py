@@ -22,11 +22,13 @@ from oracles import (
     ideal_index,
     is_checked_matrix,
     norm_test_fundamental_unit,
+    omega,
     product_inverse_ideal,
     resultant,
 )
 from solhom import nfield
 from solhom.errors import IndexObstruction
+from solhom.intfactor import is_prime
 from solhom.nfield import (
     FractionalIdeal,
     NfElement,
@@ -420,3 +422,66 @@ def test_multiplication_columns_and_their_matrices(case):
     assert is_checked_matrix(A)
     assume(any(a))
     assert is_checked_matrix(FractionalIdeal(K, A.scale(s), den).num)
+
+
+POW_FIELDS = [field(text) for text in ("x-3", "x^2+5", "x^2-x-1", "x^3-2", "x^4-x-1")]
+
+
+@pytest.mark.parametrize("K", POW_FIELDS, ids=repr)
+def test_pow_matches_repeated_multiplication(K, monkeypatch):
+    rng = random.Random(K.degree)
+    x = K.element([Fraction(rng.choice([-5, -2, 3, 7]), rng.randint(1, 3)) for _ in range(K.degree)])
+    products = []
+    mul = NfElement.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(NfElement, "__mul__", counted)
+    for e in range(-4, 10):
+        base = x if e >= 0 else x.inverse()
+        want = K.one()
+        for _ in range(abs(e)):
+            want = mul(want, base)
+        products.clear()
+        assert x.pow(e) == want
+        # a square per bit after the first, a product per further set bit
+        n = abs(e)
+        assert len(products) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0)
+    assert x.pow(1) is x
+
+
+# fields of degree 1..5; below p = 50 each degree from 2 up has an inert
+# prime, whose g_P(omega) is read as (g_P - omega_poly)(omega)
+LIFT_FIELDS = [
+    field(text)
+    for text in (
+        "x-3", "x^2+5", "x^2-x-1", "x^2-2", "x^3-2", "x^3-x-1", "x^4-x-1", "x^4-2", "x^5-x-1", "x^5-2"
+    )
+]
+
+
+def test_prime_generators_and_discriminants_are_their_coordinates():
+    inert_degrees = set()
+    for K in LIFT_FIELDS:
+        w = omega(K)
+        g_prime = K.evaluate(K.omega_poly.derivative(), w)
+        assert K.discriminant == (-1) ** (K.degree * (K.degree - 1) // 2) * g_prime.norm()
+        assert K.omega_coeffs == K.omega_poly.int_coeffs()
+        for p in range(2, 51):
+            if not is_prime(p):
+                continue
+            try:
+                primes = factor_rational_prime(K, p)
+            except IndexObstruction:
+                continue
+            for P in primes:
+                if K.degree == 1:
+                    assert P.second_gen == K.from_rational(p)
+                    continue
+                lift = Poly(list(reversed(P.gen_poly_mod_p)))
+                assert P.second_gen == K.evaluate(lift, w)
+                if P.f == K.degree:
+                    inert_degrees.add(K.degree)
+    assert inert_degrees == {2, 3, 4, 5}

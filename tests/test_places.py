@@ -16,7 +16,7 @@ from oracles import (
     toral_periodic_points,
     valuation_periodic_count,
 )
-from solhom import intfactor, nfield
+from solhom import cli, intfactor, nfield
 from solhom.errors import (
     BoundaryRoot,
     DegenerateFix,
@@ -185,3 +185,28 @@ def test_periodic_points_guards():
     # 3/2 with no expanding place recorded: the count would be 1/2
     with pytest.raises(InternalCheckError):
         system_with(s, c=s.field.from_rational(Fraction(3, 2))).periodic_counts(1)
+
+
+@pytest.mark.parametrize("text", ["x-3/2", "x^2-10/3", "x^2+x+7/2", "x^3-2"])
+def test_c_inverse_is_computed_once_per_report(text, monkeypatch):
+    # the transfer action, the Lefschetz traces and the dual system all
+    # start from 1/c, and the dual's own 1/c is the forward c
+    calls = []
+    inverse = nfield.NfElement.inverse
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(nfield.NfElement, "inverse", counted)
+    s = build_system(text)
+    cli.build_report(s, 6)
+    assert calls == [s.c]
+    dual = s.dual_system()
+    assert dual.c_inverse is s.c
+    for side in (s, dual):
+        assert side.c_inverse * side.c == s.field.one()
+    # a system with c replaced computes its own
+    other = system_with(s, c=s.c.pow(2))
+    assert other.c_inverse == s.c_inverse.pow(2)
+    assert "_c_inverse" not in repr(s) and "_dual" not in repr(s)

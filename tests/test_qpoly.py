@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from solhom import qpoly
 from solhom.errors import ParseError
@@ -245,6 +245,86 @@ def test_factor_mod_2_equal_degree_split_runs_zip_pad(factors_asc, monkeypatch):
 def test_frozen_factorization_mod3():
     # x^2 + 5 = (x + 1)(x + 2) mod 3, frozen by hand multiplication
     assert factor_mod_p([1, 0, 5], 3) == [((1, 1), 1), ((2, 1), 1)]
+
+
+def generic_factorization(f_asc, p):
+    """The square-free, distinct-degree and equal-degree pipeline that
+    factor_mod_p runs from degree 3, on a monic ascending list."""
+    return sorted(
+        (tuple(irr), mult)
+        for sq, mult in qpoly._squarefree_decomposition(f_asc, p)
+        for irr in qpoly._distinct_degree_then_split(sq, p)
+    )
+
+
+# 998244353 = 119 * 2^23 + 1, so Tonelli-Shanks there runs many rounds
+QUADRATIC_PRIMES = [2, 3, 5, 7, 13, 17, 257, 65537, 998244353, 10**9 + 7]
+
+
+def _quadratic(p, kind, r, s, b, c):
+    """x^2 + b x + c mod p of the kind asked for: two roots r and s
+    (split, or ramified when r = s), one root r twice, or any."""
+    if kind == "roots":
+        return [r * s % p, -(r + s) % p, 1]
+    if kind == "double":
+        return [r * r % p, -2 * r % p, 1]
+    return [c % p, b % p, 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(QUADRATIC_PRIMES),
+    st.sampled_from(["roots", "double", "any"]),
+    st.integers(0, 2**40),
+    st.integers(0, 2**40),
+    st.integers(0, 2**40),
+    st.integers(0, 2**40),
+    st.integers(1, 2**40),
+)
+def test_quadratic_factoring_matches_the_generic_pipeline(p, kind, r, s, b, c, lead):
+    assume(lead % p)
+    f_asc = _quadratic(p, kind, r, s, b, c)
+    state = qpoly._cz_rng.getstate()
+    # factor_mod_p takes descending coefficients and drops the unit lead
+    got = factor_mod_p([lead * x for x in reversed(f_asc)], p)
+    assert qpoly._cz_rng.getstate() == state
+    assert got == generic_factorization(f_asc, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_quadratic_factoring_on_every_quadratic_mod_small_p(p):
+    kinds = set()
+    for b in range(p):
+        for c in range(p):
+            got = factor_mod_p([1, b, c], p)
+            assert got == generic_factorization([c, b, 1], p)
+            kinds.add(tuple(sorted((len(irr) - 1, m) for irr, m in got)))
+    # split, ramified and inert all occur
+    assert kinds == {((1, 1), (1, 1)), ((1, 2),), ((2, 1),)}
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ([1, 0, 0], [((0, 1), 2)]),  # x^2
+        ([1, 1, 0], [((0, 1), 1), ((1, 1), 1)]),  # x (x + 1)
+        ([1, 0, 1], [((1, 1), 2)]),  # (x + 1)^2
+        ([1, 1, 1], [((1, 1, 1), 1)]),  # irreducible
+        ([3, 5, 7], [((1, 1, 1), 1)]),  # the same mod 2
+    ],
+)
+def test_quadratic_factoring_mod_2(coeffs, expected):
+    assert factor_mod_p(coeffs, 2) == expected
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 257, 65537, 998244353])
+def test_square_roots_mod_p(p):
+    # 2^k divides p - 1 with k = 2, 2, 4, 8, 16, 23
+    rng = random.Random(p)
+    for _ in range(200):
+        x = rng.randrange(1, p)
+        root = qpoly._sqrt_mod_p(x * x % p, p)
+        assert root in (x, p - x)
 
 
 @pytest.mark.parametrize(
