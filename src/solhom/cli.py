@@ -225,6 +225,23 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     return report
 
 
+def _record_lines(name: str, rec: dict) -> list[str]:
+    """A group's line, then, for a signature-only record, its tower rows
+    and its invariant signature: the rank and the rank of G/pG at each p."""
+    lines = [f"  {name} = {rec['group']}   [{rec['provenance']}]"]
+    if "tower" in rec:
+        width = max(len(str(x)) for row in rec["tower"] for x in row)
+        for i, row in enumerate(rec["tower"]):
+            label = "tower" if i == 0 else ""
+            lines.append(f"      {label:<11}" + " ".join(f"{x:>{width}}" for x in row))
+        sig = rec["signature"]
+        lines.append(
+            f"      signature  rank {sig['rank']}"
+            + "".join(f", G/{p}G rank {r}" for p, r in sig["mod_p_ranks"])
+        )
+    return lines
+
+
 def _render_text(report: dict, side: str) -> str:
     lines = []
     system = report["system"]
@@ -257,20 +274,21 @@ def _render_text(report: dict, side: str) -> str:
         lines.append(f"{s} homology:")
         graded = report["homology"][s]
         for degree in sorted(graded, key=int):
-            rec = graded[degree]
-            lines.append(f"  H_{degree} = {rec['group']}   [{rec['provenance']}]")
+            lines += _record_lines(f"H_{degree}", graded[degree])
     lines.append("K-theory:")
     for name in ("K0", "K1"):
-        rec = report["k_theory"][name]
-        lines.append(f"  {name} = {rec['group']}   [{rec['provenance']}]")
+        lines += _record_lines(name, report["k_theory"][name])
     verdicts = report["hk"]["verdicts"]
     lines.append(
         f"homology/K comparison: K0 {verdicts['0']}, K1 {verdicts['1']}, rank identity holds"
     )
     lines.append("periodic points:")
-    lines.append("  n      trace     count")
-    for row in report["lefschetz"]:
-        lines.append(f"  {row['n']:<5}{row['trace']:>8}{row['periodic_points']:>10}")
+    rows = [(row["n"], row["trace"], row["periodic_points"]) for row in report["lefschetz"]]
+    # each column fits its widest entry after a space; small tables keep widths 5, 8, 10
+    wn, wt, wc = (max([w] + [len(str(r[i])) + 1 for r in rows]) for i, w in enumerate((5, 8, 10)))
+    lines.append(f"  {'n':<{wn}}{'trace':>{wt - 1}}{'count':>{wc}}")
+    for n, trace, count in rows:
+        lines.append(f"  {n:<{wn}}{trace:>{wt}}{count:>{wc}}")
     lines.append(f"elapsed: {report['timing_seconds']:.3f}s" + (
         "  (cached)" if report.get("cache") == "hit" else ""
     ))

@@ -6,8 +6,11 @@ integral omega with monic integer minimal polynomial omega_poly: for
 degree 2, omega generates the maximal order, computed in closed form;
 otherwise omega = theta and the working order is Z[theta], and any prime
 whose factorization would be distorted by the index (detected with the
-Dedekind criterion) raises IndexObstruction rather than returning wrong
-data.
+Dedekind criterion, qpoly.dedekind_index_free) raises IndexObstruction
+rather than returning wrong data.  theta's integer coordinates over the
+integral basis are written down with it: e_1 from degree 3 on, -f(0) in
+degree 1, and in degree 2 solved from omega's closed form.  Power-basis
+coordinates enter by Horner at theta.
 
 An element is num / den with num its integer coordinates over the
 integral basis and den a positive integer, reduced, so element equality
@@ -30,15 +33,16 @@ dividing each time (docs/ideal-arithmetic.md).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import IndexObstruction, InternalCheckError
-from .intfactor import factorint
+from .intfactor import factorint, is_prime
 from .linalg import IntMatrix, char_poly, hnf
-from .qpoly import Poly, factor_mod_p, is_irreducible_over_q
+from .qpoly import Poly, dedekind_index_free, factor_mod_p, is_irreducible_over_q
 
 # how an element's repr writes the field generator theta
 GEN_SYMBOL = "a"
@@ -71,34 +75,39 @@ class NumberField:
         self.degree = min_poly.degree
         # basis_matrix (W, w): the columns of W / w are the power-basis
         # coordinates of the integral basis; omega_poly: the integer
-        # minimal polynomial of omega; omega_coeffs: its integer
+        # minimal polynomial of omega; theta: theta's integer coordinates
+        # over the integral basis; omega_coeffs: omega_poly's integer
         # coefficients, descending, converted once
-        self.basis_matrix, self.omega_poly = self._build_integral_basis()
+        self.basis_matrix, self.omega_poly, self.theta = self._build_integral_basis()
         self.omega_coeffs = self.omega_poly.int_coeffs()
         self._structure = self._build_structure_constants()
         self.discriminant = self._compute_discriminant()
 
     # representation helpers -------------------------------------------------
-    def _build_integral_basis(self) -> tuple[tuple[IntMatrix, int], Poly]:
+    def _build_integral_basis(self) -> tuple[tuple[IntMatrix, int], Poly, tuple[int, ...]]:
         d = self.degree
         if d != 2:
-            return (IntMatrix.identity(d), 1), self.min_poly
+            theta = (-int(self.min_poly.coeffs[1]),) if d == 1 else (0, 1) + (0,) * (d - 2)
+            return (IntMatrix.identity(d), 1), self.min_poly, theta
         b = int(self.min_poly.coeffs[1])
         disc_f = b * b - 4 * int(self.min_poly.coeffs[2])
         u, m = _squarefree_decompose_int(disc_f)
         # theta = (-b +- u sqrt(m)) / 2, so omega = (1 +- sqrt(m)) / 2 or +-sqrt(m);
-        # over w = 2u, omega is (u + b, 2) or (2b, 4) in the power basis
+        # over w = 2u, omega is (u + b, 2) or (2b, 4) in the power basis, so
+        # theta = u omega - (u + b)/2 or (u omega - b)/2
         if m % 4 == 1:
             omega = (u + b, 2)
             omega_poly = Poly([1, -1, (1 - m) // 4])
+            theta = (-(u + b) // 2, u)
         else:
             omega = (2 * b, 4)
             omega_poly = Poly([1, 0, -m])
+            theta = (-b // 2, u // 2)
         W, w = IntMatrix.from_columns([(2 * u, 0), omega]), 2 * u
         # the index of Z[theta] in Z[omega] is w^2 / det W
         if w * w % W.det():
             raise InternalCheckError("quadratic integral basis has non-integer index")
-        return (W, w), omega_poly
+        return (W, w), omega_poly, theta
 
     def _build_structure_constants(self) -> list[list[list[int]]]:
         """[i][j]: the integer coordinates of w_i * w_j = omega^(i+j),
@@ -144,19 +153,9 @@ class NumberField:
     # constructors -----------------------------------------------------------
     def element(self, coords: Sequence) -> "NfElement":
         """The element with the given coordinates over the power basis."""
-        cs = [Fraction(c) for c in coords]
-        if len(cs) != self.degree:
+        if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
-        q = math.lcm(*(c.denominator for c in cs))
-        B, e = self._basis_inverse
-        return NfElement(self, B.apply([c.numerator * (q // c.denominator) for c in cs]), e * q)
-
-    @functools.cached_property
-    def _basis_inverse(self) -> tuple[IntMatrix, int]:
-        """(W / w)^-1 as the pair (w B, e), for (B, e) = W.inverse_pair()."""
-        W, w = self.basis_matrix
-        B, e = W.inverse_pair()
-        return B.scale(w), e
+        return self.evaluate(Poly(list(coords)[::-1]), self.gen())
 
     def from_rational(self, q) -> "NfElement":
         q = Fraction(q)
@@ -176,9 +175,7 @@ class NumberField:
         return self.from_rational(1)
 
     def gen(self) -> "NfElement":
-        if self.degree == 1:
-            return self.from_rational(-self.min_poly.coeffs[1])
-        return self.element([0, 1] + [0] * (self.degree - 2))
+        return NfElement(self, self.theta)
 
     @functools.cached_property
     def unit_coords(self) -> tuple[tuple[int, ...], int]:
@@ -509,39 +506,6 @@ class PrimeIdeal:
         return self._power_cache[e]
 
 
-def _dedekind_index_free(field: NumberField, p: int, factors) -> bool:
-    """Dedekind criterion: True when p does not divide [O_K : Z[theta]],
-    given the factorization of f mod p."""
-    fpoly = field.min_poly
-    g_lift = Poly.const(1)
-    h_lift = Poly.const(1)
-    for coeffs_asc, mult in factors:
-        irr = Poly(list(reversed([c % p for c in coeffs_asc])))
-        g_lift = g_lift * irr
-        for _ in range(mult - 1):
-            h_lift = h_lift * irr
-    diff = g_lift * h_lift - fpoly
-    F = diff.scale(Fraction(1, p))
-    if not F.is_integer():
-        raise InternalCheckError("Dedekind lift difference not divisible by p")
-    cur = _gcd_mod_p(F.int_coeffs(), g_lift.int_coeffs(), p)
-    cur = _gcd_mod_p(tuple(reversed(cur)), h_lift.int_coeffs(), p)
-    return len(cur) == 1
-
-
-def _gcd_mod_p(a_desc, b_desc, p):
-    """gcd over F_p, returns ascending coefficients."""
-    from .qpoly import _pgcd, _trim
-
-    fa = _trim([c % p for c in reversed(list(a_desc))])
-    fb = _trim([c % p for c in reversed(list(b_desc))])
-    if not fa:
-        return tuple(fb) if fb else (0,)
-    if not fb:
-        return tuple(fa)
-    return tuple(_pgcd(fa, fb, p))
-
-
 def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     """The primes of the field above p, with ramification and residue data.
 
@@ -552,8 +516,6 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     other g_Q(w)^(e_Q), so that (p, gamma) = P^(e-1) * prod Q^(e_Q)
     (docs/ideal-arithmetic.md).
     """
-    from .intfactor import is_prime
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     d = field.degree
@@ -564,7 +526,7 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
         # degree 2, Z[omega] is the full ring of integers, so no index
         # issues, and above it omega_poly is f
         factors = factor_mod_p(field.omega_coeffs, p)
-        if d > 2 and not _dedekind_index_free(field, p, factors):
+        if d > 2 and not dedekind_index_free(field.omega_coeffs, p, factors):
             raise IndexObstruction(
                 f"p = {p} divides the index of the working order Z[theta]"
             )
@@ -649,23 +611,16 @@ def principal_generator(I: FractionalIdeal) -> NfElement | None:
             if lead < 0:
                 found = -found
         return found
-    # bounded heuristic box for higher degree
+    # bounded heuristic box for higher degree: each candidate is a
+    # Z-combination of I's basis, so it lies in I, and |N(x)| = N(I)
+    # proves (x) = I
     target = I.norm()
-    basis = I.basis_elements()
     for radius in (1, 2, 3):
-        for combo in _box(d, radius):
-            x = field.zero()
-            for c, b in zip(combo, basis):
-                x = x + b.scale(c)
-            if not x.is_zero() and abs(x.norm()) == target and I.contains(x):
+        for combo in itertools.product(range(-radius, radius + 1), repeat=d):
+            x = NfElement(field, I.num.apply(combo), I.den)
+            if not x.is_zero() and abs(x.norm()) == target:
                 return x
     return None
-
-
-def _box(dim: int, radius: int):
-    import itertools
-
-    return itertools.product(range(-radius, radius + 1), repeat=dim)
 
 
 def _norm_form(I: FractionalIdeal) -> tuple[int, int, int]:

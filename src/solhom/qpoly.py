@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import IrreducibilityUndecided, ParseError
+from .errors import InternalCheckError, IrreducibilityUndecided, ParseError
 from .intfactor import factorint, is_prime
 
 
@@ -546,6 +546,26 @@ def _sqrt_mod_p(a: int, p: int) -> int:
         m, step = i, b * b % p
         t, root = t * step % p, root * b % p
     return root
+
+
+def dedekind_index_free(coeffs_desc: Sequence[int], p: int, factors: Sequence) -> bool:
+    """Dedekind criterion (Cohen, GTM 138, 6.1): True when p does not
+    divide the index of Z[theta] in the ring of integers, for theta a root
+    of the monic integer f with descending coefficients coeffs_desc and
+    factors its factor_mod_p output.  With g the product of the lifted
+    irreducibles, h that of each to its multiplicity less one, and
+    F = (g h - f) / p, p divides the index exactly when gcd(F, g, h) mod p
+    is not constant."""
+    g = h = [1]
+    for irr, mult in factors:
+        g = _mul(g, irr)
+        for _ in range(mult - 1):
+            h = _mul(h, irr)
+    diff = [a - b for a, b in _zip_pad(_mul(g, h), list(reversed(coeffs_desc)))]
+    if any(c % p for c in diff):
+        raise InternalCheckError("Dedekind lift difference not divisible by p")
+    F, g, h = (_trim([c % p for c in q]) for q in ([c // p for c in diff], g, h))
+    return len(_pgcd(_pgcd(g, F, p), h, p)) == 1
 
 
 def is_irreducible_mod_p(coeffs_desc: Sequence[int], p: int) -> bool:

@@ -44,7 +44,7 @@ from solhom.nfield import (
     fundamental_unit,
 )
 from solhom.places import SolenoidSystem
-from solhom.qpoly import Poly, parse_poly
+from solhom.qpoly import Poly, _pgcd, _trim, parse_poly
 from solhom.rootcount import _sturm_chain, _unit_circle_count, real_roots_in_interval, roots_in_unit_disk
 
 
@@ -481,6 +481,65 @@ def box_scan_generator(I: FractionalIdeal):
                 x = u1.scale(a) + u2.scale(b)
                 if not x.is_zero() and abs(x.norm()) == target:
                     return x
+    return None
+
+
+def basis_inverse_gen(field) -> NfElement:
+    """theta as the package wrote it before theta's coordinates came with
+    the integral basis: (W / w)^-1 e_1 in Fractions, and -f(0) in degree
+    1."""
+    if field.degree == 1:
+        return field.from_rational(-field.min_poly.coeffs[1])
+    coords = basis_rat(field).inverse().apply([int(i == 1) for i in range(field.degree)])
+    q = math.lcm(*(c.denominator for c in coords))
+    return NfElement(field, [int(c * q) for c in coords], q)
+
+
+def poly_dedekind_index_free(fpoly: Poly, p: int, factors) -> bool:
+    """The Dedekind criterion as the package ran it before it moved onto
+    qpoly's integer-list kernels: the lifts' products g and h as Polys,
+    F = (g h - f) / p in Fractions, then gcd(F, g) and gcd(., h) over F_p."""
+    g_lift = Poly.const(1)
+    h_lift = Poly.const(1)
+    for coeffs_asc, mult in factors:
+        irr = Poly(list(reversed([c % p for c in coeffs_asc])))
+        g_lift = g_lift * irr
+        for _ in range(mult - 1):
+            h_lift = h_lift * irr
+    F = (g_lift * h_lift - fpoly).scale(Fraction(1, p))
+    if not F.is_integer():
+        raise InternalCheckError("Dedekind lift difference not divisible by p")
+    cur = _gcd_mod_p(F.int_coeffs(), g_lift.int_coeffs(), p)
+    cur = _gcd_mod_p(tuple(reversed(cur)), h_lift.int_coeffs(), p)
+    return len(cur) == 1
+
+
+def _gcd_mod_p(a_desc, b_desc, p):
+    """gcd over F_p of two descending integer lists, ascending."""
+    fa = _trim([c % p for c in reversed(list(a_desc))])
+    fb = _trim([c % p for c in reversed(list(b_desc))])
+    if not fa:
+        return tuple(fb) if fb else (0,)
+    if not fb:
+        return tuple(fa)
+    return tuple(_pgcd(fa, fb, p))
+
+
+def contains_box_generator(I: FractionalIdeal):
+    """principal_generator's box search in degree >= 3 as the package ran
+    it before candidates were integer columns: each candidate a
+    Fraction-scaled sum of I's basis elements from zero, kept when its
+    norm is N(I) and FractionalIdeal.contains admits it."""
+    field = I.field
+    target = I.norm()
+    basis = I.basis_elements()
+    for radius in (1, 2, 3):
+        for combo in itertools.product(range(-radius, radius + 1), repeat=field.degree):
+            x = field.zero()
+            for c, b in zip(combo, basis):
+                x = x + b.scale(c)
+            if not x.is_zero() and abs(x.norm()) == target and I.contains(x):
+                return x
     return None
 
 

@@ -324,6 +324,57 @@ def test_lefschetz_rows_are_cross_checked(capsys, monkeypatch):
     assert "InternalCheckError" in err and "period 1" in err
 
 
+def _text_and_report(capsys, *argv):
+    code, text, _ = run(capsys, "analyze", "--no-cache", *argv)
+    assert code == 0
+    code, out, _ = run(capsys, "analyze", "--no-cache", "--json", *argv)
+    assert code == 0
+    return text.splitlines(), json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv", [("--min-poly", "x^2-79/4"), ("--c", "3/2"), ("--min-poly", "x^3-2", "--lefschetz", "9")]
+)
+def test_periodic_point_rows_parse_into_the_json_rows(capsys, argv):
+    lines, report = _text_and_report(capsys, *argv)
+    start = lines.index("periodic points:") + 2
+    rows = [tuple(map(int, line.split())) for line in lines[start:-1]]
+    assert lines[-1].startswith("elapsed:")
+    assert rows == [(r["n"], r["trace"], r["periodic_points"]) for r in report["lefschetz"]]
+    if argv == ("--c", "3/2"):
+        # the README's example
+        assert lines[start - 1 : start + 2] == [
+            "  n      trace     count", "  1           1         1", "  2           5         5"
+        ]
+
+
+@pytest.mark.parametrize("poly", ["x^2-79/4", "x^3-2"])
+def test_signature_only_records_print_their_tower_and_signature(capsys, poly):
+    lines, report = _text_and_report(capsys, "--min-poly", poly)
+    records = [
+        (f"H_{k}", rec)
+        for side in ("unstable", "stable")
+        for k, rec in sorted(report["homology"][side].items(), key=lambda item: int(item[0]))
+    ] + [(name, report["k_theory"][name]) for name in ("K0", "K1")]
+    at, towers = 0, 0
+    for name, rec in records:
+        at = lines.index(f"  {name} = {rec['group']}   [{rec['provenance']}]", at) + 1
+        if "tower" not in rec:
+            assert not lines[at].startswith("      "), name
+            continue
+        towers += 1
+        n = len(rec["tower"])
+        rows = [line.split() for line in lines[at : at + n]]
+        assert rows[0][0] == "tower"
+        assert [[int(x) for x in row] for row in [rows[0][1:]] + rows[1:]] == rec["tower"]
+        sig = rec["signature"]
+        want = ["signature", "rank", str(sig["rank"])]
+        for p, r in sig["mod_p_ranks"]:
+            want += [f"G/{p}G", "rank", str(r)]
+        assert lines[at + n].replace(",", "").split() == want
+    assert towers == (2 if poly == "x^2-79/4" else 6)
+
+
 def test_no_cache_flag(capsys, isolated_cache):
     code, _, _ = run(capsys, "analyze", "--c", "5/2", "--no-cache")
     assert code == 0

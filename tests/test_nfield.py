@@ -11,13 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     anti_uniformizer,
+    basis_inverse_gen,
     basis_rat,
     box_scan_generator,
+    contains_box_generator,
     definite_scan_generator,
     ideal_index,
     is_checked_matrix,
@@ -39,7 +41,7 @@ from solhom.nfield import (
     principal_generator,
     valuation,
 )
-from solhom.qpoly import Poly, parse_poly
+from solhom.qpoly import Poly, clear_to_monic_integer, parse_poly
 
 
 def field(text: str) -> NumberField:
@@ -485,3 +487,56 @@ def test_prime_generators_and_discriminants_are_their_coordinates():
                 if P.f == K.degree:
                     inert_degrees.add(K.degree)
     assert inert_degrees == {2, 3, 4, 5}
+
+
+# squarefree m of each residue mod 4 (Python's, so -3 = 1 mod 4), both signs
+SQUAREFREE = [-23, -15, -7, -3, -1, -2, -5, -6, -10, 2, 3, 5, 6, 7, 10, 13, 17, 21, 79]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.sampled_from(SQUAREFREE), u=st.integers(1, 12), k=st.integers(-15, 15))
+@example(m=5, u=1, k=0)  # x^2 + x - 1: squarefree discriminant 5
+@example(m=-3, u=3, k=2)  # x^2 + 5x + 13: disc -27, m = 1 mod 4
+@example(m=-1, u=1, k=0)  # x^2 + 1: disc -4, m = 3 mod 4
+@example(m=2, u=3, k=-3)  # x^2 - 6x - 9: disc 72, m = 2 mod 4
+def test_gen_is_the_basis_inverse_of_e1_in_quadratic_fields(m, u, k):
+    # x^2 + b x + c with disc = b^2 - 4c = u^2 m needs b = u mod 2 when
+    # m = 1 mod 4, and u and b even otherwise
+    if m % 4 != 1:
+        u *= 2
+    b = 2 * k + u % 2
+    c = (b * b - u * u * m) // 4
+    K = NumberField(Poly([1, b, c]))
+    assert K.gen() == basis_inverse_gen(K)
+    assert K.gen().power_coords() == (0, 1)
+
+
+@pytest.mark.parametrize("text", ["x-3", "x+7", "x^3-2", "x^3-x^2-2*x-8", "x^4-2", "x^5-3"])
+def test_gen_is_the_basis_inverse_of_e1_outside_degree_2(text):
+    K = field(text)
+    assert K.gen() == basis_inverse_gen(K)
+    theta = [-K.min_poly.coeffs[1]] if K.degree == 1 else [0, 1] + [0] * (K.degree - 2)
+    assert K.gen().power_coords() == tuple(theta)
+
+
+# the primes whose P, P^-1 and P^2 are searched, per field; degree 5 stops
+# below 7, where the scan runs the whole box for P^2 in seconds
+BOX_FIELDS = {"x^3-2": (2, 3, 5, 7, 11), "x^3-5/4": (2, 3, 5, 7, 11), "x^4-2": (2, 3, 5, 7), "x^5-3": (2, 3, 5)}
+
+
+@pytest.mark.parametrize("text", sorted(BOX_FIELDS))
+def test_box_search_is_the_scan_that_checks_membership(text):
+    K = NumberField(clear_to_monic_integer(parse_poly(text))[0])
+    ideals = [FractionalIdeal.principal(K, (K.gen() - K.one()).scale(Fraction(1, 2)))]
+    for p in BOX_FIELDS[text]:
+        try:
+            primes = factor_rational_prime(K, p)
+        except IndexObstruction:
+            continue
+        ideals += [J for P in primes for J in (P.ideal(), P.inverse_ideal(), P.power(2))]
+    found = [principal_generator(I) for I in ideals]
+    assert found == [contains_box_generator(I) for I in ideals]
+    assert all(x is None or FractionalIdeal.principal(K, x) == I for x, I in zip(found, ideals))
+    assert any(x is not None for x in found)
+    if text.startswith("x^3"):
+        assert None in found  # P^2 over 11 is outside the box

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from solhom import qpoly
 from solhom.errors import ParseError
+from solhom.intfactor import factorint
 from solhom.qpoly import (
     Poly,
     _divisors_signed,
@@ -20,7 +21,7 @@ from solhom.qpoly import (
     is_irreducible_over_q,
     parse_poly,
 )
-from oracles import parse_rational, poly_eval, reversed_poly
+from oracles import parse_rational, poly_dedekind_index_free, poly_eval, resultant, reversed_poly
 
 
 def test_parse_basic_polys():
@@ -445,3 +446,27 @@ def test_parse_poly_agrees_with_eval(text):
     python_text = re.sub(r"(?<!\^)(\d)", r"Fraction(\1)", text).replace("^", "**")
     for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-5, 7)):
         assert poly_eval(f.coeffs, x) == eval(python_text, {"Fraction": Fraction, "x": x})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda n: st.lists(st.integers(-12, 12), min_size=n, max_size=n)))
+def test_dedekind_criterion_matches_the_poly_route(tail):
+    coeffs = [1] + tail
+    f = Poly(coeffs)
+    disc = resultant(f.coeffs, f.derivative().coeffs)
+    assume(disc != 0)
+    for p in factorint(abs(int(disc))):
+        factors = factor_mod_p(coeffs, p)
+        assert qpoly.dedekind_index_free(coeffs, p, factors) == poly_dedekind_index_free(f, p, factors)
+
+
+@pytest.mark.parametrize(
+    "text, p, free",
+    [("x^3-12", 2, False), ("x^3-18", 3, False), ("x^3-x^2-2*x-8", 2, False), ("x^3-2", 2, True), ("x^3-2", 3, True)],
+)
+def test_dedekind_criterion_on_known_indices(text, p, free):
+    f = parse_poly(text)
+    coeffs = f.int_coeffs()
+    factors = factor_mod_p(coeffs, p)
+    assert qpoly.dedekind_index_free(coeffs, p, factors) is free
+    assert poly_dedekind_index_free(f, p, factors) is free
