@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys as _sys
 import time
@@ -20,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .engine import (
+    DegreeEntry,
     GradedGroup,
     duality_check,
     finite_part_homology,
@@ -43,13 +45,13 @@ from .errors import (
     ZeroInput,
 )
 from .fgab import FgAbGroup, LocalizedForm, endomorphism
-from .limits import ColimitGroup
+from .limits import InvariantSignature
 from .linalg import IntMatrix
 from .nfield import NumberField
 from .places import SolenoidSystem, build_system, monic_min_poly
 from .qpoly import Poly, clear_to_monic_integer, parse_poly
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_LEFSCHETZ = 6
 
@@ -128,22 +130,22 @@ def fixture_detail(name: str) -> dict:
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _rat_str(x) -> str:
-    return str(Fraction(x))
+def _ratio_str(x: int, m: int) -> str:
+    """str(Fraction(x, m)) for m > 0, without building the Fraction."""
+    g = math.gcd(x, m)
+    return str(x // g) if g == m else f"{x // g}/{m // g}"
 
 
 def _matrix_json(pair) -> list[list[str]]:
     A, m = pair
-    return [[str(Fraction(x, m)) for x in row] for row in A.rows]
+    return [[_ratio_str(x, m) for x in row] for row in A.rows]
 
 
-def _signature_only_json(group: ColimitGroup) -> dict:
-    sig = group.signature
+def _signature_only_json(group: str, sig: InvariantSignature, provenance: str) -> dict:
     return {
-        "group": f"colim(Z^{group.rank}, tower below)",
-        "tower": [list(r) for r in group.matrix.rows],
+        "group": group,
         "signature": {"rank": sig.rank, "mod_p_ranks": [list(pair) for pair in sig.mod_p_ranks]},
-        "provenance": "tower (signature-only)",
+        "provenance": provenance,
     }
 
 
@@ -156,31 +158,28 @@ def _graded_json(graded: GradedGroup) -> dict:
         if entry.closed is not None:
             record = {"group": entry.closed.pretty(), "provenance": entry.provenance}
         else:
-            record = _signature_only_json(entry.colimit)
+            G = entry.colimit
+            record = _signature_only_json(
+                f"colim(Z^{G.rank}, tower below)", G.signature, "tower (signature-only)"
+            )
+            record["tower"] = [list(r) for r in G.matrix.rows]
         if entry.action is not None:
             record["action"] = _matrix_json(entry.action)
         out[str(degree)] = record
     return out
 
 
-def _block_diagonal(blocks: list[IntMatrix]) -> IntMatrix:
-    size, off, rows = sum(b.nrows for b in blocks), 0, []
-    for b in blocks:
-        rows += [[0] * off + list(row) + [0] * (size - off - b.ncols) for row in b.rows]
-        off += b.ncols
-    return IntMatrix(rows)
-
-
-def _k_group_json(entries: list) -> dict:
-    """A K-group, the direct sum of its degree entries: the sum of their
-    closed forms, or, when one has none, the tower of the block sum (of
-    the one entry's own tower when it is alone)."""
+def _k_group_json(degrees: dict[int, DegreeEntry]) -> dict:
+    """A K-group, the direct sum of its unstable homology degrees: the
+    sum of their closed forms, or, when one has none, the degrees it
+    sums and their summed invariant signature."""
+    entries = degrees.values()
     if all(e.closed is not None for e in entries):
         form = LocalizedForm([atom for e in entries for atom in e.closed.atoms])
         return {"group": form.pretty(), "provenance": "canonical_form"}
-    if len(entries) == 1:
-        return _signature_only_json(entries[0].colimit)
-    return _signature_only_json(ColimitGroup(_block_diagonal([e.colimit.matrix for e in entries])))
+    names = " + ".join(f"H_{k}" for k in degrees)
+    sig = InvariantSignature.direct_sum(e.colimit.signature for e in entries)
+    return _signature_only_json(names, sig, "degree sum (signature-only)")
 
 
 def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
@@ -194,7 +193,7 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     """
     finite = finite_part_homology(sys_)
     k_groups = k_theory(sys_, finite)
-    hk = hk_check(sys_, finite, k_groups)
+    hk = hk_check(sys_, finite)
     dual = sys_.dual_system()
     unstable = shifted_homology(sys_, finite)
     stable = shifted_homology(dual, finite_part_homology(dual))
@@ -204,7 +203,7 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
         "system": sys_.describe(),
-        "principalization": {"exponent": h, "generator_norm": _rat_str(g.norm())},
+        "principalization": {"exponent": h, "generator_norm": str(g.norm())},
         "homology": {
             "unstable": _graded_json(unstable),
             "stable": _graded_json(stable),
@@ -226,14 +225,16 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
 
 
 def _record_lines(name: str, rec: dict) -> list[str]:
-    """A group's line, then, for a signature-only record, its tower rows
-    and its invariant signature: the rank and the rank of G/pG at each p."""
+    """A group's line, then, for a signature-only record, the tower rows
+    of a homology degree and the invariant signature: the rank and the
+    rank of G/pG at each p."""
     lines = [f"  {name} = {rec['group']}   [{rec['provenance']}]"]
     if "tower" in rec:
         width = max(len(str(x)) for row in rec["tower"] for x in row)
         for i, row in enumerate(rec["tower"]):
             label = "tower" if i == 0 else ""
             lines.append(f"      {label:<11}" + " ".join(f"{x:>{width}}" for x in row))
+    if "signature" in rec:
         sig = rec["signature"]
         lines.append(
             f"      signature  rank {sig['rank']}"
@@ -286,7 +287,7 @@ def _render_text(report: dict, side: str) -> str:
     rows = [(row["n"], row["trace"], row["periodic_points"]) for row in report["lefschetz"]]
     # each column fits its widest entry after a space; small tables keep widths 5, 8, 10
     wn, wt, wc = (max([w] + [len(str(r[i])) + 1 for r in rows]) for i, w in enumerate((5, 8, 10)))
-    lines.append(f"  {'n':<{wn}}{'trace':>{wt - 1}}{'count':>{wc}}")
+    lines.append(f"  {'n':<{wn}}{'trace':>{wt}}{'count':>{wc}}")
     for n, trace, count in rows:
         lines.append(f"  {n:<{wn}}{trace:>{wt}}{count:>{wc}}")
     lines.append(f"elapsed: {report['timing_seconds']:.3f}s" + (

@@ -248,15 +248,14 @@ def duality_check(sys: SolenoidSystem, unstable: GradedGroup, stable: GradedGrou
 
 def k_theory(
     sys: SolenoidSystem, finite: GradedGroup
-) -> tuple[list[DegreeEntry], list[DegreeEntry]]:
-    """The two K-groups, each the list of the finite part's degree
-    entries of one parity of shifted degree, in degree order: K_i is the
-    direct sum of their colimits, the colimit of the block sum of their
-    towers."""
+) -> tuple[dict[int, DegreeEntry], dict[int, DegreeEntry]]:
+    """The two K-groups, each the finite part's degree entries of one
+    parity of unstable degree, keyed by that degree in degree order: K_i
+    is the direct sum of their colimits."""
     shift = sys.degree_shift
-    out: tuple[list[DegreeEntry], list[DegreeEntry]] = ([], [])
+    out: tuple[dict[int, DegreeEntry], dict[int, DegreeEntry]] = ({}, {})
     for k in sorted(finite.entries):
-        out[(k - shift) % 2].append(finite.entries[k])
+        out[(k - shift) % 2][k - shift] = finite.entries[k]
     if not all(out):
         raise InternalCheckError("empty parity class in the K-group sum")
     return out
@@ -286,35 +285,34 @@ def _atom_colimit(e: DegreeEntry) -> ColimitGroup:
     return ColimitGroup(IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
 
 
-def hk_check(
-    sys: SolenoidSystem,
-    finite: GradedGroup,
-    k_groups: tuple[list[DegreeEntry], list[DegreeEntry]],
-) -> dict:
-    """Re-certify each K-group summand's closed form against its tower.
+def hk_check(sys: SolenoidSystem, finite: GradedGroup) -> dict:
+    """Re-certify the closed form of each degree of the finite part
+    against its tower.
 
-    K_i is the direct sum of the colimits of its entries, so its closed
-    form is the sum of theirs, and it is right when each closed form in
-    it equals its own tower's colimit.  An entry without a closed form is
+    K_i is the direct sum of the degrees of parity i, so its closed form
+    is the sum of theirs, and it is right when each closed form in it
+    equals its own tower's colimit.  A degree without a closed form is
     its own summand and is not compared.  So this re-certifies
     canonical_form; it is not an independent check of the HK conjecture.
     A closed form that differs from its atom tower raises
-    InternalCheckError naming the parity, the closed form and the witness
-    of equal_commuting, as does a failed rank identity.  Every closed
-    form commutes with its atom tower (rank one, unimodular against I,
+    InternalCheckError naming its K-group (the parity of its unstable
+    degree; K0 is checked first), the closed form and the witness of
+    equal_commuting, as does a failed rank identity.  Every closed form
+    commutes with its atom tower (rank one, unimodular against I,
     diagonal), so a NonCommuting from equal_commuting is a bug; it
     propagates, and the comparisons go on past a mismatch so that none
     is hidden.  The record returned is that of the passed check.
     """
+    shift = sys.degree_shift
     differ = None
-    for i, entries in enumerate(k_groups):
-        for e in entries:
-            if e.closed is not None:
-                equal, witness = equal_commuting(e.colimit, _atom_colimit(e))
-                if not equal and differ is None:
-                    shown = "none: ranks differ" if witness is None else ", ".join(map(str, witness))
-                    differ = f"K{i}: closed form {e.closed.pretty()} differs from its tower; "
-                    differ += f"witness ({shown})"
+    for k in sorted(finite.entries, key=lambda k: ((k - shift) % 2, k)):
+        e = finite.entries[k]
+        if e.closed is not None:
+            equal, witness = equal_commuting(e.colimit, _atom_colimit(e))
+            if not equal and differ is None:
+                shown = "none: ranks differ" if witness is None else ", ".join(map(str, witness))
+                differ = f"K{(k - shift) % 2}: closed form {e.closed.pretty()} differs from its "
+                differ += f"tower; witness ({shown})"
     if differ is not None:
         raise InternalCheckError(differ)
     if sum(e.rank for e in finite.entries.values()) != 2 ** sys.field.degree:

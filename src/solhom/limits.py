@@ -17,7 +17,8 @@ G = union of T^(-n) Z^r inside Q^r.  Three facts drive the algorithms:
   in both directions, with an explicit witness vector on failure.
 
 * rank(G / pG) equals the stable rank of T mod p, an isomorphism
-  invariant that a report prints for a colimit without a closed form.
+  invariant that a report prints for a colimit without a closed form,
+  and adds over the direct sum of a K-group's degrees.
 
 Torsion towers are finite, so their colimit is the eventual image with
 the map acting bijectively; mixed towers reduce to a block-diagonal
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AtomClassExceeded, CapExceeded, InternalCheckError, NonCommuting
 from .fgab import FgAbGroup, LocalizedForm
@@ -141,6 +142,18 @@ class InvariantSignature(NamedTuple):
         for p in G.det_primes:
             pairs.append((p, stable_rank_mod_p(G.matrix, p)))
         return InvariantSignature(G.rank, tuple(pairs))
+
+    @staticmethod
+    def direct_sum(sigs: Iterable["InvariantSignature"]) -> "InvariantSignature":
+        """The signature of a direct sum: the ranks add, and so do the
+        ranks of G/pG, since (G + H)/p(G + H) is G/pG + H/pH.  A summand
+        whose determinant p does not divide has its tower invertible mod
+        p, so it counts its full rank at p."""
+        sigs = list(sigs)
+        primes = sorted({p for sig in sigs for p, _ in sig.mod_p_ranks})
+        at = [(dict(sig.mod_p_ranks), sig.rank) for sig in sigs]
+        ranks = tuple((p, sum(ranks_at.get(p, rank) for ranks_at, rank in at)) for p in primes)
+        return InvariantSignature(sum(sig.rank for sig in sigs), ranks)
 
 
 def equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | None]:

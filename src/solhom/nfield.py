@@ -151,12 +151,6 @@ class NumberField:
         return (-1) ** (d * (d - 1) // 2) * NfElement(self, g_prime).mult_pair()[0].det()
 
     # constructors -----------------------------------------------------------
-    def element(self, coords: Sequence) -> "NfElement":
-        """The element with the given coordinates over the power basis."""
-        if len(coords) != self.degree:
-            raise ValueError("coordinate length mismatch")
-        return self.evaluate(Poly(list(coords)[::-1]), self.gen())
-
     def from_rational(self, q) -> "NfElement":
         q = Fraction(q)
         return NfElement(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
@@ -370,14 +364,6 @@ class FractionalIdeal:
     def basis_elements(self) -> list[NfElement]:
         """Lattice basis as field elements."""
         return [NfElement(self.field, col, self.den) for col in self.num.columns()]
-
-    def contains(self, x: NfElement) -> bool:
-        """den * x is an integer vector whose column adds nothing to the HNF."""
-        t = [self.den * c for c in x.num]
-        if any(c % x.den for c in t):
-            return False
-        cols = self.num.columns() + [[c // x.den for c in t]]
-        return hnf(IntMatrix.from_columns(cols)) == self.num
 
     def __mul__(self, other: "FractionalIdeal") -> "FractionalIdeal":
         if self.field != other.field:

@@ -8,10 +8,17 @@ field removed, and stderr.  Re-record only when a
 change alters reports on purpose (a new basis, say), and say why:
 
     PYTHONPATH=src python tests/record_answer_reports.py
+
+With --diff nothing is written: each JSON path whose value a re-record
+would change is printed as `file key/path: old -> new`, stdout read as
+JSON, so the change can be stated before it is made:
+
+    PYTHONPATH=src python tests/record_answer_reports.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -54,15 +61,63 @@ def high_degree_inputs() -> list[tuple[str, str, int]]:
     return [(f"{p} --lefschetz {n}", p, n) for p in HIGH_DEGREE_INPUTS]
 
 
+def fresh_records(inputs: list[tuple[str, str, int]]) -> dict:
+    return {key: run_analyze(poly, n) for key, poly, n in inputs}
+
+
 def write_records(path: Path, inputs: list[tuple[str, str, int]]) -> None:
-    records = {key: run_analyze(poly, n) for key, poly, n in inputs}
+    records = fresh_records(inputs)
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
 
 
-def main() -> None:
-    write_records(DATA, answer_inputs())
-    write_records(HIGH_DEGREE_DATA, high_degree_inputs())
+ABSENT = object()
+
+
+def changed_paths(old, new, path: str = ""):
+    """(path, old, new) for each JSON path whose value differs; a key on
+    one side only reads as ABSENT on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changed_paths(old.get(key, ABSENT), new.get(key, ABSENT), f"{path}/{key}")
+    elif old != new:
+        yield path, old, new
+
+
+def _readable(record):
+    """A record with the stdout of a report parsed as JSON."""
+    if record is ABSENT or record["exit"] != 0:
+        return record
+    return {**record, "stdout": json.loads(record["stdout"])}
+
+
+def _shown(value) -> str:
+    return "(absent)" if value is ABSENT else json.dumps(value, sort_keys=True)
+
+
+def diff_lines(path: Path, inputs: list[tuple[str, str, int]]) -> list[str]:
+    recorded = json.loads(path.read_text()) if path.exists() else {}
+    fresh = fresh_records(inputs)
+    lines = []
+    for key in sorted(recorded.keys() | fresh.keys()):
+        old, new = _readable(recorded.get(key, ABSENT)), _readable(fresh.get(key, ABSENT))
+        for where, a, b in changed_paths(old, new):
+            lines.append(f"{path.name} {key}{where}: {_shown(a)} -> {_shown(b)}")
+    return lines
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff", action="store_true", help="print what a re-record would change; write nothing"
+    )
+    args = parser.parse_args(argv)
+    targets = ((DATA, answer_inputs()), (HIGH_DEGREE_DATA, high_degree_inputs()))
+    for path, inputs in targets:
+        if args.diff:
+            print("\n".join(diff_lines(path, inputs)) or f"{path.name}: no change")
+        else:
+            write_records(path, inputs)
 
 
 if __name__ == "__main__":

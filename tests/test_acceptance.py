@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     brute_colimit_member,
+    element,
     hk_report,
     invariant_factors_from_minors,
     lattice_equal,
@@ -263,10 +264,10 @@ def test_criterion_9_property_suites():
     field = NumberField(parse_poly("x^2+5"))
     pairs = 0
     while pairs < 100:
-        x = field.element(
+        x = element(field,
             [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(2)]
         )
-        y = field.element(
+        y = element(field,
             [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(2)]
         )
         if x.is_zero() or y.is_zero():

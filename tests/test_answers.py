@@ -9,7 +9,8 @@ tests/data/answer_reports.json pins more: the whole `--json` output of
 each input, tower and action matrices included, byte for byte apart
 from `timing_seconds`, with exit code and stderr.  A change that alters
 a report on purpose (a new basis, say) re-records it with
-tests/record_answer_reports.py and says why.
+tests/record_answer_reports.py and says why; its --diff mode, checked
+here too, prints what a re-record would change and writes nothing.
 tests/data/high_degree_reports.json pins `x^5-x-1` … `x^8-x-1` the
 same way, since the benchmark inputs stop at degree 4.
 """
@@ -25,6 +26,7 @@ from record_answer_reports import (
     DATA,
     HIGH_DEGREE_DATA,
     answer_inputs,
+    diff_lines,
     high_degree_inputs,
     run_analyze,
 )
@@ -94,3 +96,27 @@ def test_every_action_over_the_answer_inputs_is_a_reduced_pair():
                     assert math.gcd(m, *(x for row in A.rows for x in row)) == 1, (poly, degree)
                     checked += 1
     assert checked > 100
+
+
+def test_diff_mode_names_each_changed_path_and_writes_nothing(tmp_path):
+    # one record with a changed and a dropped path, one input not yet
+    # recorded, and one record whose input is gone
+    inputs = [("x-3/2 --lefschetz 6", "x-3/2", 6), ("x-2 --lefschetz 6", "x-2", 6)]
+    records = {key: run_analyze(poly, n) for key, poly, n in inputs}
+    report = json.loads(records["x-3/2 --lefschetz 6"]["stdout"])
+    report["schema_version"] = 1
+    report["k_theory"]["K0"]["tower"] = [[3]]
+    records["x-3/2 --lefschetz 6"]["stdout"] = json.dumps(report)
+    records["x-5 --lefschetz 6"] = records.pop("x-2 --lefschetz 6")
+    path = tmp_path / "reports.json"
+    path.write_text(json.dumps(records))
+    before = path.read_bytes()
+    lines = diff_lines(path, inputs)
+    assert path.read_bytes() == before
+    assert len(lines) == 4
+    assert lines[0].startswith("reports.json x-2 --lefschetz 6: (absent) -> {")
+    assert lines[1:3] == [
+        "reports.json x-3/2 --lefschetz 6/stdout/k_theory/K0/tower: [[3]] -> (absent)",
+        "reports.json x-3/2 --lefschetz 6/stdout/schema_version: 1 -> 2",
+    ]
+    assert lines[3].startswith("reports.json x-5 --lefschetz 6: {") and lines[3].endswith("} -> (absent)")

@@ -3,12 +3,17 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import block_diagonal
 from record_answer_reports import answer_inputs
 from solhom import cli, engine, limits, nfield, places, qpoly
 from solhom.cli import main
@@ -43,7 +48,7 @@ def test_analyze_json_roundtrip(capsys):
     code, out, _ = run(capsys, "analyze", "--c", "2", "--json")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["homology"]["unstable"]["0"]["group"] == "Z[1/2]"
     assert report["homology"]["unstable"]["1"]["group"] == "Z"
     assert json.loads(json.dumps(report)) == report
@@ -139,6 +144,35 @@ def test_cache_key_is_the_monic_polynomial_and_version(capsys, monkeypatch):
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
     code, out, _ = run(capsys, "analyze", "--min-poly", "x-3/2", "--json")
     assert code == 0 and json.loads(out)["cache"] == "miss"
+
+
+def test_a_schema_1_report_is_never_served(capsys, monkeypatch, isolated_cache):
+    # the cache key holds the schema version, so a report written under
+    # the schema-1 key (K-groups as block-sum towers) is a miss now
+    schema = cli.SCHEMA_VERSION
+    assert schema == 2
+    argv = ("analyze", "--min-poly", "x^2-x+3/2", "--json")
+    monkeypatch.setattr(cli, "SCHEMA_VERSION", 1)
+    code, old, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(old)["schema_version"] == 1
+    monkeypatch.setattr(cli, "SCHEMA_VERSION", schema)
+    for state in ("miss", "hit"):
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert (code, report["cache"], report["schema_version"]) == (0, state, 2)
+    assert report["k_theory"]["K1"]["group"] == "H_1" and "tower" not in report["k_theory"]["K1"]
+    assert len(list(isolated_cache.glob("*.json"))) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+@example(0, 1)
+@example(0, 12)
+@example(-7, 1)
+@example(-6, 4)
+@example(5, 1)
+def test_action_entries_read_as_their_fractions(x, m):
+    assert cli._ratio_str(x, m) == str(Fraction(x, m))
 
 
 def _without_volatile(out: str) -> dict:
@@ -297,18 +331,25 @@ def test_reports_leave_no_cyclic_garbage():
 
 
 def test_one_entry_k_group_prints_as_its_block_sum():
-    # a K-group with one signature-only entry prints that entry's own
-    # tower; the one-block block sum is the same matrix and signature
+    # a K-group with one signature-only entry prints that degree's name
+    # and signature, which is the signature of the one-block block sum
     alone = 0
     for _, poly, _ in answer_inputs():
         try:
             sys_ = build_system(poly)
         except SolhomError:
             continue
-        for entries in engine.k_theory(sys_, engine.finite_part_homology(sys_)):
-            if len(entries) == 1 and entries[0].closed is None:
-                block = limits.ColimitGroup(cli._block_diagonal([entries[0].colimit.matrix]))
-                assert cli._k_group_json(entries) == cli._signature_only_json(block), poly
+        for degrees in engine.k_theory(sys_, engine.finite_part_homology(sys_)):
+            if len(degrees) > 1:
+                continue
+            [(k, entry)] = degrees.items()
+            if entry.closed is None:
+                sig = limits.InvariantSignature.of(limits.ColimitGroup(block_diagonal([entry.colimit.matrix])))
+                assert cli._k_group_json(degrees) == {
+                    "group": f"H_{k}",
+                    "signature": {"rank": sig.rank, "mod_p_ranks": [list(pair) for pair in sig.mod_p_ranks]},
+                    "provenance": "degree sum (signature-only)",
+                }, poly
                 alone += 1
     assert alone > 0
 
@@ -341,38 +382,49 @@ def test_periodic_point_rows_parse_into_the_json_rows(capsys, argv):
     rows = [tuple(map(int, line.split())) for line in lines[start:-1]]
     assert lines[-1].startswith("elapsed:")
     assert rows == [(r["n"], r["trace"], r["periodic_points"]) for r in report["lefschetz"]]
+    # n is left-aligned under its header, trace and count right-aligned
+    header = [(m.start(), m.end()) for m in re.finditer(r"\S+", lines[start - 1])]
+    for line in lines[start:-1]:
+        cells = [(m.start(), m.end()) for m in re.finditer(r"\S+", line)]
+        assert cells[0][0] == header[0][0] and [c[1] for c in cells[1:]] == [h[1] for h in header[1:]], line
     if argv == ("--c", "3/2"):
         # the README's example
         assert lines[start - 1 : start + 2] == [
-            "  n      trace     count", "  1           1         1", "  2           5         5"
+            "  n       trace     count", "  1           1         1", "  2           5         5"
         ]
 
 
 @pytest.mark.parametrize("poly", ["x^2-79/4", "x^3-2"])
 def test_signature_only_records_print_their_tower_and_signature(capsys, poly):
+    # a homology degree prints its tower rows, then its signature; a
+    # K-group without a closed form prints its signature and no tower
     lines, report = _text_and_report(capsys, "--min-poly", poly)
     records = [
         (f"H_{k}", rec)
         for side in ("unstable", "stable")
         for k, rec in sorted(report["homology"][side].items(), key=lambda item: int(item[0]))
     ] + [(name, report["k_theory"][name]) for name in ("K0", "K1")]
-    at, towers = 0, 0
+    at, towers, signatures = 0, 0, 0
     for name, rec in records:
         at = lines.index(f"  {name} = {rec['group']}   [{rec['provenance']}]", at) + 1
-        if "tower" not in rec:
+        if "signature" not in rec:
             assert not lines[at].startswith("      "), name
             continue
-        towers += 1
-        n = len(rec["tower"])
-        rows = [line.split() for line in lines[at : at + n]]
-        assert rows[0][0] == "tower"
-        assert [[int(x) for x in row] for row in [rows[0][1:]] + rows[1:]] == rec["tower"]
+        signatures += 1
+        n = len(rec.get("tower", []))
+        if n:
+            towers += 1
+            rows = [line.split() for line in lines[at : at + n]]
+            assert rows[0][0] == "tower"
+            assert [[int(x) for x in row] for row in [rows[0][1:]] + rows[1:]] == rec["tower"]
+        else:
+            assert name in ("K0", "K1")
         sig = rec["signature"]
         want = ["signature", "rank", str(sig["rank"])]
         for p, r in sig["mod_p_ranks"]:
             want += [f"G/{p}G", "rank", str(r)]
         assert lines[at + n].replace(",", "").split() == want
-    assert towers == (2 if poly == "x^2-79/4" else 6)
+    assert (towers, signatures) == ((1, 2) if poly == "x^2-79/4" else (4, 6))
 
 
 def test_no_cache_flag(capsys, isolated_cache):

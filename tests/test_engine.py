@@ -93,10 +93,11 @@ def test_golden_k_theory():
     sys = build_system("x^2-x-1")
     finite = finite_part_homology(sys)
     k0, k1 = k_theory(sys, finite)
-    # the degree shift is 1: K0 is degree 1, K1 degrees 0 and 2
-    assert k0 == [finite.entries[1]] and k1 == [finite.entries[0], finite.entries[2]]
-    assert _closed_sum(k0) == LocalizedForm.free(2)
-    assert _closed_sum(k1) == LocalizedForm.free(2)
+    # the degree shift is 1: K0 is degree 1 (unstable H_0), K1 degrees 0
+    # and 2 (unstable H_-1 and H_1)
+    assert k0 == {0: finite.entries[1]} and k1 == {-1: finite.entries[0], 1: finite.entries[2]}
+    assert _closed_sum(k0.values()) == LocalizedForm.free(2)
+    assert _closed_sum(k1.values()) == LocalizedForm.free(2)
 
 
 SQRT5_DELTAS = {
@@ -173,11 +174,11 @@ def test_sqrt_minus_five_stable_top_degree_is_odd():
 def test_sqrt_minus_five_k_theory():
     sys = build_system("x^2-x+3/2")
     k0, k1 = k_theory(sys, finite_part_homology(sys))
-    assert _closed_sum(k0) == LocalizedForm.localized(3) + LocalizedForm.localized(2)
-    assert [e.colimit.matrix for e in k1] == [SQRT5_DELTAS[1]]
-    assert k1[0].closed is None
+    assert _closed_sum(k0.values()) == LocalizedForm.localized(3) + LocalizedForm.localized(2)
+    assert {k: e.colimit.matrix for k, e in k1.items()} == {1: SQRT5_DELTAS[1]}
+    assert k1[1].closed is None
     with pytest.raises(AtomClassExceeded):
-        canonical_form(k1[0].colimit)
+        canonical_form(k1[1].colimit)
 
 
 LEFSCHETZ_TABLE = {

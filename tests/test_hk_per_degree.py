@@ -1,8 +1,8 @@
 """The per-degree integer H/K comparison against the block-sum Fraction one.
 
-engine.k_theory keeps each K-group as the list of its degree entries,
-engine.hk_check compares each closed form's atom tower with its own
-tower, and limits.equal_commuting tests the columns of T^(-1) as integer
+engine.k_theory keeps each K-group as its degree entries keyed by
+unstable degree, engine.hk_check compares each closed form's atom tower
+with its own tower, and limits.equal_commuting tests the columns of T^(-1) as integer
 columns of one fraction-free adjugate.  tests/oracles.py keeps the
 routes they replaced: block_sum_hk_check (one block-diagonal matrix per
 parity, built by the oracle) and fraction_equal_commuting
@@ -12,8 +12,8 @@ raises InternalCheckError for the first such parity, and the witness it
 names must lie in exactly one of an entry's tower and its atom tower.
 A closed form that does not commute with its tower raises NonCommuting
 on both routes.  A K-group's report, the sum of its entries' closed
-forms, must agree with the block sum's closed form and isomorphism
-invariants.
+forms or the sum of their invariant signatures, must agree with the
+block sum's closed form and isomorphism invariants.
 """
 
 import re
@@ -138,7 +138,7 @@ def _separating_entry(error: InternalCheckError, k_groups) -> DegreeEntry:
     assert found, str(error)
     parity, form = int(found[1]), found[2]
     witness = [Fraction(x) for x in found[3].split(", ")]
-    for e in k_groups[parity]:
+    for e in k_groups[parity].values():
         if e.closed is not None and e.closed.pretty() == form and e.colimit.rank == len(witness):
             in_tower = fraction_membership_stage(e.colimit, witness) is not None
             in_atoms = fraction_membership_stage(engine._atom_colimit(e), witness) is not None
@@ -154,22 +154,21 @@ def _check_against_oracle(entries: list[DegreeEntry], shift: int):
     first parity that the oracle reads differ, with a witness that
     separates an entry of it from its atom tower."""
     sys, finite = _graded(entries, shift)
-    k_groups = k_theory(sys, finite)
     try:
         want = block_sum_hk_check(sys, finite)
     except NonCommuting:
         with pytest.raises(NonCommuting):
-            hk_check(sys, finite, k_groups)
+            hk_check(sys, finite)
         return None
     assert want["rank_identity"]
     differ = [i for i, v in sorted(want["verdicts"].items()) if v == "differ"]
     if not differ:
-        assert hk_check(sys, finite, k_groups) == PASSED
+        assert hk_check(sys, finite) == PASSED
         return PASSED
     with pytest.raises(InternalCheckError) as info:
-        hk_check(sys, finite, k_groups)
+        hk_check(sys, finite)
     assert str(info.value).startswith(f"K{differ[0]}: ")
-    _separating_entry(info.value, k_groups)
+    _separating_entry(info.value, k_theory(sys, finite))
     return info.value
 
 
@@ -189,7 +188,7 @@ def test_non_commuting_degree_after_a_differing_one(first, middle, last, shift):
     entries = [first] + middle + filler + [last]
     sys, finite = _graded(entries, shift)
     with pytest.raises(NonCommuting):
-        hk_check(sys, finite, k_theory(sys, finite))
+        hk_check(sys, finite)
     assert _check_against_oracle(entries, shift) is None
 
 
@@ -199,7 +198,7 @@ def test_non_commuting_closed_form_raises(others, bad, at, shift):
     entries = others[:at] + [bad] + others[at:]
     sys, finite = _graded(entries, shift)
     with pytest.raises(NonCommuting):
-        hk_check(sys, finite, k_theory(sys, finite))
+        hk_check(sys, finite)
 
 
 def test_differing_degree_raises_with_its_witness():
@@ -242,11 +241,11 @@ def test_k_groups_are_the_entries_of_each_parity():
         _canonical(IntMatrix([[2]])),
         _canonical(IntMatrix([[5]])),
     ]
-    # degree k has shifted degree k - 1; degree 4 is the appended Z^3
+    # degree k has unstable degree k - 1; degree 4 is the appended Z^3
     sys, finite = _graded(entries, 1)
     k0, k1 = k_theory(sys, finite)
-    assert k0 == [entries[1], entries[3]]
-    assert k1 == [entries[0], entries[2], finite.entries[4]]
+    assert k0 == {0: entries[1], 2: entries[3]}
+    assert k1 == {-1: entries[0], 1: entries[2], 3: finite.entries[4]}
 
 
 def test_wrong_canonical_form_is_caught(monkeypatch):
@@ -260,11 +259,10 @@ def test_wrong_canonical_form_is_caught(monkeypatch):
     monkeypatch.setattr(engine, "canonical_form", wrong)
     sys = build_system("x-3/2")
     finite = finite_part_homology(sys)
-    k_groups = k_theory(sys, finite)
     with pytest.raises(InternalCheckError) as info:
-        hk_check(sys, finite, k_groups)
+        hk_check(sys, finite)
     assert str(info.value).startswith("K0: closed form Z[1/15] differs from its tower")
-    _separating_entry(info.value, k_groups)
+    _separating_entry(info.value, k_theory(sys, finite))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +361,7 @@ def _k_signature(form: LocalizedForm, primes) -> InvariantSignature:
 def test_k_group_report_agrees_with_the_block_sum(entries):
     block = ColimitGroup(block_diagonal([e.colimit.matrix for e in entries]))
     want = InvariantSignature.of(block)
-    record = _k_group_json(entries)
+    record = _k_group_json(dict(enumerate(entries)))
     try:
         assert record["group"] == canonical_form(block).pretty()
     except AtomClassExceeded:
@@ -373,10 +371,11 @@ def test_k_group_report_agrees_with_the_block_sum(entries):
         assert record == {"group": form.pretty(), "provenance": "canonical_form"}
         assert _k_signature(form, block.det_primes) == want
     else:
-        assert record["tower"] == [list(r) for r in block.matrix.rows]
-        assert record["signature"] == {
-            "rank": want.rank,
-            "mod_p_ranks": [list(pair) for pair in want.mod_p_ranks],
+        # the degrees it sums and the block sum's signature; no tower
+        assert record == {
+            "group": " + ".join(f"H_{k}" for k in range(len(entries))),
+            "signature": {"rank": want.rank, "mod_p_ranks": [list(pair) for pair in want.mod_p_ranks]},
+            "provenance": "degree sum (signature-only)",
         }
 
 
@@ -388,5 +387,27 @@ def test_k_group_of_a_unimodular_and_a_localized_entry():
     block = ColimitGroup(block_diagonal([e.colimit.matrix for e in entries]))
     with pytest.raises(AtomClassExceeded):
         canonical_form(block)
-    assert _k_group_json(entries) == {"group": "Z^2 + Z[1/2]", "provenance": "canonical_form"}
+    assert _k_group_json(dict(enumerate(entries))) == {"group": "Z^2 + Z[1/2]", "provenance": "canonical_form"}
     assert _k_signature(LocalizedForm.free(2) + LocalizedForm.localized(2), block.det_primes) == block.signature
+
+
+nonsingular = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(IntMatrix).filter(lambda M: M.det() != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(nonsingular, min_size=1, max_size=4))
+def test_summed_signature_is_the_signature_of_the_block_sum(towers):
+    summed = InvariantSignature.direct_sum(ColimitGroup(T).signature for T in towers)
+    assert summed == InvariantSignature.of(ColimitGroup(block_diagonal(towers)))
+
+
+def test_summed_signature_where_p_divides_one_determinant():
+    # 5 divides only the first determinant (det 10): the second summand
+    # (det 3) is invertible mod 5 and counts its full rank 2 there
+    first = IntMatrix([[2, 4], [1, 7]])
+    second = IntMatrix([[1, 1], [1, 4]])
+    summed = InvariantSignature.direct_sum([ColimitGroup(first).signature, ColimitGroup(second).signature])
+    assert summed == InvariantSignature.of(ColimitGroup(block_diagonal([first, second])))
+    assert summed == InvariantSignature(4, ((2, 3), (3, 3), (5, 3)))

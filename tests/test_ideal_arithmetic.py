@@ -17,6 +17,7 @@ import pytest
 from oracles import (
     absorption_valuation,
     anti_uniformizer,
+    element,
     fraction_ideal_from_elements,
     fraction_ideal_product,
     product_inverse_ideal,
@@ -85,7 +86,7 @@ def random_elements(K: NumberField, rng: random.Random, count: int):
     out = []
     while len(out) < count:
         den = rng.choice([1, 1, 2, 3, 4, 9])
-        x = K.element([Fraction(rng.randint(-12, 12), den) for _ in range(K.degree)])
+        x = element(K, [Fraction(rng.randint(-12, 12), den) for _ in range(K.degree)])
         if not x.is_zero():
             out.append(x)
     return out

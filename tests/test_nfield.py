@@ -21,6 +21,8 @@ from oracles import (
     box_scan_generator,
     contains_box_generator,
     definite_scan_generator,
+    element,
+    ideal_contains,
     ideal_index,
     is_checked_matrix,
     norm_test_fundamental_unit,
@@ -63,7 +65,7 @@ def test_quadratic_integral_basis_frozen():
     Ks = field("x^2-2*x+6")
     assert Ks.discriminant == -20
     assert basis_rat(Ks).column(1) == (Fraction(-1), Fraction(1))
-    omega = Ks.element(basis_rat(Ks).column(1))
+    omega = element(Ks, basis_rat(Ks).column(1))
     assert omega.min_poly_over_q() == parse_poly("x^2+5")
 
 
@@ -86,7 +88,7 @@ def test_norm_against_resultant_oracle():
         K = field(text)
         for _ in range(8):
             coords = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(K.degree)]
-            x = K.element(coords)
+            x = element(K, coords)
             if x.is_zero():
                 continue
             gpoly = list(reversed(coords))
@@ -98,11 +100,11 @@ def test_inverse_and_division():
     rng = random.Random(19)
     K = field("x^3-2")
     for _ in range(10):
-        x = K.element([rng.randint(-5, 5) for _ in range(3)])
+        x = element(K, [rng.randint(-5, 5) for _ in range(3)])
         if x.is_zero():
             continue
         assert x * x.inverse() == K.one()
-        y = K.element([rng.randint(-5, 5) for _ in range(3)])
+        y = element(K, [rng.randint(-5, 5) for _ in range(3)])
         if not y.is_zero():
             assert (x * y) / y == x
 
@@ -158,7 +160,7 @@ def test_product_formula():
     for text in ("x^2+5", "x^2-x-1", "x^2+1"):
         K = field(text)
         for _ in range(10):
-            x = K.element(
+            x = element(K,
                 [Fraction(rng.randint(-9, 9), rng.choice([1, 2])) for _ in range(2)]
             )
             if x.is_zero():
@@ -174,8 +176,8 @@ def test_valuation_additive():
     p1 = factor_rational_prime(K5, 2)[0]
     p2 = factor_rational_prime(K5, 3)[0]
     for _ in range(20):
-        x = K5.element([rng.randint(-8, 8), rng.randint(-8, 8)])
-        y = K5.element([rng.randint(-8, 8), rng.randint(-8, 8)])
+        x = element(K5, [rng.randint(-8, 8), rng.randint(-8, 8)])
+        y = element(K5, [rng.randint(-8, 8), rng.randint(-8, 8)])
         if x.is_zero() or y.is_zero():
             continue
         for P in (p1, p2):
@@ -216,13 +218,13 @@ def test_ideal_membership():
     t = K5.gen()
     p1 = factor_rational_prime(K5, 2)[0]
     I = p1.ideal()
-    assert I.contains(K5.from_rational(2))
-    assert I.contains(K5.one() + t)
-    assert not I.contains(K5.one())
-    assert not I.contains(t.scale(Fraction(1, 2)))
+    assert ideal_contains(I, K5.from_rational(2))
+    assert ideal_contains(I, K5.one() + t)
+    assert not ideal_contains(I, K5.one())
+    assert not ideal_contains(I, t.scale(Fraction(1, 2)))
     O = FractionalIdeal.ring_of_integers(K5)
-    assert O.contains(t)
-    assert not O.contains(t.scale(Fraction(1, 2)))
+    assert ideal_contains(O, t)
+    assert not ideal_contains(O, t.scale(Fraction(1, 2)))
 
 
 def test_principal_generator_quadratic():
@@ -294,10 +296,10 @@ small = st.integers(-6, 6)
 def test_imaginary_quadratic_generator_on_small_ideals(text, a, b, c, d, den):
     # (x, y) with y possibly zero: principal ideals and the others
     K = field(text)
-    x = K.element([a, b]).scale(Fraction(1, den))
+    x = element(K, [a, b]).scale(Fraction(1, den))
     if x.is_zero():
         x = K.one()
-    I = FractionalIdeal.from_elements(K, [x, K.element([c, d])])
+    I = FractionalIdeal.from_elements(K, [x, element(K, [c, d])])
     assert nfield._search_imaginary_quadratic(I) == definite_scan_generator(I), I
 
 
@@ -306,7 +308,7 @@ def test_principal_generator_sqrt_1009_is_the_scan_pick():
     # box scan itself needs seconds here
     K = field("x^2-1009")
     g = principal_generator(FractionalIdeal.principal(K, K.gen()))
-    assert g == K.element([17153, -540])
+    assert g == element(K, [17153, -540])
 
 
 FUNDAMENTAL_UNITS = {
@@ -432,7 +434,7 @@ POW_FIELDS = [field(text) for text in ("x-3", "x^2+5", "x^2-x-1", "x^3-2", "x^4-
 @pytest.mark.parametrize("K", POW_FIELDS, ids=repr)
 def test_pow_matches_repeated_multiplication(K, monkeypatch):
     rng = random.Random(K.degree)
-    x = K.element([Fraction(rng.choice([-5, -2, 3, 7]), rng.randint(1, 3)) for _ in range(K.degree)])
+    x = element(K, [Fraction(rng.choice([-5, -2, 3, 7]), rng.randint(1, 3)) for _ in range(K.degree)])
     products = []
     mul = NfElement.__mul__
 
