@@ -20,7 +20,6 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -39,7 +38,7 @@ from .limits import (
     free_colimit,
     torsion_colimit,
 )
-from .linalg import IntMatrix, exterior_power_matrix
+from .linalg import IntMatrix, complement_transpose, exterior_power_det, exterior_power_matrix
 from .nfield import NfElement, principal_generator
 from .places import SolenoidSystem
 
@@ -156,8 +155,14 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     reduced.  It differs from the tower matrix by the flattening factor
     Lambda^k(m_g), which is invertible in the colimit, and integral
     once g is: its entries are minors of an integer matrix.
+
+    Each matrix's exterior powers are built once, as one Laplace ladder,
+    and shared by the tower and the action when g = 1.  Each tower's
+    determinant is Sylvester-Franke's, its adjugate Jacobi's, read off
+    the complementary power, and every prime of its determinant lies
+    under a finite place of c (docs/duality.md).
     """
-    field = sys.field
+    d = sys.field.degree
     n_index = sys.transfer_index
     g, h = principalization(sys)
     if g.integer_coords()[1] != 1:
@@ -165,21 +170,22 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     c_inv = sys.c_inverse
     a_flat, m_flat = (g * c_inv).mult_pair()
     a_theta, m_theta = c_inv.mult_pair()
+    flat_powers = _exterior_ladder(a_flat, d)
+    # g = 1 (a unit c, or the forward side of an integral one): one ladder
+    same = (a_theta, m_theta) == (a_flat, m_flat)
+    theta_powers = flat_powers if same else _exterior_ladder(a_theta, d)
+    primes = {fp.prime.p for fp in sys.finite_stable + sys.finite_unstable}
 
     entries: dict[int, DegreeEntry] = {}
-    for k in range(field.degree + 1):
-        flat, den = exterior_power_matrix(a_flat, k).rows, m_flat**k
-        if any(n_index * x % den for row in flat for x in row):
-            raise FlatteningFailure(f"transfer matrix at degree {k} is not integral")
-        delta = IntMatrix._trusted(tuple(tuple(n_index * x // den for x in row) for row in flat))
-        tower = ColimitGroup(delta)
+    for k in range(d + 1):
+        tower = _ladder_tower(flat_powers, k, m_flat, n_index, primes)
         try:
             closed = canonical_form(tower)
             provenance = "canonical_form_rank1" if tower.rank == 1 else "canonical_form"
         except AtomClassExceeded:
             closed = None
             provenance = "tower"
-        theta, den = exterior_power_matrix(a_theta, k).rows, m_theta**k
+        theta, den = theta_powers[k].rows, m_theta**k
         common = math.gcd(den, *(n_index * x for row in theta for x in row))
         action = (
             IntMatrix._trusted(tuple(tuple(n_index * x // common for x in row) for row in theta)),
@@ -187,6 +193,47 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
         )
         entries[k] = DegreeEntry(tower, closed, action, provenance)
     return GradedGroup(entries, (g, h))
+
+
+def _exterior_ladder(A: IntMatrix, d: int) -> list[IntMatrix]:
+    """Lambda^0(A), ..., Lambda^d(A), each from the one below it."""
+    powers = [exterior_power_matrix(A, 0)]
+    for k in range(1, d + 1):
+        powers.append(exterior_power_matrix(A, k, powers[-1]))
+    return powers
+
+
+def _ladder_tower(
+    powers: list[IntMatrix], k: int, m: int, n_index: int, primes: set[int] | None
+) -> ColimitGroup:
+    """The tower T = N Lambda^k(A) / m^k of a d x d matrix A, from the
+    ladder powers = [Lambda^0(A), ..., Lambda^d(A)].  det A is Lambda^d(A),
+    det T is Sylvester-Franke's N^s det(A)^C(d-1, k-1) / m^(k s) for
+    s = C(d, k), and by Jacobi T^-1 = m^k J / (N det A) for J the
+    complement transpose of Lambda^(d-k)(A), so adj T = det T m^k J /
+    (N det A), built when first asked for.  primes holds every prime of
+    det T, or is None to factor it."""
+    d = len(powers) - 1
+    flat, den = powers[k].rows, m**k
+    if any(n_index * x % den for row in flat for x in row):
+        raise FlatteningFailure(f"transfer matrix at degree {k} is not integral")
+    delta = IntMatrix._trusted(tuple(tuple(n_index * x // den for x in row) for row in flat))
+    det_a, size = powers[d].rows[0][0], len(flat)
+    det, rest = divmod(n_index**size * exterior_power_det(det_a, d, k), den**size)
+    if rest:
+        raise InternalCheckError(f"tower determinant at degree {k} is not an integer")
+    adjugate = functools.partial(
+        _scaled_complement, powers[d - k], d, d - k, det * den, n_index * det_a
+    )
+    return ColimitGroup(delta, det, adjugate, primes)
+
+
+def _scaled_complement(X: IntMatrix, d: int, k: int, num: int, den: int) -> IntMatrix:
+    """complement_transpose(X, d, k) times num / den, where the product
+    is an integer matrix; ColimitGroup.adjugate's check vector guards
+    the floor division."""
+    J = complement_transpose(X, d, k)
+    return IntMatrix._trusted(tuple(tuple(num * x // den for x in row) for row in J.rows))
 
 
 def shifted_homology(base: SolenoidSystem, finite: GradedGroup) -> GradedGroup:
@@ -219,28 +266,19 @@ def groupoid_homology(sys: SolenoidSystem, side: str = "unstable") -> GradedGrou
 def duality_check(sys: SolenoidSystem, unstable: GradedGroup, stable: GradedGroup) -> None:
     """Jacobi's complementary-minor identity between the two sides,
     which share one integral basis (docs/duality.md): the stable action
-    in degree -j is eps_j P_k U_j^T P_k^-1, where U_j is the unstable
-    action in degree j = k - shift, P_k sends the k-subset I to its
-    complement with sign (-1)^(sum I), and eps_j = sign N(c) for even j,
-    1 for odd j.  A mismatch raises InternalCheckError.
+    in degree -j is eps_j complement_transpose(U_j) = eps_j P_k U_j^T
+    P_k^-1, where U_j is the unstable action in degree j = k - shift,
+    P_k sends the k-subset I to its complement with sign (-1)^(sum I),
+    and eps_j = sign N(c) for even j, 1 for odd j.  A mismatch raises
+    InternalCheckError.
     """
     d = sys.field.degree
     sign = 1 if sys.c.norm() > 0 else -1
     for j, entry in unstable.entries.items():
-        k = j + sys.degree_shift
-        subsets = list(combinations(range(d), k))
-        slot = {I: i for i, I in enumerate(combinations(range(d), d - k))}
-        complement = [slot[tuple(x for x in range(d) if x not in I)] for I in subsets]
         eps = 1 if j % 2 else sign
         U, den = entry.action
-        expected = [[0] * len(subsets) for _ in subsets]
-        for a, I in enumerate(subsets):
-            for b, J in enumerate(subsets):
-                # entry (J^c, I^c) of the stable action
-                expected[complement[b]][complement[a]] = (
-                    eps * (-1) ** (sum(I) + sum(J)) * U.rows[a][b]
-                )
-        if stable.entry(-j).action != (IntMatrix(expected), den):
+        expected = complement_transpose(U, d, j + sys.degree_shift).scale(eps)
+        if stable.entry(-j).action != (expected, den):
             raise InternalCheckError(
                 f"stable action in degree {-j} is not the Jacobi dual of unstable degree {j}"
             )
@@ -281,8 +319,7 @@ def _atom_colimit(e: DegreeEntry) -> ColimitGroup:
         slots = sorted(range(n), key=lambda i: _atom_sort_key(own[i]))
         for i, atom in zip(slots, e.closed.atoms):
             atoms[i] = atom
-    diag = [m if kind == "inv" else 1 for kind, m in atoms]
-    return ColimitGroup(IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    return ColimitGroup.diagonal([m if kind == "inv" else 1 for kind, m in atoms])
 
 
 def hk_check(sys: SolenoidSystem, finite: GradedGroup) -> dict:

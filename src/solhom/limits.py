@@ -30,11 +30,11 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import AtomClassExceeded, CapExceeded, InternalCheckError, NonCommuting
 from .fgab import FgAbGroup, LocalizedForm
-from .intfactor import factorint, radical
+from .intfactor import factorint
 from .linalg import IntMatrix, hnf, snf_diagonal, stable_rank_mod_p
 
 # The overscan past the proven stage bound is a self-check only: a member
@@ -46,10 +46,23 @@ MEMBERSHIP_CAP_FACTOR = 10
 class ColimitGroup:
     """colim(Z^r, T) for injective T, as the union of T^(-n) Z^r in Q^r.
 
-    The trivial group is matrix=None with rank zero.
+    The trivial group is matrix=None with rank zero.  A caller that knows
+    T's determinant by an identity passes it as det, and its adjugate as
+    adjugate, a function of no arguments called at most once, when
+    equal_commuting first needs it; otherwise they come from Bareiss
+    elimination.  primes, when given, holds every prime of the
+    determinant: det_primes divides them out instead of factoring.
     """
 
-    def __init__(self, matrix: IntMatrix | None):
+    def __init__(
+        self,
+        matrix: IntMatrix | None,
+        det: int | None = None,
+        adjugate: Callable[[], IntMatrix] | None = None,
+        primes: Iterable[int] | None = None,
+    ):
+        self._adjugate = adjugate
+        self._primes = None if primes is None else sorted(primes)
         if matrix is None:
             self.matrix = None
             self.rank = 0
@@ -59,17 +72,64 @@ class ColimitGroup:
                 raise ValueError("tower matrix must be square")
             self.matrix = matrix
             self.rank = matrix.nrows
-            self.det = matrix.det()
+            self.det = matrix.det() if det is None else det
             if self.det == 0:
                 raise ValueError("tower matrix must be injective; reduce with free_colimit")
+
+    @staticmethod
+    def diagonal(diag: Sequence[int]) -> "ColimitGroup":
+        """The tower diag(d_1, ..., d_r): its determinant is the product
+        of the d_i, its adjugate diagonal with entries det / d_i, and its
+        primes those of the d_i."""
+        n, det = len(diag), math.prod(diag)
+
+        def rows(entries):
+            return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
+
+        return ColimitGroup(
+            IntMatrix._trusted(rows(diag)),
+            det,
+            lambda: IntMatrix._trusted(rows([det // x for x in diag])),
+            {p for x in set(diag) for p in factorint(x)},
+        )
 
     def __repr__(self) -> str:
         return f"ColimitGroup(rank={self.rank}, det={self.det})"
 
     @functools.cached_property
     def det_primes(self) -> tuple[int, ...]:
-        """The primes dividing the tower determinant, factored once."""
-        return tuple(factorint(self.det))
+        """The primes dividing the tower determinant, found once: divided
+        out of the given primes, or by factoring.  A cofactor left after
+        the given primes is an InternalCheckError."""
+        if self._primes is None:
+            return tuple(factorint(self.det))
+        rest, found = abs(self.det), []
+        for p in self._primes:
+            if rest % p == 0:
+                found.append(p)
+                while rest % p == 0:
+                    rest //= p
+        if rest != 1:
+            raise InternalCheckError(
+                f"tower determinant {self.det} has a prime outside {self._primes}"
+            )
+        return tuple(found)
+
+    @functools.cached_property
+    def adjugate(self) -> IntMatrix:
+        """adj T, with T adj T = det T I: the caller's, or read off the
+        fraction-free inverse.  One product on a fixed vector checks
+        T (adj v) = det v; that is a guard against a wrong identity or a
+        wrong determinant, not a proof."""
+        if self._adjugate is not None:
+            adj = self._adjugate()
+        else:
+            inv, d = self.matrix.inverse_pair()
+            adj = inv if d == self.det else inv.scale(-1)
+        v = range(1, self.rank + 1)
+        if self.matrix.apply(adj.apply(v)) != tuple(self.det * x for x in v):
+            raise InternalCheckError("adjugate and determinant disagree on the check vector")
+        return adj
 
     def membership_stage(self, vec: Sequence, den: int = 1) -> int | None:
         """Least n with T^n (vec / den) integral, or None when vec / den is
@@ -163,8 +223,8 @@ def equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | Non
     (of Fractions) lies in exactly one of the two groups.  Raises
     NonCommuting when the matrices do not commute, since the reduction
     to finitely many membership tests is only proven in the commuting
-    case.  The columns of T^(-1) are tested as integer columns of
-    IntMatrix.inverse_pair against its one denominator.
+    case.  The columns of T^(-1) are tested as the integer columns of
+    adj T against the one denominator det T.
     """
     if G.rank != H.rank:
         return False, None
@@ -173,10 +233,8 @@ def equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | Non
     if not G.matrix.commutes_with(H.matrix):
         raise NonCommuting("tower matrices do not commute; membership cannot decide equality")
     for source, target in ((G, H), (H, G)):
-        inv, d = source.matrix.inverse_pair()
-        if abs(d) != abs(source.det):
-            raise InternalCheckError("fraction-free inverse disagrees with the determinant")
-        for col in inv.columns():
+        d = source.det
+        for col in source.adjugate.columns():
             if target.membership_stage(col, d) is None:
                 return False, tuple(Fraction(c, d) for c in col)
     return True, None
@@ -191,17 +249,15 @@ def canonical_form(G: ColimitGroup) -> LocalizedForm:
     """
     if G.rank == 0:
         return LocalizedForm.zero()
-    if G.rank == 1:
-        m = abs(G.det)
-        return LocalizedForm.free(1) if m == 1 else LocalizedForm.localized(radical(m))
     if abs(G.det) == 1:
         return LocalizedForm.free(G.rank)
+    if G.rank == 1:
+        return LocalizedForm.localized(math.prod(G.det_primes))
     if G.matrix.is_diagonal():
-        out = LocalizedForm.zero()
-        for i in range(G.rank):
-            m = abs(G.matrix.rows[i][i])
-            out = out + (LocalizedForm.free(1) if m == 1 else LocalizedForm.localized(radical(m)))
-        return out
+        # Z[1/m] for each diagonal entry, its radical read off det_primes; Z[1/1] is Z
+        diag = [G.matrix.rows[i][i] for i in range(G.rank)]
+        primes = G.det_primes
+        return LocalizedForm(("inv", math.prod(p for p in primes if x % p == 0)) for x in diag)
     raise AtomClassExceeded(
         f"rank {G.rank} tower with determinant {G.det} has no supported closed form"
     )
@@ -217,8 +273,9 @@ def free_colimit(F: IntMatrix | None) -> ColimitGroup:
     if F is None:
         return ColimitGroup(None)
     f = F.nrows
-    if F.det() != 0:
-        return ColimitGroup(F)
+    det = F.det()
+    if det != 0:
+        return ColimitGroup(F, det)
     L = F.pow(f)
     if L.is_zero():
         return ColimitGroup(None)

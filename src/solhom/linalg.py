@@ -4,10 +4,13 @@ Matrices are immutable tuples of row tuples of Python ints, arbitrary
 precision.  A rational matrix is a pair (A, m): an IntMatrix A over one
 positive denominator m, reduced when gcd(m, entries of A) = 1, so two
 reduced pairs are equal exactly when their rational matrices are.
-Normal forms, determinants (Bareiss), exterior powers and characteristic
-polynomials (Faddeev-LeVerrier with exact division) are fraction-free,
-and ``inverse_pair`` gives T^(-1) as an integer matrix over +-det T.
-Nothing here uses floats.
+Normal forms, determinants (Bareiss), exterior powers (Laplace
+expansion over the next lower power) and characteristic polynomials
+(Faddeev-LeVerrier with exact division) are fraction-free, and
+``inverse_pair`` gives T^(-1) as an integer matrix over +-det T.
+The determinant and inverse of an exterior power come from identities
+instead: ``exterior_power_det`` (Sylvester-Franke) and
+``complement_transpose`` (Jacobi).  Nothing here uses floats.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -18,9 +21,15 @@ Conventions fixed here and relied on elsewhere:
   each column's first nonzero entry (the pivot) is positive, pivot rows
   strictly increase left to right, and in a pivot row every entry to the
   left of the pivot lies in [0, pivot).
-* ``exterior_power_matrix(A, k)`` takes an IntMatrix and indexes rows and
-  columns by k-element subsets in lexicographic order; entries are k x k
-  minors.
+* ``exterior_power_matrix(A, k, lower)`` takes an IntMatrix and indexes
+  rows and columns by k-element subsets in lexicographic order; entries
+  are k x k minors, each one Laplace expansion along its first row over
+  ``lower``, the (k-1)-th power, so a ladder of all powers costs one
+  expansion per minor.
+* ``complement_transpose(X, d, k)`` sends a matrix on k-subsets of
+  range(d) to the one on (d-k)-subsets with entry (K, L) equal to
+  (-1)^(sum K + sum L) X[L^c, K^c]; on Lambda^k(A) it gives
+  det(A) Lambda^(d-k)(A)^-1.
 * ``char_poly(A)`` returns the coefficients of det(xI - A) in descending
   degree, starting with 1.
 
@@ -33,7 +42,9 @@ checked.  It never takes input from outside the program.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from typing import Iterable, Sequence
 
@@ -384,27 +395,98 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def exterior_power_matrix(A: IntMatrix, k: int) -> IntMatrix:
+def exterior_power_matrix(A: IntMatrix, k: int, lower: IntMatrix | None = None) -> IntMatrix:
     """k-th exterior power of an integer matrix.
 
     Rows are indexed by k-subsets of row indices, columns by k-subsets of
     column indices, both in lexicographic order.  The 0-th power is the
-    1 x 1 identity.
+    1 x 1 identity.  Each k-minor is the Laplace expansion along its first
+    row over the (k-1)-minors: ``lower`` when it is given, which must be
+    the (k-1)-th power of A, else the powers below k built up from the
+    0-th, so a caller that wants every power passes each one to the next.
     """
     if k < 0:
         raise ValueError("negative exterior power")
     if k == 0:
         return IntMatrix._trusted(((1,),))
-    if k > min(A.nrows, A.ncols):
+    nrows, ncols = A.nrows, A.ncols
+    if k > min(nrows, ncols):
         raise ValueError("exterior power exceeds matrix dimensions")
-    rows = A.rows
-    col_sets = list(itertools.combinations(range(A.ncols), k))
-    return IntMatrix._trusted(
-        tuple(
-            tuple(_bareiss_det([[rows[i][j] for j in cs] for i in rs]) for cs in col_sets)
-            for rs in itertools.combinations(range(A.nrows), k)
+    if lower is None:
+        lower = IntMatrix._trusted(((1,),))
+        for j in range(1, k):
+            lower = _laplace_step(A.rows, j, lower.rows)
+    elif (lower.nrows, lower.ncols) != (math.comb(nrows, k - 1), math.comb(ncols, k - 1)):
+        raise ValueError("lower is not the next lower exterior power")
+    return _laplace_step(A.rows, k, lower.rows)
+
+
+def _laplace_step(rows: tuple[tuple[int, ...], ...], k: int, lower) -> IntMatrix:
+    """The k-minors of rows from its (k-1)-minors: the minor on row set R
+    and column set C is the sum over t of (-1)^t a[R_0][C_t] times the
+    (k-1)-minor on R minus R_0 and C minus C_t.  The first power is the
+    matrix itself."""
+    if k == 1:
+        return IntMatrix._trusted(rows)
+    row_terms, col_terms = _laplace_terms(len(rows), len(rows[0]), k)
+    mul = operator.mul
+    out = []
+    for r, below_row in row_terms:
+        at, below = rows[r].__getitem__, lower[below_row].__getitem__
+        out.append(
+            tuple(
+                sum(map(mul, map(at, ce), map(below, je)))
+                - sum(map(mul, map(at, co), map(below, jo)))
+                for ce, je, co, jo in col_terms
+            )
         )
-    )
+    return IntMatrix._trusted(tuple(out))
+
+
+@functools.lru_cache(maxsize=128)
+def _laplace_terms(nrows: int, ncols: int, k: int):
+    """Index data of one Laplace step, shared by every matrix of a shape:
+    per row set R, its first row and the slot of R minus R_0 among the
+    (k-1)-subsets; per column set C, the columns C_t and the slots of C
+    minus C_t, even t then odd t."""
+    below_rows = {s: i for i, s in enumerate(itertools.combinations(range(nrows), k - 1))}
+    below_cols = {s: i for i, s in enumerate(itertools.combinations(range(ncols), k - 1))}
+    row_terms = tuple((rs[0], below_rows[rs[1:]]) for rs in itertools.combinations(range(nrows), k))
+    col_terms = []
+    for cs in itertools.combinations(range(ncols), k):
+        rests = [below_cols[cs[:t] + cs[t + 1 :]] for t in range(k)]
+        col_terms.append((cs[0::2], rests[0::2], cs[1::2], rests[1::2]))
+    return row_terms, tuple(col_terms)
+
+
+def exterior_power_det(det: int, d: int, k: int) -> int:
+    """det Lambda^k(A) for a d x d matrix A with determinant det:
+    det^C(d-1, k-1) by Sylvester-Franke, and 1 for k = 0."""
+    return det ** math.comb(d - 1, k - 1) if k else 1
+
+
+def complement_transpose(X: IntMatrix, d: int, k: int) -> IntMatrix:
+    """The matrix on (d-k)-subsets of range(d) whose entry (K, L) is
+    (-1)^(sum K + sum L) X[L^c, K^c], for X on k-subsets, subsets in
+    lexicographic order.  By Jacobi's complementary-minor identity,
+    complement_transpose(Lambda^k(A), d, k) = det(A) Lambda^(d-k)(A)^-1
+    for an invertible d x d matrix A (docs/duality.md)."""
+    at, sign = _complements(d, k)
+    out = [[0] * len(at) for _ in at]
+    for a, row in enumerate(X.rows):
+        for b, x in enumerate(row):
+            out[at[b]][at[a]] = sign[a] * sign[b] * x
+    return IntMatrix._trusted(tuple(map(tuple, out)))
+
+
+@functools.lru_cache(maxsize=128)
+def _complements(d: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For the k-subsets I of range(d) in lexicographic order: the slot of
+    I^c among the (d-k)-subsets, and the sign (-1)^(sum I)."""
+    subsets = list(itertools.combinations(range(d), k))
+    slot = {K: i for i, K in enumerate(itertools.combinations(range(d), d - k))}
+    at = tuple(slot[tuple(x for x in range(d) if x not in I)] for I in subsets)
+    return at, tuple((-1) ** sum(I) for I in subsets)
 
 
 def char_poly(A: IntMatrix) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from solhom.errors import (
 from solhom.fgab import FgAbGroup, GroupHom, LocalizedForm, localized_from_fgab
 from solhom.intfactor import radical
 from solhom.limits import MEMBERSHIP_CAP_FACTOR, ColimitGroup, InvariantSignature
-from solhom.linalg import IntMatrix, hnf, snf
+from solhom.linalg import IntMatrix, _bareiss_det, hnf, snf
 from solhom.nfield import (
     FractionalIdeal,
     NfElement,
@@ -1315,3 +1315,31 @@ def block_sum_hk_check(sys, finite) -> dict:
     if not rank_identity:
         raise InternalCheckError("degree ranks do not add up to 2^[K:Q]")
     return report
+
+
+# ---------------------------------------------------------------------------
+# tower data without the exterior-power identities: the per-minor route
+# that the Laplace ladder replaced, and each tower's determinant and
+# adjugate by elimination instead of Sylvester-Franke and Jacobi
+
+
+def minor_exterior_power(A: IntMatrix, k: int) -> IntMatrix:
+    """Lambda^k(A) with each k-minor taken on its own by Bareiss, rows
+    and columns on k-subsets in lexicographic order."""
+    if k == 0:
+        return IntMatrix([[1]])
+    rows = A.rows
+    col_sets = list(itertools.combinations(range(A.ncols), k))
+    return IntMatrix(
+        [
+            [_bareiss_det([[rows[i][j] for j in cs] for i in rs]) for cs in col_sets]
+            for rs in itertools.combinations(range(A.nrows), k)
+        ]
+    )
+
+
+def eliminated_adjugate(T: IntMatrix) -> IntMatrix:
+    """adj T by fraction-free Gauss-Jordan: IntMatrix.inverse_pair gives
+    T^-1 as B / d with d = +-det T."""
+    B, d = T.inverse_pair()
+    return B if d == T.det() else B.scale(-1)

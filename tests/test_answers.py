@@ -12,7 +12,9 @@ a report on purpose (a new basis, say) re-records it with
 tests/record_answer_reports.py and says why; its --diff mode, checked
 here too, prints what a re-record would change and writes nothing.
 tests/data/high_degree_reports.json pins `x^5-x-1` … `x^8-x-1` the
-same way, since the benchmark inputs stop at degree 4.
+same way, since the benchmark inputs stop at degree 4, and
+tests/data/report_digests.json pins the sha256 of `x^9-x-1`'s report
+(tests/report_digest.py), whose 0.5 MB is too large to record.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ from record_answer_reports import (
     high_degree_inputs,
     run_analyze,
 )
+from report_digest import DIGESTS, report_digest
 from solhom import cli
 from solhom.engine import finite_part_homology, shifted_homology
 from solhom.errors import SolhomError
@@ -78,6 +81,17 @@ def test_high_degree_reports_are_byte_identical_to_their_recording():
     assert sorted(key for key, _, _ in inputs) == sorted(recorded)
     changed = [key for key, poly, n in inputs if run_analyze(poly, n) != recorded[key]]
     assert changed == []
+
+
+def test_pinned_report_digests_hold():
+    pinned = json.loads(DIGESTS.read_text())
+    assert list(pinned) == ["x^9-x-1"]
+    for poly, digest in pinned.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["analyze", "--min-poly", poly, "--no-cache", "--json"])
+        assert code == 0
+        assert report_digest(out.getvalue()) == digest, poly
 
 
 def test_every_action_over_the_answer_inputs_is_a_reduced_pair():
