@@ -16,6 +16,7 @@ import math
 import os
 import sys as _sys
 import time
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,7 +176,7 @@ def _k_group_json(degrees: dict[int, DegreeEntry]) -> dict:
     sums and their summed invariant signature."""
     entries = degrees.values()
     if all(e.closed is not None for e in entries):
-        form = LocalizedForm([atom for e in entries for atom in e.closed.atoms])
+        form = sum((e.closed for e in entries), LocalizedForm.zero())
         return {"group": form.pretty(), "provenance": "canonical_form"}
     names = " + ".join(f"H_{k}" for k in degrees)
     sig = InvariantSignature.direct_sum(e.colimit.signature for e in entries)
@@ -308,24 +309,31 @@ def _cache_dir() -> Path:
 
 def _cache_key(min_poly: str, lefschetz_n: int) -> str:
     """Key of a report: the monic minimal polynomial of c, which fixes
-    the system, plus everything else the report depends on."""
+    the system, plus everything else the report depends on.  A checksum
+    names the file, not a cryptographic hash (hashlib loads OpenSSL,
+    about 3.6 MB resident), since _cache_read checks what it reads."""
     payload = {
         "min_poly": min_poly,
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "lefschetz": lefschetz_n,
     }
-    import hashlib  # loads OpenSSL, about 3.6 MB resident: only cache users pay
+    text = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return f"{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
 
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
-
-def _cache_read(key: str) -> dict | None:
+def _cache_read(key: str, min_poly: str, lefschetz_n: int) -> dict | None:
+    """The stored report for the key, when it is one for this request;
+    a collision, a foreign or truncated file is a miss."""
     path = _cache_dir() / f"{key}.json"
     try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
+        report = json.loads(path.read_text())
+        stamp = (report["system"]["min_poly"], report["version"], report["schema_version"])
+        if stamp == (min_poly, __version__, SCHEMA_VERSION) and len(report["lefschetz"]) == lefschetz_n:
+            return report
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    return None
 
 
 def _cache_write(key: str, report: dict) -> None:
@@ -374,7 +382,7 @@ def cmd_analyze(args) -> int:
     cache_state = "miss"
     if not args.no_cache:
         key = _cache_key(min_poly.pretty(), args.lefschetz)
-        report = _cache_read(key)
+        report = _cache_read(key, min_poly.pretty(), args.lefschetz)
         if report is not None:
             cache_state = "hit"
     if report is None:

@@ -11,7 +11,8 @@ without changing the colimit.
 
 All of this runs on integers: a multiplication matrix is a pair A / m
 (NfElement.mult_pair), its k-th exterior power is Lambda^k(A) / m^k,
-and Lefschetz rows are integer determinants, each divided exactly.
+and Lefschetz rows come from the characteristic polynomial of A by
+Newton's identities, each division exact.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .limits import (
     free_colimit,
     torsion_colimit,
 )
-from .linalg import IntMatrix, complement_transpose, exterior_power_det, exterior_power_matrix
+from .linalg import IntMatrix, char_poly, complement_transpose, exterior_power_det, exterior_power_matrix
 from .nfield import NfElement, principal_generator
 from .places import SolenoidSystem
 
@@ -358,28 +359,45 @@ def hk_check(sys: SolenoidSystem, finite: GradedGroup) -> dict:
 
 
 def lefschetz_traces(sys: SolenoidSystem, n: int) -> list[int]:
-    """Alternating trace sums of the powers 1..n of the transfer action.
-
-    Row k equals N^k det(I - m_{1/c}^k), an integer whose absolute value
-    is the number of points of period k.  With m_{1/c} = A / m for an
-    integer A, that is N^k det(m^k I - A^k) / m^(kd); the powers of A are
-    carried from one row to the next.
-    """
-    d = sys.field.degree
+    """Alternating trace sums of the powers 1..n of the transfer action:
+    row k is N^k det(I - m_{1/c}^k), with m_{1/c} = A / m, an integer
+    whose absolute value is the number of points of period k."""
     A, m = sys.c_inverse.mult_pair()
-    power = IntMatrix.identity(d)
+    return lefschetz_rows(A, m, sys.transfer_index, n)
+
+
+def lefschetz_rows(A: IntMatrix, m: int, N: int, n: int) -> list[int]:
+    """N^k det(m^k I - A^k) / m^(kd) for k = 1..n, with no matrix powers
+    (docs/lefschetz.md): Newton's identities take char_poly(A) to the
+    power sums s_j = tr(A^j), j <= nd, and s_k, s_2k, ..., s_dk, the power
+    sums of A^k's eigenvalues, to the coefficients a_j of det(x I - A^k),
+    each division by j exact.  Row k is that polynomial at x = m^k."""
+    coeffs = char_poly(A)
+    d, c = len(coeffs) - 1, coeffs[1:]
+    s = [d]
+    for j in range(1, n * d + 1):
+        # s_j + c_1 s_(j-1) + ... + c_(j-1) s_1 + j c_j = 0, c_j = 0 past d
+        t = sum(map(operator.mul, c, s[j - 1 : max(j - d - 1, 0) : -1]))
+        s.append(-t - j * c[j - 1] if j <= d else -t)
     out = []
     for k in range(1, n + 1):
-        power = power @ A
-        det = (IntMatrix.identity(d).scale(m**k) - power).det()
+        p, a = s[k : k * d + 1 : k], [1]
+        for j in range(1, d + 1):
+            # j a_j = -(a_(j-1) p_1 + ... + a_0 p_j), with p_i = s_(ik)
+            q, r = divmod(-sum(map(operator.mul, a, p[j - 1 :: -1])), j)
+            if r:
+                raise InternalCheckError(f"Newton's identity at power {k} does not divide by {j}")
+            a.append(q)
+        mk = m**k
+        det = functools.reduce(lambda acc, x: acc * mk + x, a)
         # the conjugates of c^-k are the eigenvalues of m_{1/c}^k, and one
         # of them is 1 exactly when c^k = 1
         if det == 0:
             raise DegenerateFix(f"c^{k} = 1, the fixed set is not finite")
-        value, den = sys.transfer_index**k * det, m ** (k * d)
-        if value % den:
+        value, rest = divmod(N**k * det, mk**d)
+        if rest:
             raise InternalCheckError("trace sum is not an integer")
-        out.append(value // den)
+        out.append(value)
     return out
 
 

@@ -189,7 +189,10 @@ class LocalizedForm:
         return sum(1 for kind, _ in self.atoms if kind in ("free", "inv"))
 
     def __add__(self, other: "LocalizedForm") -> "LocalizedForm":
-        return LocalizedForm(self.atoms + other.atoms)
+        # both sides' atoms are normal already: only the order is redone
+        out = object.__new__(LocalizedForm)
+        object.__setattr__(out, "atoms", tuple(sorted(self.atoms + other.atoms, key=_atom_sort_key)))
+        return out
 
     def tensor(self, other: "LocalizedForm") -> "LocalizedForm":
         out = []

@@ -81,6 +81,8 @@ class NumberField:
         self.basis_matrix, self.omega_poly, self.theta = self._build_integral_basis()
         self.omega_coeffs = self.omega_poly.int_coeffs()
         self._structure = self._build_structure_constants()
+        # row j of the structure constants transposed, for _mult_columns
+        self._structure_columns = [tuple(zip(*row)) for row in self._structure]
         self.discriminant = self._compute_discriminant()
 
     # representation helpers -------------------------------------------------
@@ -138,7 +140,7 @@ class NumberField:
         Coordinate k of a * w_j is the sum over i of a_i times coordinate
         k of w_i * w_j = w_j * w_i, so column j is a applied to the
         transpose of the structure constants' row j."""
-        return [[sum(map(operator.mul, a, t)) for t in zip(*row)] for row in self._structure]
+        return [[sum(map(operator.mul, a, t)) for t in cols] for cols in self._structure_columns]
 
     def _compute_discriminant(self) -> int:
         # discriminant of the order Z[omega], the maximal one up to degree 2:
@@ -679,7 +681,8 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
         raise InternalCheckError("degenerate lattice in real quadratic search")
     bmax = _ceil_frac(2 * x_bound * _embedding_bound(u1) / covol) + 1
     eta = eps * eps
-    t = int(eta.trace())
+    # eps and eta are units, so integral: den 1
+    t = sum(row[i] for i, row in enumerate(eta.mult_pair()[0].rows))
     found = _cycle_representing_unit(*_norm_form(I))
     if found is None:
         return None
@@ -690,11 +693,13 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     det = p1 * q2 - q1 * p2
 
     def coords(x: NfElement) -> tuple[int, int]:
-        p, q = (Fraction(I.den * c, x.den) for c in x.num)
-        a, b = (p * q2 - q * p2) / det, (p1 * q - q1 * p) / det
-        if a.denominator != 1 or b.denominator != 1:
+        # Cramer on x = (p, q) / x.den over the basis columns / I.den
+        (p, q), scale = x.num, x.den * det
+        a, ra = divmod(I.den * (p * q2 - q * p2), scale)
+        b, rb = divmod(I.den * (p1 * q - q1 * p), scale)
+        if ra or rb:
             raise InternalCheckError("generator candidate left the ideal lattice")
-        return int(a), int(b)
+        return a, b
 
     # Every generator is +-h*eta^j with h in {g, g*eps} and eta = eps^2,
     # which has norm 1 and trace t >= 3.  From eta^2 = t*eta - 1 the
@@ -705,7 +710,7 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     # no later term lies in the box, and the walk stops.
     best = None
     for h in (g, g * eps):
-        sign = 0 if h.norm() > 0 else 1
+        sign = 0 if h.mult_pair()[0].det() > 0 else 1
         here, up = coords(h), coords(h * eta)
         down = (t * here[0] - up[0], t * here[1] - up[1])
         for prev, cur in ((down, here), (up, here)):

@@ -28,9 +28,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateFix, InternalCheckError, ParseError, ZeroInput
+from .linalg import _bareiss_det
 from .nfield import NfElement, NumberField, PrimeIdeal, element_valuations
 from .qpoly import Poly, clear_to_monic_integer, is_irreducible_over_q, parse_poly
-from .rootcount import real_root_counts, roots_in_unit_disk
+from .rootcount import real_root_counts, roots_in_unit_disk, sturm_chain
 
 RATIONAL_FIELD_POLY = Poly([1, -1])  # x - 1; fixed defining polynomial for K = Q
 
@@ -110,20 +111,20 @@ class SolenoidSystem:
         v_P(w) = k * v_P(c) < 0 and at every other place v_P(w) >= 0, so
         by the product formula the count is |N(w)| * D^k with
         D = prod over expanding P of N(P)^(-v_P(c)); nothing is factored.
+        c^k is carried as integer coordinates over den^k, not reduced.
         """
+        field, d = self.field, self.field.degree
         expanding = 1
         for fp in self.finite_unstable:
             expanding *= fp.residue_norm ** (-fp.valuation)
-        one = self.field.one()
-        power = one
+        power, scale = [1] + [0] * (d - 1), 1
         out = []
         for k in range(1, n + 1):
-            power = power * self.c
-            w = power - one
-            if w.is_zero():
+            power, scale = field._mul_int(power, self.c.num), scale * self.c.den
+            w = [power[0] - scale] + power[1:]
+            if not any(w):
                 raise DegenerateFix(f"c^{k} = 1, so the fixed set is not finite")
-            A, m = w.mult_pair()
-            count, rest = divmod(abs(A.det()) * expanding**k, m**self.field.degree)
+            count, rest = divmod(abs(_bareiss_det(field._mult_columns(w))) * expanding**k, scale**d)
             if rest:
                 raise InternalCheckError(
                     f"norm of c^{k} - 1 times the expanding part is not integral"
@@ -222,10 +223,14 @@ def build_system(min_poly) -> SolenoidSystem:
         raise ParseError(f"{f.pretty()} is reducible over Q")
 
     # archimedean analysis happens on f itself; scaling would move the circle.
-    # One Sturm chain cut at -1, 0 and 1, none of them a root: the disk
-    # count raises BoundaryRoot on a root at +-1, and c != 0
-    inside = roots_in_unit_disk(f)
-    below, real_inside_negative, positive, above = real_root_counts(f, [None, -1, 0, 1, None])
+    # One Sturm chain, for the disk count and cut at -1, 0 and 1, none of
+    # them a root: the disk count raises BoundaryRoot on a root at +-1,
+    # and c != 0
+    chain = sturm_chain(f.coeffs)
+    inside = roots_in_unit_disk(f, chain)
+    below, real_inside_negative, positive, above = real_root_counts(
+        f, [None, -1, 0, 1, None], chain
+    )
     real_inside = real_inside_negative + positive
     real_total = below + real_inside + above
     if (inside - real_inside) % 2 != 0 or (f.degree - inside - (real_total - real_inside)) % 2 != 0:

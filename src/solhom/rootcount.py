@@ -62,7 +62,7 @@ def _prs(a: list[int], b: list[int]) -> list[list[int]]:
     return chain
 
 
-def _sturm_chain(coeffs) -> list[list[int]]:
+def sturm_chain(coeffs) -> list[list[int]]:
     """Sturm chain over Z of the squarefree part of a polynomial with
     rational coefficients (descending), which comes first with a positive
     leading coefficient; [[1]] for a constant.  The chain of F ends in
@@ -83,7 +83,7 @@ def _sturm_chain(coeffs) -> list[list[int]]:
         r = [s - q[-1] * t for s, t in zip(r, g + [0] * (len(r) - len(g)))][1:]
     if any(r):
         raise InternalCheckError("gcd(f, f') does not divide f")
-    return _sturm_chain(q)
+    return sturm_chain(q)
 
 
 def _values_at(chain: list[list[int]], x: Fraction | None, positive: bool) -> list[int]:
@@ -100,8 +100,7 @@ def _variations(values: list[int]) -> int:
     return sum(1 for s, t in zip(nz, nz[1:]) if (s < 0) != (t < 0))
 
 
-def _counts(coeffs, cuts: list) -> list[int]:
-    chain = _sturm_chain(coeffs)
+def _counts(chain: list[list[int]], cuts: list) -> list[int]:
     values = [_values_at(chain, x if x is None else Fraction(x), i > 0) for i, x in enumerate(cuts)]
     # roots in (a, b], less one when b itself is a root
     counts = [_variations(lo) - _variations(hi) - (hi[0] == 0) for lo, hi in zip(values, values[1:])]
@@ -110,13 +109,14 @@ def _counts(coeffs, cuts: list) -> list[int]:
     return counts
 
 
-def real_root_counts(f: Poly, cuts: list) -> list[int]:
+def real_root_counts(f: Poly, cuts: list, chain: list[list[int]] | None = None) -> list[int]:
     """Distinct real roots of f in the open interval between each pair of
-    consecutive cuts, off one Sturm chain.  The cuts are increasing
-    rationals, with None first for -infinity and None last for +infinity."""
+    consecutive cuts, off one Sturm chain, sturm_chain(f.coeffs) unless
+    given.  The cuts are increasing rationals, with None first for
+    -infinity and None last for +infinity."""
     if f.is_zero():
         raise ValueError("the zero polynomial has every point as a root")
-    return _counts(f.coeffs, cuts)
+    return _counts(chain or sturm_chain(f.coeffs), cuts)
 
 
 def real_roots_in_interval(f: Poly, a, b) -> int:
@@ -154,11 +154,12 @@ def _unit_circle_count(F: list[int]) -> int:
     if not A and not B:
         raise InternalCheckError("nonzero polynomial reduced to zero remainder")
     G = _prs(A, B)[-1]
-    return count + (2 * _counts(G, [-2, 2])[0] if len(G) > 1 else 0)
+    return count + (2 * _counts(sturm_chain(G), [-2, 2])[0] if len(G) > 1 else 0)
 
 
-def roots_in_unit_disk(f: Poly) -> int:
-    """Number of distinct roots with |z| < 1.
+def roots_in_unit_disk(f: Poly, chain: list[list[int]] | None = None) -> int:
+    """Number of distinct roots with |z| < 1, read off the squarefree part
+    that heads f's Sturm chain (sturm_chain(f.coeffs) unless given).
 
     Raises BoundaryRoot if any root sits on the unit circle, carrying the
     exact on-circle count.
@@ -168,7 +169,7 @@ def roots_in_unit_disk(f: Poly) -> int:
     >>> roots_in_unit_disk(Poly([2, -5, 2]))    # roots 2 and 1/2
     1
     """
-    F = _sturm_chain(f.coeffs)[0]
+    F = (chain or sturm_chain(f.coeffs))[0]
     n = len(F) - 1
     if n < 1:
         return 0

@@ -44,7 +44,7 @@ from solhom.nfield import (
 )
 from solhom.places import SolenoidSystem
 from solhom.qpoly import Poly, _pgcd, _trim, parse_poly
-from solhom.rootcount import _sturm_chain, _unit_circle_count, real_roots_in_interval, roots_in_unit_disk
+from solhom.rootcount import _unit_circle_count, real_roots_in_interval, roots_in_unit_disk, sturm_chain
 
 
 def det_cofactor(rows) -> Fraction:
@@ -707,7 +707,7 @@ def real_root_count(f: Poly) -> int:
 
 def unit_circle_root_count(f: Poly) -> int:
     """Distinct roots of f with |z| = 1, exactly."""
-    return _unit_circle_count(_sturm_chain(f.coeffs)[0])
+    return _unit_circle_count(sturm_chain(f.coeffs)[0])
 
 
 def compose(f: GroupHom, g: GroupHom) -> GroupHom:
@@ -1343,3 +1343,28 @@ def eliminated_adjugate(T: IntMatrix) -> IntMatrix:
     T^-1 as B / d with d = +-det T."""
     B, d = T.inverse_pair()
     return B if d == T.det() else B.scale(-1)
+
+
+# ---------------------------------------------------------------------------
+# Lefschetz rows by matrix powers: the loop that Newton's identities on
+# one characteristic polynomial replaced
+
+
+def lefschetz_rows_by_matrix_powers(A: IntMatrix, m: int, N: int, n: int) -> list[int]:
+    """Rows N^k det(m^k I - A^k) / m^(kd), k = 1..n, with the powers of A
+    carried from one row to the next and each determinant by Bareiss."""
+    d = A.nrows
+    power = IntMatrix.identity(d)
+    out = []
+    for k in range(1, n + 1):
+        power = power @ A
+        det = (IntMatrix.identity(d).scale(m**k) - power).det()
+        # the conjugates of c^-k are the eigenvalues of m_{1/c}^k, and one
+        # of them is 1 exactly when c^k = 1
+        if det == 0:
+            raise DegenerateFix(f"c^{k} = 1, the fixed set is not finite")
+        value, den = N**k * det, m ** (k * d)
+        if value % den:
+            raise InternalCheckError("trace sum is not an integer")
+        out.append(value // den)
+    return out

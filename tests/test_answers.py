@@ -14,7 +14,8 @@ here too, prints what a re-record would change and writes nothing.
 tests/data/high_degree_reports.json pins `x^5-x-1` … `x^8-x-1` the
 same way, since the benchmark inputs stop at degree 4, and
 tests/data/report_digests.json pins the sha256 of `x^9-x-1`'s report
-(tests/report_digest.py), whose 0.5 MB is too large to record.
+(tests/report_digest.py), whose 0.5 MB is too large to record, and of
+`x^2+x+7/2 --lefschetz 41`, whose last rows run to 35 digits.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ from record_answer_reports import (
     high_degree_inputs,
     run_analyze,
 )
-from report_digest import DIGESTS, report_digest
+from report_digest import DIGESTS, analyze_argv, digest_key, report_digest
 from solhom import cli
 from solhom.engine import finite_part_homology, shifted_homology
 from solhom.errors import SolhomError
@@ -85,13 +86,13 @@ def test_high_degree_reports_are_byte_identical_to_their_recording():
 
 def test_pinned_report_digests_hold():
     pinned = json.loads(DIGESTS.read_text())
-    assert list(pinned) == ["x^9-x-1"]
-    for poly, digest in pinned.items():
+    assert list(pinned) == ["x^9-x-1", digest_key("x^2+x+7/2", 41)]
+    for key, digest in pinned.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(["analyze", "--min-poly", poly, "--no-cache", "--json"])
+            code = cli.main(analyze_argv(key))
         assert code == 0
-        assert report_digest(out.getvalue()) == digest, poly
+        assert report_digest(out.getvalue()) == digest, key
 
 
 def test_every_action_over_the_answer_inputs_is_a_reduced_pair():

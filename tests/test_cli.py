@@ -224,6 +224,29 @@ def test_truncated_cache_entry_is_a_miss_and_is_rewritten(capsys, isolated_cache
     assert json.loads(run(capsys, "analyze", "--c", "5/3", "--json")[1])["cache"] == "hit"
 
 
+def test_another_inputs_report_under_the_key_is_a_miss(capsys, isolated_cache):
+    # a checksum names the file, so a hit is taken only when the stored
+    # report is one for this input, version, schema and period count
+    code, other, _ = run(capsys, "analyze", "--c", "5/3", "--json")
+    assert code == 0
+    (planted,) = isolated_cache.glob("*.json")
+    key = cli._cache_key(places.monic_min_poly("x^2-x+3/2").pretty(), cli.DEFAULT_LEFSCHETZ)
+    path = planted.rename(isolated_cache / f"{key}.json")
+    code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
+    assert code == 0 and json.loads(out)["cache"] == "miss"
+    assert json.loads(path.read_text()) == _without_volatile(out) != _without_volatile(other)
+    for stored in ([1, 2], {"system": {"min_poly": "x^2 - x + 3/2"}}, "null"):
+        path.write_text(json.dumps(stored))
+        code, again, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
+        assert code == 0 and json.loads(again)["cache"] == "miss", stored
+    code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json", "--lefschetz", "3")
+    assert code == 0 and json.loads(out)["cache"] == "miss"
+    cli._cache_write(key, json.loads(path.read_text()) | {"lefschetz": []})
+    code, again, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
+    assert code == 0 and json.loads(again)["cache"] == "miss"
+    assert json.loads(run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")[1])["cache"] == "hit"
+
+
 @pytest.mark.parametrize(
     "spellings",
     [
@@ -279,20 +302,29 @@ def test_cached_parser_does_not_carry_options_over(capsys):
     assert (args.side, args.element, args.no_cache) == ("both", None, False)
 
 
-def test_reports_without_the_cache_do_not_load_hashlib():
+def test_reports_without_the_cache_do_not_load_hashlib(tmp_path):
     # nor dataclasses, whose import pulls in inspect and ast and
-    # compiles generated code for every record at start-up
+    # compiles generated code for every record at start-up; a cached
+    # miss and the hit after it name their file without hashlib too
     code = (
-        "import sys; from solhom import cli; "
-        "assert cli.main(['analyze', '--min-poly', 'x^2-x-1', '--no-cache', '--json']) == 0; "
-        "loaded = {'hashlib', 'dataclasses', 'inspect', 'ast'} & set(sys.modules); "
+        "import io, json, sys; from contextlib import redirect_stdout; from solhom import cli; "
+        "argv = ['analyze', '--min-poly', 'x^2-x-1', '--json']; states = []\n"
+        "for extra in (['--no-cache'], [], []):\n"
+        "    out = io.StringIO()\n"
+        "    with redirect_stdout(out):\n"
+        "        assert cli.main(argv + extra) == 0\n"
+        "    states.append(json.loads(out.getvalue())['cache'])\n"
+        "assert states == ['miss', 'miss', 'hit'], states\n"
+        "loaded = {'hashlib', 'dataclasses', 'inspect', 'ast'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env["SOLHOM_CACHE_DIR"] = str(tmp_path / "subprocess-cache")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+    assert len(list((tmp_path / "subprocess-cache").glob("*.json"))) == 1
 
 
 def test_build_report_builds_each_finite_part_once(monkeypatch):

@@ -77,7 +77,9 @@ def test_dual_is_a_swap_in_the_same_field(monkeypatch):
 
     monkeypatch.setattr(places, "build_system", refuse)
     monkeypatch.setattr(nfield.NumberField, "__init__", refuse)
-    for name in ("element_valuations", "is_irreducible_over_q", "roots_in_unit_disk", "real_root_counts"):
+    for name in (
+        "element_valuations", "is_irreducible_over_q", "sturm_chain", "roots_in_unit_disk", "real_root_counts"
+    ):
         monkeypatch.setattr(places, name, refuse)
     monkeypatch.setattr(places, "_check_transfer_index", counted_check)
     for sys_ in systems:

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from solhom import fgab
+
 from solhom.errors import AtomClassExceeded
 from solhom.fgab import (
     FgAbGroup,
@@ -177,3 +179,24 @@ def test_coerce_rejects_garbage():
 def test_localized_from_fgab():
     g = FgAbGroup(2, (2, 6))
     assert localized_from_fgab(g) == LocalizedForm.free(2) + LocalizedForm.torsion(2) + LocalizedForm.torsion(2) + LocalizedForm.torsion(3)
+
+
+def test_sums_keep_the_normal_atoms_and_factor_nothing(monkeypatch):
+    rng = random.Random(26)
+    makers = [
+        lambda: LocalizedForm.free(rng.randint(0, 2)),
+        lambda: LocalizedForm.localized(rng.choice([2, 12, 30, 49, 1001]), rng.randint(1, 2)),
+        lambda: LocalizedForm.torsion(rng.choice([1, 4, 12, 27, 360])),
+    ]
+    pairs = [(rng.choice(makers)(), rng.choice(makers)()) for _ in range(60)]
+    expected = [LocalizedForm(a.atoms + b.atoms) for a, b in pairs]
+
+    def refuse(*_args):
+        raise AssertionError("a sum of normal forms factored an atom")
+
+    monkeypatch.setattr(fgab, "radical", refuse)
+    monkeypatch.setattr(fgab, "factorint", refuse)
+    for (a, b), want in zip(pairs, expected):
+        total = a + b
+        assert total == want and hash(total) == hash(want)
+        assert total.pretty() == want.pretty()

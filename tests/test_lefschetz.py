@@ -1,0 +1,116 @@
+"""Lefschetz rows from Newton power sums against the matrix-power loop
+they replaced (tests/oracles.py), and periodic counts without per-period
+objects."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import lefschetz_rows_by_matrix_powers
+from solhom import nfield
+from solhom.engine import lefschetz_rows, lefschetz_traces
+from solhom.errors import DegenerateFix, InternalCheckError
+from solhom.linalg import IntMatrix
+from solhom.places import build_system
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except (DegenerateFix, InternalCheckError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _root_of_unity_blocks(m: int) -> list[list[list[int]]]:
+    """Blocks whose eigenvalues are m times a root of unity: m, -m, and
+    the companions of x^2 + m^2, x^2 + m x + m^2 and x^2 - m x + m^2
+    (orders 4, 3 and 6), so some power A^k has the eigenvalue m^k."""
+    m2 = m * m
+    return [[[m]], [[-m]], [[0, -m2], [1, 0]], [[0, -m2], [1, -m]], [[0, -m2], [1, m]]]
+
+
+@st.composite
+def matrices(draw):
+    """(A, m, N, n): an integer d x d matrix A, d <= 5, often with an
+    eigenvalue m times a root of unity, conjugated by a unimodular
+    matrix, and N sometimes a multiple of m^d so that every row is an
+    integer."""
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    entries = st.integers(-6, 6)
+    a = [[draw(entries) for _ in range(d)] for _ in range(d)]
+    block = draw(st.sampled_from(_root_of_unity_blocks(m)))
+    if len(block) <= d and draw(st.booleans()):
+        # block upper-triangular: the block's eigenvalues are A's too
+        for i, row in enumerate(block):
+            a[i][: len(block)] = row
+        for i in range(len(block), d):
+            a[i][: len(block)] = [0] * len(block)
+    for _ in range(draw(st.integers(0, 4))):
+        # conjugate by I + c E_ij: add c times row j to row i, then take
+        # c times column i from column j
+        i, j, c = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), draw(st.integers(-2, 2))
+        if i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[j] -= c * row[i]
+    N = draw(st.integers(1, 6)) * (m**d if draw(st.booleans()) else 1)
+    return IntMatrix(a), m, N, draw(st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rows_and_refusals_match_matrix_powers(case):
+    assert _outcome(lefschetz_rows, *case) == _outcome(lefschetz_rows_by_matrix_powers, *case)
+
+
+def test_eigenvalue_m_to_the_k_is_a_degenerate_fix():
+    # A has the eigenvalue 2 * i, so A^4 has the eigenvalue 2^4
+    A = IntMatrix([[0, -4, 1], [1, 0, 5], [0, 0, 3]])
+    with pytest.raises(DegenerateFix, match=r"c\^4 = 1"):
+        lefschetz_rows(A, 2, 8, 6)
+    assert lefschetz_rows(A, 2, 8, 3) == lefschetz_rows_by_matrix_powers(A, 2, 8, 3)
+
+
+@pytest.mark.parametrize("poly, n", [("x^2+x+7/2", 41), ("x^3-x-1", 50), ("x^9-x-1", 6)])
+def test_report_rows_match_matrix_powers(poly, n):
+    sys_ = build_system(poly)
+    A, m = sys_.c_inverse.mult_pair()
+    expected = lefschetz_rows_by_matrix_powers(A, m, sys_.transfer_index, n)
+    assert lefschetz_traces(sys_, n) == expected
+    assert sys_.periodic_counts(n) == [abs(row) for row in expected]
+
+
+def test_rows_take_no_matrix_products_or_determinants(monkeypatch):
+    systems = [build_system(p) for p in ("x^2+x+7/2", "x^3-x-1", "x^2-79/4", "x-3/2")]
+
+    def refuse(*_args):
+        raise AssertionError("a matrix product or determinant on the Lefschetz path")
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(IntMatrix, "det", refuse)
+    for sys_ in systems:
+        sys_.c_inverse  # computed once per system, outside the rows
+        assert len(lefschetz_traces(sys_, 12)) == 12
+
+
+def test_periodic_counts_create_no_objects_per_period(monkeypatch):
+    created = []
+    element_init, trusted = nfield.NfElement.__init__, IntMatrix._trusted.__func__
+
+    def counted_element(self, *args, **kwargs):
+        created.append("NfElement")
+        element_init(self, *args, **kwargs)
+
+    def counted_matrix(cls, rows):
+        created.append("IntMatrix")
+        return trusted(cls, rows)
+
+    monkeypatch.setattr(nfield.NfElement, "__init__", counted_element)
+    monkeypatch.setattr(IntMatrix, "_trusted", classmethod(counted_matrix))
+    for poly in ("x^2+x+7/2", "x^3-x-1", "x^2-79/4", "x-3/2", "x^3-2"):
+        sys_ = build_system(poly)
+        created.clear()
+        counts = sys_.periodic_counts(12)
+        assert created == [] and len(counts) == 12, (poly, created)

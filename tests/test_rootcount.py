@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from solhom.errors import BoundaryRoot
+from solhom.errors import BoundaryRoot, SolhomError
 from solhom.qpoly import Poly, parse_poly
-from solhom.rootcount import real_root_counts, real_roots_in_interval, roots_in_unit_disk
+from solhom import places, rootcount
+from solhom.rootcount import real_root_counts, real_roots_in_interval, roots_in_unit_disk, sturm_chain
 from oracles import (
     fraction_real_root_count,
     fraction_real_roots_in_interval,
@@ -253,3 +254,30 @@ def test_answer_inputs_need_no_fraction_poly_routes(monkeypatch):
     for name in ("__divmod__", "squarefree_part"):
         monkeypatch.setattr(Poly, name, refuse)
     assert [[_outcome(count, f) for count, _ in counts] for f in polys] == expected
+
+
+def test_a_system_builds_one_sturm_chain_for_its_polynomial(monkeypatch):
+    """build_system builds the Sturm chain of c's minimal polynomial
+    once and both counts read it; a given chain gives the counts that
+    one built inside would."""
+    built = []
+    original = rootcount.sturm_chain
+
+    def counted(coeffs):
+        built.append(list(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(rootcount, "sturm_chain", counted)
+    monkeypatch.setattr(places, "sturm_chain", counted)
+    cuts = [None, -1, 0, 1, None]
+    for _, text, _ in answer_inputs():
+        f = parse_poly(text).monic()
+        built.clear()
+        try:
+            places.build_system(f)
+        except SolhomError:
+            continue  # refused inputs may stop before or between the counts
+        assert built.count(list(f.coeffs)) == 1, text
+        chain = sturm_chain(f.coeffs)
+        assert roots_in_unit_disk(f, chain) == roots_in_unit_disk(f)
+        assert real_root_counts(f, cuts, chain) == real_root_counts(f, cuts)
