@@ -180,9 +180,6 @@ class ColimitGroup:
                 num, den = [c // g for c in num], den // g
         return None
 
-    def contains(self, vec: Sequence) -> bool:
-        return self.membership_stage(vec) is not None
-
     @functools.cached_property
     def signature(self) -> "InvariantSignature":
         """The signature, computed once for this tower."""
@@ -318,18 +315,20 @@ def torsion_colimit(group: FgAbGroup, relations: IntMatrix, F: IntMatrix) -> FgA
     of the endomorphism with F * relations inside the relation lattice.
     Once the descending chain F^k Z^n + R stabilizes, the map permutes
     the stabilized subgroup bijectively, so the colimit is that subgroup.
+    Each strict step is a proper subgroup of the last, of index at least
+    2, so the chain moves at most log2 |group| times.
     """
     if group.free_rank != 0:
         raise ValueError("torsion_colimit expects a finite group")
     n = F.nrows
     L = IntMatrix.identity(n)
-    for _ in range(64):
+    for _ in range(math.prod(group.torsion).bit_length() + 1):
         nxt = hnf(_stack_columns(F @ L, relations))
         if nxt == L:
             break
         L = nxt
     else:
-        raise CapExceeded("image chain of a finite group failed to stabilize")
+        raise CapExceeded("image chain of a finite group moved past its log2 |group| bound")
     # present L / relations: the relation lattice pulled through the basis
     M = _solve_lattice(L, relations)
     if M is None:

@@ -520,11 +520,6 @@ def _faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def rank_mod_p(A: IntMatrix, p: int) -> int:
-    """Rank of A over the field with p elements (p prime)."""
-    return _rank_rows_mod_p([[x % p for x in row] for row in A.rows], p)
-
-
 def _rank_rows_mod_p(a: list[list[int]], p: int) -> int:
     """Rank over F_p of a list of rows with entries in [0, p), by
     Gauss-Jordan elimination that overwrites the list."""

@@ -43,6 +43,7 @@ from .errors import IndexObstruction, InternalCheckError
 from .intfactor import factorint, is_prime
 from .linalg import IntMatrix, char_poly, hnf
 from .qpoly import Poly, dedekind_index_free, factor_mod_p, is_irreducible_over_q
+from .rootcount import sturm_chain
 
 # how an element's repr writes the field generator theta
 GEN_SYMBOL = "a"
@@ -297,8 +298,10 @@ class NfElement:
         return Poly([Fraction(c, m**i) for i, c in enumerate(char_poly(A))])
 
     def min_poly_over_q(self) -> Poly:
-        cp = self.char_poly_over_q()
-        return cp.squarefree_part() if cp.gcd(cp.derivative()).degree > 0 else cp
+        """The characteristic polynomial is the minimal polynomial to the
+        power [K : Q(self)], so the minimal polynomial is its squarefree
+        part: the first member of its Sturm chain over Z, made monic."""
+        return Poly(sturm_chain(self.char_poly_over_q().coeffs)[0]).monic()
 
     def integer_coords(self) -> tuple[tuple[int, ...], int]:
         """(v, m): m is the least positive integer with m * self in the
@@ -543,11 +546,6 @@ def _lift_at_omega(field: NumberField, coeffs_asc: Sequence[int]) -> NfElement:
     return NfElement(field, (list(coeffs_asc) + [0] * d)[:d])
 
 
-def valuation(x: NfElement, P: PrimeIdeal) -> int:
-    """v_P(x) for nonzero x."""
-    return P.valuation_of(*x.integer_coords())
-
-
 def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
     """All primes where x has nonzero valuation (x nonzero)."""
     if x.is_zero():
@@ -688,19 +686,6 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
         return None
     g = u1.scale(found[0]) + u2.scale(found[1])
 
-    # u1, u2 are the columns (p1, q1), (p2, q2) of I.num over I.den
-    (p1, p2), (q1, q2) = I.num.rows
-    det = p1 * q2 - q1 * p2
-
-    def coords(x: NfElement) -> tuple[int, int]:
-        # Cramer on x = (p, q) / x.den over the basis columns / I.den
-        (p, q), scale = x.num, x.den * det
-        a, ra = divmod(I.den * (p * q2 - q * p2), scale)
-        b, rb = divmod(I.den * (p1 * q - q1 * p), scale)
-        if ra or rb:
-            raise InternalCheckError("generator candidate left the ideal lattice")
-        return a, b
-
     # Every generator is +-h*eta^j with h in {g, g*eps} and eta = eps^2,
     # which has norm 1 and trace t >= 3.  From eta^2 = t*eta - 1 the
     # coordinates obey x_{j+1} = t*x_j - x_{j-1}, read in either
@@ -711,7 +696,7 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     best = None
     for h in (g, g * eps):
         sign = 0 if h.mult_pair()[0].det() > 0 else 1
-        here, up = coords(h), coords(h * eta)
+        here, up = _lattice_coords(I, h), _lattice_coords(I, h * eta)
         down = (t * here[0] - up[0], t * here[1] - up[1])
         for prev, cur in ((down, here), (up, here)):
             while True:
@@ -729,6 +714,19 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     if abs(x.norm()) != target:
         raise InternalCheckError("chosen generator has the wrong norm")
     return x
+
+
+def _lattice_coords(I: FractionalIdeal, x: NfElement) -> tuple[int, int]:
+    """(a, b) with x = a*u1 + b*u2 for the basis u1, u2 of a quadratic
+    ideal I, the columns (p1, q1), (p2, q2) of I.num over I.den, by
+    Cramer; x off the lattice raises."""
+    (p1, p2), (q1, q2) = I.num.rows
+    (p, q), scale = x.num, x.den * (p1 * q2 - q1 * p2)
+    a, ra = divmod(I.den * (p * q2 - q * p2), scale)
+    b, rb = divmod(I.den * (p1 * q - q1 * p), scale)
+    if ra or rb:
+        raise InternalCheckError("generator candidate left the ideal lattice")
+    return a, b
 
 
 def _cycle_representing_unit(A: int, B: int, C: int) -> tuple[int, int] | None:

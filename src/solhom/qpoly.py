@@ -1,10 +1,13 @@
 """Univariate polynomials over Q, plus factorization over prime fields.
 
-``Poly`` stores Fraction coefficients in descending degree with no leading
-zeros; the zero polynomial is ``Poly.zero()`` with degree -1.  A small
-expression parser turns strings like ``"x^2 - x - 1"`` or ``"(3/2)"`` into
-polynomials; it is the single entry point for every piece of user input
-that denotes a number or a polynomial.
+``Poly`` is a value: Fraction coefficients in descending degree with no
+leading zeros, the zero polynomial ``Poly([0])`` with degree -1.  It has
+no arithmetic; every polynomial computation in solhom runs on integer
+coefficient lists (Sturm and Cauchy chains in rootcount, the mod-p
+kernels here).  A small expression parser turns strings like
+``"x^2 - x - 1"`` or ``"(3/2)"`` into polynomials; it is the single entry
+point for every piece of user input that denotes a number or a
+polynomial.
 
 The mod-p helpers at the bottom work on ascending integer coefficient
 lists, which keeps index arithmetic readable in the distinct-degree and
@@ -27,6 +30,9 @@ _ZERO = Fraction(0)
 
 
 class Poly:
+    """An immutable polynomial over Q, compared and hashed by its
+    coefficients."""
+
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
@@ -40,14 +46,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly([0])
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly([c])
 
     def is_zero(self) -> bool:
         return self.coeffs == (_ZERO,)
@@ -65,72 +63,11 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = list(self.coeffs), list(other.coeffs)
-        n = max(len(a), len(b))
-        a = [_ZERO] * (n - len(a)) + a
-        b = [_ZERO] * (n - len(b)) + b
-        return Poly([x + y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(_mul(self.coeffs, other.coeffs))
-
-    def scale(self, c) -> "Poly":
-        return Poly([Fraction(c) * a for a in self.coeffs])
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(), self
-        quo = [_ZERO] * (dq + 1)
-        lead = other.coeffs[0]
-        for i in range(dq + 1):
-            f = rem[i] / lead
-            quo[i] = f
-            if f:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= f * b
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def derivative(self) -> "Poly":
-        n = self.degree
-        if n <= 0:
-            return Poly.zero()
-        return Poly([c * (n - i) for i, c in enumerate(self.coeffs[:-1])])
-
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ZeroDivisionError("zero polynomial has no monic form")
         lead = self.coeffs[0]
         return Poly([c / lead for c in self.coeffs])
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else Poly.zero()
-
-    def squarefree_part(self) -> "Poly":
-        """Product of the distinct irreducible factors, monic."""
-        if self.degree <= 0:
-            return Poly.const(1)
-        g = self.gcd(self.derivative())
-        return (self // g).monic()
 
     def is_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -646,6 +583,16 @@ def _has_quadratic_factor(f: Poly) -> bool:
             q_minus_one = 1 - b + c
             if q_minus_one == 0 or at_minus_one % q_minus_one != 0:
                 continue
-            if (f % Poly([1, b, c])).is_zero():
+            if _divides_monic_quadratic(b, c, coeffs):
                 return True
     return False
+
+
+def _divides_monic_quadratic(b: int, c: int, coeffs_desc: Sequence[int]) -> bool:
+    """x^2 + b x + c divides the integer polynomial, by synthetic division:
+    each quotient coefficient is the leading remainder coefficient."""
+    r = list(coeffs_desc)
+    for i in range(len(r) - 2):
+        r[i + 1] -= b * r[i]
+        r[i + 2] -= c * r[i]
+    return r[-2] == r[-1] == 0

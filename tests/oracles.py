@@ -31,7 +31,7 @@ from solhom.errors import (
 from solhom.fgab import FgAbGroup, GroupHom, LocalizedForm, localized_from_fgab
 from solhom.intfactor import radical
 from solhom.limits import MEMBERSHIP_CAP_FACTOR, ColimitGroup, InvariantSignature
-from solhom.linalg import IntMatrix, _bareiss_det, hnf, snf
+from solhom.linalg import IntMatrix, _bareiss_det, _rank_rows_mod_p, hnf, snf
 from solhom.nfield import (
     FractionalIdeal,
     NfElement,
@@ -43,7 +43,7 @@ from solhom.nfield import (
     fundamental_unit,
 )
 from solhom.places import SolenoidSystem
-from solhom.qpoly import Poly, _pgcd, _trim, parse_poly
+from solhom.qpoly import Poly, _mul, _pgcd, _trim, parse_poly
 from solhom.rootcount import _unit_circle_count, real_roots_in_interval, roots_in_unit_disk, sturm_chain
 
 
@@ -450,7 +450,107 @@ def basis_rat(field) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Fraction polynomials: the reference route that solhom replaced by
+# integer coefficient lists (rootcount.sturm_chain, the mod-p kernels)
+
+
+class QPoly(Poly):
+    """A Poly with ring arithmetic, division and Euclid's gcd over Q;
+    every polynomial result is a QPoly.  Equal to the Poly with the same
+    coefficients."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def zero() -> "QPoly":
+        return QPoly([0])
+
+    @staticmethod
+    def const(c) -> "QPoly":
+        return QPoly([c])
+
+    def __add__(self, other: Poly) -> "QPoly":
+        a, b = list(self.coeffs), list(other.coeffs)
+        n = max(len(a), len(b))
+        a = [Fraction(0)] * (n - len(a)) + a
+        b = [Fraction(0)] * (n - len(b)) + b
+        return QPoly([x + y for x, y in zip(a, b)])
+
+    def __neg__(self) -> "QPoly":
+        return QPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: Poly) -> "QPoly":
+        return self + (-QPoly(other.coeffs))
+
+    def __mul__(self, other: Poly) -> "QPoly":
+        return QPoly(_mul(self.coeffs, other.coeffs))
+
+    def scale(self, c) -> "QPoly":
+        return QPoly([Fraction(c) * a for a in self.coeffs])
+
+    def __divmod__(self, other: Poly) -> tuple["QPoly", "QPoly"]:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return QPoly.zero(), self
+        quo = [Fraction(0)] * (dq + 1)
+        lead = other.coeffs[0]
+        for i in range(dq + 1):
+            f = rem[i] / lead
+            quo[i] = f
+            if f:
+                for j, b in enumerate(other.coeffs):
+                    rem[i + j] -= f * b
+        return QPoly(quo), QPoly(rem)
+
+    def __floordiv__(self, other: Poly) -> "QPoly":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other: Poly) -> "QPoly":
+        return divmod(self, other)[1]
+
+    def derivative(self) -> "QPoly":
+        n = self.degree
+        if n <= 0:
+            return QPoly.zero()
+        return QPoly([c * (n - i) for i, c in enumerate(self.coeffs[:-1])])
+
+    def monic(self) -> "QPoly":
+        return QPoly(super().monic().coeffs)
+
+    def gcd(self, other: Poly) -> "QPoly":
+        a, b = self, QPoly(other.coeffs)
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic() if not a.is_zero() else QPoly.zero()
+
+    def squarefree_part(self) -> "QPoly":
+        """Product of the distinct irreducible factors, monic."""
+        if self.degree <= 0:
+            return QPoly.const(1)
+        g = self.gcd(self.derivative())
+        return (self // g).monic()
+
+
+# ---------------------------------------------------------------------------
 # test-only helpers on package types
+
+
+def rank_mod_p(A: IntMatrix, p: int) -> int:
+    """Rank of A over the field with p elements (p prime)."""
+    return _rank_rows_mod_p([[x % p for x in row] for row in A.rows], p)
+
+
+def colimit_contains(G: ColimitGroup, vec) -> bool:
+    """vec lies in the colimit: it has a membership stage."""
+    return G.membership_stage(vec) is not None
+
+
+def valuation(x: NfElement, P) -> int:
+    """v_P(x) for nonzero x."""
+    return P.valuation_of(*x.integer_coords())
 
 
 def rational_periodic_oracle(q: int, p: int, n: int) -> int:
@@ -515,10 +615,10 @@ def poly_dedekind_index_free(fpoly: Poly, p: int, factors) -> bool:
     """The Dedekind criterion as the package ran it before it moved onto
     qpoly's integer-list kernels: the lifts' products g and h as Polys,
     F = (g h - f) / p in Fractions, then gcd(F, g) and gcd(., h) over F_p."""
-    g_lift = Poly.const(1)
-    h_lift = Poly.const(1)
+    g_lift = QPoly.const(1)
+    h_lift = QPoly.const(1)
     for coeffs_asc, mult in factors:
-        irr = Poly(list(reversed([c % p for c in coeffs_asc])))
+        irr = QPoly(list(reversed([c % p for c in coeffs_asc])))
         g_lift = g_lift * irr
         for _ in range(mult - 1):
             h_lift = h_lift * irr
@@ -922,7 +1022,7 @@ def integer_kernel(A: IntMatrix) -> list[tuple[int, ...]]:
 
 def roots_outside_unit_disk(f: Poly) -> int:
     """Distinct roots with |z| > 1; raises BoundaryRoot like the inside count."""
-    F = f.squarefree_part()
+    F = QPoly(f.coeffs).squarefree_part()
     if F.degree < 1:
         return 0
     return F.degree - roots_in_unit_disk(F)
@@ -943,15 +1043,15 @@ def _ascending(p: Poly, d: int) -> tuple[Fraction, ...]:
 def poly_mod_product(field, a, b) -> tuple[Fraction, ...]:
     """a * b for power-basis coordinates a and b: the Poly product
     reduced mod the defining polynomial f."""
-    prod = Poly(reversed(a)) * Poly(reversed(b))
+    prod = QPoly(reversed(a)) * QPoly(reversed(b))
     return _ascending(prod % field.min_poly, field.degree)
 
 
 def poly_mod_inverse(field, a) -> tuple[Fraction, ...]:
     """1/a for nonzero power-basis coordinates a: the extended Euclid of
     the coordinate polynomial against f, in Fractions."""
-    r0, r1 = field.min_poly, Poly(reversed(a))
-    s0, s1 = Poly.zero(), Poly.const(1)
+    r0, r1 = QPoly(field.min_poly.coeffs), QPoly(reversed(a))
+    s0, s1 = QPoly.zero(), QPoly.const(1)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
@@ -1037,7 +1137,7 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def fraction_sturm_chain(f: Poly) -> list[Poly]:
+def fraction_sturm_chain(f: QPoly) -> list[QPoly]:
     """Negative-remainder chain starting from (f, f')."""
     chain = [f, f.derivative()]
     while not chain[-1].is_zero():
@@ -1071,7 +1171,7 @@ def fraction_real_roots_in_interval(f: Poly, a, b) -> int:
     infinite end."""
     if f.is_zero():
         raise ValueError("the zero polynomial has every point as a root")
-    F = f.squarefree_part()
+    F = QPoly(f.coeffs).squarefree_part()
     if F.degree < 1:
         return 0
     if a is not None and b is not None and Fraction(a) >= Fraction(b):
@@ -1091,15 +1191,15 @@ def fraction_real_root_count(f: Poly) -> int:
     return fraction_real_roots_in_interval(f, None, None)
 
 
-def _circle_pair_polys(F: Poly) -> tuple[Poly, Poly]:
+def _circle_pair_polys(F: QPoly) -> tuple[QPoly, QPoly]:
     """A, B with F(z) = q(z) (z^2 - x z + 1) + A(x) z + B(x)."""
     # z^k = u_k(x) z + v_k(x) modulo z^2 - x z + 1:
     # u_{k+1} = x u_k + v_k, v_{k+1} = -u_k
-    u, v = Poly.zero(), Poly.const(1)
-    A, B = Poly.zero(), Poly.zero()
-    x = Poly([1, 0])
+    u, v = QPoly.zero(), QPoly.const(1)
+    A, B = QPoly.zero(), QPoly.zero()
+    x = QPoly([1, 0])
     for c in reversed(F.coeffs):  # ascending order
-        cp = Poly.const(c)
+        cp = QPoly.const(c)
         A = A + cp * u
         B = B + cp * v
         u, v = x * u + v, -u
@@ -1109,7 +1209,7 @@ def _circle_pair_polys(F: Poly) -> tuple[Poly, Poly]:
 def fraction_unit_circle_root_count(f: Poly) -> int:
     """Distinct roots with |z| = 1: z = +-1 by evaluation, conjugate
     pairs from gcd(A, B) on (-2, 2)."""
-    F = f.squarefree_part()
+    F = QPoly(f.coeffs).squarefree_part()
     if F.degree < 1:
         return 0
     count = int(poly_eval(F.coeffs, 1) == 0) + int(poly_eval(F.coeffs, -1) == 0)
@@ -1127,7 +1227,7 @@ def fraction_unit_circle_root_count(f: Poly) -> int:
     return count
 
 
-def fraction_cauchy_index(P: Poly, Q: Poly) -> int:
+def fraction_cauchy_index(P: QPoly, Q: QPoly) -> int:
     """Cauchy index of Q/P over the whole real line."""
     if P.is_zero():
         raise ValueError("index of a fraction with zero denominator")
@@ -1145,7 +1245,7 @@ def fraction_cauchy_index(P: Poly, Q: Poly) -> int:
 def fraction_roots_in_unit_disk(f: Poly) -> int:
     """Distinct roots with |z| < 1 from the Cayley transform and a Cauchy
     index in Fractions; BoundaryRoot with the on-circle count."""
-    F = f.squarefree_part()
+    F = QPoly(f.coeffs).squarefree_part()
     if F.degree < 1:
         return 0
     on_circle = fraction_unit_circle_root_count(F)
@@ -1153,11 +1253,11 @@ def fraction_roots_in_unit_disk(f: Poly) -> int:
         raise BoundaryRoot(f"{on_circle} root(s) of modulus one", on_circle=on_circle)
     n = F.degree
     # g(w) = (w+1)^n F((w-1)/(w+1)), degree preserved since F(1) != 0
-    wp = Poly([1, 1])
-    wm = Poly([1, -1])
-    g = Poly.zero()
-    up = Poly.const(1)  # (w-1)^i, built up
-    downs = [Poly.const(1)]
+    wp = QPoly([1, 1])
+    wm = QPoly([1, -1])
+    g = QPoly.zero()
+    up = QPoly.const(1)  # (w-1)^i, built up
+    downs = [QPoly.const(1)]
     for _ in range(n):
         downs.append(downs[-1] * wp)
     for i, c in enumerate(reversed(F.coeffs)):  # F = sum c_i z^i
@@ -1176,11 +1276,11 @@ def fraction_roots_in_unit_disk(f: Poly) -> int:
             p_coeffs[k] = c * (-1) ** (k // 2)
         else:
             q_coeffs[k] = c * (-1) ** ((k - 1) // 2)
-    P = Poly([p_coeffs.get(k, Fraction(0)) for k in range(max(p_coeffs), -1, -1)])
+    P = QPoly([p_coeffs.get(k, Fraction(0)) for k in range(max(p_coeffs), -1, -1)])
     Q = (
-        Poly([q_coeffs.get(k, Fraction(0)) for k in range(max(q_coeffs), -1, -1)])
+        QPoly([q_coeffs.get(k, Fraction(0)) for k in range(max(q_coeffs), -1, -1)])
         if q_coeffs
-        else Poly.zero()
+        else QPoly.zero()
     )
     index = fraction_cauchy_index(P, Q)
     # boundary correction for the atan(Q/P) limits at +-infinity

@@ -21,6 +21,7 @@ from oracles import (
     fraction_ideal_from_elements,
     fraction_ideal_product,
     product_inverse_ideal,
+    valuation,
 )
 from solhom import nfield
 from solhom.nfield import (
@@ -28,7 +29,6 @@ from solhom.nfield import (
     NumberField,
     element_valuations,
     factor_rational_prime,
-    valuation,
 )
 from solhom.qpoly import parse_poly
 

@@ -16,7 +16,6 @@ from solhom.linalg import (
     char_poly,
     exterior_power_matrix,
     hnf,
-    rank_mod_p,
     snf,
     snf_diagonal,
     stable_rank_mod_p,
@@ -31,6 +30,7 @@ from oracles import (
     lattice_equal,
     lattice_member,
     minor_entry,
+    rank_mod_p,
     stable_rank_by_powers,
 )
 

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    QPoly,
     anti_uniformizer,
     basis_inverse_gen,
     basis_rat,
@@ -29,9 +30,10 @@ from oracles import (
     omega,
     product_inverse_ideal,
     resultant,
+    valuation,
 )
 from solhom import nfield
-from solhom.errors import IndexObstruction
+from solhom.errors import IndexObstruction, InternalCheckError
 from solhom.intfactor import is_prime
 from solhom.nfield import (
     FractionalIdeal,
@@ -41,7 +43,6 @@ from solhom.nfield import (
     factor_rational_prime,
     fundamental_unit,
     principal_generator,
-    valuation,
 )
 from solhom.qpoly import Poly, clear_to_monic_integer, parse_poly
 
@@ -116,6 +117,25 @@ def test_char_poly_and_generation():
     assert c.min_poly_over_q().degree == Ks.degree
     assert Ks.from_rational(7).min_poly_over_q().degree < Ks.degree
     assert Ks.from_rational(7).min_poly_over_q() == parse_poly("x-7")
+
+
+def test_min_poly_is_the_fraction_squarefree_part_of_the_char_poly():
+    # theta^2 and theta^2 + theta^4 / 3 lie in the subfield Q(sqrt 2) of
+    # Q(2^(1/4)), so their characteristic polynomials are squares
+    K = field("x^4-2")
+    theta = K.gen()
+    sqrt2 = theta.pow(2)
+    assert sqrt2.min_poly_over_q() == parse_poly("x^2-2")
+    assert (sqrt2 + theta.pow(4).scale(Fraction(1, 3))).min_poly_over_q() == parse_poly("x^2-4/3*x-14/9")
+    rng = random.Random(11)
+    for _ in range(30):
+        a, b, c, d = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+        # of degree 1 or 2 (a + b sqrt 2), and of degree 4 unless c = d = 0
+        for y in (element(K, [a, 0, b, 0]), element(K, [a, c, b, d])):
+            if y.is_zero():
+                continue
+            want = QPoly(y.char_poly_over_q().coeffs).squarefree_part()
+            assert y.min_poly_over_q() == want
 
 
 SPLITTING_SQRT_MINUS_5 = {
@@ -262,6 +282,18 @@ def test_real_quadratic_generator_is_the_box_scan_pick(text):
     K = field(text)
     for I in prime_power_ideals(K):
         assert nfield._search_real_quadratic(I, I.norm()) == box_scan_generator(I), I
+
+
+@pytest.mark.parametrize("text", ["x^2-x-1", "x^2-7", "x^2-10"])
+def test_lattice_coords_reads_members_and_refuses_the_rest(text):
+    K = field(text)
+    for I in prime_power_ideals(K):
+        u1, u2 = I.basis_elements()
+        assert nfield._lattice_coords(I, u1.scale(3) - u2.scale(2)) == (3, -2)
+        # half of a basis vector is off the lattice in that coordinate only
+        for half in (u1.scale(Fraction(1, 2)), u2.scale(Fraction(1, 2)) + u1):
+            with pytest.raises(InternalCheckError, match="left the ideal lattice"):
+                nfield._lattice_coords(I, half)
 
 
 def prime_power_ideals(K: NumberField) -> list[FractionalIdeal]:
@@ -470,7 +502,7 @@ def test_prime_generators_and_discriminants_are_their_coordinates():
     inert_degrees = set()
     for K in LIFT_FIELDS:
         w = omega(K)
-        g_prime = K.evaluate(K.omega_poly.derivative(), w)
+        g_prime = K.evaluate(QPoly(K.omega_poly.coeffs).derivative(), w)
         assert K.discriminant == (-1) ** (K.degree * (K.degree - 1) // 2) * g_prime.norm()
         assert K.omega_coeffs == K.omega_poly.int_coeffs()
         for p in range(2, 51):

@@ -1,4 +1,5 @@
-"""Polynomial arithmetic, parsing, clearing, and mod-p factorization."""
+"""The Poly value, parsing, clearing, mod-p factorization, and the
+Fraction arithmetic of the QPoly reference route in tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from solhom.qpoly import (
     is_irreducible_over_q,
     parse_poly,
 )
-from oracles import parse_rational, poly_dedekind_index_free, poly_eval, resultant, reversed_poly
+from oracles import QPoly, parse_rational, poly_dedekind_index_free, poly_eval, resultant, reversed_poly
 
 
 def test_parse_basic_polys():
@@ -31,7 +32,7 @@ def test_parse_basic_polys():
     assert parse_poly("-x") == Poly([-1, 0])
     assert parse_poly("(x + 1)^3") == Poly([1, 3, 3, 1])
     assert parse_poly("2*x*x + 1") == Poly([2, 0, 1])
-    assert parse_poly("  3 / 2  ") == Poly.const(Fraction(3, 2))
+    assert parse_poly("  3 / 2  ") == Poly([Fraction(3, 2)])
 
 
 def test_parse_rational():
@@ -119,8 +120,8 @@ def test_parse_error_table(text, message):
 
 
 def test_poly_divmod_and_gcd():
-    f = Poly([1, 0, -7, 6])  # (x-1)(x-2)(x+3)
-    g = Poly([1, -1])
+    f = QPoly([1, 0, -7, 6])  # (x-1)(x-2)(x+3)
+    g = QPoly([1, -1])
     q, r = divmod(f, g)
     assert r.is_zero()
     assert q * g == f
@@ -128,7 +129,7 @@ def test_poly_divmod_and_gcd():
 
 
 def test_squarefree_part():
-    f = Poly([1, -1]) * Poly([1, -1]) * Poly([1, 2])
+    f = QPoly([1, -1]) * QPoly([1, -1]) * QPoly([1, 2])
     assert f.squarefree_part() == Poly([1, 1, -2])
 
 
@@ -345,6 +346,22 @@ def test_is_irreducible_over_q(coeffs, expected):
     assert is_irreducible_over_q(Poly(coeffs)) is expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+    st.booleans(),
+)
+def test_quadratic_divisibility_matches_qpoly_division(b, c, tail, multiply):
+    # a product with x^2 + b x + c, or a monic polynomial of degree 3 to 5 as drawn
+    q = QPoly([1, b, c])
+    f = q * QPoly([1] + tail) if multiply else QPoly([1, 0] + tail)
+    divides = (f % q).is_zero()
+    assert divides or not multiply
+    assert qpoly._divides_monic_quadratic(b, c, f.int_coeffs()) is divides
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5000), st.sampled_from([1, -1]))
 def test_divisors_signed_match_brute_force(m, sign):
@@ -417,7 +434,8 @@ def test_coefficients_are_exact_fractions(coeffs, expected):
     f = Poly(coeffs)
     assert all(type(c) is Fraction for c in f.coeffs)
     assert f.coeffs == tuple(Fraction(c) for c in expected)
-    for g in (f + f, f * f, -f, f.scale(3), f.derivative()):
+    q = QPoly(coeffs)
+    for g in (q + q, q * q, -q, q.scale(3), q.derivative()):
         assert all(type(c) is Fraction for c in g.coeffs)
 
 
@@ -453,7 +471,7 @@ def test_parse_poly_agrees_with_eval(text):
 def test_dedekind_criterion_matches_the_poly_route(tail):
     coeffs = [1] + tail
     f = Poly(coeffs)
-    disc = resultant(f.coeffs, f.derivative().coeffs)
+    disc = resultant(f.coeffs, QPoly(coeffs).derivative().coeffs)
     assume(disc != 0)
     for p in factorint(abs(int(disc))):
         factors = factor_mod_p(coeffs, p)

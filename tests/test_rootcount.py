@@ -3,8 +3,8 @@
 Expected values come from polynomials with constructed roots (the
 poly_from_roots oracle), so every count is known before the code runs.
 The integer chains are also compared with the Fraction chains they
-replaced (tests/oracles.py), and run with the Fraction Poly routes
-disabled on every benchmark answer input.
+replaced (tests/oracles.py, on QPoly), and run on every benchmark
+answer input as a Poly, which has no Fraction arithmetic to fall back on.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from solhom.qpoly import Poly, parse_poly
 from solhom import places, rootcount
 from solhom.rootcount import real_root_counts, real_roots_in_interval, roots_in_unit_disk, sturm_chain
 from oracles import (
+    QPoly,
     fraction_real_root_count,
     fraction_real_roots_in_interval,
     fraction_roots_in_unit_disk,
@@ -44,7 +45,7 @@ def test_sturm_frozen_cubic():
 
 
 def test_sturm_ignores_multiplicity():
-    f = Poly([1, -1]) * Poly([1, -1]) * Poly([1, 0])
+    f = QPoly([1, -1]) * QPoly([1, -1]) * QPoly([1, 0])
     assert real_roots_in_interval(f, Fraction(1, 2), 2) == 1
     assert real_root_count(f) == 2
 
@@ -140,7 +141,7 @@ def test_inside_plus_outside_plus_circle_is_squarefree_degree():
         if coeffs[0] == 0:
             coeffs[0] = 1
         f = Poly(coeffs)
-        sf_deg = f.squarefree_part().degree
+        sf_deg = QPoly(coeffs).squarefree_part().degree
         circle = unit_circle_root_count(f)
         if circle:
             with pytest.raises(BoundaryRoot):
@@ -166,11 +167,11 @@ PAIRS = st.one_of(
     st.tuples(RATIONALS, st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7)),
 )
 FACTORS = st.one_of(
-    ROOTS.map(lambda r: (Poly([1, -r]), r)),
-    PAIRS.map(lambda ab: (Poly([1, -2 * ab[0], ab[0] ** 2 + ab[1] ** 2]), None)),
+    ROOTS.map(lambda r: (QPoly([1, -r]), r)),
+    PAIRS.map(lambda ab: (QPoly([1, -2 * ab[0], ab[0] ** 2 + ab[1] ** 2]), None)),
     st.lists(RATIONALS, min_size=2, max_size=4)
     .filter(lambda cs: cs[0] != 0)
-    .map(lambda cs: (Poly(cs), None)),
+    .map(lambda cs: (QPoly(cs), None)),
 )
 
 
@@ -179,14 +180,14 @@ def polys_and_ends(draw):
     """A nonzero polynomial of degree <= 8 with rational coefficients, a
     product of factors taken once or twice (repeated roots), and two
     interval ends, often roots of its linear factors."""
-    f, roots = Poly([draw(RATIONALS.filter(lambda c: c != 0))]), []
+    f, roots = QPoly([draw(RATIONALS.filter(lambda c: c != 0))]), []
     for (factor, root), times in draw(st.lists(st.tuples(FACTORS, st.integers(1, 2)), max_size=5)):
         if f.degree + times * factor.degree <= 8:
             for _ in range(times):
                 f = f * factor
             roots += [] if root is None else [root]
     ends = st.one_of(st.sampled_from(roots), RATIONALS) if roots else RATIONALS
-    return f, [draw(ends), draw(ends)]
+    return Poly(f.coeffs), [draw(ends), draw(ends)]
 
 
 CIRCLE_PAIR = Poly(poly_from_roots([Fraction(2, 3)], [(Fraction(3, 5), Fraction(4, 5))]))
@@ -224,11 +225,11 @@ def test_circle_pair_with_rational_parts_is_a_boundary_root():
     assert _outcome(fraction_roots_in_unit_disk, CIRCLE_PAIR) == ("BoundaryRoot", 2)
 
 
-def test_answer_inputs_need_no_fraction_poly_routes(monkeypatch):
+def test_answer_inputs_need_no_fraction_poly_routes():
     """Each answer input's system polynomial and its dual (the reversed
-    polynomial, the minimal polynomial of 1/c) are counted with Poly
-    division and squarefree parts disabled (Poly has no evaluation), and
-    agree with the Fraction chains."""
+    polynomial, the minimal polynomial of 1/c) are counted on a Poly,
+    which has no division, squarefree part or evaluation, and agree with
+    the Fraction chains on QPoly."""
     polys = []
     for _, text, _ in answer_inputs():
         f = parse_poly(text).monic()
@@ -247,12 +248,8 @@ def test_answer_inputs_need_no_fraction_poly_routes(monkeypatch):
         ),
     )
     expected = [[_outcome(oracle, f) for _, oracle in counts] for f in polys]
-
-    def refuse(*_args):
-        raise AssertionError("Fraction Poly route in root counting")
-
-    for name in ("__divmod__", "squarefree_part"):
-        monkeypatch.setattr(Poly, name, refuse)
+    assert not any(hasattr(Poly, name) for name in ("__divmod__", "squarefree_part"))
+    assert all(type(f) is Poly for f in polys)
     assert [[_outcome(count, f) for count, _ in counts] for f in polys] == expected
 
 
