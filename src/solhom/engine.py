@@ -122,20 +122,17 @@ class GradedGroup:
 
 def principalization(sys: SolenoidSystem) -> tuple[NfElement, int]:
     """Generator g and the least exponent h with (g) equal to the h-th
-    power of the expanding ideal, the order of its class.  Without
+    power of sys.expanding_ideal, the order of its class.  Without
     expanding finite places the ideal is the whole ring and g = 1."""
     field = sys.field
     if not sys.finite_unstable:
         return field.one(), 1
-    ideal = functools.reduce(
-        operator.mul, (fp.prime.power(-fp.valuation) for fp in sys.finite_unstable)
-    )
+    ideal = power = sys.expanding_ideal
     # Degree 2: h divides the class number, at most the number of reduced
     # forms of discriminant D, <= 2|D| (docs/principalization.md).  Degree
     # 1 stops at h = 1.  Degree >= 3: 12 is a heuristic search limit for
     # principal_generator's small box, not a class-number fact.
     limit = 2 * abs(field.discriminant) if field.degree == 2 else 12
-    power = ideal
     for h in range(1, limit + 1):
         gen = principal_generator(power)
         if gen is not None:
@@ -205,7 +202,7 @@ def _exterior_ladder(A: IntMatrix, d: int) -> list[IntMatrix]:
 
 
 def _ladder_tower(
-    powers: list[IntMatrix], k: int, m: int, n_index: int, primes: set[int] | None
+    powers: list[IntMatrix], k: int, m: int, n_index: int, primes: set[int]
 ) -> ColimitGroup:
     """The tower T = N Lambda^k(A) / m^k of a d x d matrix A, from the
     ladder powers = [Lambda^0(A), ..., Lambda^d(A)].  det A is Lambda^d(A),
@@ -213,7 +210,7 @@ def _ladder_tower(
     s = C(d, k), and by Jacobi T^-1 = m^k J / (N det A) for J the
     complement transpose of Lambda^(d-k)(A), so adj T = det T m^k J /
     (N det A), built when first asked for.  primes holds every prime of
-    det T, or is None to factor it."""
+    det T."""
     d = len(powers) - 1
     flat, den = powers[k].rows, m**k
     if any(n_index * x % den for row in flat for x in row):

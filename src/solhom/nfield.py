@@ -25,9 +25,9 @@ generator g_P(omega) is read off as coordinates: the coefficients of the
 lift of g_P mod p, less omega_poly's when both have degree d.  A prime
 P over p with Kummer-Dedekind data has an element gamma with
 (p, gamma) = P^(e-1) * prod of the other primes over p to their e, so
-P^-1 = O + (gamma/p) O, and v_P(y) for integral y is the number of
-times the integer coordinates of gamma * y are all divisible by p,
-dividing each time (docs/ideal-arithmetic.md).
+P^-1 = O + (gamma/p) O (built only in the tests), and v_P(y) for
+integral y is the number of times the integer coordinates of gamma * y
+are all divisible by p, dividing each time (docs/ideal-arithmetic.md).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .errors import IndexObstruction, InternalCheckError
 from .intfactor import factorint, is_prime
-from .linalg import IntMatrix, char_poly, hnf
+from .linalg import IntMatrix, _bareiss_det, char_poly, hnf
 from .qpoly import Poly, dedekind_index_free, factor_mod_p, is_irreducible_over_q
 from .rootcount import sturm_chain
 
@@ -60,6 +60,20 @@ def _squarefree_decompose_int(n: int) -> tuple[int, int]:
             u *= p ** (e // 2)
             m //= p ** (2 * (e // 2))
     return u, m
+
+
+def _square_and_multiply(base, e: int, one):
+    """base^e for e >= 0 by square and multiply, one() for e = 0."""
+    if e < 0:
+        raise ValueError("powers need e >= 0")
+    out = None
+    while e:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return one() if out is None else out
 
 
 class NumberField:
@@ -143,6 +157,10 @@ class NumberField:
         transpose of the structure constants' row j."""
         return [[sum(map(operator.mul, a, t)) for t in cols] for cols in self._structure_columns]
 
+    def integer_norm(self, a: Sequence[int]) -> int:
+        """N(a) for integer coordinates a: Bareiss on the fresh columns a * w_j."""
+        return _bareiss_det(self._mult_columns(a))
+
     def _compute_discriminant(self) -> int:
         # discriminant of the order Z[omega], the maximal one up to degree 2:
         # that of the monic g = omega_poly, (-1)^(d(d-1)/2) N(g'(omega)).
@@ -151,7 +169,7 @@ class NumberField:
         d = self.degree
         g = self.omega_coeffs
         g_prime = [(k + 1) * g[d - k - 1] for k in range(d)]
-        return (-1) ** (d * (d - 1) // 2) * NfElement(self, g_prime).mult_pair()[0].det()
+        return (-1) ** (d * (d - 1) // 2) * self.integer_norm(g_prime)
 
     # constructors -----------------------------------------------------------
     def from_rational(self, q) -> "NfElement":
@@ -258,20 +276,8 @@ class NfElement:
             z[0] += c
         return NfElement(self.field, [m * x for x in z], -coeffs[-1])
 
-    def __truediv__(self, other: "NfElement") -> "NfElement":
-        return self * other.inverse()
-
     def pow(self, e: int) -> "NfElement":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = None
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return self.field.one() if out is None else out
+        return _square_and_multiply(self, e, self.field.one)
 
     # linear data ------------------------------------------------------------
     def mult_pair(self) -> tuple[IntMatrix, int]:
@@ -286,12 +292,7 @@ class NfElement:
         return self.mult_pair()
 
     def norm(self) -> Fraction:
-        A, m = self.mult_pair()
-        return Fraction(A.det(), m**self.field.degree)
-
-    def trace(self) -> Fraction:
-        A, m = self.mult_pair()
-        return Fraction(sum(A.rows[i][i] for i in range(A.nrows)), m)
+        return Fraction(self.field.integer_norm(self.num), self.den**self.field.degree)
 
     def char_poly_over_q(self) -> Poly:
         A, m = self.mult_pair()
@@ -348,10 +349,6 @@ class FractionalIdeal:
             cols += field._mult_columns([x * (den // m) for x in v])
         return FractionalIdeal(field, IntMatrix.from_columns(cols), den)
 
-    @staticmethod
-    def principal(field: NumberField, gen: NfElement) -> "FractionalIdeal":
-        return FractionalIdeal.from_elements(field, [gen])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FractionalIdeal)
@@ -378,24 +375,7 @@ class FractionalIdeal:
         return FractionalIdeal(self.field, IntMatrix.from_columns(cols), self.den * other.den)
 
     def pow(self, e: int) -> "FractionalIdeal":
-        if e < 0:
-            raise ValueError("negative ideal powers only exist for prime ideals here")
-        out = None
-        base = self
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return FractionalIdeal.ring_of_integers(self.field) if out is None else out
-
-    def scale(self, q) -> "FractionalIdeal":
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("scale by a positive rational")
-        num = self.num.scale(q.numerator)
-        return FractionalIdeal(self.field, num, self.den * q.denominator)
+        return _square_and_multiply(self, e, lambda: FractionalIdeal.ring_of_integers(self.field))
 
     def norm(self) -> Fraction:
         d = self.field.degree
@@ -422,20 +402,12 @@ class PrimeIdeal:
         self.f = f
         self.gen_poly_mod_p = gen_poly_mod_p
         self.gamma = gamma  # (p, gamma) = P^(e-1) * prod of the others over p to their e
-        self._ideal: FractionalIdeal | None = None
-        self._inverse: FractionalIdeal | None = None
-        self._gamma_rows: list[list[int]] | None = None
-        self._power_cache: dict[int, FractionalIdeal] = {}
 
     def norm(self) -> int:
         return self.p**self.f
 
     def ideal(self) -> FractionalIdeal:
-        if self._ideal is None:
-            self._ideal = FractionalIdeal.from_elements(
-                self.field, [self.field.from_rational(self.p), self.second_gen]
-            )
-        return self._ideal
+        return FractionalIdeal.from_elements(self.field, [self.field.from_rational(self.p), self.second_gen])
 
     def __eq__(self, other) -> bool:
         return (
@@ -451,50 +423,30 @@ class PrimeIdeal:
     def __repr__(self) -> str:
         return f"PrimeIdeal(p={self.p}, g={self.second_gen!r}, e={self.e}, f={self.f})"
 
-    def inverse_ideal(self) -> FractionalIdeal:
-        """P^-1 = O + (gamma/p) O, since P * (p, gamma) = pO; checked
-        against P * P^-1 = O."""
-        if self._inverse is None:
-            field = self.field
-            inv = FractionalIdeal.from_elements(
-                field, [field.one(), self.gamma.scale(Fraction(1, self.p))]
-            )
-            if inv * self.ideal() != FractionalIdeal.ring_of_integers(field):
-                raise InternalCheckError("prime inverse failed P * P^-1 = O")
-            self._inverse = inv
-        return self._inverse
-
     def valuation_of(self, y: Sequence[int], m: int) -> int:
         """v_P(y / m) for nonzero y in O_K given by integer coordinates:
         y * (gamma/p)^j is integral exactly for j <= v_P(y), since gamma/p
         has v_P = -1 and no other pole."""
         if not any(y):
             raise ValueError("valuation of zero is infinite")
-        if self._gamma_rows is None:
-            gamma, den = self.gamma.integer_coords()
-            if den != 1:
-                raise InternalCheckError("gamma is not integral")
-            self._gamma_rows = [list(r) for r in zip(*self.field._mult_columns(gamma))]
+        gamma, den = self.gamma.mult_pair()
+        if den != 1:
+            raise InternalCheckError("gamma is not integral")
         p = self.p
         count = 0
         while m % p == 0:
             m //= p
             count -= self.e
         while True:
-            z = [sum(a * b for a, b in zip(row, y)) for row in self._gamma_rows]
+            z = [sum(a * b for a, b in zip(row, y)) for row in gamma.rows]
             if any(c % p for c in z):
                 return count
             y = [c // p for c in z]
             count += 1
 
     def power(self, e: int) -> FractionalIdeal:
-        """P^e for any integer e, negative powers via the inverse."""
-        if e not in self._power_cache:
-            if e >= 0:
-                self._power_cache[e] = self.ideal().pow(e)
-            else:
-                self._power_cache[e] = self.inverse_ideal().pow(-e)
-        return self._power_cache[e]
+        """P^e for e >= 0, uncached: a system builds its place ideals once."""
+        return self.ideal().pow(e)
 
 
 def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
@@ -551,11 +503,7 @@ def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
     if x.is_zero():
         raise ValueError("zero has no valuation data")
     y, m = x.integer_coords()
-    # the norm of y is the determinant of its integer multiplication matrix
-    n_int = x.mult_pair()[0].det()
-    candidates: set[int] = set(factorint(m))
-    if abs(n_int) != 1:
-        candidates |= set(factorint(n_int))
+    candidates = set(factorint(m)) | set(factorint(x.field.integer_norm(y)))
     out: dict[PrimeIdeal, int] = {}
     for p in sorted(candidates):
         for P in factor_rational_prime(x.field, p):
@@ -695,7 +643,7 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     # no later term lies in the box, and the walk stops.
     best = None
     for h in (g, g * eps):
-        sign = 0 if h.mult_pair()[0].det() > 0 else 1
+        sign = 0 if field.integer_norm(h.num) > 0 else 1
         here, up = _lattice_coords(I, h), _lattice_coords(I, h * eta)
         down = (t * here[0] - up[0], t * here[1] - up[1])
         for prev, cur in ((down, here), (up, here)):

@@ -18,6 +18,8 @@ the same field and integral basis with c' = 1/c: v_P(1/c) = -v_P(c)
 trades the finite stable and unstable places, and |1/c| < 1 exactly when
 |c| > 1 trades the archimedean ones, so nothing is factored or counted
 twice, and only build_system decides the field and the working order.
+The place-list ideals, prod P^v over the contracting places and
+prod P^(-v) over the expanding ones, trade too: each is multiplied out once.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateFix, InternalCheckError, ParseError, ZeroInput
-from .linalg import _bareiss_det
-from .nfield import NfElement, NumberField, PrimeIdeal, element_valuations
+from .nfield import FractionalIdeal, NfElement, NumberField, PrimeIdeal, element_valuations
 from .qpoly import Poly, clear_to_monic_integer, is_irreducible_over_q, parse_poly
 from .rootcount import real_root_counts, roots_in_unit_disk, sturm_chain
 
@@ -41,10 +42,6 @@ class FinitePlace(NamedTuple):
 
     prime: PrimeIdeal
     valuation: int
-
-    @property
-    def residue_norm(self) -> int:
-        return self.prime.norm()
 
 
 class ArchimedeanSummary(NamedTuple):
@@ -89,6 +86,8 @@ class SolenoidSystem:
         # caches, filled on first use; their names start with "_"
         self._dual: SolenoidSystem | None = None
         self._c_inverse: NfElement | None = None
+        self._contracting_ideal: FractionalIdeal | None = None
+        self._expanding_ideal: FractionalIdeal | None = None
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
@@ -101,6 +100,20 @@ class SolenoidSystem:
         if self._c_inverse is None:
             self._c_inverse = self.c.inverse()
         return self._c_inverse
+
+    @property
+    def contracting_ideal(self) -> FractionalIdeal:
+        """prod P^v over the contracting places, of norm N; the dual's expanding ideal."""
+        if self._contracting_ideal is None:
+            self._contracting_ideal = _place_ideal(self.field, self.finite_stable)
+        return self._contracting_ideal
+
+    @property
+    def expanding_ideal(self) -> FractionalIdeal:
+        """prod P^(-v) over the expanding places; the dual's contracting ideal."""
+        if self._expanding_ideal is None:
+            self._expanding_ideal = _place_ideal(self.field, self.finite_unstable)
+        return self._expanding_ideal
 
     def periodic_counts(self, n: int) -> list[int]:
         """Numbers of points fixed by the powers 1..n of the map, with c^k
@@ -116,7 +129,7 @@ class SolenoidSystem:
         field, d = self.field, self.field.degree
         expanding = 1
         for fp in self.finite_unstable:
-            expanding *= fp.residue_norm ** (-fp.valuation)
+            expanding *= fp.prime.norm() ** (-fp.valuation)
         power, scale = [1] + [0] * (d - 1), 1
         out = []
         for k in range(1, n + 1):
@@ -124,7 +137,7 @@ class SolenoidSystem:
             w = [power[0] - scale] + power[1:]
             if not any(w):
                 raise DegenerateFix(f"c^{k} = 1, so the fixed set is not finite")
-            count, rest = divmod(abs(_bareiss_det(field._mult_columns(w))) * expanding**k, scale**d)
+            count, rest = divmod(abs(field.integer_norm(w)) * expanding**k, scale**d)
             if rest:
                 raise InternalCheckError(
                     f"norm of c^{k} - 1 times the expanding part is not integral"
@@ -135,7 +148,8 @@ class SolenoidSystem:
     def dual_system(self) -> "SolenoidSystem":
         """The same solenoid run backwards: c' = 1/c over the same field
         and integral basis, with the stable and unstable places traded
-        and each finite valuation negated."""
+        and each finite valuation negated.  It is handed both place-list
+        ideals, swapped, and c as its 1/c."""
         if self._dual is None:
             arch = self.archimedean
             swapped = ArchimedeanSummary(
@@ -155,8 +169,8 @@ class SolenoidSystem:
                 [FinitePlace(fp.prime, -fp.valuation) for fp in self.finite_unstable],
                 [FinitePlace(fp.prime, -fp.valuation) for fp in self.finite_stable],
                 swapped,
+                (self.expanding_ideal, self.contracting_ideal),
             )
-            # the inverse of 1/c is c
             self._dual._c_inverse = self.c
         return self._dual
 
@@ -271,12 +285,13 @@ def _assemble(
     stable: list[FinitePlace],
     unstable: list[FinitePlace],
     arch: ArchimedeanSummary,
+    ideals: tuple[FractionalIdeal | None, FractionalIdeal | None] = (None, None),
 ) -> SolenoidSystem:
     """The system for c from its places, with the transfer index
     N = prod N(P)^v over the stable places checked as a lattice index."""
     N = 1
     for fp in stable:
-        N *= fp.residue_norm**fp.valuation
+        N *= fp.prime.norm() ** fp.valuation
     system = SolenoidSystem(
         field=field,
         c=c,
@@ -288,20 +303,22 @@ def _assemble(
         transfer_index=N,
         orientation_sign=(-1) ** arch.contracting_real_negative,
     )
+    system._contracting_ideal, system._expanding_ideal = ideals
     _check_transfer_index(system)
     return system
 
 
+def _place_ideal(field: NumberField, places: list[FinitePlace]) -> FractionalIdeal:
+    """prod P^|v| over the places, the ring of integers for none."""
+    powers = [fp.prime.power(abs(fp.valuation)) for fp in places]
+    return functools.reduce(operator.mul, powers) if powers else FractionalIdeal.ring_of_integers(field)
+
+
 def _check_transfer_index(system: SolenoidSystem) -> None:
     """The transfer index must equal the lattice index of one contracting
-    step of the tower inside the ring of integers, the norm of the step
-    ideal (1 without contracting finite places)."""
-    idx = 1
-    if system.finite_stable:
-        step = functools.reduce(
-            operator.mul, (fp.prime.power(fp.valuation) for fp in system.finite_stable)
-        )
-        idx = step.norm()
+    step of the tower inside the ring of integers, the norm of the
+    contracting ideal."""
+    idx = system.contracting_ideal.norm()
     if idx != system.transfer_index:
         raise InternalCheckError(
             f"norm product {system.transfer_index} != lattice index {idx}"

@@ -121,7 +121,7 @@ def clear_to_monic_integer(f: Poly) -> tuple[Poly, int]:
     s = math.prod(p**e for p, e in exponents.items()) if exponents else 1
     h = Poly([r * Fraction(s) ** i for i, r in enumerate(ratios)])
     if not h.is_integer():
-        raise AssertionError("clearing failed")
+        raise InternalCheckError("clearing to a monic integer polynomial failed")
     return h, s
 
 
@@ -434,7 +434,7 @@ def factor_mod_p(coeffs_desc: Sequence[int], p: int) -> list[tuple[tuple[int, ..
     out.sort()
     total = sum((len(irr) - 1) * m for irr, m in out)
     if total != len(f) - 1:
-        raise AssertionError("factor degrees do not sum to the input degree")
+        raise InternalCheckError("factor degrees do not sum to the input degree")
     return out
 
 

@@ -553,6 +553,50 @@ def valuation(x: NfElement, P) -> int:
     return P.valuation_of(*x.integer_coords())
 
 
+def trace(x: NfElement) -> Fraction:
+    """Tr(x), the trace of its multiplication matrix."""
+    A, m = x.mult_pair()
+    return Fraction(sum(A.rows[i][i] for i in range(A.nrows)), m)
+
+
+def quotient(x: NfElement, y: NfElement) -> NfElement:
+    """x / y for nonzero y."""
+    return x * y.inverse()
+
+
+def element_pow(x: NfElement, e: int) -> NfElement:
+    """x^e for any integer e, a negative power through x.inverse()."""
+    return x.pow(e) if e >= 0 else x.inverse().pow(-e)
+
+
+def principal_ideal(field, x: NfElement) -> FractionalIdeal:
+    """The ideal (x)."""
+    return FractionalIdeal.from_elements(field, [x])
+
+
+def scaled_ideal(I: FractionalIdeal, q) -> FractionalIdeal:
+    """q * I for a positive rational q."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("scale by a positive rational")
+    return FractionalIdeal(I.field, I.num.scale(q.numerator), I.den * q.denominator)
+
+
+def inverse_ideal(P) -> FractionalIdeal:
+    """P^-1 = O + (gamma/p) O, since P * (p, gamma) = pO
+    (docs/ideal-arithmetic.md); checked against P * P^-1 = O."""
+    field = P.field
+    inv = FractionalIdeal.from_elements(field, [field.one(), P.gamma.scale(Fraction(1, P.p))])
+    if inv * P.ideal() != FractionalIdeal.ring_of_integers(field):
+        raise InternalCheckError("prime inverse failed P * P^-1 = O")
+    return inv
+
+
+def prime_power(P, e: int) -> FractionalIdeal:
+    """P^e for any integer e, a negative power through inverse_ideal."""
+    return P.power(e) if e >= 0 else inverse_ideal(P).pow(-e)
+
+
 def rational_periodic_oracle(q: int, p: int, n: int) -> int:
     """Closed form |q^n - p^n| for c = q/p in lowest terms."""
     return abs(q**n - p**n)
@@ -678,7 +722,7 @@ def norm_test_fundamental_unit(field):
     else:
         Dcf, P, Q = D0, 1, 2
     w = omega(field)
-    tr, nm = int(w.trace()), int(w.norm())
+    tr, nm = int(trace(w)), int(w.norm())
     s = math.isqrt(Dcf)
     hm1, hm2 = 1, 0
     km1, km2 = 0, 1
@@ -975,9 +1019,9 @@ def gamma_lattice(sys, n: int, k: int) -> FractionalIdeal:
     """
     out = FractionalIdeal.ring_of_integers(sys.field)
     for fp in sys.finite_stable:
-        out = out * fp.prime.power(n * fp.valuation)
+        out = out * prime_power(fp.prime, n * fp.valuation)
     for fp in sys.finite_unstable:
-        out = out * fp.prime.power(k * fp.valuation)
+        out = out * prime_power(fp.prime, k * fp.valuation)
     return out
 
 

@@ -86,7 +86,7 @@ def test_high_degree_reports_are_byte_identical_to_their_recording():
 
 def test_pinned_report_digests_hold():
     pinned = json.loads(DIGESTS.read_text())
-    assert list(pinned) == ["x^9-x-1", digest_key("x^2+x+7/2", 41)]
+    assert list(pinned) == ["x^9-x-1", digest_key("x^2+x+7/2", 41), "x^3-x/4-1/8"]
     for key, digest in pinned.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

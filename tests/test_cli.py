@@ -663,6 +663,22 @@ def test_torsion_colimit_failure_exits_3(capsys, monkeypatch):
     assert "InternalCheckError" in err and "relation lattice" in err
 
 
+def test_failed_factoring_self_check_exits_3(capsys, monkeypatch):
+    # a factorization mod p that loses a factor fails factor_mod_p's degree
+    # check, a typed internal error and not a traceback
+    split = qpoly._distinct_degree_then_split
+    monkeypatch.setattr(qpoly, "_distinct_degree_then_split", lambda f, p: split(f, p)[1:])
+    code, out, err = run(capsys, "analyze", "--no-cache", "--min-poly", "x^4-x-1")
+    assert code == 3 and out == ""
+    assert "internal: InternalCheckError" in err and "Traceback" not in err
+
+
+def test_failed_clearing_self_check_is_internal(monkeypatch):
+    monkeypatch.setattr(qpoly.Poly, "is_integer", lambda self: False)
+    with pytest.raises(InternalCheckError, match="monic integer"):
+        qpoly.clear_to_monic_integer(qpoly.parse_poly("x^2-1/2"))
+
+
 def test_undecided_irreducibility_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(qpoly, "is_irreducible_mod_p", lambda _f, _p: False)
     code, out, err = run(capsys, "analyze", "--no-cache", "--min-poly", "x^6-x-1")

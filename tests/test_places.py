@@ -16,7 +16,8 @@ from oracles import (
     toral_periodic_points,
     valuation_periodic_count,
 )
-from solhom import cli, intfactor, nfield
+from solhom import cli, intfactor, nfield, places
+from solhom.engine import principalization
 from solhom.errors import (
     BoundaryRoot,
     DegenerateFix,
@@ -24,6 +25,7 @@ from solhom.errors import (
     ParseError,
     ZeroInput,
 )
+from solhom.nfield import FractionalIdeal
 from solhom.places import build_system
 
 
@@ -115,8 +117,6 @@ def test_degenerate_input_rejected():
 
 
 def test_gamma_lattice_tower():
-    from solhom.nfield import FractionalIdeal
-
     s = build_system("x^2-x+3/2")
     O = FractionalIdeal.ring_of_integers(s.field)
     assert gamma_lattice(s, 0, 0) == O
@@ -210,3 +210,40 @@ def test_c_inverse_is_computed_once_per_report(text, monkeypatch):
     other = system_with(s, c=s.c.pow(2))
     assert other.c_inverse == s.c_inverse.pow(2)
     assert "_c_inverse" not in repr(s) and "_dual" not in repr(s)
+
+
+def test_each_place_list_ideal_is_multiplied_out_once_per_report(monkeypatch):
+    # x^2-x+5/6 in Q(sqrt(-21)): c contracts at the prime over 5 and
+    # expands at the ramified primes over 2 and 3, and on each side the
+    # expanding ideal's class has order 2
+    assert principalization(build_system("x^2-x+5/6").dual_system())[1] == 2
+    built, powers, products = [], [], []
+    place_ideal, power, mul = places._place_ideal, nfield.PrimeIdeal.power, FractionalIdeal.__mul__
+    monkeypatch.setattr(places, "_place_ideal", lambda K, fps: built.append(fps) or place_ideal(K, fps))
+    monkeypatch.setattr(nfield.PrimeIdeal, "power", lambda P, e: powers.append((P.p, e)) or power(P, e))
+    monkeypatch.setattr(FractionalIdeal, "__mul__", lambda I, J: products.append(1) or mul(I, J))
+    s = build_system("x^2-x+5/6")
+    assert built == [s.finite_stable]  # for the transfer index's lattice check
+    assert cli.build_report(s, 6)["principalization"]["exponent"] == 2
+    assert built == [s.finite_stable, s.finite_unstable]
+    assert sorted(powers) == [(2, 1), (3, 1), (5, 1)]
+    # P2 * P3 once, then one step to the square on each side
+    assert len(products) == 3
+
+
+@pytest.mark.parametrize("text", ["x-3/2", "x^2-x+5/6", "x^2-79/4", "x^3-x/4-1/8", "x^4-x-1"])
+def test_dual_is_handed_the_forward_ideals_swapped(text):
+    s = build_system(text)
+    dual = s.dual_system()
+    assert dual.contracting_ideal is s.expanding_ideal
+    assert dual.expanding_ideal is s.contracting_ideal
+    assert s.contracting_ideal.norm() == s.transfer_index
+    assert dual.contracting_ideal.norm() == dual.transfer_index
+    assert "_contracting_ideal" not in repr(s) and "_expanding_ideal" not in repr(s)
+
+
+def test_prime_powers_are_nonnegative():
+    P = build_system("x^2-x+5/6").finite_stable[0].prime
+    assert P.power(0) == FractionalIdeal.ring_of_integers(P.field)
+    with pytest.raises(ValueError):
+        P.power(-1)
