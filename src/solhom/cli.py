@@ -381,8 +381,9 @@ def cmd_analyze(args) -> int:
     report = None
     cache_state = "miss"
     if not args.no_cache:
-        key = _cache_key(min_poly.pretty(), args.lefschetz)
-        report = _cache_read(key, min_poly.pretty(), args.lefschetz)
+        text = min_poly.pretty()
+        key = _cache_key(text, args.lefschetz)
+        report = _cache_read(key, text, args.lefschetz)
         if report is not None:
             cache_state = "hit"
     if report is None:

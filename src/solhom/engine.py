@@ -30,11 +30,12 @@ from .errors import (
     HypothesisN1,
     InternalCheckError,
 )
-from .fgab import FgAbGroup, GroupHom, LocalizedForm, _atom_sort_key, kunneth, localized_from_fgab
+from .fgab import FgAbGroup, GroupHom, LocalizedForm, kunneth, localized_from_fgab
 from .intfactor import factorint
 from .limits import (
     ColimitGroup,
     canonical_form,
+    diagonal_radicals,
     equal_commuting,
     free_colimit,
     torsion_colimit,
@@ -297,9 +298,9 @@ def k_theory(
     return out
 
 
-def _atom_colimit(e: DegreeEntry) -> ColimitGroup:
-    """The canonical atom tower of a degree with a closed form: the
-    diagonal matrix with 1 for each Z and m for each Z[1/m].
+def _atom_moduli(e: DegreeEntry) -> list[int]:
+    """The diagonal of the canonical atom tower of a degree with a closed
+    form: 1 for each Z and m for each Z[1/m].
 
     LocalizedForm sorts its atoms, so for a diagonal tower they are put
     back in the order of its own diagonal: the i-th smallest atom goes
@@ -307,17 +308,51 @@ def _atom_colimit(e: DegreeEntry) -> ColimitGroup:
     closed form Z + Z[1/2] meets diag(2, 1), not diag(1, 2), which is
     another subgroup of Q^2.
     """
-    atoms = list(e.closed.atoms)
-    if any(kind == "tor" for kind, _ in atoms):
+    if any(kind == "tor" for kind, _ in e.closed.atoms):
         raise InternalCheckError("torsion atom inside a free colimit comparison")
-    T = e.colimit.matrix
-    n = len(atoms)
-    if n > 1 and T.nrows == n and T.is_diagonal():
-        own = [LocalizedForm.localized(abs(T.rows[i][i])).atoms[0] for i in range(n)]
-        slots = sorted(range(n), key=lambda i: _atom_sort_key(own[i]))
-        for i, atom in zip(slots, e.closed.atoms):
-            atoms[i] = atom
-    return ColimitGroup.diagonal([m if kind == "inv" else 1 for kind, m in atoms])
+    moduli = [m if kind == "inv" else 1 for kind, m in e.closed.atoms]
+    n = len(moduli)
+    if n > 1 and e.colimit.rank == n and e.colimit.matrix.is_diagonal():
+        radicals = diagonal_radicals(e.colimit)
+        aligned = [1] * n
+        for i, m in zip(sorted(range(n), key=radicals.__getitem__), moduli):
+            aligned[i] = m
+        return aligned
+    return moduli
+
+
+def _atom_colimit(e: DegreeEntry) -> ColimitGroup:
+    """The canonical atom tower of a degree with a closed form."""
+    return ColimitGroup.diagonal(_atom_moduli(e))
+
+
+def _same_support(t: int, m: int) -> bool:
+    """t and m have the same prime divisors: each divides a power of the
+    other."""
+    for a, b in ((abs(t), m), (m, t)):
+        while (g := math.gcd(a, b)) > 1:
+            a //= g
+        if a != 1:
+            return False
+    return True
+
+
+def _certified(e: DegreeEntry) -> bool:
+    """True when an integer identity shows that the closed form of a
+    degree is its tower's colimit (docs/duality.md): a diagonal tower
+    whose diagonal multiplies to its determinant and shares each entry's
+    primes with its atom, since colim(diag t) is the sum of the Z[1/t_i];
+    or a tower of determinant +-1 with closed form Z^r, whose adjugate
+    passes its check vector, since T^-1 is then integral.  False hands the
+    degree to equal_commuting."""
+    G, atoms = e.colimit, e.closed.atoms
+    if G.matrix is None or len(atoms) != G.rank:
+        return False
+    if G.matrix.is_diagonal():
+        diag = [G.matrix.rows[i][i] for i in range(G.rank)]
+        return math.prod(diag) == G.det and all(map(_same_support, diag, _atom_moduli(e)))
+    # reading the adjugate runs its check vector, T (adj v) = det v
+    return abs(G.det) == 1 and all(kind == "free" for kind, _ in atoms) and G.adjugate is not None
 
 
 def hk_check(sys: SolenoidSystem, finite: GradedGroup) -> dict:
@@ -329,20 +364,22 @@ def hk_check(sys: SolenoidSystem, finite: GradedGroup) -> dict:
     equals its own tower's colimit.  A degree without a closed form is
     its own summand and is not compared.  So this re-certifies
     canonical_form; it is not an independent check of the HK conjecture.
+    The closed forms canonical_form gives, of diagonal and unimodular
+    towers, are certified from integer identities (_certified); any
+    other degree is compared with its atom tower by equal_commuting.
     A closed form that differs from its atom tower raises
     InternalCheckError naming its K-group (the parity of its unstable
     degree; K0 is checked first), the closed form and the witness of
-    equal_commuting, as does a failed rank identity.  Every closed form
-    commutes with its atom tower (rank one, unimodular against I,
-    diagonal), so a NonCommuting from equal_commuting is a bug; it
-    propagates, and the comparisons go on past a mismatch so that none
-    is hidden.  The record returned is that of the passed check.
+    equal_commuting, as does a failed rank identity.  A NonCommuting
+    from equal_commuting is a bug; it propagates, and the comparisons
+    go on past a mismatch so that none is hidden.  The record returned
+    is that of the passed check.
     """
     shift = sys.degree_shift
     differ = None
     for k in sorted(finite.entries, key=lambda k: ((k - shift) % 2, k)):
         e = finite.entries[k]
-        if e.closed is not None:
+        if e.closed is not None and not _certified(e):
             equal, witness = equal_commuting(e.colimit, _atom_colimit(e))
             if not equal and differ is None:
                 shown = "none: ranks differ" if witness is None else ", ".join(map(str, witness))

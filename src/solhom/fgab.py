@@ -167,6 +167,14 @@ class LocalizedForm:
         return LocalizedForm([("inv", m)] * copies)
 
     @staticmethod
+    def _sorted(atoms: Iterable[tuple]) -> "LocalizedForm":
+        """Atoms already in normal form, Z[1/m] with m squarefree > 1:
+        only the order is done, and no radical is taken."""
+        out = object.__new__(LocalizedForm)
+        object.__setattr__(out, "atoms", tuple(sorted(atoms, key=_atom_sort_key)))
+        return out
+
+    @staticmethod
     def torsion(q: int) -> "LocalizedForm":
         """Z/q for arbitrary q >= 1, split into prime-power atoms."""
         return LocalizedForm([("tor", p**e) for p, e in factorint(q).items()] if q > 1 else [])
@@ -190,9 +198,7 @@ class LocalizedForm:
 
     def __add__(self, other: "LocalizedForm") -> "LocalizedForm":
         # both sides' atoms are normal already: only the order is redone
-        out = object.__new__(LocalizedForm)
-        object.__setattr__(out, "atoms", tuple(sorted(self.atoms + other.atoms, key=_atom_sort_key)))
-        return out
+        return LocalizedForm._sorted(self.atoms + other.atoms)
 
     def tensor(self, other: "LocalizedForm") -> "LocalizedForm":
         out = []

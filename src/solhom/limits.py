@@ -240,7 +240,7 @@ def equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | Non
 def canonical_form(G: ColimitGroup) -> LocalizedForm:
     """Closed form of the colimit in the supported atom classes.
 
-    Covers rank one, unimodular towers, and diagonal towers; anything
+    Covers unimodular and diagonal towers, rank one included; anything
     else raises AtomClassExceeded so callers can fall back to reporting
     the tower itself.
     """
@@ -248,16 +248,18 @@ def canonical_form(G: ColimitGroup) -> LocalizedForm:
         return LocalizedForm.zero()
     if abs(G.det) == 1:
         return LocalizedForm.free(G.rank)
-    if G.rank == 1:
-        return LocalizedForm.localized(math.prod(G.det_primes))
     if G.matrix.is_diagonal():
-        # Z[1/m] for each diagonal entry, its radical read off det_primes; Z[1/1] is Z
-        diag = [G.matrix.rows[i][i] for i in range(G.rank)]
-        primes = G.det_primes
-        return LocalizedForm(("inv", math.prod(p for p in primes if x % p == 0)) for x in diag)
+        return LocalizedForm._sorted(("inv", m) if m > 1 else ("free", 0) for m in diagonal_radicals(G))
     raise AtomClassExceeded(
         f"rank {G.rank} tower with determinant {G.det} has no supported closed form"
     )
+
+
+def diagonal_radicals(G: ColimitGroup) -> list[int]:
+    """The radical of each diagonal entry of a diagonal tower, read off
+    det_primes: exact when det is the product of the diagonal."""
+    primes = G.det_primes
+    return [math.prod(p for p in primes if G.matrix.rows[i][i] % p == 0) for i in range(G.rank)]
 
 
 def free_colimit(F: IntMatrix | None) -> ColimitGroup:

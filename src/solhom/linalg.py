@@ -46,9 +46,24 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalCheckError
+
+
+def square_and_multiply(base, e: int, mul: Callable, one: Callable):
+    """base^e for e >= 0 by square and multiply with the product mul,
+    one() for e = 0."""
+    if e < 0:
+        raise ValueError("powers need e >= 0")
+    out = None
+    while e:
+        if e & 1:
+            out = base if out is None else mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return one() if out is None else out
 
 
 class IntMatrix:
@@ -151,14 +166,7 @@ class IntMatrix:
     def pow(self, e: int) -> "IntMatrix":
         if self.nrows != self.ncols or e < 0:
             raise ValueError("pow needs a square matrix and e >= 0")
-        result = IntMatrix.identity(self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return square_and_multiply(self, e, operator.matmul, lambda: IntMatrix.identity(self.nrows))
 
     def det(self) -> int:
         """Determinant by fraction-free Bareiss elimination."""

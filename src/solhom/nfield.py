@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .errors import IndexObstruction, InternalCheckError
 from .intfactor import factorint, is_prime
-from .linalg import IntMatrix, _bareiss_det, char_poly, hnf
+from .linalg import IntMatrix, _bareiss_det, char_poly, hnf, square_and_multiply
 from .qpoly import Poly, dedekind_index_free, factor_mod_p, is_irreducible_over_q
 from .rootcount import sturm_chain
 
@@ -60,20 +60,6 @@ def _squarefree_decompose_int(n: int) -> tuple[int, int]:
             u *= p ** (e // 2)
             m //= p ** (2 * (e // 2))
     return u, m
-
-
-def _square_and_multiply(base, e: int, one):
-    """base^e for e >= 0 by square and multiply, one() for e = 0."""
-    if e < 0:
-        raise ValueError("powers need e >= 0")
-    out = None
-    while e:
-        if e & 1:
-            out = base if out is None else out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return one() if out is None else out
 
 
 class NumberField:
@@ -277,7 +263,7 @@ class NfElement:
         return NfElement(self.field, [m * x for x in z], -coeffs[-1])
 
     def pow(self, e: int) -> "NfElement":
-        return _square_and_multiply(self, e, self.field.one)
+        return square_and_multiply(self, e, operator.mul, self.field.one)
 
     # linear data ------------------------------------------------------------
     def mult_pair(self) -> tuple[IntMatrix, int]:
@@ -375,7 +361,9 @@ class FractionalIdeal:
         return FractionalIdeal(self.field, IntMatrix.from_columns(cols), self.den * other.den)
 
     def pow(self, e: int) -> "FractionalIdeal":
-        return _square_and_multiply(self, e, lambda: FractionalIdeal.ring_of_integers(self.field))
+        return square_and_multiply(
+            self, e, operator.mul, lambda: FractionalIdeal.ring_of_integers(self.field)
+        )
 
     def norm(self) -> Fraction:
         d = self.field.degree

@@ -83,17 +83,18 @@ class Poly:
         parts = []
         n = self.degree
         for i, c in enumerate(self.coeffs):
-            if c == 0:
+            # numerator and denominator are plain ints: no Fraction arithmetic
+            num, den = c.numerator, c.denominator
+            if not num:
                 continue
             e = n - i
-            mag = abs(c)
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if e == 0:
-                body = str(mag)
+                body = mag
             else:
                 xs = var if e == 1 else f"{var}^{e}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
+                body = xs if mag == "1" else f"{mag}*{xs}"
+            parts.append(("-" if num < 0 else "+", body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:

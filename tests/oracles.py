@@ -534,6 +534,30 @@ class QPoly(Poly):
         return (self // g).monic()
 
 
+def fraction_pretty(f: Poly, var: str = "x") -> str:
+    """Poly.pretty by Fraction comparisons, abs and str: the route the
+    integer numerator/denominator reading replaced."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    n = f.degree
+    for i, c in enumerate(f.coeffs):
+        if c == 0:
+            continue
+        e = n - i
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            xs = var if e == 1 else f"{var}^{e}"
+            body = xs if mag == 1 else f"{mag}*{xs}"
+        parts.append(("-" if c < 0 else "+", body))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
 # ---------------------------------------------------------------------------
 # test-only helpers on package types
 

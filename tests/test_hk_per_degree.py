@@ -266,6 +266,113 @@ def test_wrong_canonical_form_is_caught(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the closed forms canonical_form gives, certified from integer identities
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def atom_class_entry(draw):
+    """A rank-one, diagonal (negative entries and +-1 included) or
+    unimodular tower with its canonical closed form, or with that form
+    mutated: a prime too many, a prime dropped, or Z turned into Z[1/p]."""
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["diagonal", "unimodular"]))
+    if shape == "diagonal":
+        d = [draw(nonzero) for _ in range(n)]
+        M = IntMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    else:
+        M = draw(unimodular()).colimit.matrix
+    G = ColimitGroup(M)
+    moduli = [m if kind == "inv" else 1 for kind, m in canonical_form(G).atoms]
+    i = draw(st.integers(0, len(moduli) - 1))
+    m = moduli[i]
+    mutation = draw(st.sampled_from(["none", "extra", "dropped", "swap"]))
+    if mutation == "extra":
+        moduli[i] = m * draw(st.sampled_from([p for p in SMALL_PRIMES if m % p]))
+    elif mutation == "dropped" and m > 1:
+        moduli[i] = m // min(p for p in SMALL_PRIMES if m % p == 0)
+    elif mutation == "swap" and m == 1:
+        moduli[i] = draw(st.sampled_from(SMALL_PRIMES))
+    return DegreeEntry(G, LocalizedForm(("inv", m) for m in moduli), None, "test")
+
+
+@settings(max_examples=300, deadline=None)
+@given(atom_class_entry(), st.integers(0, 1))
+def test_certified_degrees_agree_with_equal_commuting(e, shift):
+    # hk_check's outcome on an atom-class degree is equal_commuting's
+    # verdict and witness against its atom tower, or its NonCommuting (a
+    # unimodular tower against a mutated diagonal); the canonical forms
+    # are certified without it, the mutated ones go to it
+    sys, finite = _graded([e], shift)
+    try:
+        equal, witness = equal_commuting(e.colimit, engine._atom_colimit(e))
+    except NonCommuting:
+        assert not engine._certified(e)
+        with pytest.raises(NonCommuting):
+            hk_check(sys, finite)
+        return
+    assert engine._certified(e) is equal
+    if equal:
+        assert hk_check(sys, finite) == PASSED
+        return
+    with pytest.raises(InternalCheckError) as info:
+        hk_check(sys, finite)
+    shown = ", ".join(map(str, witness))
+    want = f"K{shift}: closed form {e.closed.pretty()} differs from its tower; witness ({shown})"
+    assert str(info.value) == want
+
+
+def test_certified_degrees_take_no_membership_test(monkeypatch):
+    # a report's closed forms are certified from integer identities:
+    # no degree of these reports reaches equal_commuting
+    def refuse(*args):
+        raise AssertionError("membership test on a certified degree")
+
+    monkeypatch.setattr(ColimitGroup, "membership_stage", refuse)
+    monkeypatch.setattr(engine, "equal_commuting", refuse)
+    for poly in ("x-3/2", "x^2-x+3/2", "x^2-79/4", "x^3-x-1", "x^4-x-1"):
+        sys = build_system(poly)
+        for side in (sys, sys.dual_system()):
+            assert hk_report(side) == PASSED
+
+
+def test_diagonal_tower_with_a_wrong_determinant_is_caught(monkeypatch):
+    # a Sylvester-Franke determinant off the product of the diagonal:
+    # diag(2, 3) with det 9; the diagonal route declines it, and
+    # equal_commuting's adjugate check vector raises
+    A = IntMatrix([[2, 0], [0, 3]])
+    monkeypatch.setattr(engine, "exterior_power_det", lambda det_a, d, k: 9)
+    tower = engine._ladder_tower(engine._exterior_ladder(A, 2), 1, 1, 1, {2, 3})
+    assert tower.matrix == A and tower.det == 9
+    entry = DegreeEntry(tower, LocalizedForm.localized(2) + LocalizedForm.localized(3), None, "test")
+    sys, finite = _graded([entry], 0)
+    with pytest.raises(InternalCheckError, match="adjugate and determinant disagree on the check vector"):
+        hk_check(sys, finite)
+
+
+def test_unimodular_tower_with_a_wrong_adjugate_is_caught(monkeypatch):
+    # degree 1 of the unit x^3-x-1 has determinant +-1 and closed form
+    # Z^3; one entry of its Jacobi adjugate perturbed fails the check vector
+    scaled = engine._scaled_complement
+
+    def perturbed(X, d, k, num, den):
+        adj = scaled(X, d, k, num, den)
+        if d - k != 1:
+            return adj
+        rows = [list(row) for row in adj.rows]
+        rows[0][0] += 1
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(engine, "_scaled_complement", perturbed)
+    sys = build_system("x^3-x-1")
+    finite = finite_part_homology(sys)
+    assert abs(finite.entries[1].colimit.det) == 1 and finite.entries[1].closed == LocalizedForm.free(3)
+    with pytest.raises(InternalCheckError, match="adjugate and determinant disagree on the check vector"):
+        hk_check(sys, finite)
+
+
+# ---------------------------------------------------------------------------
 # equal_commuting and membership against the Fraction route
 
 

@@ -18,6 +18,7 @@ from solhom.linalg import (
     hnf,
     snf,
     snf_diagonal,
+    square_and_multiply,
     stable_rank_mod_p,
 )
 from oracles import (
@@ -136,6 +137,32 @@ def test_lattice_contains_agrees_with_solver():
             v = [rng.randint(-30, 30) for _ in range(n)]
             assert lattice_contains(H, v) == lattice_member(A.columns(), v)
         done += 1
+
+
+@pytest.mark.parametrize("rows", [[[2]], [[1, 2], [3, -4]], [[0, 1, 0], [0, 0, 1], [1, -1, 2]]])
+def test_pow_matches_repeated_products(rows):
+    # IntMatrix.pow runs linalg.square_and_multiply with @ as the product
+    A = IntMatrix(rows)
+    product = IntMatrix.identity(A.nrows)
+    for e in range(6):
+        if e in (0, 1, 5):
+            assert A.pow(e) == product
+        product = product @ A
+    with pytest.raises(ValueError):
+        A.pow(-1)
+
+
+def test_square_and_multiply_takes_the_product_as_a_parameter():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a + b
+
+    # 13 = 0b1101: three squarings, and two products into the result
+    assert square_and_multiply(3, 13, mul, lambda: 0) == 39
+    assert len(calls) == 5
+    assert square_and_multiply(3, 0, mul, lambda: "one") == "one"
 
 
 def test_exterior_power_entries_are_minors():

@@ -22,7 +22,7 @@ from solhom.qpoly import (
     is_irreducible_over_q,
     parse_poly,
 )
-from oracles import QPoly, parse_rational, poly_dedekind_index_free, poly_eval, resultant, reversed_poly
+from oracles import QPoly, fraction_pretty, parse_rational, poly_dedekind_index_free, poly_eval, resultant, reversed_poly
 
 
 def test_parse_basic_polys():
@@ -408,6 +408,18 @@ def test_pretty_round_trip():
         if all(c == 0 for c in coeffs):
             continue
         f = Poly(coeffs)
+        assert parse_poly(f.pretty()) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=12), min_size=1, max_size=6))
+def test_pretty_reads_numerators_like_the_fraction_route(coeffs):
+    # Poly.pretty reads each coefficient's numerator and denominator; the
+    # text is that of the Fraction comparisons, and it parses back
+    f = Poly(coeffs)
+    assert f.pretty() == fraction_pretty(f)
+    assert f.pretty("t") == fraction_pretty(f, "t")
+    if not f.is_zero():
         assert parse_poly(f.pretty()) == f
 
 
