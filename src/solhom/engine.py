@@ -164,7 +164,7 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     d = sys.field.degree
     n_index = sys.transfer_index
     g, h = principalization(sys)
-    if g.integer_coords()[1] != 1:
+    if g.den != 1:
         raise FlatteningFailure("principal generator is not integral")
     c_inv = sys.c_inverse
     a_flat, m_flat = (g * c_inv).mult_pair()

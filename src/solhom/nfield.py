@@ -22,7 +22,8 @@ Coordinates over the power basis of theta are only a derived view.
 Element and ideal products multiply integer coordinates through the
 structure constants omega^(i+j) reduced by omega_poly.  A prime's
 generator g_P(omega) is read off as coordinates: the coefficients of the
-lift of g_P mod p, less omega_poly's when both have degree d.  A prime
+lift of g_P mod p, less omega_poly's when both have degree d, and P is
+the Z-span of p w^i for i < f and w^j g_P(w) for j < d - f.  A prime
 P over p with Kummer-Dedekind data has an element gamma with
 (p, gamma) = P^(e-1) * prod of the other primes over p to their e, so
 P^-1 = O + (gamma/p) O (built only in the tests), and v_P(y) for
@@ -85,6 +86,7 @@ class NumberField:
         # row j of the structure constants transposed, for _mult_columns
         self._structure_columns = [tuple(zip(*row)) for row in self._structure]
         self.discriminant = self._compute_discriminant()
+        self._hash = hash(min_poly)  # once: it hashes Fractions
 
     # representation helpers -------------------------------------------------
     def _build_integral_basis(self) -> tuple[tuple[IntMatrix, int], Poly, tuple[int, ...]]:
@@ -159,7 +161,7 @@ class NumberField:
 
     # constructors -----------------------------------------------------------
     def from_rational(self, q) -> "NfElement":
-        q = Fraction(q)
+        q = q if isinstance(q, (int, Fraction)) else Fraction(q)
         return NfElement(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     def evaluate(self, p: Poly, x: "NfElement") -> "NfElement":
@@ -186,10 +188,10 @@ class NumberField:
         return unit.num, unit.den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NumberField) and self.min_poly == other.min_poly
+        return self is other or isinstance(other, NumberField) and self.min_poly == other.min_poly
 
     def __hash__(self) -> int:
-        return hash(self.min_poly)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"NumberField({self.min_poly.pretty()})"
@@ -290,11 +292,6 @@ class NfElement:
         part: the first member of its Sturm chain over Z, made monic."""
         return Poly(sturm_chain(self.char_poly_over_q().coeffs)[0]).monic()
 
-    def integer_coords(self) -> tuple[tuple[int, ...], int]:
-        """(v, m): m is the least positive integer with m * self in the
-        working order, v the integral coordinates of m * self."""
-        return self.num, self.den
-
     def power_coords(self) -> tuple[Fraction, ...]:
         """Coordinates over the power basis 1, theta, ..., theta^(d-1)."""
         W, w = self.field.basis_matrix
@@ -322,18 +319,6 @@ class FractionalIdeal:
     @staticmethod
     def ring_of_integers(field: NumberField) -> "FractionalIdeal":
         return FractionalIdeal(field, IntMatrix.identity(field.degree), 1)
-
-    @staticmethod
-    def from_elements(field: NumberField, gens: Sequence[NfElement]) -> "FractionalIdeal":
-        """The O_K-module generated by the given nonzero elements."""
-        scaled = [g.integer_coords() for g in gens if not g.is_zero()]
-        if not scaled:
-            raise ValueError("need at least one nonzero generator")
-        den = math.lcm(*(m for _, m in scaled))
-        cols = []
-        for v, m in scaled:
-            cols += field._mult_columns([x * (den // m) for x in v])
-        return FractionalIdeal(field, IntMatrix.from_columns(cols), den)
 
     def __eq__(self, other) -> bool:
         return (
@@ -395,7 +380,12 @@ class PrimeIdeal:
         return self.p**self.f
 
     def ideal(self) -> FractionalIdeal:
-        return FractionalIdeal.from_elements(self.field, [self.field.from_rational(self.p), self.second_gen])
+        """P from its Z-basis p w^i (i < f), w^j g_P(w) (j < d - f), of
+        index p^f = N(P) (docs/ideal-arithmetic.md, Claim 2)."""
+        d, f, g = self.field.degree, self.f, list(self.gen_poly_mod_p)
+        cols = [[self.p * (k == i) for k in range(d)] for i in range(f)]
+        cols += [[0] * j + g + [0] * (d - f - 1 - j) for j in range(d - f)]
+        return FractionalIdeal(self.field, IntMatrix._trusted(tuple(zip(*cols))), 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -490,7 +480,7 @@ def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
     """All primes where x has nonzero valuation (x nonzero)."""
     if x.is_zero():
         raise ValueError("zero has no valuation data")
-    y, m = x.integer_coords()
+    y, m = x.num, x.den
     candidates = set(factorint(m)) | set(factorint(x.field.integer_norm(y)))
     out: dict[PrimeIdeal, int] = {}
     for p in sorted(candidates):

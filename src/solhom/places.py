@@ -127,9 +127,7 @@ class SolenoidSystem:
         c^k is carried as integer coordinates over den^k, not reduced.
         """
         field, d = self.field, self.field.degree
-        expanding = 1
-        for fp in self.finite_unstable:
-            expanding *= fp.prime.norm() ** (-fp.valuation)
+        expanding = _place_norm(self.finite_unstable)
         power, scale = [1] + [0] * (d - 1), 1
         out = []
         for k in range(1, n + 1):
@@ -289,9 +287,6 @@ def _assemble(
 ) -> SolenoidSystem:
     """The system for c from its places, with the transfer index
     N = prod N(P)^v over the stable places checked as a lattice index."""
-    N = 1
-    for fp in stable:
-        N *= fp.prime.norm() ** fp.valuation
     system = SolenoidSystem(
         field=field,
         c=c,
@@ -300,12 +295,17 @@ def _assemble(
         finite_unstable=unstable,
         archimedean=arch,
         degree_shift=arch.contracting_dimension,
-        transfer_index=N,
+        transfer_index=_place_norm(stable),
         orientation_sign=(-1) ** arch.contracting_real_negative,
     )
     system._contracting_ideal, system._expanding_ideal = ideals
     _check_transfer_index(system)
     return system
+
+
+def _place_norm(places: list[FinitePlace]) -> int:
+    """prod N(P)^|v| over the places: their place-list ideal's norm."""
+    return functools.reduce(operator.mul, (fp.prime.norm() ** abs(fp.valuation) for fp in places), 1)
 
 
 def _place_ideal(field: NumberField, places: list[FinitePlace]) -> FractionalIdeal:

@@ -38,7 +38,7 @@ class Poly:
     def __init__(self, coeffs: Iterable):
         # Fraction(c) on a Fraction rebuilds it: pass exact Fractions through
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[0] == 0:
+        while len(cs) > 1 and not cs[0]:
             cs.pop(0)
         if not cs:
             cs = [_ZERO]
@@ -48,7 +48,7 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     def is_zero(self) -> bool:
-        return self.coeffs == (_ZERO,)
+        return not self.coeffs[0]  # leading zeros are stripped
 
     @property
     def degree(self) -> int:
@@ -67,7 +67,7 @@ class Poly:
         if self.is_zero():
             raise ZeroDivisionError("zero polynomial has no monic form")
         lead = self.coeffs[0]
-        return Poly([c / lead for c in self.coeffs])
+        return self if lead == 1 else Poly([c / lead for c in self.coeffs])
 
     def is_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -105,22 +105,20 @@ class Poly:
 def clear_to_monic_integer(f: Poly) -> tuple[Poly, int]:
     """Return (h, s) with h monic integer and roots(h) = s * roots(f).
 
-    s is the least positive integer doing the job.  Degree 0 input is
-    rejected since it has no roots to rescale.
+    s is the least positive integer doing the job, read off the monic
+    form's denominators.  Degree 0 input is rejected since it has no
+    roots to rescale.
     """
     if f.degree < 1:
         raise ValueError("need degree >= 1")
-    lead = f.coeffs[0]
-    ratios = [c / lead for c in f.coeffs]
+    f = f.monic()
     exponents: dict[int, int] = {}
-    for i, r in enumerate(ratios[1:], start=1):
-        if r == 0:
-            continue
-        for p, e in factorint(r.denominator).items():
+    for i, c in enumerate(f.coeffs[1:], start=1):
+        for p, e in factorint(c.denominator).items():
             need = -(-e // i)  # ceil(e / i)
             exponents[p] = max(exponents.get(p, 0), need)
-    s = math.prod(p**e for p, e in exponents.items()) if exponents else 1
-    h = Poly([r * Fraction(s) ** i for i, r in enumerate(ratios)])
+    s = math.prod(p**e for p, e in exponents.items())
+    h = Poly([Fraction(c.numerator * s**i, c.denominator) for i, c in enumerate(f.coeffs)])
     if not h.is_integer():
         raise InternalCheckError("clearing to a monic integer polynomial failed")
     return h, s

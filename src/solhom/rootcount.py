@@ -86,13 +86,19 @@ def sturm_chain(coeffs) -> list[list[int]]:
     return sturm_chain(q)
 
 
-def _values_at(chain: list[list[int]], x: Fraction | None, positive: bool) -> list[int]:
-    """The chain at the rational x as den(x)^deg p(x), or for x None its
-    leading terms' signs at +infinity (positive) or -infinity."""
+def _values_at(chain: list[list[int]], x: int | Fraction | None, positive: bool) -> list[int]:
+    """The chain at the rational x as den(x)^deg p(x), by Horner, or for x
+    None its leading terms' signs at +infinity (positive) or -infinity."""
     if x is None:
         return [p[0] if positive or len(p) % 2 else -p[0] for p in chain]
     a, b = x.numerator, x.denominator
-    return [sum(c * a ** (len(p) - 1 - i) * b**i for i, c in enumerate(p)) for p in chain]
+    out = []
+    for p in chain:
+        v, scale = 0, 1
+        for c in p:
+            v, scale = v * a + c * scale, scale * b
+        out.append(v)
+    return out
 
 
 def _variations(values: list[int]) -> int:
@@ -101,7 +107,8 @@ def _variations(values: list[int]) -> int:
 
 
 def _counts(chain: list[list[int]], cuts: list) -> list[int]:
-    values = [_values_at(chain, x if x is None else Fraction(x), i > 0) for i, x in enumerate(cuts)]
+    exact = [x if x is None or type(x) is int else Fraction(x) for x in cuts]
+    values = [_values_at(chain, x, i > 0) for i, x in enumerate(exact)]
     # roots in (a, b], less one when b itself is a root
     counts = [_variations(lo) - _variations(hi) - (hi[0] == 0) for lo, hi in zip(values, values[1:])]
     if min(counts) < 0:
@@ -149,7 +156,7 @@ def _circle_pair_polys(F: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _unit_circle_count(F: list[int]) -> int:
-    count = sum(_values_at([F], Fraction(x), True)[0] == 0 for x in (1, -1))
+    count = sum(_values_at([F], x, True)[0] == 0 for x in (1, -1))
     A, B = _circle_pair_polys(F)
     if not A and not B:
         raise InternalCheckError("nonzero polynomial reduced to zero remainder")

@@ -29,7 +29,7 @@ from solhom.errors import (
     ParseError,
 )
 from solhom.fgab import FgAbGroup, GroupHom, LocalizedForm, localized_from_fgab
-from solhom.intfactor import radical
+from solhom.intfactor import factorint, radical
 from solhom.limits import MEMBERSHIP_CAP_FACTOR, ColimitGroup, InvariantSignature
 from solhom.linalg import IntMatrix, _bareiss_det, _rank_rows_mod_p, hnf, snf
 from solhom.nfield import (
@@ -558,8 +558,95 @@ def fraction_pretty(f: Poly, var: str = "x") -> str:
     return text
 
 
+def fraction_clear_to_monic_integer(f: Poly) -> tuple[Poly, int]:
+    """qpoly.clear_to_monic_integer by Fraction division and powers: the
+    route the numerator and denominator reading replaced."""
+    if f.degree < 1:
+        raise ValueError("need degree >= 1")
+    lead = f.coeffs[0]
+    ratios = [c / lead for c in f.coeffs]
+    exponents: dict[int, int] = {}
+    for i, r in enumerate(ratios[1:], start=1):
+        if r == 0:
+            continue
+        for p, e in factorint(r.denominator).items():
+            need = -(-e // i)  # ceil(e / i)
+            exponents[p] = max(exponents.get(p, 0), need)
+    s = math.prod(p**e for p, e in exponents.items()) if exponents else 1
+    h = Poly([r * Fraction(s) ** i for i, r in enumerate(ratios)])
+    if not h.is_integer():
+        raise InternalCheckError("clearing to a monic integer polynomial failed")
+    return h, s
+
+
+def power_sum_values_at(chain, x) -> list[int]:
+    """den(x)^deg p(x) for each p of an integer chain at a rational x, as
+    the sum of c_i a^(n-i) b^i for x = a/b: the route Horner replaced."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return [sum(c * a ** (len(p) - 1 - i) * b**i for i, c in enumerate(p)) for p in chain]
+
+
 # ---------------------------------------------------------------------------
 # test-only helpers on package types
+
+
+def ideal_from_elements(field, gens) -> FractionalIdeal:
+    """The O_K-module generated by the given nonzero elements: the HNF of
+    the columns g * w_j over their common denominator, the route
+    PrimeIdeal.ideal took before its Kummer-Dedekind Z-basis."""
+    scaled = [(g.num, g.den) for g in gens if not g.is_zero()]
+    if not scaled:
+        raise ValueError("need at least one nonzero generator")
+    den = math.lcm(*(m for _, m in scaled))
+    cols = []
+    for v, m in scaled:
+        cols += field._mult_columns([x * (den // m) for x in v])
+    return FractionalIdeal(field, IntMatrix.from_columns(cols), den)
+
+
+def euclid_row_hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style HNF by repeated Euclid rounds, each taking the live row
+    of least entry as pivot: linalg's kernel before the extended-gcd step.
+    Returns the nonzero rows."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivot_row = 0
+    for col in range(ncols):
+        while True:
+            live = [i for i in range(pivot_row, len(rows)) if rows[i][col] != 0]
+            if not live:
+                break
+            i_min = min(live, key=lambda i: (abs(rows[i][col]), i))
+            rows[pivot_row], rows[i_min] = rows[i_min], rows[pivot_row]
+            done = True
+            for i in range(pivot_row + 1, len(rows)):
+                if rows[i][col]:
+                    q = rows[i][col] // rows[pivot_row][col]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot_row])]
+                    if rows[i][col]:
+                        done = False
+            if done:
+                break
+        if pivot_row < len(rows) and rows[pivot_row][col] != 0:
+            if rows[pivot_row][col] < 0:
+                rows[pivot_row] = [-a for a in rows[pivot_row]]
+            p = rows[pivot_row][col]
+            for i in range(pivot_row):
+                q = rows[i][col] // p
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot_row])]
+            pivot_row += 1
+    return [row for row in rows if any(row)]
+
+
+def euclid_hnf(A: IntMatrix) -> IntMatrix:
+    """linalg.hnf on euclid_row_hnf."""
+    reduced = euclid_row_hnf([list(col) for col in A.columns()])
+    if not reduced:
+        raise ValueError("zero lattice has no HNF basis")
+    return IntMatrix._trusted(tuple(zip(*reduced)))
 
 
 def rank_mod_p(A: IntMatrix, p: int) -> int:
@@ -574,7 +661,7 @@ def colimit_contains(G: ColimitGroup, vec) -> bool:
 
 def valuation(x: NfElement, P) -> int:
     """v_P(x) for nonzero x."""
-    return P.valuation_of(*x.integer_coords())
+    return P.valuation_of(x.num, x.den)
 
 
 def trace(x: NfElement) -> Fraction:
@@ -595,7 +682,7 @@ def element_pow(x: NfElement, e: int) -> NfElement:
 
 def principal_ideal(field, x: NfElement) -> FractionalIdeal:
     """The ideal (x)."""
-    return FractionalIdeal.from_elements(field, [x])
+    return ideal_from_elements(field, [x])
 
 
 def scaled_ideal(I: FractionalIdeal, q) -> FractionalIdeal:
@@ -610,7 +697,7 @@ def inverse_ideal(P) -> FractionalIdeal:
     """P^-1 = O + (gamma/p) O, since P * (p, gamma) = pO
     (docs/ideal-arithmetic.md); checked against P * P^-1 = O."""
     field = P.field
-    inv = FractionalIdeal.from_elements(field, [field.one(), P.gamma.scale(Fraction(1, P.p))])
+    inv = ideal_from_elements(field, [field.one(), P.gamma.scale(Fraction(1, P.p))])
     if inv * P.ideal() != FractionalIdeal.ring_of_integers(field):
         raise InternalCheckError("prime inverse failed P * P^-1 = O")
     return inv
@@ -1007,7 +1094,7 @@ def anti_uniformizer(inverse: FractionalIdeal):
     """u with v_P(u) = -1 and v_Q(u) >= 0 for the other primes Q over p,
     given inverse = P^-1: a basis vector of P^-1 outside O_K."""
     for u in inverse.basis_elements():
-        if u.integer_coords()[1] != 1:
+        if u.den != 1:
             return u
     raise InternalCheckError("P^-1 has no non-integral basis vector")
 
@@ -1015,7 +1102,7 @@ def anti_uniformizer(inverse: FractionalIdeal):
 def absorption_valuation(x, P, u) -> int:
     """v_P(x): with x = y/m, y integral, the number of times y can absorb
     the anti-uniformizer u of P and stay integral, minus e * v_p(m)."""
-    _, m = x.integer_coords()
+    m = x.den
     vp_m = 0
     mm = m
     while mm % P.p == 0:
@@ -1023,7 +1110,7 @@ def absorption_valuation(x, P, u) -> int:
         vp_m += 1
     count = 0
     z = x.scale(m) * u
-    while z.integer_coords()[1] == 1:
+    while z.den == 1:
         count += 1
         z = z * u
     return count - P.e * vp_m
@@ -1099,7 +1186,7 @@ def roots_outside_unit_disk(f: Poly) -> int:
 def power_coords(x) -> tuple[Fraction, ...]:
     """x over the power basis 1, theta, ...: W times its integral
     coordinates."""
-    v, m = x.integer_coords()
+    v, m = x.num, x.den
     return basis_rat(x.field).apply([Fraction(c, m) for c in v])
 
 

@@ -14,8 +14,10 @@ here too, prints what a re-record would change and writes nothing.
 tests/data/high_degree_reports.json pins `x^5-x-1` … `x^8-x-1` the
 same way, since the benchmark inputs stop at degree 4, and
 tests/data/report_digests.json pins the sha256 of `x^9-x-1`'s report
-(tests/report_digest.py), whose 0.5 MB is too large to record, and of
-`x^2+x+7/2 --lefschetz 41`, whose last rows run to 35 digits.
+(tests/report_digest.py), whose 0.5 MB is too large to record, of
+`x^2+x+7/2 --lefschetz 41`, whose last rows run to 35 digits, and of
+`x^3-x/4-1/8` and `x^2+x+15/2`, the inputs CI also checks for the
+degree >= 3 box search and for place analysis.
 """
 
 import contextlib
@@ -86,7 +88,7 @@ def test_high_degree_reports_are_byte_identical_to_their_recording():
 
 def test_pinned_report_digests_hold():
     pinned = json.loads(DIGESTS.read_text())
-    assert list(pinned) == ["x^9-x-1", digest_key("x^2+x+7/2", 41), "x^3-x/4-1/8"]
+    assert list(pinned) == ["x^9-x-1", digest_key("x^2+x+7/2", 41), "x^3-x/4-1/8", "x^2+x+15/2"]
     for key, digest in pinned.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from solhom.linalg import (
     IntMatrix,
@@ -24,6 +24,7 @@ from solhom.linalg import (
 from oracles import (
     RatMatrix,
     det_cofactor,
+    euclid_hnf,
     integer_kernel,
     invariant_factors_from_minors,
     is_checked_matrix,
@@ -121,6 +122,51 @@ def test_hnf_preserves_lattice_full_rank():
         assert lattice_equal(A.columns(), H.columns())
         assert abs(A.det()) == abs(H.det())
         done += 1
+
+
+# matrices with zero rows and columns, negative entries and rank below
+# both dimensions: a column is a combination of drawn ones half the time
+def _hnf_input(draw_shape):
+    nrows, ncols = draw_shape
+    entry = st.integers(-40, 40) | st.sampled_from([0, 0, 1, -1, 6, -15, 210])
+    return st.lists(st.lists(entry, min_size=nrows, max_size=nrows), min_size=ncols, max_size=ncols)
+
+
+@st.composite
+def hnf_inputs(draw):
+    cols = draw(st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(_hnf_input))
+    nrows = len(cols[0])
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i, j = draw(st.integers(0, len(cols) - 1)), draw(st.integers(0, len(cols) - 1))
+        cols.append([a * x + b * y for x, y in zip(cols[i], cols[j])])
+    if draw(st.booleans()):
+        zero_row = draw(st.integers(0, nrows - 1))
+        cols = [[0 if r == zero_row else x for r, x in enumerate(col)] for col in cols]
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnf_inputs())
+@example([[0]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[4, -6], [-2, 3], [0, 0]])
+def test_hnf_matches_the_euclid_round_route(cols):
+    A = IntMatrix.from_columns(cols)
+    if not any(x for col in cols for x in col):
+        for route in (hnf, euclid_hnf):
+            with pytest.raises(ValueError, match="zero lattice"):
+                route(A)
+        return
+    H = hnf(A)
+    assert H == euclid_hnf(A)
+    assert is_checked_matrix(H)
+    assert all(lattice_member(H.columns(), col) for col in cols)
+    # the shape that makes the form unique
+    pivots = [next(i for i, x in enumerate(col) if x) for col in H.columns()]
+    assert pivots == sorted(set(pivots))
+    for j, r in enumerate(pivots):
+        assert H.rows[r][j] > 0 and all(0 <= x < H.rows[r][j] for x in H.rows[r][:j])
 
 
 def test_lattice_contains_agrees_with_solver():

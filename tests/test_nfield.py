@@ -26,6 +26,7 @@ from oracles import (
     element,
     element_pow,
     ideal_contains,
+    ideal_from_elements,
     ideal_index,
     inverse_ideal,
     is_checked_matrix,
@@ -47,11 +48,13 @@ from solhom.nfield import (
     FractionalIdeal,
     NfElement,
     NumberField,
+    PrimeIdeal,
     element_valuations,
     factor_rational_prime,
     fundamental_unit,
     principal_generator,
 )
+from solhom.cli import build_report
 from solhom.places import build_system
 from solhom.qpoly import Poly, clear_to_monic_integer, parse_poly
 
@@ -340,7 +343,7 @@ def test_imaginary_quadratic_generator_on_small_ideals(text, a, b, c, d, den):
     x = element(K, [a, b]).scale(Fraction(1, den))
     if x.is_zero():
         x = K.one()
-    I = FractionalIdeal.from_elements(K, [x, element(K, [c, d])])
+    I = ideal_from_elements(K, [x, element(K, [c, d])])
     assert nfield._search_imaginary_quadratic(I) == definite_scan_generator(I), I
 
 
@@ -439,7 +442,7 @@ def test_reducible_poly_rejected():
 def test_from_generators_matches_hnf():
     # the module generated by 2 and 1 + t inside Q(sqrt(-5)) is p1
     t = K5.gen()
-    I = FractionalIdeal.from_elements(K5, [K5.from_rational(2), K5.one() + t])
+    I = ideal_from_elements(K5, [K5.from_rational(2), K5.one() + t])
     assert I == factor_rational_prime(K5, 2)[0].ideal()
     assert I.norm() == 2
 
@@ -615,3 +618,114 @@ def test_integer_norm_is_the_determinant_of_the_multiplication_matrix(data):
     det = x.mult_pair()[0].det()
     assert K.integer_norm(x.num) == det
     assert x.norm() == Fraction(det, x.den**K.degree)
+
+
+def primes_below(K: NumberField, bound: int) -> list[PrimeIdeal]:
+    """Every prime of K over p < bound where Kummer-Dedekind applies."""
+    out = []
+    for p in filter(is_prime, range(2, bound)):
+        try:
+            out += factor_rational_prime(K, p)
+        except IndexObstruction:
+            continue
+    return out
+
+
+def kummer_dedekind_basis_holds(P: PrimeIdeal) -> bool:
+    """P.ideal(), built from the Z-basis p w^i, w^j g_P(w), is the module
+    (p, g_P(w)) of the two-generator route, and has norm p^f."""
+    K = P.field
+    I = P.ideal()
+    return I == ideal_from_elements(K, [K.from_rational(P.p), P.second_gen]) and I.norm() == P.p**P.f
+
+
+def with_lift_plus_one(P: PrimeIdeal) -> PrimeIdeal:
+    """P with its lift g mutated to g + 1, everything else kept."""
+    g = (P.gen_poly_mod_p[0] + 1,) + tuple(P.gen_poly_mod_p[1:])
+    return PrimeIdeal(P.field, P.p, P.second_gen, P.e, P.f, g, P.gamma)
+
+
+def prime_kind(P: PrimeIdeal) -> set[str]:
+    d = P.field.degree
+    kinds = {"degree 1"} if d == 1 else set()
+    if P.e >= 2:
+        kinds.add("ramified")
+    if 2 <= P.f < d:
+        kinds.add("residue degree between 2 and d - 1")
+    if P.f == d >= 2:
+        kinds.add("inert")
+    return kinds
+
+
+def test_prime_ideals_are_their_kummer_dedekind_basis():
+    kinds, checked = set(), 0
+    x3_2 = field("x^3-2")
+    for K in answer_fields() + (x3_2,):
+        for P in primes_below(K, 60):
+            assert kummer_dedekind_basis_holds(P), P
+            kinds |= prime_kind(P)
+            checked += 1
+            if P.f < K.degree:
+                # the basis has a w^j g_P(w) column, which the mutation moves off P
+                assert not kummer_dedekind_basis_holds(with_lift_plus_one(P)), P
+    assert kinds == {"degree 1", "ramified", "residue degree between 2 and d - 1", "inert"}
+    assert any(P.p == 5 and P.f == 2 for P in factor_rational_prime(x3_2, 5))
+    assert checked > 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=3))
+def test_drawn_quadratic_and_cubic_primes_are_their_kummer_dedekind_basis(tail):
+    try:
+        K = NumberField(Poly([1] + tail))
+    except ValueError:
+        assume(False)  # reducible
+    for P in primes_below(K, 60):
+        assert kummer_dedekind_basis_holds(P), P
+        if P.f < K.degree:
+            assert not kummer_dedekind_basis_holds(with_lift_plus_one(P)), P
+
+
+def test_gamma_matrix_is_built_once_per_prime(monkeypatch):
+    # over whole reports, both sides: each prime element_valuations makes
+    # is valued once, so gamma's multiplication matrix is built at most once
+    primes, calls = [], {}
+    init, mult_pair = PrimeIdeal.__init__, NfElement.mult_pair
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        primes.append(self)
+
+    def counted_mult_pair(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return mult_pair(self)
+
+    monkeypatch.setattr(PrimeIdeal, "__init__", recorded_init)
+    monkeypatch.setattr(NfElement, "mult_pair", counted_mult_pair)
+    for poly in ("x^2+x+15/2", "x^2-x+5/6", "x^3-x/4-1/8", "x-3/2", "x^3-2"):
+        primes.clear()
+        calls.clear()
+        sys_ = build_system(poly)
+        build_report(sys_, 6)
+        assert primes, poly
+        assert all(calls.get(id(P.gamma), 0) <= 1 for P in primes), poly
+
+
+def test_fields_compare_by_identity_first(monkeypatch):
+    K, L = field("x^2+5"), field("x^2+5")
+    assert K == L and hash(K) == hash(L) and K != field("x^2+6")
+    # a field equals itself without comparing Fractions, and its hash is
+    # computed once
+    monkeypatch.setattr(Poly, "__eq__", lambda *_: pytest.fail("compared min_poly"))
+    monkeypatch.setattr(Poly, "__hash__", lambda *_: pytest.fail("hashed min_poly"))
+    assert K == K and hash(K) == hash(L)
+    assert {P: 1 for P in factor_rational_prime(K, 3)}
+
+
+@pytest.mark.parametrize("q", [0, 1, -7, 10**30, Fraction(3, 2), Fraction(-10, 4), "5/6", True])
+def test_from_rational_matches_the_fraction_route(q):
+    K = field("x^3-2")
+    x = K.from_rational(q)
+    fq = Fraction(q)
+    assert (x.num, x.den) == ((fq.numerator, 0, 0), fq.denominator)
+    assert all(type(c) is int for c in x.num) and type(x.den) is int

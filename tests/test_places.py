@@ -242,6 +242,21 @@ def test_dual_is_handed_the_forward_ideals_swapped(text):
     assert "_contracting_ideal" not in repr(s) and "_expanding_ideal" not in repr(s)
 
 
+# x-9/4 and x^2+x+15/4 have places with |v| = 2
+@pytest.mark.parametrize("text", ["x-9/4", "x^2-x+5/6", "x^2+x+15/4", "x^3-x/4-1/8", "x^4-x-1"])
+def test_one_norm_product_per_place_list(text, monkeypatch):
+    s = build_system(text)
+    for side in (s, s.dual_system()):
+        assert places._place_norm(side.finite_stable) == side.transfer_index == side.contracting_ideal.norm()
+        assert places._place_norm(side.finite_unstable) == side.expanding_ideal.norm()
+    # the periodic counts' D is that product over the expanding places
+    seen = []
+    place_norm = places._place_norm
+    monkeypatch.setattr(places, "_place_norm", lambda fps: seen.append(fps) or place_norm(fps))
+    s.periodic_counts(3)
+    assert seen == [s.finite_unstable]
+
+
 def test_prime_powers_are_nonnegative():
     P = build_system("x^2-x+5/6").finite_stable[0].prime
     assert P.power(0) == FractionalIdeal.ring_of_integers(P.field)

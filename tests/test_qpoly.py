@@ -22,7 +22,7 @@ from solhom.qpoly import (
     is_irreducible_over_q,
     parse_poly,
 )
-from oracles import QPoly, fraction_pretty, parse_rational, poly_dedekind_index_free, poly_eval, resultant, reversed_poly
+from oracles import QPoly, fraction_clear_to_monic_integer, fraction_pretty, parse_rational, poly_dedekind_index_free, poly_eval, resultant, reversed_poly
 
 
 def test_parse_basic_polys():
@@ -153,6 +153,32 @@ def test_clear_is_minimal():
     # s=2 works for x^2 - 1/2 but s=1 must be chosen for integer input
     h, s = clear_to_monic_integer(Poly([1, 0, -2]))
     assert (h, s) == (Poly([1, 0, -2]), 1)
+
+
+rational = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rational, min_size=2, max_size=6))
+def test_clearing_and_monic_match_the_fraction_route(coeffs):
+    f = Poly(coeffs)
+    assume(f.degree >= 1)
+    assert clear_to_monic_integer(f) == fraction_clear_to_monic_integer(f)
+    h, _ = clear_to_monic_integer(f)
+    assert all(type(c) is Fraction and c.denominator == 1 for c in h.coeffs)
+    lead = f.coeffs[0]
+    assert f.monic() == Poly([c / lead for c in f.coeffs])
+    # an already monic polynomial is its own monic form, nothing divided
+    m = f.monic()
+    assert m.monic() is m
+
+
+def test_zero_test_reads_the_leading_coefficient():
+    assert Poly([0]).is_zero() and Poly([0, 0, 0]).is_zero() and Poly([]).is_zero()
+    assert Poly([0]).degree == -1
+    for coeffs in ([1], [Fraction(-1, 3)], [0, 0, 2, 0], [Fraction(1, 10**20), 0]):
+        assert not Poly(coeffs).is_zero()
+        assert Poly(coeffs).degree == len(Poly(coeffs).coeffs) - 1
 
 
 def _reassemble(factors, p, degree):

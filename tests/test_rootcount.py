@@ -26,6 +26,7 @@ from oracles import (
     fraction_roots_in_unit_disk,
     fraction_unit_circle_root_count,
     poly_from_roots,
+    power_sum_values_at,
     real_root_count,
     reversed_poly,
     roots_outside_unit_disk,
@@ -278,3 +279,29 @@ def test_a_system_builds_one_sturm_chain_for_its_polynomial(monkeypatch):
         chain = sturm_chain(f.coeffs)
         assert roots_in_unit_disk(f, chain) == roots_in_unit_disk(f)
         assert real_root_counts(f, cuts, chain) == real_root_counts(f, cuts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), min_size=1, max_size=5),
+    st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=30),
+)
+def test_horner_values_match_the_power_sum_route(chain, x):
+    # integer cuts are evaluated as they are, without becoming Fractions
+    assert rootcount._values_at(chain, x, True) == power_sum_values_at(chain, x)
+    assert rootcount._values_at(chain, Fraction(x), True) == power_sum_values_at(chain, x)
+
+
+@pytest.mark.parametrize(
+    "cuts,counts",
+    [
+        ([None, -1, 0, 1, None], [1, 0, 1, 2]),
+        ([None, "-1/2", Fraction(1, 3), 2.5, None], [1, 1, 2, 0]),
+        ([-3, 3], [4]),
+    ],
+)
+def test_cut_types_give_the_fraction_route_counts(cuts, counts):
+    # roots -3/2, 1/4, 8/7 and 2
+    f = Poly(poly_from_roots([Fraction(-3, 2), Fraction(1, 4), Fraction(8, 7), 2], []))
+    exact = [x if x is None else Fraction(x) for x in cuts]
+    assert real_root_counts(f, cuts) == real_root_counts(f, exact) == counts
