@@ -24,6 +24,7 @@ from . import __version__
 from .engine import (
     DegreeEntry,
     GradedGroup,
+    dual_principalization,
     duality_check,
     finite_part_homology,
     groupoid_homology,
@@ -189,15 +190,18 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
 
     Each side's finite part is built once: the forward one feeds
     unstable homology, K-theory, the H/K comparison and the reported
-    principalization, the dual's feeds stable homology.  The two sides'
-    actions are checked against each other by Jacobi duality.
+    principalization, the dual's feeds stable homology.  Only the
+    forward side searches for a principal generator; the dual's comes
+    from it.  The two sides' actions are checked against each other by
+    Jacobi duality.
     """
     finite = finite_part_homology(sys_)
     k_groups = k_theory(sys_, finite)
     hk = hk_check(sys_, finite)
     dual = sys_.dual_system()
     unstable = shifted_homology(sys_, finite)
-    stable = shifted_homology(dual, finite_part_homology(dual))
+    found = dual_principalization(sys_, finite.principalization)
+    stable = shifted_homology(dual, finite_part_homology(dual, found))
     duality_check(sys_, unstable, stable)
     g, h = finite.principalization
     report = {

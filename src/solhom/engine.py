@@ -41,7 +41,7 @@ from .limits import (
     torsion_colimit,
 )
 from .linalg import IntMatrix, char_poly, complement_transpose, exterior_power_det, exterior_power_matrix
-from .nfield import NfElement, principal_generator
+from .nfield import NfElement, canonical_generator, principal_generator
 from .places import SolenoidSystem
 
 # Powers tried when splitting a transfer endomorphism off its torsion.
@@ -143,9 +143,31 @@ def principalization(sys: SolenoidSystem) -> tuple[NfElement, int]:
     raise error(f"no principal power of the expanding ideal up to exponent {limit}")
 
 
-def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
+def dual_principalization(
+    sys: SolenoidSystem, found: tuple[NfElement, int]
+) -> tuple[NfElement, int]:
+    """The dual system's (g', h') from sys's principalization (g, h), with
+    no search.  The dual's expanding ideal is sys's contracting ideal M,
+    and (c) = M J^-1 for sys's expanding ideal J, so (c^h g) = M^h: h' = h
+    and g' is the canonical generator of (c^h g) (docs/principalization.md,
+    "The dual's generator").  Without contracting finite places M is the
+    whole ring, and g' = 1, h' = 1 as principalization gives."""
+    dual = sys.dual_system()
+    if not dual.finite_unstable:
+        return sys.field.one(), 1
+    g, h = found
+    gen = canonical_generator(sys.c.pow(h) * g, lambda: dual.expanding_ideal.pow(h))
+    if gen.den != 1 or abs(sys.field.integer_norm(gen.num)) != sys.transfer_index**h:
+        raise InternalCheckError(f"dual generator {gen!r} does not have the norm of M^{h}")
+    return gen, h
+
+
+def finite_part_homology(
+    sys: SolenoidSystem, found: tuple[NfElement, int] | None = None
+) -> GradedGroup:
     """Homology of the finite-place tower, graded by exterior degree
-    0..[K:Q].
+    0..[K:Q], flattened with found = (g, h), principalization(sys) when
+    not given.
 
     Degree k is the colimit of the integer matrix N * Lambda^k(m_{g/c})
     in the integral basis.  The stored action is the untwisted transfer
@@ -163,7 +185,7 @@ def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     """
     d = sys.field.degree
     n_index = sys.transfer_index
-    g, h = principalization(sys)
+    g, h = principalization(sys) if found is None else found
     if g.den != 1:
         raise FlatteningFailure("principal generator is not integral")
     c_inv = sys.c_inverse
@@ -258,8 +280,10 @@ def groupoid_homology(sys: SolenoidSystem, side: str = "unstable") -> GradedGrou
     unstable side."""
     if side not in ("unstable", "stable"):
         raise ValueError(f"side must be 'stable' or 'unstable', not {side!r}")
-    base = sys if side == "unstable" else sys.dual_system()
-    return shifted_homology(base, finite_part_homology(base))
+    if side == "unstable":
+        return shifted_homology(sys, finite_part_homology(sys))
+    dual, found = sys.dual_system(), dual_principalization(sys, principalization(sys))
+    return shifted_homology(dual, finite_part_homology(dual, found))
 
 
 def duality_check(sys: SolenoidSystem, unstable: GradedGroup, stable: GradedGroup) -> None:

@@ -38,7 +38,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import IndexObstruction, InternalCheckError
 from .intfactor import factorint, is_prime
@@ -181,11 +181,18 @@ class NumberField:
         return NfElement(self, self.theta)
 
     @functools.cached_property
-    def unit_coords(self) -> tuple[tuple[int, ...], int]:
-        """(num, den) of fundamental_unit(self), computed once.  The field
-        keeps coordinates: the element would refer back to it in a cycle."""
-        unit = fundamental_unit(self)
-        return unit.num, unit.den
+    def unit_walk(self) -> tuple:
+        """(eps, eta, t, s, theta, bound) of a real quadratic field, once:
+        eps = fundamental_unit(self) and eta = eps^2 as integer coordinates,
+        t = Tr(eta), s = 1 if N(eps) = -1 else 0, theta = 1 + max |f_i|, and
+        bound = w (E(eps) + 1) for the embedding bound E(x) = |p| + |q| theta
+        of x = (p + q theta) / w.  Integers only: an element would refer
+        back to the field in a cycle."""
+        eps = fundamental_unit(self).num
+        eta, (W, w) = self._mul_int(eps, eps), self.basis_matrix
+        theta = 1 + max(abs(int(c)) for c in self.min_poly.coeffs[1:])
+        t, (p, q) = 2 * eta[0] - self.omega_coeffs[1] * eta[1], W.apply(eps)
+        return eps, eta, t, int(self.integer_norm(eps) < 0), theta, abs(p) + abs(q) * theta + w
 
     def __eq__(self, other) -> bool:
         return self is other or isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -299,22 +306,15 @@ class NfElement:
 
 
 class FractionalIdeal:
-    """Full lattice num/den over the integral basis, num in column HNF."""
+    """Full lattice num/den over the integral basis: num a column HNF of
+    full rank (linalg.hnf) and den positive, stored divided by their
+    common factor."""
 
     def __init__(self, field: NumberField, num: IntMatrix, den: int):
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        if num.nrows != field.degree:
-            raise ValueError("ideal columns must live in the field")
-        H = hnf(num)
-        if H.ncols != field.degree:
-            raise ValueError("ideal lattice must have full rank")
-        g = math.gcd(den, *(x for row in H.rows for x in row))
-        self.field = field
+        g = 1 if den == 1 else math.gcd(den, *(x for row in num.rows for x in row))
         if g != 1:
-            H = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in H.rows))
-        self.num = H
-        self.den = den // g
+            num = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in num.rows))
+        self.field, self.num, self.den = field, num, den // g
 
     @staticmethod
     def ring_of_integers(field: NumberField) -> "FractionalIdeal":
@@ -334,16 +334,12 @@ class FractionalIdeal:
     def __repr__(self) -> str:
         return f"FractionalIdeal(num={self.num!r}, den={self.den})"
 
-    def basis_elements(self) -> list[NfElement]:
-        """Lattice basis as field elements."""
-        return [NfElement(self.field, col, self.den) for col in self.num.columns()]
-
     def __mul__(self, other: "FractionalIdeal") -> "FractionalIdeal":
         if self.field != other.field:
             raise ValueError("ideals over different fields")
         mul = self.field._mul_int
         cols = [mul(a, b) for a in self.num.columns() for b in other.num.columns()]
-        return FractionalIdeal(self.field, IntMatrix.from_columns(cols), self.den * other.den)
+        return FractionalIdeal(self.field, hnf(IntMatrix._trusted(tuple(zip(*cols)))), self.den * other.den)
 
     def pow(self, e: int) -> "FractionalIdeal":
         return square_and_multiply(
@@ -351,8 +347,9 @@ class FractionalIdeal:
         )
 
     def norm(self) -> Fraction:
-        d = self.field.degree
-        return abs(Fraction(self.num.det(), self.den**d))
+        """|det num| / den^d, with det num the product of the HNF's diagonal."""
+        rows = self.num.rows
+        return Fraction(math.prod(row[i] for i, row in enumerate(rows)), self.den ** len(rows))
 
 
 class PrimeIdeal:
@@ -385,7 +382,7 @@ class PrimeIdeal:
         d, f, g = self.field.degree, self.f, list(self.gen_poly_mod_p)
         cols = [[self.p * (k == i) for k in range(d)] for i in range(f)]
         cols += [[0] * j + g + [0] * (d - f - 1 - j) for j in range(d - f)]
-        return FractionalIdeal(self.field, IntMatrix._trusted(tuple(zip(*cols))), 1)
+        return FractionalIdeal(self.field, hnf(IntMatrix._trusted(tuple(zip(*cols)))), 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -496,42 +493,61 @@ def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
 
 
 def principal_generator(I: FractionalIdeal) -> NfElement | None:
-    """A generator when I is principal and the search is conclusive.
+    """A generator when I is principal and the search is conclusive: the
+    one canonical_generator picks from the generator found.
 
-    Rational field: always conclusive.  Quadratic: conclusive from the
-    norm form N(a*u1 + b*u2)/N(I).  Imaginary: by Gauss reduction, the
-    generator with least (b, a).  Real: the cycle of reduced forms holds
-    a form with leading coefficient +-1 exactly when I is principal; of
-    the generators +-g*eps^k, the one returned comes first by increasing
-    b, then positive before negative norm, then increasing a, over the
-    box |b| <= bmax that holds a unit-normalized generator.  Degree >= 3:
-    None unless a small-box search happens to succeed.  A quadratic
-    generator is negated if needed so its first integral coordinate is
-    positive.
+    Rational: always conclusive.  Quadratic: conclusive from the norm
+    form N(a*u1 + b*u2)/N(I), which takes the value +-1 exactly at the
+    generators: for D < 0 the reduced form has A = 1 and v1 is one, for
+    D > 0 the cycle of reduced forms holds a form with A = +-1.  Degree
+    >= 3: None unless the small box holds a generator, and then its
+    first hit.
     """
     field = I.field
-    d = field.degree
-    if d == 1:
-        return field.from_rational(Fraction(I.num.rows[0][0], I.den))
-    if d == 2:
-        if field.discriminant < 0:
-            found = _search_imaginary_quadratic(I)
-        else:
-            found = _search_real_quadratic(I, I.norm())
-        if found is not None:
-            lead = next(c for c in found.num if c != 0)
-            if lead < 0:
-                found = -found
-        return found
-    # bounded heuristic box for higher degree: each candidate is a
-    # Z-combination of I's basis, so it lies in I, and |N(x)| = N(I)
-    # proves (x) = I
-    target = I.norm()
+    if field.degree >= 3:
+        return _box_generator(I)
+    if field.degree == 1:
+        found = (1,)
+    elif field.discriminant < 0:
+        (A, _, _), (found, _) = _reduce_definite(*_norm_form(I))
+        found = found if A == 1 else None
+    else:
+        found = _cycle_representing_unit(*_norm_form(I))
+    return None if found is None else canonical_generator(_lattice_element(I, *found), lambda: I)
+
+
+def canonical_generator(x: NfElement, ideal: Callable[[], FractionalIdeal]) -> NfElement:
+    """The generator principal_generator returns for I = (x), from any
+    generator x of I, with ideal() building I for the picks that read its
+    lattice (docs/principalization.md, "The dual's generator").
+
+    Degree 1 and imaginary quadratic with D < -4: the sign rule alone,
+    the first nonzero integral coordinate positive.  Q(i) and Q(sqrt(-3)):
+    first the unit multiple with least lattice coordinates (b, a).  Real
+    quadratic: first the walk's pick (_walk_real_quadratic).  Degree >= 3:
+    the small box's first hit, or x itself when the box misses.
+    """
+    field = x.field
+    if field.degree >= 3:
+        found = _box_generator(ideal())
+        return x if found is None else found
+    if field.degree == 2:
+        if field.discriminant > 0:
+            x = _walk_real_quadratic(ideal(), x)
+        elif field.discriminant >= -4:
+            x = _least_unit_multiple(ideal(), x)
+    return -x if next(c for c in x.num if c) < 0 else x
+
+
+def _box_generator(I: FractionalIdeal) -> NfElement | None:
+    """The first x = I.num * combo / I.den over the boxes of radius 1, 2, 3
+    with |N(x)| = N(I), which proves (x) = I since x lies in I."""
+    target = math.prod(row[i] for i, row in enumerate(I.num.rows))  # |det| of the HNF
     for radius in (1, 2, 3):
-        for combo in itertools.product(range(-radius, radius + 1), repeat=d):
-            x = NfElement(field, I.num.apply(combo), I.den)
-            if not x.is_zero() and abs(x.norm()) == target:
-                return x
+        for combo in itertools.product(range(-radius, radius + 1), repeat=I.field.degree):
+            num = I.num.apply(combo)
+            if abs(I.field.integer_norm(num)) == target:
+                return NfElement(I.field, num, I.den)
     return None
 
 
@@ -554,17 +570,17 @@ def _norm_form(I: FractionalIdeal) -> tuple[int, int, int]:
     return A, B, C
 
 
-def _search_imaginary_quadratic(I: FractionalIdeal) -> NfElement | None:
-    # The norm form takes the values N(x)/N(I) >= 1 on I, and a reduced
-    # definite form has minimum A, so I is principal exactly when A = 1.
-    # A value 1 is then 4 = (2x + By)^2 + |D|y^2, so |x|, |y| <= 1.
-    (A, B, C), (v1, v2) = _reduce_definite(*_norm_form(I))
-    if A != 1:
-        return None
-    ones = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x * x + B * x * y + C * y * y == 1]
-    b, a = min((x * v1[1] + y * v2[1], x * v1[0] + y * v2[0]) for x, y in ones)
-    (p1, p2), (q1, q2) = I.num.rows
-    return NfElement(I.field, (a * p1 + b * p2, a * q1 + b * q2), I.den)
+def _least_unit_multiple(I: FractionalIdeal, x: NfElement) -> NfElement:
+    """Of the generators u*x of I, for u a root of unity, the one with
+    least lattice coordinates (b, a).  The roots of unity are the
+    a + b*omega of norm 1, and 4 = (2a + tb)^2 + |D|b^2 puts them in
+    |a|, |b| <= 1."""
+    field = I.field
+    _, minus_t, n = field.omega_coeffs
+    box = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    roots = [(a, b) for a, b in box if a * a - minus_t * a * b + n * b * b == 1]
+    b, a = min(_lattice_coords(I, field._mul_int(u, x.num), x.den)[::-1] for u in roots)
+    return _lattice_element(I, a, b)
 
 
 def _reduce_definite(A: int, B: int, C: int) -> tuple[tuple[int, int, int], tuple]:
@@ -581,38 +597,14 @@ def _reduce_definite(A: int, B: int, C: int) -> tuple[tuple[int, int, int], tupl
             return (A, B, C), (v1, v2)
 
 
-def _embedding_bound(x: NfElement) -> Fraction:
-    """Upper bound on |sigma(x)| over both real embeddings of a quadratic field."""
-    p, q = x.power_coords()
-    f = x.field.min_poly
-    theta_max = 1 + max(abs(f.coeffs[1]), abs(f.coeffs[2]))
-    return abs(p) + abs(q) * theta_max
-
-
-def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | None:
-    # The generators of I are the x = a*u1 + b*u2 with |N(x)| = N(I).  Any
-    # of them can be unit-scaled so that both embeddings have absolute
-    # value at most sqrt(N(I) * eps); Cramer against the lattice basis then
-    # bounds |b| by bmax, since the embedding matrix of the basis has
-    # |det| = sqrt(disc) * N(I).  The answer is the generator with
-    # |b| <= bmax and least key (b, 0 if N(x) > 0 else 1, a).
+def _walk_real_quadratic(I: FractionalIdeal, x: NfElement) -> NfElement:
+    """From any generator x of I, the generator with |b| <= bmax
+    (_box_bound) and least key (b, 0 if N > 0 else 1, a) in lattice
+    coordinates (a, b)."""
     field = I.field
-    eps = NfElement(field, *field.unit_coords)
-    u1, u2 = I.basis_elements()
-    x_bound = _isqrt_frac(target * (_embedding_bound(eps) + 1)) + 1
-    covol = _isqrt_frac(Fraction(field.discriminant)) * target
-    if covol == 0:
-        raise InternalCheckError("degenerate lattice in real quadratic search")
-    bmax = _ceil_frac(2 * x_bound * _embedding_bound(u1) / covol) + 1
-    eta = eps * eps
-    # eps and eta are units, so integral: den 1
-    t = sum(row[i] for i, row in enumerate(eta.mult_pair()[0].rows))
-    found = _cycle_representing_unit(*_norm_form(I))
-    if found is None:
-        return None
-    g = u1.scale(found[0]) + u2.scale(found[1])
-
-    # Every generator is +-h*eta^j with h in {g, g*eps} and eta = eps^2,
+    eps, eta, t, eps_sign, _, _ = field.unit_walk
+    bmax = _box_bound(I)
+    # Every generator is +-h*eta^j with h in {x, x*eps} and eta = eps^2,
     # which has norm 1 and trace t >= 3.  From eta^2 = t*eta - 1 the
     # coordinates obey x_{j+1} = t*x_j - x_{j-1}, read in either
     # direction.  Once |b_j| >= |b_{j-1}| and b_j != 0,
@@ -620,15 +612,15 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     # induction every later |b| at least doubles: once also |b_j| > bmax
     # no later term lies in the box, and the walk stops.
     best = None
-    for h in (g, g * eps):
-        sign = 0 if field.integer_norm(h.num) > 0 else 1
-        here, up = _lattice_coords(I, h), _lattice_coords(I, h * eta)
+    mul, sign = field._mul_int, int(field.integer_norm(x.num) < 0)
+    for h, h_sign in ((x.num, sign), (mul(x.num, eps), sign ^ eps_sign)):
+        here, up = _lattice_coords(I, h, x.den), _lattice_coords(I, mul(h, eta), x.den)
         down = (t * here[0] - up[0], t * here[1] - up[1])
         for prev, cur in ((down, here), (up, here)):
             while True:
                 a, b = cur
                 if abs(b) <= bmax:
-                    key = min((b, sign, a), (-b, sign, -a))
+                    key = min((b, h_sign, a), (-b, h_sign, -a))
                     best = key if best is None else min(best, key)
                 elif b != 0 and abs(b) >= abs(prev[1]):
                     break
@@ -636,18 +628,41 @@ def _search_real_quadratic(I: FractionalIdeal, target: Fraction) -> NfElement | 
     if best is None:
         raise InternalCheckError("no generator inside the proven box")
     b, _, a = best
-    x = u1.scale(a) + u2.scale(b)
-    if abs(x.norm()) != target:
+    found = _lattice_element(I, a, b)
+    if abs(found.norm()) != I.norm():
         raise InternalCheckError("chosen generator has the wrong norm")
-    return x
+    return found
 
 
-def _lattice_coords(I: FractionalIdeal, x: NfElement) -> tuple[int, int]:
-    """(a, b) with x = a*u1 + b*u2 for the basis u1, u2 of a quadratic
-    ideal I, the columns (p1, q1), (p2, q2) of I.num over I.den, by
-    Cramer; x off the lattice raises."""
+def _box_bound(I: FractionalIdeal) -> int:
+    """bmax for a real quadratic ideal I.  Any generator can be unit-scaled
+    so that both embeddings have absolute value at most sqrt(N(I) eps);
+    Cramer against the lattice basis u1, u2 then bounds |b| by bmax,
+    since the embedding matrix of the basis has |det| = sqrt(D) N(I).
+    Read on integers with the Fraction bound's floors and ceilings
+    (docs/principalization.md, "The dual's generator")."""
+    field, (W, w) = I.field, I.field.basis_matrix
+    _, _, _, _, theta, bound = field.unit_walk
     (p1, p2), (q1, q2) = I.num.rows
-    (p, q), scale = x.num, x.den * (p1 * q2 - q1 * p2)
+    det, (r0, r1) = abs(p1 * q2 - q1 * p2), W.apply((p1, q1))
+    # x_bound = isqrt(N(I) (E(eps) + 1)) + 1, and bmax = ceil(2 x_bound
+    # E(u1) / (isqrt(D) N(I))) + 1 with E(u1) = (|r0| + |r1| theta) / (w den)
+    x_bound = math.isqrt(det * bound // (I.den * I.den * w)) + 1
+    covol = w * math.isqrt(field.discriminant) * det
+    return -(-2 * x_bound * (abs(r0) + abs(r1) * theta) * I.den // covol) + 1
+
+
+def _lattice_element(I: FractionalIdeal, *coords: int) -> NfElement:
+    """The element with lattice coordinates coords over the basis of I."""
+    return NfElement(I.field, I.num.apply(coords), I.den)
+
+
+def _lattice_coords(I: FractionalIdeal, num: Sequence[int], den: int) -> tuple[int, int]:
+    """(a, b) with x = num / den equal to a*u1 + b*u2 for the basis u1, u2
+    of a quadratic ideal I, the columns (p1, q1), (p2, q2) of I.num over
+    I.den, by Cramer; x off the lattice raises."""
+    (p1, p2), (q1, q2) = I.num.rows
+    (p, q), scale = num, den * (p1 * q2 - q1 * p2)
     a, ra = divmod(I.den * (p * q2 - q * p2), scale)
     b, rb = divmod(I.den * (p1 * q - q1 * p), scale)
     if ra or rb:
@@ -709,17 +724,6 @@ def _rho_walk(A: int, B: int, C: int):
         A, B, C = C, r, A - B * k + C * k * k
         v1, v2 = v2, (k * v2[0] - v1[0], k * v2[1] - v1[1])
     raise InternalCheckError(f"reduced-form cycle not closed within the proven {cap} forms")
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-def _isqrt_frac(q: Fraction) -> int:
-    q = Fraction(q)
-    if q < 0:
-        return 0
-    return math.isqrt(q.numerator // q.denominator)
 
 
 def fundamental_unit(field: NumberField) -> NfElement:

@@ -158,8 +158,12 @@ class SolenoidSystem:
                 expanding_real_negative=arch.contracting_real_negative,
                 expanding_complex_pairs=arch.contracting_complex_pairs,
             )
-            # x^d f(1/x) / f(0), the minimal polynomial of 1/c
-            inv_poly = Poly(reversed(self.min_poly.coeffs)).monic()
+            # x^d f(1/x) / f(0), the minimal polynomial of 1/c, each
+            # coefficient divided by f(0) = n / m as integers
+            n, m = self.min_poly.coeffs[-1].as_integer_ratio()
+            inv_poly = Poly(
+                Fraction(a.numerator * m, a.denominator * n) for a in reversed(self.min_poly.coeffs)
+            )
             self._dual = _assemble(
                 self.field,
                 self.c_inverse,

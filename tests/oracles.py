@@ -35,9 +35,6 @@ from solhom.linalg import IntMatrix, _bareiss_det, _rank_rows_mod_p, hnf, snf
 from solhom.nfield import (
     FractionalIdeal,
     NfElement,
-    _ceil_frac,
-    _embedding_bound,
-    _isqrt_frac,
     element_valuations,
     factor_rational_prime,
     fundamental_unit,
@@ -602,7 +599,7 @@ def ideal_from_elements(field, gens) -> FractionalIdeal:
     cols = []
     for v, m in scaled:
         cols += field._mult_columns([x * (den // m) for x in v])
-    return FractionalIdeal(field, IntMatrix.from_columns(cols), den)
+    return ideal_from_matrix(field, IntMatrix.from_columns(cols), den)
 
 
 def euclid_row_hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -690,7 +687,7 @@ def scaled_ideal(I: FractionalIdeal, q) -> FractionalIdeal:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("scale by a positive rational")
-    return FractionalIdeal(I.field, I.num.scale(q.numerator), I.den * q.denominator)
+    return ideal_from_matrix(I.field, I.num.scale(q.numerator), I.den * q.denominator)
 
 
 def inverse_ideal(P) -> FractionalIdeal:
@@ -723,6 +720,63 @@ def valuation_periodic_count(sys, n: int) -> int:
     return count
 
 
+def ideal_from_matrix(field, num: IntMatrix, den: int) -> FractionalIdeal:
+    """The ideal spanned by the columns of any integer matrix num over den,
+    checked and put in HNF, as FractionalIdeal's constructor did before it
+    took an HNF."""
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    if num.nrows != field.degree:
+        raise ValueError("ideal columns must live in the field")
+    H = hnf(num)
+    if H.ncols != field.degree:
+        raise ValueError("ideal lattice must have full rank")
+    return FractionalIdeal(field, H, den)
+
+
+def basis_elements(I: FractionalIdeal) -> list[NfElement]:
+    """The lattice basis of I as field elements."""
+    return [NfElement(I.field, col, I.den) for col in I.num.columns()]
+
+
+def _embedding_bound(x: NfElement) -> Fraction:
+    """Upper bound on |sigma(x)| over both real embeddings of a quadratic field."""
+    p, q = x.power_coords()
+    f = x.field.min_poly
+    theta_max = 1 + max(abs(f.coeffs[1]), abs(f.coeffs[2]))
+    return abs(p) + abs(q) * theta_max
+
+
+def _ceil_frac(q: Fraction) -> int:
+    return -((-q.numerator) // q.denominator)
+
+
+def _isqrt_frac(q: Fraction) -> int:
+    q = Fraction(q)
+    if q < 0:
+        return 0
+    return math.isqrt(q.numerator // q.denominator)
+
+
+def fraction_box_bound(I: FractionalIdeal) -> int:
+    """The bound on the second lattice coordinate of a unit-scaled
+    generator of a real quadratic ideal I, in Fractions, as the package
+    read it before it read it on integers.
+
+    Any generator can be unit-scaled so that both embeddings have
+    absolute value at most sqrt(N(I) * eps); Cramer against the lattice
+    basis then bounds the second coordinate, since the embedding matrix
+    of the basis has |det| = sqrt(disc) * N(I).
+    """
+    target = I.norm()
+    field = I.field
+    x_bound = _isqrt_frac(target * (_embedding_bound(fundamental_unit(field)) + 1)) + 1
+    covol = _isqrt_frac(Fraction(field.discriminant)) * target
+    if covol == 0:
+        raise InternalCheckError("degenerate lattice in real quadratic search")
+    return _ceil_frac(2 * x_bound * _embedding_bound(basis_elements(I)[0]) / covol) + 1
+
+
 def box_scan_generator(I: FractionalIdeal):
     """A generator of an ideal I of a real quadratic field, or None.
 
@@ -731,21 +785,10 @@ def box_scan_generator(I: FractionalIdeal):
     first, so its cost grows with the fundamental unit.  This is the
     search the package ran before it walked the cycle of reduced forms.
     """
-    # Any generator can be unit-scaled so that both embeddings have
-    # absolute value at most sqrt(N(I) * eps); Cramer against the lattice
-    # basis then bounds the second coordinate, since the embedding matrix
-    # of the basis has |det| = sqrt(disc) * N(I).
     target = I.norm()
-    field = I.field
-    eps = fundamental_unit(field)
-    eps_bound = _embedding_bound(eps) + 1
-    u1, u2 = I.basis_elements()
+    u1, u2 = basis_elements(I)
     alpha, beta, gamma = _element_norm_form(I)
-    x_bound = _isqrt_frac(target * eps_bound) + 1
-    covol = _isqrt_frac(Fraction(field.discriminant)) * target
-    if covol == 0:
-        raise InternalCheckError("degenerate lattice in real quadratic search")
-    bmax = _ceil_frac(2 * x_bound * _embedding_bound(u1) / covol) + 1
+    bmax = fraction_box_bound(I)
     for b in range(-bmax, bmax + 1):
         for sign in (1, -1):
             for a in _solve_quadratic_int(alpha, beta * b, gamma * b * b - sign * target):
@@ -803,7 +846,7 @@ def contains_box_generator(I: FractionalIdeal):
     norm is N(I) and ideal_contains admits it."""
     field = I.field
     target = I.norm()
-    basis = I.basis_elements()
+    basis = basis_elements(I)
     for radius in (1, 2, 3):
         for combo in itertools.product(range(-radius, radius + 1), repeat=field.degree):
             x = field.zero()
@@ -860,7 +903,7 @@ def definite_scan_generator(I: FractionalIdeal):
     """
     target = I.norm()
     alpha, beta, gamma = _element_norm_form(I)
-    u1, u2 = I.basis_elements()
+    u1, u2 = basis_elements(I)
     # 4 alpha N = (2 alpha a + beta b)^2 + (4 alpha gamma - beta^2) b^2
     det4 = 4 * alpha * gamma - beta * beta
     if det4 <= 0:
@@ -877,7 +920,7 @@ def definite_scan_generator(I: FractionalIdeal):
 def _element_norm_form(I: FractionalIdeal) -> tuple[Fraction, Fraction, Fraction]:
     """(alpha, beta, gamma) with N(a*u1 + b*u2) = alpha a^2 + beta ab +
     gamma b^2 for the lattice basis u1, u2 of a quadratic ideal I."""
-    u1, u2 = I.basis_elements()
+    u1, u2 = basis_elements(I)
     alpha = u1.norm()
     gamma = u2.norm()
     beta = (u1 + u2).norm() - alpha - gamma
@@ -1042,7 +1085,7 @@ def _ideal_from_power_coords(field, products) -> FractionalIdeal:
     coord_sets = [W_inv.apply(a) for a in products]
     den = math.lcm(*(c.denominator for coords in coord_sets for c in coords))
     cols = [[int(c * den) for c in coords] for coords in coord_sets]
-    return FractionalIdeal(field, IntMatrix.from_columns(cols), den)
+    return ideal_from_matrix(field, IntMatrix.from_columns(cols), den)
 
 
 def fraction_ideal_from_elements(field, gens) -> FractionalIdeal:
@@ -1093,7 +1136,7 @@ def product_inverse_ideal(P) -> FractionalIdeal:
 def anti_uniformizer(inverse: FractionalIdeal):
     """u with v_P(u) = -1 and v_Q(u) >= 0 for the other primes Q over p,
     given inverse = P^-1: a basis vector of P^-1 outside O_K."""
-    for u in inverse.basis_elements():
+    for u in basis_elements(inverse):
         if u.den != 1:
             return u
     raise InternalCheckError("P^-1 has no non-integral basis vector")

@@ -16,8 +16,9 @@ same way, since the benchmark inputs stop at degree 4, and
 tests/data/report_digests.json pins the sha256 of `x^9-x-1`'s report
 (tests/report_digest.py), whose 0.5 MB is too large to record, of
 `x^2+x+7/2 --lefschetz 41`, whose last rows run to 35 digits, and of
-`x^3-x/4-1/8` and `x^2+x+15/2`, the inputs CI also checks for the
-degree >= 3 box search and for place analysis.
+`x^3-x/4-1/8`, `x^2+x+15/2` and `x^2-79/4`, the inputs CI also checks
+for the degree >= 3 box search, for place analysis and for the
+real-quadratic generator pick on both sides.
 """
 
 import contextlib
@@ -88,7 +89,9 @@ def test_high_degree_reports_are_byte_identical_to_their_recording():
 
 def test_pinned_report_digests_hold():
     pinned = json.loads(DIGESTS.read_text())
-    assert list(pinned) == ["x^9-x-1", digest_key("x^2+x+7/2", 41), "x^3-x/4-1/8", "x^2+x+15/2"]
+    assert list(pinned) == [
+        "x^9-x-1", digest_key("x^2+x+7/2", 41), "x^3-x/4-1/8", "x^2+x+15/2", "x^2-79/4"
+    ]
     for key, digest in pinned.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import (
     QPoly,
     anti_uniformizer,
+    basis_elements,
     basis_inverse_gen,
     basis_rat,
     box_scan_generator,
@@ -25,8 +26,10 @@ from oracles import (
     definite_scan_generator,
     element,
     element_pow,
+    fraction_box_bound,
     ideal_contains,
     ideal_from_elements,
+    ideal_from_matrix,
     ideal_index,
     inverse_ideal,
     is_checked_matrix,
@@ -283,6 +286,12 @@ def test_principal_generator_quadratic():
             assert principal_generator(P.ideal()) is None, f"{text}: p={p} is non-principal"
 
 
+def signed(x):
+    """The scan's pick under principal_generator's sign rule: the first
+    nonzero integral coordinate positive."""
+    return x if x is None or next(c for c in x.num if c) > 0 else -x
+
+
 # Every non-square d <= 42 (units of norm -1 at d = 2, 5, 10, 13, 17, 26,
 # 29, 37, 41; discriminant d or 4d), and x^2-x-1, whose unit has trace 1.
 # The box scan takes seconds or more for d = 43, 46, 67, 94.
@@ -293,19 +302,32 @@ BOX_SCAN_FIELDS = ["x^2-x-1"] + [f"x^2-{d}" for d in range(2, 43) if d not in (4
 def test_real_quadratic_generator_is_the_box_scan_pick(text):
     K = field(text)
     for I in prime_power_ideals(K):
-        assert nfield._search_real_quadratic(I, I.norm()) == box_scan_generator(I), I
+        assert principal_generator(I) == signed(box_scan_generator(I)), I
+
+
+# BOX_SCAN_FIELDS and more, with defining polynomials of non-maximal
+# orders (x^2-4d, x^2+2x-d+1), whose root bound and basis differ
+@pytest.mark.parametrize(
+    "text", BOX_SCAN_FIELDS + ["x^2-1009", "x^2-79", "x^2-316", "x^2+2*x-78", "x^2-x-252", "x^2-20"]
+)
+def test_integer_box_bound_is_the_fraction_bound(text):
+    K = field(text)
+    for I in prime_power_ideals(K):
+        for J in (I, I * I * I, scaled_ideal(I, Fraction(5, 6))):
+            assert nfield._box_bound(J) == fraction_box_bound(J), J
 
 
 @pytest.mark.parametrize("text", ["x^2-x-1", "x^2-7", "x^2-10"])
 def test_lattice_coords_reads_members_and_refuses_the_rest(text):
     K = field(text)
     for I in prime_power_ideals(K):
-        u1, u2 = I.basis_elements()
-        assert nfield._lattice_coords(I, u1.scale(3) - u2.scale(2)) == (3, -2)
+        u1, u2 = basis_elements(I)
+        x = u1.scale(3) - u2.scale(2)
+        assert nfield._lattice_coords(I, x.num, x.den) == (3, -2)
         # half of a basis vector is off the lattice in that coordinate only
         for half in (u1.scale(Fraction(1, 2)), u2.scale(Fraction(1, 2)) + u1):
             with pytest.raises(InternalCheckError, match="left the ideal lattice"):
-                nfield._lattice_coords(I, half)
+                nfield._lattice_coords(I, half.num, half.den)
 
 
 def prime_power_ideals(K: NumberField) -> list[FractionalIdeal]:
@@ -329,7 +351,7 @@ DEFINITE_FIELDS = ["x^2+x+1", "x^2+1", "x^2+x+4", "x^2+5", "x^2+x+6", "x^2+x+48"
 def test_imaginary_quadratic_generator_is_the_box_scan_pick(text):
     K = field(text)
     for I in prime_power_ideals(K):
-        assert nfield._search_imaginary_quadratic(I) == definite_scan_generator(I), I
+        assert principal_generator(I) == signed(definite_scan_generator(I)), I
 
 
 small = st.integers(-6, 6)
@@ -344,7 +366,7 @@ def test_imaginary_quadratic_generator_on_small_ideals(text, a, b, c, d, den):
     if x.is_zero():
         x = K.one()
     I = ideal_from_elements(K, [x, element(K, [c, d])])
-    assert nfield._search_imaginary_quadratic(I) == definite_scan_generator(I), I
+    assert principal_generator(I) == signed(definite_scan_generator(I)), I
 
 
 def test_principal_generator_sqrt_1009_is_the_scan_pick():
@@ -469,7 +491,7 @@ def test_multiplication_columns_and_their_matrices(case):
     A, m = NfElement(K, a, den).mult_pair()
     assert is_checked_matrix(A)
     assume(any(a))
-    assert is_checked_matrix(FractionalIdeal(K, A.scale(s), den).num)
+    assert is_checked_matrix(ideal_from_matrix(K, A.scale(s), den).num)
 
 
 POW_FIELDS = [field(text) for text in ("x-3", "x^2+5", "x^2-x-1", "x^3-2", "x^4-x-1")]

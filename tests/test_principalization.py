@@ -3,15 +3,18 @@ than any fixed exponent cap the engine once had.
 
 The exponent must be the order of the expanding ideal's class, and the
 rank-one degrees of x^2-1/2*x+12 must be the ones derived from the place
-data alone in docs/principalization.md.
+data alone in docs/principalization.md.  The dual side's generator,
+taken from c^h g with no search, must be the one the search picks.
 """
 
 import functools
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,11 +22,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import element_norm_form, reduced_form_count
 from record_answer_reports import answer_inputs
-from solhom import cli, nfield
-from solhom.engine import principalization
+from solhom import cli, engine, nfield
+from solhom.engine import dual_principalization, principalization
 from solhom.errors import SolhomError
 from solhom.intfactor import factorint
+from solhom.nfield import principal_generator
 from solhom.places import build_system
+from solhom.qpoly import Poly
 
 
 def test_class_numbers_from_reduced_forms():
@@ -150,3 +155,62 @@ def test_norm_form_matches_element_norms_on_drawn_quadratics(b, n):
         assume(False)  # reducible, or a conjugate on the unit circle
     assume(sys_.field.degree == 2)
     assert_norm_forms_match(sys_)
+
+
+# m for c = (a + b sqrt(m)) / q: Q(i), Q(sqrt(-3)), imaginary fields with
+# D < -4 (class numbers 2, 1, 4 and 13) and real ones (class numbers 1,
+# 1, 2 and 3); m = 1 draws a rational c = a / q
+DRAWN_FIELDS = (1, -1, -3, -5, -7, -21, -191, 2, 3, 10, 79)
+
+
+def drawn_c(rng: random.Random):
+    """A rational c, or the minimal polynomial of a quadratic one."""
+    m, q = rng.choice(DRAWN_FIELDS), rng.choice((1, 1, 2, 3, 4, 6))
+    a, b = rng.randint(-6, 6), rng.choice((-2, -1, 1, 2, 3))
+    if m == 1:
+        return Fraction(a or b, q)
+    return Poly([1, Fraction(-2 * a, q), Fraction(a * a - m * b * b, q * q)])
+
+
+def field_kind(K) -> str:
+    if K.degree == 1:
+        return "rational"
+    if K.discriminant > 0:
+        return "real"
+    return {-4: "Q(i)", -3: "Q(sqrt(-3))"}.get(K.discriminant, "imaginary, D < -4")
+
+
+def test_dual_generator_is_the_search_pick_on_its_ideal():
+    # docs/principalization.md, "The dual's generator": the dual's
+    # expanding ideal M has M^h = (c^h g), and the canonical pick of
+    # c^h g is what principal_generator picks on M^h
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(160):
+        try:
+            sys_ = build_system(drawn_c(rng))
+        except SolhomError:
+            continue  # a conjugate on the unit circle
+        g, h = principalization(sys_)
+        dual = sys_.dual_system()
+        found = dual_principalization(sys_, (g, h))
+        if dual.finite_unstable:
+            assert found == (principal_generator(dual.expanding_ideal.pow(h)), h), sys_.min_poly
+        else:
+            assert found == (sys_.field.one(), 1)
+            seen.add("no expanding place on the dual")
+        # the search on the dual system itself agrees
+        assert found == principalization(dual), sys_.min_poly
+        seen |= {field_kind(sys_.field), "integral" if sys_.c.den == 1 else "non-integral"}
+    assert seen == {
+        "rational", "real", "Q(i)", "Q(sqrt(-3))", "imaginary, D < -4",
+        "integral", "non-integral", "no expanding place on the dual",
+    }
+
+
+@pytest.mark.parametrize("poly", ["x-3/2", "x^2-x+5/6", "x^2-79/4", "x^2-x+5/2", "x^3-2"])
+def test_a_forged_dual_generator_exits_3(poly, monkeypatch, capsys):
+    # twice the true generator lies in M^h but has the wrong norm
+    monkeypatch.setattr(engine, "canonical_generator", lambda x, ideal: x + x)
+    assert cli.main(["analyze", "--no-cache", "--min-poly", poly]) == 3
+    assert "does not have the norm of M^" in capsys.readouterr().err
