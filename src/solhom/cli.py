@@ -140,6 +140,8 @@ def _ratio_str(x: int, m: int) -> str:
 
 def _matrix_json(pair) -> list[list[str]]:
     A, m = pair
+    if m == 1:
+        return [list(map(str, row)) for row in A.rows]
     return [[_ratio_str(x, m) for x in row] for row in A.rows]
 
 
@@ -192,8 +194,8 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     unstable homology, K-theory, the H/K comparison and the reported
     principalization, the dual's feeds stable homology.  Only the
     forward side searches for a principal generator; the dual's comes
-    from it.  The two sides' actions are checked against each other by
-    Jacobi duality.
+    from it, and for a unit c the dual's ladder too.  The two sides'
+    actions are checked against each other by Jacobi duality.
     """
     finite = finite_part_homology(sys_)
     k_groups = k_theory(sys_, finite)
@@ -201,7 +203,7 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     dual = sys_.dual_system()
     unstable = shifted_homology(sys_, finite)
     found = dual_principalization(sys_, finite.principalization)
-    stable = shifted_homology(dual, finite_part_homology(dual, found))
+    stable = shifted_homology(dual, finite_part_homology(dual, found, finite.dual_ladders))
     duality_check(sys_, unstable, stable)
     g, h = finite.principalization
     report = {

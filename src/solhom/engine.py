@@ -40,7 +40,7 @@ from .limits import (
     free_colimit,
     torsion_colimit,
 )
-from .linalg import IntMatrix, char_poly, complement_transpose, exterior_power_det, exterior_power_matrix
+from .linalg import IntMatrix, complement_transpose, exterior_power_det, exterior_power_matrix
 from .nfield import NfElement, canonical_generator, principal_generator
 from .places import SolenoidSystem
 
@@ -87,16 +87,19 @@ class GradedGroup:
     """Finitely supported family of groups indexed by an integer degree.
 
     A finite part keeps the (g, h) of principalization its tower was
-    flattened with.
+    flattened with and, for a unit c, the dual's pair of ladders
+    (finite_part_homology).
     """
 
     def __init__(
         self,
         entries: dict[int, DegreeEntry],
         principalization: tuple[NfElement, int] | None = None,
+        dual_ladders: tuple[list[IntMatrix], list[IntMatrix]] | None = None,
     ):
         self.entries = entries
         self.principalization = principalization
+        self.dual_ladders = dual_ladders
 
     def __repr__(self) -> str:
         return f"GradedGroup(entries={self.entries!r}, principalization={self.principalization!r})"
@@ -163,7 +166,7 @@ def dual_principalization(
 
 
 def finite_part_homology(
-    sys: SolenoidSystem, found: tuple[NfElement, int] | None = None
+    sys: SolenoidSystem, found: tuple[NfElement, int] | None = None, ladders=None
 ) -> GradedGroup:
     """Homology of the finite-place tower, graded by exterior degree
     0..[K:Q], flattened with found = (g, h), principalization(sys) when
@@ -182,6 +185,13 @@ def finite_part_homology(
     determinant is Sylvester-Franke's, its adjugate Jacobi's, read off
     the complementary power, and every prime of its determinant lies
     under a finite place of c (docs/duality.md).
+
+    For a unit c, N = g = m = 1 and det A = +-1, and by Jacobi
+    Lambda^k(A^-1) is det A times the complement transpose of
+    Lambda^(d-k)(A), which also gives the tower's adjugate.  The result's
+    dual_ladders is the pair (ladder of A^-1, ladder of A): the dual's
+    matrix is A^-1, and its call takes the pair as ladders and builds
+    none (docs/duality.md).
     """
     d = sys.field.degree
     n_index = sys.transfer_index
@@ -191,15 +201,22 @@ def finite_part_homology(
     c_inv = sys.c_inverse
     a_flat, m_flat = (g * c_inv).mult_pair()
     a_theta, m_theta = c_inv.mult_pair()
-    flat_powers = _exterior_ladder(a_flat, d)
+    primes = {fp.prime.p for fp in sys.finite_stable + sys.finite_unstable}
+    if ladders is not None and ladders[0][1] != a_flat:
+        raise InternalCheckError("the given ladder is not that of the flattened step")
+    flat_powers = _exterior_ladder(a_flat, d) if ladders is None else ladders[0]
+    if ladders is None and not primes:
+        det_a = flat_powers[d].rows[0][0]
+        ladders = flat_powers, [
+            _scaled_complement(flat_powers[d - k], d, d - k, det_a, 1) for k in range(d + 1)
+        ]
     # g = 1 (a unit c, or the forward side of an integral one): one ladder
     same = (a_theta, m_theta) == (a_flat, m_flat)
     theta_powers = flat_powers if same else _exterior_ladder(a_theta, d)
-    primes = {fp.prime.p for fp in sys.finite_stable + sys.finite_unstable}
 
     entries: dict[int, DegreeEntry] = {}
     for k in range(d + 1):
-        tower = _ladder_tower(flat_powers, k, m_flat, n_index, primes)
+        tower = _ladder_tower(flat_powers, k, m_flat, n_index, primes, ladders and ladders[1][k])
         try:
             closed = canonical_form(tower)
             provenance = "canonical_form_rank1" if tower.rank == 1 else "canonical_form"
@@ -207,13 +224,10 @@ def finite_part_homology(
             closed = None
             provenance = "tower"
         theta, den = theta_powers[k].rows, m_theta**k
-        common = math.gcd(den, *(n_index * x for row in theta for x in row))
-        action = (
-            IntMatrix._trusted(tuple(tuple(n_index * x // common for x in row) for row in theta)),
-            den // common,
-        )
+        common = 1 if den == 1 else math.gcd(den, *(n_index * x for row in theta for x in row))
+        action = _rescaled(theta_powers[k], n_index, common), den // common
         entries[k] = DegreeEntry(tower, closed, action, provenance)
-    return GradedGroup(entries, (g, h))
+    return GradedGroup(entries, (g, h), ladders and ladders[::-1])
 
 
 def _exterior_ladder(A: IntMatrix, d: int) -> list[IntMatrix]:
@@ -225,27 +239,30 @@ def _exterior_ladder(A: IntMatrix, d: int) -> list[IntMatrix]:
 
 
 def _ladder_tower(
-    powers: list[IntMatrix], k: int, m: int, n_index: int, primes: set[int]
+    powers: list[IntMatrix], k: int, m: int, n_index: int, primes: set[int], inverse=None
 ) -> ColimitGroup:
     """The tower T = N Lambda^k(A) / m^k of a d x d matrix A, from the
     ladder powers = [Lambda^0(A), ..., Lambda^d(A)].  det A is Lambda^d(A),
     det T is Sylvester-Franke's N^s det(A)^C(d-1, k-1) / m^(k s) for
     s = C(d, k), and by Jacobi T^-1 = m^k J / (N det A) for J the
     complement transpose of Lambda^(d-k)(A), so adj T = det T m^k J /
-    (N det A), built when first asked for.  primes holds every prime of
-    det T."""
+    (N det A), built when first asked for, or det T times inverse, T^-1
+    when it is given.  primes holds every prime of det T."""
     d = len(powers) - 1
     flat, den = powers[k].rows, m**k
-    if any(n_index * x % den for row in flat for x in row):
+    if den > 1 and any(n_index * x % den for row in flat for x in row):
         raise FlatteningFailure(f"transfer matrix at degree {k} is not integral")
-    delta = IntMatrix._trusted(tuple(tuple(n_index * x // den for x in row) for row in flat))
+    delta = _rescaled(powers[k], n_index, den)
     det_a, size = powers[d].rows[0][0], len(flat)
     det, rest = divmod(n_index**size * exterior_power_det(det_a, d, k), den**size)
     if rest:
         raise InternalCheckError(f"tower determinant at degree {k} is not an integer")
-    adjugate = functools.partial(
-        _scaled_complement, powers[d - k], d, d - k, det * den, n_index * det_a
-    )
+    if inverse is not None:
+        adjugate = functools.partial(_rescaled, inverse, det, 1)
+    else:
+        adjugate = functools.partial(
+            _scaled_complement, powers[d - k], d, d - k, det * den, n_index * det_a
+        )
     return ColimitGroup(delta, det, adjugate, primes)
 
 
@@ -253,8 +270,14 @@ def _scaled_complement(X: IntMatrix, d: int, k: int, num: int, den: int) -> IntM
     """complement_transpose(X, d, k) times num / den, where the product
     is an integer matrix; ColimitGroup.adjugate's check vector guards
     the floor division."""
-    J = complement_transpose(X, d, k)
-    return IntMatrix._trusted(tuple(tuple(num * x // den for x in row) for row in J.rows))
+    return _rescaled(complement_transpose(X, d, k), num, den)
+
+
+def _rescaled(X: IntMatrix, num: int, den: int) -> IntMatrix:
+    """X times num / den, each entry floor-divided; X itself when num = den."""
+    if num == den:
+        return X
+    return IntMatrix._trusted(tuple(tuple(num * x // den for x in row) for row in X.rows))
 
 
 def shifted_homology(base: SolenoidSystem, finite: GradedGroup) -> GradedGroup:
@@ -300,7 +323,7 @@ def duality_check(sys: SolenoidSystem, unstable: GradedGroup, stable: GradedGrou
     for j, entry in unstable.entries.items():
         eps = 1 if j % 2 else sign
         U, den = entry.action
-        expected = complement_transpose(U, d, j + sys.degree_shift).scale(eps)
+        expected = _scaled_complement(U, d, j + sys.degree_shift, eps, 1)
         if stable.entry(-j).action != (expected, den):
             raise InternalCheckError(
                 f"stable action in degree {-j} is not the Jacobi dual of unstable degree {j}"
@@ -419,18 +442,27 @@ def hk_check(sys: SolenoidSystem, finite: GradedGroup) -> dict:
 def lefschetz_traces(sys: SolenoidSystem, n: int) -> list[int]:
     """Alternating trace sums of the powers 1..n of the transfer action:
     row k is N^k det(I - m_{1/c}^k), with m_{1/c} = A / m, an integer
-    whose absolute value is the number of points of period k."""
-    A, m = sys.c_inverse.mult_pair()
-    return lefschetz_rows(A, m, sys.transfer_index, n)
+    whose absolute value is the number of points of period k.
+
+    char_poly(A) is read off mu, the minimal polynomial of 1/c that the
+    dual system holds: 1/c generates the field, so det(x I - A) =
+    m^d mu(x / m), whose coefficient i is m^i mu_i, an integer since A
+    is (docs/lefschetz.md)."""
+    m = sys.c_inverse.den
+    mu = sys.dual_system().min_poly.coeffs
+    pairs = [divmod(a.numerator * m**i, a.denominator) for i, a in enumerate(mu)]
+    if any(r for _, r in pairs):
+        raise InternalCheckError("the dual's min_poly gives m_{1/c} a non-integral char_poly")
+    return lefschetz_rows([q for q, _ in pairs], m, sys.transfer_index, n)
 
 
-def lefschetz_rows(A: IntMatrix, m: int, N: int, n: int) -> list[int]:
-    """N^k det(m^k I - A^k) / m^(kd) for k = 1..n, with no matrix powers
-    (docs/lefschetz.md): Newton's identities take char_poly(A) to the
-    power sums s_j = tr(A^j), j <= nd, and s_k, s_2k, ..., s_dk, the power
-    sums of A^k's eigenvalues, to the coefficients a_j of det(x I - A^k),
-    each division by j exact.  Row k is that polynomial at x = m^k."""
-    coeffs = char_poly(A)
+def lefschetz_rows(coeffs: Sequence[int], m: int, N: int, n: int) -> list[int]:
+    """N^k det(m^k I - A^k) / m^(kd) for k = 1..n, from coeffs =
+    char_poly(A), with no matrix powers (docs/lefschetz.md): Newton's
+    identities take coeffs to the power sums s_j = tr(A^j), j <= nd, and
+    s_k, s_2k, ..., s_dk, the power sums of A^k's eigenvalues, to the
+    coefficients a_j of det(x I - A^k), each division by j exact.  Row k
+    is that polynomial at x = m^k."""
     d, c = len(coeffs) - 1, coeffs[1:]
     s = [d]
     for j in range(1, n * d + 1):

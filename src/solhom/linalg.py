@@ -482,23 +482,22 @@ def complement_transpose(X: IntMatrix, d: int, k: int) -> IntMatrix:
     (-1)^(sum K + sum L) X[L^c, K^c], for X on k-subsets, subsets in
     lexicographic order.  By Jacobi's complementary-minor identity,
     complement_transpose(Lambda^k(A), d, k) = det(A) Lambda^(d-k)(A)^-1
-    for an invertible d x d matrix A (docs/duality.md)."""
-    at, sign = _complements(d, k)
-    out = [[0] * len(at) for _ in at]
-    for a, row in enumerate(X.rows):
-        for b, x in enumerate(row):
-            out[at[b]][at[a]] = sign[a] * sign[b] * x
-    return IntMatrix._trusted(tuple(map(tuple, out)))
+    for an invertible d x d matrix A (docs/duality.md).  Complementing
+    reverses lexicographic order, so the i-th k-subset's complement is
+    the i-th (d-k)-subset from the end, and row K of the result is column
+    K^c of X reversed, times signs."""
+    rev = _complement_signs(d, k)[::-1]
+    neg = tuple(-s for s in rev)
+    cols = list(zip(*X.rows))[::-1]
+    return IntMatrix._trusted(
+        tuple(tuple(map(operator.mul, rev if s > 0 else neg, col[::-1])) for s, col in zip(rev, cols))
+    )
 
 
 @functools.lru_cache(maxsize=128)
-def _complements(d: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For the k-subsets I of range(d) in lexicographic order: the slot of
-    I^c among the (d-k)-subsets, and the sign (-1)^(sum I)."""
-    subsets = list(itertools.combinations(range(d), k))
-    slot = {K: i for i, K in enumerate(itertools.combinations(range(d), d - k))}
-    at = tuple(slot[tuple(x for x in range(d) if x not in I)] for I in subsets)
-    return at, tuple((-1) ** sum(I) for I in subsets)
+def _complement_signs(d: int, k: int) -> tuple[int, ...]:
+    """(-1)^(sum I) for the k-subsets I of range(d) in lexicographic order."""
+    return tuple((-1) ** sum(I) for I in itertools.combinations(range(d), k))
 
 
 def char_poly(A: IntMatrix) -> tuple[int, ...]:
@@ -532,48 +531,49 @@ def _faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _rank_rows_mod_p(a: list[list[int]], p: int) -> int:
-    """Rank over F_p of a list of rows with entries in [0, p), by
-    Gauss-Jordan elimination that overwrites the list."""
-    nrows = len(a)
-    rank = 0
-    for col in range(len(a[0])):
-        pivot_row = next((i for i in range(rank, nrows) if a[i][col]), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [x * inv % p for x in a[rank]]
-        for i in range(nrows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
-def _mul_rows_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in a]
-
-
 def stable_rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank of A^n mod p for n = dim(A); the eventual rank of all powers.
 
     This is the dimension of the largest subspace of F_p^n on which A
-    acts invertibly, an invariant of the colimit of A acting on Z^n.
-    A is reduced mod p once; A^n is then taken by square-and-multiply on
-    row lists, reduced mod p after each product.
+    acts invertibly, an invariant of the colimit of A acting on Z^n: n
+    minus the multiplicity of the root 0 of A's characteristic
+    polynomial mod p.  No power of A is taken: A mod p is brought to
+    Hessenberg form H by similarity, and det(xI - H) is built up over
+    its leading principal blocks (Cohen, GTM 138, 2.2.9), in ascending
+    coefficients.
     """
     if A.nrows != A.ncols:
         raise ValueError("stable rank needs a square matrix")
-    base = [[x % p for x in row] for row in A.rows]
-    power = None
-    e = A.nrows
-    while True:
-        if e & 1:
-            power = base if power is None else _mul_rows_mod_p(power, base, p)
-        e >>= 1
-        if not e:
-            return _rank_rows_mod_p(power, p)
-        base = _mul_rows_mod_p(base, base, p)
+    a = [[x % p for x in row] for row in A.rows]
+    n = len(a)
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if a[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:  # swap rows i and m, then columns i and m
+            a[i], a[m] = a[m], a[i]
+            for row in a:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(a[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = a[i][m - 1] * inv % p
+            if u:  # row i -= u row m, then column m += u column i
+                a[i] = [(x - u * y) % p for x, y in zip(a[i], a[m])]
+                for row in a:
+                    row[m] = (row[m] + u * row[i]) % p
+    # chi_(m+1) = (x - h_mm) chi_m - sum over i < m of
+    # h_im h_(i+1,i) ... h_(m,m-1) chi_i, with chi_0 = 1
+    chis = [[1]]
+    for m in range(n):
+        chi = [0] + chis[m]
+        for j, c in enumerate(chis[m]):
+            chi[j] = (chi[j] - a[m][m] * c) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * a[i + 1][i] % p
+            if not t:
+                break
+            for j, c in enumerate(chis[i]):
+                chi[j] = (chi[j] - a[i][m] * t * c) % p
+        chis.append(chi)
+    return n - next(j for j, c in enumerate(chis[n]) if c)

@@ -541,10 +541,13 @@ def canonical_generator(x: NfElement, ideal: Callable[[], FractionalIdeal]) -> N
 
 def _box_generator(I: FractionalIdeal) -> NfElement | None:
     """The first x = I.num * combo / I.den over the boxes of radius 1, 2, 3
-    with |N(x)| = N(I), which proves (x) = I since x lies in I."""
+    with |N(x)| = N(I), which proves (x) = I since x lies in I.  A combo
+    inside the box of the radius below was tried there, or is zero."""
     target = math.prod(row[i] for i, row in enumerate(I.num.rows))  # |det| of the HNF
     for radius in (1, 2, 3):
         for combo in itertools.product(range(-radius, radius + 1), repeat=I.field.degree):
+            if max(map(abs, combo)) < radius:
+                continue
             num = I.num.apply(combo)
             if abs(I.field.integer_norm(num)) == target:
                 return NfElement(I.field, num, I.den)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from solhom.engine import (
@@ -31,7 +32,7 @@ from solhom.errors import (
 from solhom.fgab import FgAbGroup, GroupHom, LocalizedForm, localized_from_fgab
 from solhom.intfactor import factorint, radical
 from solhom.limits import MEMBERSHIP_CAP_FACTOR, ColimitGroup, InvariantSignature
-from solhom.linalg import IntMatrix, _bareiss_det, _rank_rows_mod_p, hnf, snf
+from solhom.linalg import IntMatrix, _bareiss_det, hnf, snf
 from solhom.nfield import (
     FractionalIdeal,
     NfElement,
@@ -646,9 +647,53 @@ def euclid_hnf(A: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(tuple(zip(*reduced)))
 
 
+def _rank_rows_mod_p(a: list[list[int]], p: int) -> int:
+    """Rank over F_p of a list of rows with entries in [0, p), by
+    Gauss-Jordan elimination that overwrites the list."""
+    nrows = len(a)
+    rank = 0
+    for col in range(len(a[0])):
+        pivot_row = next((i for i in range(rank, nrows) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(nrows):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 def rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank of A over the field with p elements (p prime)."""
     return _rank_rows_mod_p([[x % p for x in row] for row in A.rows], p)
+
+
+def _mul_rows_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in a]
+
+
+def stable_rank_by_squaring(A: IntMatrix, p: int) -> int:
+    """linalg.stable_rank_mod_p as the package ran it before the
+    Hessenberg route: the rank of A^n mod p for n = dim(A), A reduced mod
+    p once and A^n taken by square-and-multiply on row lists, reduced mod
+    p after each product."""
+    if A.nrows != A.ncols:
+        raise ValueError("stable rank needs a square matrix")
+    base = [[x % p for x in row] for row in A.rows]
+    power = None
+    e = A.nrows
+    while True:
+        if e & 1:
+            power = base if power is None else _mul_rows_mod_p(power, base, p)
+        e >>= 1
+        if not e:
+            return _rank_rows_mod_p(power, p)
+        base = _mul_rows_mod_p(base, base, p)
 
 
 def colimit_contains(G: ColimitGroup, vec) -> bool:

@@ -18,7 +18,9 @@ tests/data/report_digests.json pins the sha256 of `x^9-x-1`'s report
 `x^2+x+7/2 --lefschetz 41`, whose last rows run to 35 digits, and of
 `x^3-x/4-1/8`, `x^2+x+15/2` and `x^2-79/4`, the inputs CI also checks
 for the degree >= 3 box search, for place analysis and for the
-real-quadratic generator pick on both sides.
+real-quadratic generator pick on both sides, and of `x^8-2` and
+`x^9-2`, non-unit high-degree reports whose signatures take the stable
+rank of every tower mod 2.
 """
 
 import contextlib
@@ -90,7 +92,8 @@ def test_high_degree_reports_are_byte_identical_to_their_recording():
 def test_pinned_report_digests_hold():
     pinned = json.loads(DIGESTS.read_text())
     assert list(pinned) == [
-        "x^9-x-1", digest_key("x^2+x+7/2", 41), "x^3-x/4-1/8", "x^2+x+15/2", "x^2-79/4"
+        "x^9-x-1", digest_key("x^2+x+7/2", 41), "x^3-x/4-1/8", "x^2+x+15/2", "x^2-79/4",
+        "x^8-2", "x^9-2",
     ]
     for key, digest in pinned.items():
         out = io.StringIO()

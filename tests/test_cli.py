@@ -345,6 +345,21 @@ def test_build_report_builds_each_finite_part_once(monkeypatch):
     assert calls["principalization"] == 1
 
 
+def test_a_unit_report_builds_one_exterior_ladder(monkeypatch):
+    # the dual's powers of A^-1 come from the forward ladder by Jacobi, so
+    # a report on a unit of degree d takes the d + 1 powers of A alone
+    calls = []
+    original = engine.exterior_power_matrix
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(engine, "exterior_power_matrix", counted)
+    cli.build_report(build_system("x^4-x-1"), 6)
+    assert calls == [0, 1, 2, 3, 4]
+
+
 def test_reports_leave_no_cyclic_garbage():
     # Garbage in cycles waits for the cyclic collector, which then runs
     # more often and holds memory longer; reports should free everything

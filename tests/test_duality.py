@@ -15,17 +15,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import RatMatrix, int_pair, minor_entry, rat, reversed_poly, signatures_match, system_with
 from record_answer_reports import DATA
-from solhom import cli, nfield, places
+from solhom import cli, engine, nfield, places
 from solhom.cli import build_report
 from solhom.engine import (
     GradedGroup,
+    dual_principalization,
     duality_check,
     finite_part_homology,
     principalization,
     shifted_homology,
 )
-from solhom.errors import InternalCheckError
+from solhom.errors import InternalCheckError, SolhomError
 from solhom.places import build_system
+from solhom.qpoly import Poly
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -177,6 +179,51 @@ def test_duality_check_fails_on_a_wrong_stable_scale():
         )
         with pytest.raises(InternalCheckError):
             duality_check(sys_, unstable, scaled)
+
+
+@st.composite
+def unit_polys(draw):
+    """x^d + a_(d-1) x^(d-1) + ... + a_1 x +- 1 for d = 2..6, whose roots
+    are units."""
+    d = draw(st.integers(2, 6), label="degree")
+    middle = [draw(st.integers(-3, 3), label="coefficient") for _ in range(d - 1)]
+    return Poly([1, *middle, draw(st.sampled_from([1, -1]), label="constant")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_polys())
+def test_unit_dual_ladder_by_jacobi_is_the_duals_own(poly):
+    try:
+        sys_ = build_system(poly)
+    except SolhomError:
+        assume(False)  # reducible, or a root on the unit circle
+    d = sys_.field.degree
+    finite = finite_part_homology(sys_)
+    inverse, powers = finite.dual_ladders
+    A, m = sys_.c_inverse.mult_pair()
+    B, n = sys_.c.mult_pair()
+    assert (m, n) == (1, 1)
+    assert powers == engine._exterior_ladder(A, d)
+    assert inverse == engine._exterior_ladder(B, d)
+    # the dual's finite part from the derived ladders is the one from its own
+    dual = sys_.dual_system()
+    found = dual_principalization(sys_, finite.principalization)
+    derived, own = finite_part_homology(dual, found, finite.dual_ladders), finite_part_homology(dual, found)
+    assert derived.dual_ladders == (powers, inverse)
+    for k in range(d + 1):
+        a, b = derived.entries[k], own.entries[k]
+        assert (a.colimit.matrix, a.colimit.det, a.closed, a.action) == (
+            b.colimit.matrix, b.colimit.det, b.closed, b.action,
+        )
+        assert a.colimit.adjugate == b.colimit.adjugate
+
+
+def test_a_ladder_of_another_matrix_is_refused():
+    sys_ = build_system("x^4-x-1")
+    finite = finite_part_homology(sys_)
+    found = dual_principalization(sys_, finite.principalization)
+    with pytest.raises(InternalCheckError, match="not that of the flattened step"):
+        finite_part_homology(sys_.dual_system(), found, finite.dual_ladders[::-1])
 
 
 def _complement_permutation(d, k):

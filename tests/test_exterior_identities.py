@@ -18,6 +18,8 @@ or Pollard rho.
 from __future__ import annotations
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -162,6 +164,27 @@ def test_a_determinant_prime_outside_the_places_is_an_internal_error():
     finite_part_homology(sys_)
     with pytest.raises(InternalCheckError, match="prime outside"):
         finite_part_homology(system_with(sys_, finite_stable=[]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))), st.integers(0, 2**32))
+def test_complement_transpose_is_its_entrywise_definition(shape, seed):
+    # entry (K, L) is (-1)^(sum K + sum L) X[L^c, K^c], read off slot by
+    # slot, for any X on k-subsets, not only an exterior power
+    d, k = shape
+    rng = random.Random(seed)
+    size = math.comb(d, k)
+    X = IntMatrix([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
+    slot = {I: i for i, I in enumerate(combinations(range(d), k))}
+
+    def rest(K):
+        return tuple(x for x in range(d) if x not in K)
+
+    comps = list(combinations(range(d), d - k))
+    expected = [
+        [(-1) ** (sum(K) + sum(L)) * X.rows[slot[rest(L)]][slot[rest(K)]] for L in comps] for K in comps
+    ]
+    assert complement_transpose(X, d, k) == IntMatrix(expected)
 
 
 def test_a_wrong_adjugate_or_determinant_fails_the_check_vector():

@@ -247,7 +247,9 @@ def test_lefschetz_stops_at_the_first_root_of_unity_power():
     field = sys_.field
     zeta = (field.gen() - field.one()).scale(Fraction(1, 2))  # (-1 + sqrt(-3)) / 2
     for c, k in ((zeta, 3), (-zeta, 6), (field.from_rational(-1), 2)):
-        fake = system_with(sys_, c=c)
+        # lefschetz_traces reads the characteristic polynomial of 1/c off
+        # the dual's min_poly, so the fake carries that of c
+        fake = system_with(sys_, c=c, min_poly=c.char_poly_over_q())
         for route in (lefschetz_traces, fraction_lefschetz_traces):
             with pytest.raises(DegenerateFix, match=rf"c\^{k} = 1"):
                 route(fake, 12)

@@ -1,18 +1,29 @@
 """Lefschetz rows from Newton power sums against the matrix-power loop
-they replaced (tests/oracles.py), and periodic counts without per-period
-objects."""
+they replaced (tests/oracles.py), the characteristic polynomial they
+start from read off the dual's minimal polynomial against
+Faddeev-LeVerrier, and periodic counts without per-period objects."""
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
-from oracles import lefschetz_rows_by_matrix_powers
-from solhom import nfield
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import lefschetz_rows_by_matrix_powers, system_with
+from record_answer_reports import answer_inputs
+from solhom import engine, nfield
 from solhom.engine import lefschetz_rows, lefschetz_traces
-from solhom.errors import DegenerateFix, InternalCheckError
-from solhom.linalg import IntMatrix
+from solhom.errors import DegenerateFix, InternalCheckError, SolhomError
+from solhom.linalg import IntMatrix, char_poly
 from solhom.places import build_system
+from solhom.qpoly import Poly
+
+
+def rows_of_matrix(A, m, N, n):
+    """lefschetz_rows on the Faddeev-LeVerrier characteristic polynomial
+    of A."""
+    return lefschetz_rows(char_poly(A), m, N, n)
 
 
 def _outcome(route, *args):
@@ -62,15 +73,15 @@ def matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_rows_and_refusals_match_matrix_powers(case):
-    assert _outcome(lefschetz_rows, *case) == _outcome(lefschetz_rows_by_matrix_powers, *case)
+    assert _outcome(rows_of_matrix, *case) == _outcome(lefschetz_rows_by_matrix_powers, *case)
 
 
 def test_eigenvalue_m_to_the_k_is_a_degenerate_fix():
     # A has the eigenvalue 2 * i, so A^4 has the eigenvalue 2^4
     A = IntMatrix([[0, -4, 1], [1, 0, 5], [0, 0, 3]])
     with pytest.raises(DegenerateFix, match=r"c\^4 = 1"):
-        lefschetz_rows(A, 2, 8, 6)
-    assert lefschetz_rows(A, 2, 8, 3) == lefschetz_rows_by_matrix_powers(A, 2, 8, 3)
+        rows_of_matrix(A, 2, 8, 6)
+    assert rows_of_matrix(A, 2, 8, 3) == lefschetz_rows_by_matrix_powers(A, 2, 8, 3)
 
 
 @pytest.mark.parametrize("poly, n", [("x^2+x+7/2", 41), ("x^3-x-1", 50), ("x^9-x-1", 6)])
@@ -80,6 +91,69 @@ def test_report_rows_match_matrix_powers(poly, n):
     expected = lefschetz_rows_by_matrix_powers(A, m, sys_.transfer_index, n)
     assert lefschetz_traces(sys_, n) == expected
     assert sys_.periodic_counts(n) == [abs(row) for row in expected]
+
+
+def faddeev_leverrier_rows(sys_, n):
+    """The rows from the Faddeev-LeVerrier characteristic polynomial of
+    m_{1/c}'s integer matrix, the route a report took before it read the
+    polynomial off the dual's min_poly."""
+    A, m = sys_.c_inverse.mult_pair()
+    return rows_of_matrix(A, m, sys_.transfer_index, n)
+
+
+def _characteristic_polys(monkeypatch, sys_, n):
+    """The polynomial lefschetz_traces hands to lefschetz_rows, with the
+    rows."""
+    seen = []
+
+    def recorded(coeffs, *rest):
+        seen.append(tuple(coeffs))
+        return lefschetz_rows(coeffs, *rest)
+
+    monkeypatch.setattr(engine, "lefschetz_rows", recorded)
+    rows = _outcome(lefschetz_traces, sys_, n)
+    monkeypatch.undo()
+    return seen, rows
+
+
+def test_answer_input_rows_match_faddeev_leverrier(monkeypatch):
+    checked = 0
+    for poly in sorted({poly for _, poly, _ in answer_inputs()}):
+        try:
+            sys_ = build_system(poly)
+        except SolhomError:
+            continue  # refused inputs have no rows
+        seen, rows = _characteristic_polys(monkeypatch, sys_, 12)
+        assert seen == [char_poly(sys_.c_inverse.mult_pair()[0])], poly
+        assert rows == _outcome(faddeev_leverrier_rows, sys_, 12), poly
+        checked += 1
+    assert checked >= 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-9, 9), min_size=d, max_size=d), st.lists(st.integers(1, 6), min_size=d, max_size=d)
+        )
+    )
+)
+def test_drawn_rows_match_faddeev_leverrier(case):
+    nums, dens = case
+    try:
+        sys_ = build_system(Poly([1, *(Fraction(a, b) for a, b in zip(nums, dens))]))
+    except SolhomError:
+        assume(False)  # reducible, c = 0, or a root on the unit circle
+    assert _outcome(lefschetz_traces, sys_, 8) == _outcome(faddeev_leverrier_rows, sys_, 8)
+
+
+def test_a_min_poly_that_is_not_that_of_c_is_caught():
+    # the dual's min_poly x^2 - x/2 - 1 is not m_{1/c}'s: with m = 1 its
+    # coefficient -1/2 is not an integer
+    sys_ = build_system("x^2-x-1")
+    fake = system_with(sys_, min_poly=Poly([1, Fraction(1, 2), -1]))
+    with pytest.raises(InternalCheckError, match="non-integral char_poly"):
+        lefschetz_traces(fake, 3)
 
 
 def test_rows_take_no_matrix_products_or_determinants(monkeypatch):

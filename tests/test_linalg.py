@@ -34,6 +34,7 @@ from oracles import (
     minor_entry,
     rank_mod_p,
     stable_rank_by_powers,
+    stable_rank_by_squaring,
 )
 
 
@@ -458,6 +459,62 @@ def test_stable_rank_mod_p_matches_the_power_sequence(case, p):
     if nilpotent:
         rows = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
     assert stable_rank_mod_p(IntMatrix(rows), p) == stable_rank_by_powers(rows, p)
+
+
+@st.composite
+def jordan_conjugates(draw):
+    """(A, p, expected): a unimodular conjugate of a block upper-triangular
+    r x r matrix, r <= 24, whose diagonal blocks are Jordan blocks J_s(p t),
+    nilpotent mod p of index s up to r, or upper-triangular blocks with a
+    diagonal prime to p, invertible mod p.  The characteristic polynomial
+    mod p is the product of the blocks', so the stable rank mod p is
+    expected, the total size of the invertible blocks."""
+    p = draw(st.sampled_from([2, 3, 5]), label="p")
+    r = draw(st.integers(1, 24), label="r")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    a = [[0] * r for _ in range(r)]
+    start = expected = 0
+    while start < r:
+        size = draw(st.integers(1, r - start), label="block size")
+        nilpotent = draw(st.booleans(), label="nilpotent")
+        for i in range(start, start + size):
+            if nilpotent:
+                a[i][i] = p * rng.randint(-2, 2)
+                if i + 1 < start + size:
+                    a[i][i + 1] = 1
+            else:
+                a[i][i] = rng.randint(1, p - 1) + p * rng.randint(-2, 2)
+                a[i][i + 1 : start + size] = [rng.randint(-3, 3) for _ in range(i + 1, start + size)]
+            a[i][start + size :] = [rng.choice([0, 0, 1, -2]) for _ in range(start + size, r)]
+        expected += 0 if nilpotent else size
+        start += size
+    for _ in range(rng.randint(0, 2 * r)):
+        # conjugate by I + c E_ij: add c times row j to row i, then take
+        # c times column i from column j
+        i, j, c = rng.randrange(r), rng.randrange(r), rng.randint(-2, 2)
+        if i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[j] -= c * row[i]
+    return IntMatrix(a), p, expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(jordan_conjugates())
+def test_stable_rank_of_jordan_conjugates_matches_both_power_routes(case):
+    A, p, expected = case
+    assert stable_rank_mod_p(A, p) == expected
+    assert stable_rank_by_squaring(A, p) == expected
+    assert stable_rank_by_powers(A.rows, p) == expected
+
+
+def test_stable_rank_of_a_full_nilpotent_chain_is_zero():
+    # one Jordan chain of index r: the rank falls by one per power, r times
+    for r in (1, 2, 9, 24):
+        N = IntMatrix([[int(j == i + 1) for j in range(r)] for i in range(r)])
+        for p in (2, 3, 5):
+            assert stable_rank_mod_p(N, p) == 0
+            assert stable_rank_mod_p(N + IntMatrix.identity(r).scale(p + 1), p) == r
 
 
 @settings(max_examples=100, deadline=None)

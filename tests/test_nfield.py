@@ -614,6 +614,53 @@ def test_box_search_is_the_scan_that_checks_membership(text):
 
 
 @functools.cache
+def cubic_primes(text: str) -> tuple:
+    """The primes over 2 ... 19 of the cubic field of text that factor."""
+    K = NumberField(clear_to_monic_integer(parse_poly(text))[0])
+    primes = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        try:
+            primes += factor_rational_prime(K, p)
+        except IndexObstruction:
+            continue
+    return tuple(primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_drawn_cubic_ideals_hit_and_miss_the_box_as_the_scan_does(data):
+    # products of up to three prime powers: the larger norms mostly miss
+    # the box, and a miss must be a miss of the scan too
+    primes = cubic_primes(data.draw(st.sampled_from(["x^3-2", "x^3-x-1", "x^3-3"]), label="field"))
+    factors = data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3), label="primes")
+    I = functools.reduce(
+        lambda J, P: J * P.power(data.draw(st.integers(1, 3), label="exponent")), factors[1:],
+        factors[0].power(data.draw(st.integers(1, 3), label="exponent")),
+    )
+    assert principal_generator(I) == contains_box_generator(I)
+
+
+def test_a_cubic_box_miss_takes_one_norm_per_combination(monkeypatch):
+    # the boxes of radius 1, 2, 3 hold 7^3 = 343 combinations, each tried
+    # once since the inner box of each radius was tried at the radius
+    # below it; the zero combination lies inside the radius-1 box
+    P = next(P for P in cubic_primes("x^3-2") if P.p == 5 and P.f == 2)
+    I = P.power(3)
+    norms = []
+    integer_norm = NumberField.integer_norm
+
+    def counted(field, num):
+        norms.append(tuple(num))
+        return integer_norm(field, num)
+
+    monkeypatch.setattr(NumberField, "integer_norm", counted)
+    assert principal_generator(I) is None
+    assert len(norms) == len(set(norms)) == 342
+    monkeypatch.undo()
+    assert contains_box_generator(I) is None
+
+
+@functools.cache
 def answer_fields() -> tuple[NumberField, ...]:
     """The distinct fields of the answer inputs that build a system."""
     fields = {}
