@@ -24,6 +24,7 @@ from . import __version__
 from .engine import (
     DegreeEntry,
     GradedGroup,
+    certify_closed_forms,
     dual_principalization,
     duality_check,
     finite_part_homology,
@@ -195,7 +196,9 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     principalization, the dual's feeds stable homology.  Only the
     forward side searches for a principal generator; the dual's comes
     from it, and for a unit c the dual's ladder too.  The two sides'
-    actions are checked against each other by Jacobi duality.
+    actions are checked against each other by Jacobi duality, and each
+    stable closed form is certified against its tower as hk_check
+    certifies the unstable ones.
     """
     finite = finite_part_homology(sys_)
     k_groups = k_theory(sys_, finite)
@@ -205,6 +208,7 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     found = dual_principalization(sys_, finite.principalization)
     stable = shifted_homology(dual, finite_part_homology(dual, found, finite.dual_ladders))
     duality_check(sys_, unstable, stable)
+    certify_closed_forms((f"stable H_{k}", e) for k, e in sorted(stable.entries.items()))
     g, h = finite.principalization
     report = {
         "schema_version": SCHEMA_VERSION,

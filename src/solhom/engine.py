@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AtomClassExceeded,
@@ -36,7 +36,6 @@ from .limits import (
     ColimitGroup,
     canonical_form,
     diagonal_radicals,
-    equal_commuting,
     free_colimit,
     torsion_colimit,
 )
@@ -368,11 +367,6 @@ def _atom_moduli(e: DegreeEntry) -> list[int]:
     return moduli
 
 
-def _atom_colimit(e: DegreeEntry) -> ColimitGroup:
-    """The canonical atom tower of a degree with a closed form."""
-    return ColimitGroup.diagonal(_atom_moduli(e))
-
-
 def _same_support(t: int, m: int) -> bool:
     """t and m have the same prime divisors: each divides a power of the
     other."""
@@ -390,8 +384,8 @@ def _certified(e: DegreeEntry) -> bool:
     whose diagonal multiplies to its determinant and shares each entry's
     primes with its atom, since colim(diag t) is the sum of the Z[1/t_i];
     or a tower of determinant +-1 with closed form Z^r, whose adjugate
-    passes its check vector, since T^-1 is then integral.  False hands the
-    degree to equal_commuting."""
+    passes its check vector, since T^-1 is then integral.  These are the
+    only closed forms canonical_form gives."""
     G, atoms = e.colimit, e.closed.atoms
     if G.matrix is None or len(atoms) != G.rank:
         return False
@@ -400,6 +394,15 @@ def _certified(e: DegreeEntry) -> bool:
         return math.prod(diag) == G.det and all(map(_same_support, diag, _atom_moduli(e)))
     # reading the adjugate runs its check vector, T (adj v) = det v
     return abs(G.det) == 1 and all(kind == "free" for kind, _ in atoms) and G.adjugate is not None
+
+
+def certify_closed_forms(named: Iterable[tuple[str, DegreeEntry]]) -> None:
+    """Raise InternalCheckError at the first degree, in the order given,
+    whose closed form _certified does not certify against its tower,
+    naming it as given.  A degree without a closed form is not compared."""
+    for name, e in named:
+        if e.closed is not None and not _certified(e):
+            raise InternalCheckError(f"{name}: closed form {e.closed.pretty()} differs from its tower")
 
 
 def hk_check(sys: SolenoidSystem, finite: GradedGroup) -> dict:
@@ -411,29 +414,15 @@ def hk_check(sys: SolenoidSystem, finite: GradedGroup) -> dict:
     equals its own tower's colimit.  A degree without a closed form is
     its own summand and is not compared.  So this re-certifies
     canonical_form; it is not an independent check of the HK conjecture.
-    The closed forms canonical_form gives, of diagonal and unimodular
-    towers, are certified from integer identities (_certified); any
-    other degree is compared with its atom tower by equal_commuting.
-    A closed form that differs from its atom tower raises
-    InternalCheckError naming its K-group (the parity of its unstable
-    degree; K0 is checked first), the closed form and the witness of
-    equal_commuting, as does a failed rank identity.  A NonCommuting
-    from equal_commuting is a bug; it propagates, and the comparisons
-    go on past a mismatch so that none is hidden.  The record returned
-    is that of the passed check.
+    Each closed form is certified from an integer identity (_certified);
+    one that is not raises InternalCheckError naming its K-group (the
+    parity of its unstable degree; K0 is checked first) and the closed
+    form, as does a failed rank identity.  The record returned is that
+    of the passed check.
     """
     shift = sys.degree_shift
-    differ = None
-    for k in sorted(finite.entries, key=lambda k: ((k - shift) % 2, k)):
-        e = finite.entries[k]
-        if e.closed is not None and not _certified(e):
-            equal, witness = equal_commuting(e.colimit, _atom_colimit(e))
-            if not equal and differ is None:
-                shown = "none: ranks differ" if witness is None else ", ".join(map(str, witness))
-                differ = f"K{(k - shift) % 2}: closed form {e.closed.pretty()} differs from its "
-                differ += f"tower; witness ({shown})"
-    if differ is not None:
-        raise InternalCheckError(differ)
+    order = sorted(finite.entries, key=lambda k: ((k - shift) % 2, k))
+    certify_closed_forms((f"K{(k - shift) % 2}", finite.entries[k]) for k in order)
     if sum(e.rank for e in finite.entries.values()) != 2 ** sys.field.degree:
         raise InternalCheckError("degree ranks do not add up to 2^[K:Q]")
     return {"verdicts": {"0": "equal", "1": "equal"}, "rank_identity": True}

@@ -1,7 +1,15 @@
 """Colimits of towers Z^r -> Z^r -> ... along a fixed integer matrix.
 
 The colimit of an injective T is realized concretely as the subgroup
-G = union of T^(-n) Z^r inside Q^r.  Three facts drive the algorithms:
+G = union of T^(-n) Z^r inside Q^r.  rank(G / pG) equals the stable
+rank of T mod p, an isomorphism invariant that a report prints for a
+colimit without a closed form, and adds over the direct sum of a
+K-group's degrees.
+
+Membership and equality are the tests' oracle: a report certifies its
+closed forms from integer identities (engine._certified).  They stay
+here because the benchmark's tracer wraps their names (ROADMAP item 1).
+Two facts make them decide:
 
 * Membership is decidable with a proven stage bound.  Applying T never
   increases the denominator of a vector, and if the p-denominator of a
@@ -15,10 +23,6 @@ G = union of T^(-n) Z^r inside Q^r.  Three facts drive the algorithms:
   of T^(-1) lies in G', because T^(-1) then maps G' into itself and
   induction carries T^(-n) Z^r inside.  This makes equality definitive
   in both directions, with an explicit witness vector on failure.
-
-* rank(G / pG) equals the stable rank of T mod p, an isomorphism
-  invariant that a report prints for a colimit without a closed form,
-  and adds over the direct sum of a K-group's degrees.
 
 Torsion towers are finite, so their colimit is the eventual image with
 the map acting bijectively; mixed towers reduce to a block-diagonal
@@ -48,10 +52,10 @@ class ColimitGroup:
 
     The trivial group is matrix=None with rank zero.  A caller that knows
     T's determinant by an identity passes it as det, and its adjugate as
-    adjugate, a function of no arguments called at most once, when
-    equal_commuting first needs it; otherwise they come from Bareiss
-    elimination.  primes, when given, holds every prime of the
-    determinant: det_primes divides them out instead of factoring.
+    adjugate, a function of no arguments called at most once, when the
+    adjugate is first read; otherwise they come from Bareiss elimination.
+    primes, when given, holds every prime of the determinant: det_primes
+    divides them out instead of factoring.
     """
 
     def __init__(
@@ -75,23 +79,6 @@ class ColimitGroup:
             self.det = matrix.det() if det is None else det
             if self.det == 0:
                 raise ValueError("tower matrix must be injective; reduce with free_colimit")
-
-    @staticmethod
-    def diagonal(diag: Sequence[int]) -> "ColimitGroup":
-        """The tower diag(d_1, ..., d_r): its determinant is the product
-        of the d_i, its adjugate diagonal with entries det / d_i, and its
-        primes those of the d_i."""
-        n, det = len(diag), math.prod(diag)
-
-        def rows(entries):
-            return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
-
-        return ColimitGroup(
-            IntMatrix._trusted(rows(diag)),
-            det,
-            lambda: IntMatrix._trusted(rows([det // x for x in diag])),
-            {p for x in set(diag) for p in factorint(x)},
-        )
 
     def __repr__(self) -> str:
         return f"ColimitGroup(rank={self.rank}, det={self.det})"
@@ -133,11 +120,11 @@ class ColimitGroup:
 
     def membership_stage(self, vec: Sequence, den: int = 1) -> int | None:
         """Least n with T^n (vec / den) integral, or None when vec / den is
-        not in the group.  Runs on the integer numerators against one
-        denominator (rational entries are cleared to a common one first),
-        cancelling their gcd after each step.  Scans past the proven bound
-        as a self-check; a witness in the overscan region means the bound
-        argument failed."""
+        not in the group; the tests' oracle, which no report calls.  Runs
+        on the integer numerators against one denominator (rational
+        entries are cleared to a common one first), cancelling their gcd
+        after each step.  Scans past the proven bound as a self-check; a
+        witness in the overscan region means the bound argument failed."""
         if len(vec) != self.rank:
             raise ValueError("vector length does not match the rank")
         num = list(vec)
@@ -214,7 +201,8 @@ class InvariantSignature(NamedTuple):
 
 
 def equal_commuting(G: ColimitGroup, H: ColimitGroup) -> tuple[bool, tuple | None]:
-    """Decide G == H as subgroups of Q^r when the tower matrices commute.
+    """Decide G == H as subgroups of Q^r when the tower matrices commute:
+    the tests' oracle, which no report calls.
 
     Returns (True, None) or (False, witness) where the witness vector
     (of Fractions) lies in exactly one of the two groups.  Raises

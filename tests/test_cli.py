@@ -604,6 +604,47 @@ def test_wrong_closed_form_exits_3(capsys, monkeypatch):
     assert "InternalCheckError" in err and "closed form Z[1/15] differs from its tower" in err
 
 
+def _change_stable_tower(monkeypatch, change):
+    """Replace the degree-1 tower of the dual's finite part, the second
+    that build_report builds, by change(tower)."""
+    right = cli.finite_part_homology
+    calls = []
+
+    def patched(side, *args):
+        finite = right(side, *args)
+        calls.append(side)
+        if len(calls) == 2:
+            finite.entries[1] = finite.entries[1]._replace(colimit=change(finite.entries[1].colimit))
+        return finite
+
+    monkeypatch.setattr(cli, "finite_part_homology", patched)
+
+
+def test_wrong_stable_determinant_exits_3(capsys, monkeypatch):
+    # the stable closed forms are certified as the K-groups' are: a rank-one
+    # stable tower of c = 3/2 given 5 times its determinant no longer
+    # certifies, and nothing else in the report reads that determinant
+    _change_stable_tower(monkeypatch, lambda G: limits.ColimitGroup(G.matrix, 5 * G.det))
+    code, out, err = run(capsys, "analyze", "--c", "3/2", "--json", "--no-cache")
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(r"solhom: internal: InternalCheckError: stable H_-?\d+: closed form \S+ differs from its tower\n", err)
+
+
+def test_wrong_stable_adjugate_exits_3(capsys, monkeypatch):
+    # degree 1 of the dual of the unit x^3-x-1 is unimodular with closed
+    # form Z^3: its certificate reads the adjugate, whose sign flipped
+    # fails the check vector
+    def flipped(G):
+        return limits.ColimitGroup(G.matrix, G.det, lambda: G.adjugate.scale(-1))
+
+    _change_stable_tower(monkeypatch, flipped)
+    code, out, err = run(capsys, "analyze", "--min-poly", "x^3-x-1", "--json", "--no-cache")
+    assert code == 3
+    assert out == ""
+    assert "InternalCheckError: adjugate and determinant disagree on the check vector" in err
+
+
 def test_reduced_form_cap_overflow_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(nfield, "_walk_cap", lambda D, C: 0)
     code, out, err = run(capsys, "analyze", "--no-cache", "--min-poly", "x^2-79/4")

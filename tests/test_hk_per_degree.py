@@ -1,19 +1,20 @@
-"""The per-degree integer H/K comparison against the block-sum Fraction one.
+"""The per-degree integer H/K comparison against the block-sum membership one.
 
 engine.k_theory keeps each K-group as its degree entries keyed by
-unstable degree, engine.hk_check compares each closed form's atom tower
-with its own tower, and limits.equal_commuting tests the columns of T^(-1) as integer
-columns of one fraction-free adjugate.  tests/oracles.py keeps the
-routes they replaced: block_sum_hk_check (one block-diagonal matrix per
-parity, built by the oracle) and fraction_equal_commuting
-(RatMatrix.inverse and Fraction membership).  equal_commuting witnesses
-and stages must agree.  Where the oracle reads "differ", hk_check
-raises InternalCheckError for the first such parity, and the witness it
-names must lie in exactly one of an entry's tower and its atom tower.
-A closed form that does not commute with its tower raises NonCommuting
-on both routes.  A K-group's report, the sum of its entries' closed
-forms or the sum of their invariant signatures, must agree with the
-block sum's closed form and isomorphism invariants.
+unstable degree, and engine.hk_check certifies each closed form against
+its own tower from integer identities (engine._certified), with no
+membership test.  tests/oracles.py keeps the membership routes as the
+reference: block_sum_hk_check (one block-diagonal matrix per parity
+against the block sum of its atom towers, by fraction_equal_commuting)
+and, per degree, limits.equal_commuting against oracles.atom_colimit,
+whose integer membership must agree with the Fraction one.  hk_check
+passes exactly when the oracle reads equal on both parities.  Otherwise
+it raises InternalCheckError for the first parity that the oracle does
+not read equal, naming a closed form there that the oracle separates
+from its tower: by a witness in exactly one of the two groups, or
+because the two towers do not commute.  A K-group's report, the sum of
+its entries' closed forms or the sum of their invariant signatures,
+must agree with the block sum's closed form and isomorphism invariants.
 """
 
 import re
@@ -25,13 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    atom_colimit,
     block_diagonal,
     block_sum_hk_check,
+    diagonal_colimit,
     fraction_equal_commuting,
     fraction_membership_stage,
     hk_report,
 )
-from solhom import engine
+from record_answer_reports import answer_inputs, high_degree_inputs, run_analyze
+from solhom import engine, limits
 from solhom.cli import _k_group_json
 from solhom.engine import DegreeEntry, GradedGroup, finite_part_homology, hk_check, k_theory
 from solhom.errors import AtomClassExceeded, CapExceeded, InternalCheckError, NonCommuting
@@ -130,75 +134,102 @@ def _graded(entries: list[DegreeEntry], shift: int):
 PASSED = {"verdicts": {"0": "equal", "1": "equal"}, "rank_identity": True}
 
 
-def _separating_entry(error: InternalCheckError, k_groups) -> DegreeEntry:
+def _oracle_equal(e: DegreeEntry) -> bool:
+    """The membership oracle on one degree: equal_commuting against its
+    atom tower, False when the two towers do not commute."""
+    try:
+        return fraction_equal_commuting(e.colimit, atom_colimit(e))[0]
+    except NonCommuting:
+        return False
+
+
+def _separated_entry(error: InternalCheckError, k_groups) -> DegreeEntry:
     """The entry named by hk_check's error: the parity and closed form in
-    its message, with the witness lying in exactly one of the entry's
-    tower and its atom tower."""
-    found = re.fullmatch(r"K(\d): closed form (.+) differs from its tower; witness \((.+)\)", str(error))
+    its message, where the oracle separates the entry from its atom
+    tower, by a witness in exactly one of the two or because the two do
+    not commute."""
+    found = re.fullmatch(r"K(\d): closed form (.+) differs from its tower", str(error))
     assert found, str(error)
     parity, form = int(found[1]), found[2]
-    witness = [Fraction(x) for x in found[3].split(", ")]
     for e in k_groups[parity].values():
-        if e.closed is not None and e.closed.pretty() == form and e.colimit.rank == len(witness):
-            in_tower = fraction_membership_stage(e.colimit, witness) is not None
-            in_atoms = fraction_membership_stage(engine._atom_colimit(e), witness) is not None
-            if in_tower != in_atoms:
-                return e
-    raise AssertionError(f"no entry of K{parity} is separated by {witness}")
+        if e.closed is None or e.closed.pretty() != form:
+            continue
+        try:
+            equal, witness = fraction_equal_commuting(e.colimit, atom_colimit(e))
+        except NonCommuting:
+            return e
+        if equal:
+            continue
+        if witness is None:  # the ranks differ
+            return e
+        in_tower = fraction_membership_stage(e.colimit, witness) is not None
+        in_atoms = fraction_membership_stage(atom_colimit(e), witness) is not None
+        if in_tower != in_atoms:
+            return e
+    raise AssertionError(f"no entry of K{parity} with closed form {form} is separated from its tower")
 
 
 def _check_against_oracle(entries: list[DegreeEntry], shift: int):
     """hk_check against the block-sum oracle: its passed record when the
-    oracle reads equal on both parities, None when both raise
-    NonCommuting, and otherwise its InternalCheckError, which names the
-    first parity that the oracle reads differ, with a witness that
-    separates an entry of it from its atom tower."""
+    oracle reads equal on both parities, and otherwise its
+    InternalCheckError, which names the first parity that the oracle
+    reads differ or non-commuting and a closed form there that the
+    oracle separates from its tower."""
     sys, finite = _graded(entries, shift)
-    try:
-        want = block_sum_hk_check(sys, finite)
-    except NonCommuting:
-        with pytest.raises(NonCommuting):
-            hk_check(sys, finite)
-        return None
+    want = block_sum_hk_check(sys, finite)
     assert want["rank_identity"]
-    differ = [i for i, v in sorted(want["verdicts"].items()) if v == "differ"]
-    if not differ:
+    failing = [i for i, v in sorted(want["verdicts"].items()) if v != "equal"]
+    if not failing:
         assert hk_check(sys, finite) == PASSED
         return PASSED
     with pytest.raises(InternalCheckError) as info:
         hk_check(sys, finite)
-    assert str(info.value).startswith(f"K{differ[0]}: ")
-    _separating_entry(info.value, k_theory(sys, finite))
+    assert str(info.value).startswith(f"K{failing[0]}: ")
+    _separated_entry(info.value, k_theory(sys, finite))
     return info.value
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(degree, min_size=2, max_size=5), st.integers(0, 1))
 def test_per_degree_verdicts_match_the_block_sum_oracle(entries, shift):
+    # on these strategies the certificate declines exactly the degrees
+    # the oracle does not read equal
+    for e in entries:
+        if e.closed is not None:
+            assert engine._certified(e) is _oracle_equal(e)
     _check_against_oracle(entries, shift)
 
 
 @settings(max_examples=40, deadline=None)
 @given(differing(), st.lists(degree, max_size=2), non_commuting(), st.integers(0, 1))
 def test_non_commuting_degree_after_a_differing_one(first, middle, last, shift):
-    # the differing and the non-commuting degree share a parity: a closed
-    # form that does not commute with its tower is a bug, and the earlier
-    # mismatch does not hide it
+    # the differing and the non-commuting degree share a parity: the
+    # certificate declines both, the oracle separates the first by a
+    # witness and cannot compare the second, and its block sum for the
+    # parity does not commute
     filler = [_canonical(IntMatrix([[1]]))] if len(middle) % 2 == 0 else []
     entries = [first] + middle + filler + [last]
-    sys, finite = _graded(entries, shift)
+    assert not engine._certified(first) and not engine._certified(last)
+    assert fraction_equal_commuting(first.colimit, atom_colimit(first))[0] is False
     with pytest.raises(NonCommuting):
-        hk_check(sys, finite)
-    assert _check_against_oracle(entries, shift) is None
+        fraction_equal_commuting(last.colimit, atom_colimit(last))
+    sys, finite = _graded(entries, shift)
+    assert block_sum_hk_check(sys, finite)["verdicts"][shift] == "non-commuting"
+    error = _check_against_oracle(entries, shift)
+    if all(engine._certified(e) for e in middle if e.closed is not None):
+        assert str(error) == f"K{shift}: closed form {first.closed.pretty()} differs from its tower"
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(degree, min_size=1, max_size=3), non_commuting(), st.integers(0, 4), st.integers(0, 1))
 def test_non_commuting_closed_form_raises(others, bad, at, shift):
+    # a closed form that does not commute with its tower is not certified,
+    # and the oracle cannot compare them
     entries = others[:at] + [bad] + others[at:]
-    sys, finite = _graded(entries, shift)
+    assert not engine._certified(bad)
     with pytest.raises(NonCommuting):
-        hk_check(sys, finite)
+        equal_commuting(bad.colimit, atom_colimit(bad))
+    assert isinstance(_check_against_oracle(entries, shift), InternalCheckError)
 
 
 def test_differing_degree_raises_with_its_witness():
@@ -209,8 +240,11 @@ def test_differing_degree_raises_with_its_witness():
         _canonical(IntMatrix([[1]])),
     ]
     error = _check_against_oracle(entries, 0)
-    # 1/2 lies in Z[1/6]; 1/6 does not lie in Z[1/2].  Degree 2 is even.
-    assert str(error) == "K0: closed form Z[1/6] differs from its tower; witness (1/6)"
+    # degree 2 is even; 1/2 lies in Z[1/6], and the oracle's witness 1/6
+    # does not lie in Z[1/2]
+    assert str(error) == "K0: closed form Z[1/6] differs from its tower"
+    e = entries[2]
+    assert equal_commuting(e.colimit, atom_colimit(e)) == (False, (Fraction(1, 6),))
 
 
 def test_diagonal_tower_meets_its_atoms_in_diagonal_order():
@@ -218,9 +252,12 @@ def test_diagonal_tower_meets_its_atoms_in_diagonal_order():
     # still be diag(2, 1), not diag(1, 2), another subgroup of Q^2
     entries = [_canonical(IntMatrix([[2, 0], [0, 1]])), _canonical(IntMatrix.identity(2))]
     assert _check_against_oracle(entries, 0) == PASSED
-    assert engine._atom_colimit(entries[0]).matrix == IntMatrix([[2, 0], [0, 1]])
+    assert atom_colimit(entries[0]).matrix == IntMatrix([[2, 0], [0, 1]])
+    assert equal_commuting(entries[0].colimit, atom_colimit(entries[0])) == (True, None)
+    assert equal_commuting(entries[0].colimit, diagonal_colimit([1, 2]))[0] is False
     three = _canonical(IntMatrix([[-12, 0, 0], [0, 1, 0], [0, 0, 5]]))
-    assert engine._atom_colimit(three).matrix == IntMatrix([[6, 0, 0], [0, 1, 0], [0, 0, 5]])
+    assert atom_colimit(three).matrix == IntMatrix([[6, 0, 0], [0, 1, 0], [0, 0, 5]])
+    assert engine._certified(three)
 
 
 def test_wrong_closed_form_of_a_diagonal_tower_is_caught():
@@ -230,8 +267,23 @@ def test_wrong_closed_form_of_a_diagonal_tower_is_caught():
         _entry(IntMatrix([[2, 0], [0, 1]]), LocalizedForm.free(1) + LocalizedForm.localized(3)),
         _canonical(IntMatrix.identity(2)),
     ]
+    assert atom_colimit(entries[0]).matrix == IntMatrix([[3, 0], [0, 1]])
+    assert not _oracle_equal(entries[0])
     error = _check_against_oracle(entries, 0)
-    assert str(error).startswith("K0: closed form Z + Z[1/3] differs from its tower")
+    assert str(error) == "K0: closed form Z + Z[1/3] differs from its tower"
+
+
+def test_closed_form_outside_the_atom_classes_is_not_certified():
+    # T = [[1, 1], [1, -1]] has T^2 = 2I, so its colimit is Z[1/2]^2,
+    # which the oracle confirms; but the tower is neither diagonal nor
+    # unimodular, so no identity certifies the closed form, and hk_check
+    # raises
+    e = _entry(IntMatrix([[1, 1], [1, -1]]), LocalizedForm.localized(2) + LocalizedForm.localized(2))
+    assert _oracle_equal(e)
+    assert not engine._certified(e)
+    sys, finite = _graded([e], 0)
+    with pytest.raises(InternalCheckError, match=r"^K0: closed form \(Z\[1/2\]\)\^2 differs from its tower$"):
+        hk_check(sys, finite)
 
 
 def test_k_groups_are_the_entries_of_each_parity():
@@ -261,8 +313,8 @@ def test_wrong_canonical_form_is_caught(monkeypatch):
     finite = finite_part_homology(sys)
     with pytest.raises(InternalCheckError) as info:
         hk_check(sys, finite)
-    assert str(info.value).startswith("K0: closed form Z[1/15] differs from its tower")
-    _separating_entry(info.value, k_theory(sys, finite))
+    assert str(info.value) == "K0: closed form Z[1/15] differs from its tower"
+    _separated_entry(info.value, k_theory(sys, finite))
 
 
 # ---------------------------------------------------------------------------
@@ -300,55 +352,60 @@ def atom_class_entry(draw):
 @settings(max_examples=300, deadline=None)
 @given(atom_class_entry(), st.integers(0, 1))
 def test_certified_degrees_agree_with_equal_commuting(e, shift):
-    # hk_check's outcome on an atom-class degree is equal_commuting's
-    # verdict and witness against its atom tower, or its NonCommuting (a
-    # unimodular tower against a mutated diagonal); the canonical forms
-    # are certified without it, the mutated ones go to it
+    # the certificate is complete on the atom class: it certifies a degree
+    # exactly when equal_commuting finds it equal to its atom tower (a
+    # unimodular tower and a mutated diagonal do not commute, and are not
+    # equal either); hk_check passes the certified degrees and names the
+    # others
     sys, finite = _graded([e], shift)
     try:
-        equal, witness = equal_commuting(e.colimit, engine._atom_colimit(e))
+        equal, witness = equal_commuting(e.colimit, atom_colimit(e))
+        assert (witness is None) is equal
     except NonCommuting:
-        assert not engine._certified(e)
-        with pytest.raises(NonCommuting):
-            hk_check(sys, finite)
-        return
+        equal = False
     assert engine._certified(e) is equal
     if equal:
         assert hk_check(sys, finite) == PASSED
         return
     with pytest.raises(InternalCheckError) as info:
         hk_check(sys, finite)
-    shown = ", ".join(map(str, witness))
-    want = f"K{shift}: closed form {e.closed.pretty()} differs from its tower; witness ({shown})"
-    assert str(info.value) == want
+    assert str(info.value) == f"K{shift}: closed form {e.closed.pretty()} differs from its tower"
 
 
 def test_certified_degrees_take_no_membership_test(monkeypatch):
-    # a report's closed forms are certified from integer identities:
-    # no degree of these reports reaches equal_commuting
+    # every recorded report certifies the closed forms of both sides from
+    # integer identities, and none reaches a membership test
     def refuse(*args):
-        raise AssertionError("membership test on a certified degree")
+        raise AssertionError("membership test on a report")
 
     monkeypatch.setattr(ColimitGroup, "membership_stage", refuse)
-    monkeypatch.setattr(engine, "equal_commuting", refuse)
-    for poly in ("x-3/2", "x^2-x+3/2", "x^2-79/4", "x^3-x-1", "x^4-x-1"):
-        sys = build_system(poly)
-        for side in (sys, sys.dual_system()):
-            assert hk_report(side) == PASSED
+    monkeypatch.setattr(limits, "equal_commuting", refuse)
+    certified = 0
+    for _, poly, n in answer_inputs() + high_degree_inputs():
+        record = run_analyze(poly, n)
+        if record["exit"] == 0:
+            certified += 1
+        else:
+            assert record["exit"] == 2, (poly, record["stderr"])
+    assert certified >= 40
 
 
 def test_diagonal_tower_with_a_wrong_determinant_is_caught(monkeypatch):
     # a Sylvester-Franke determinant off the product of the diagonal:
-    # diag(2, 3) with det 9; the diagonal route declines it, and
-    # equal_commuting's adjugate check vector raises
+    # diag(2, 3) with det 9; the certificate declines it, and the oracle,
+    # which reads the adjugate, fails its check vector
     A = IntMatrix([[2, 0], [0, 3]])
     monkeypatch.setattr(engine, "exterior_power_det", lambda det_a, d, k: 9)
     tower = engine._ladder_tower(engine._exterior_ladder(A, 2), 1, 1, 1, {2, 3})
     assert tower.matrix == A and tower.det == 9
     entry = DegreeEntry(tower, LocalizedForm.localized(2) + LocalizedForm.localized(3), None, "test")
+    assert not engine._certified(entry)
     sys, finite = _graded([entry], 0)
-    with pytest.raises(InternalCheckError, match="adjugate and determinant disagree on the check vector"):
+    with pytest.raises(InternalCheckError) as info:
         hk_check(sys, finite)
+    assert str(info.value) == "K0: closed form Z[1/2] + Z[1/3] differs from its tower"
+    with pytest.raises(InternalCheckError, match="adjugate and determinant disagree on the check vector"):
+        equal_commuting(tower, atom_colimit(entry))
 
 
 def test_unimodular_tower_with_a_wrong_adjugate_is_caught(monkeypatch):
