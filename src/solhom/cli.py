@@ -3,8 +3,10 @@ the registry, and run the built-in selftest.
 
 Exit codes: 0 success, 1 bad input, 2 hypothesis violation (a conjugate
 of c on the unit circle, or a precondition such as N > 1, or a Künneth
-factor with a degree that has no closed form) or an input whose
-irreducibility the method cannot decide, 3 internal failure.
+factor with a degree that has no closed form) or an input outside the
+supported class (irreducibility the method cannot decide, or, in degree
+>= 3, no principal generator within the search limits), 3 internal
+failure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys as _sys
 import time
 import zlib
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .engine import (
@@ -44,6 +45,7 @@ from .errors import (
     InternalCheckError,
     IrreducibilityUndecided,
     ParseError,
+    PrincipalizationUndecided,
     SolhomError,
     ZeroInput,
 )
@@ -310,11 +312,11 @@ def _render_text(report: dict, side: str) -> str:
 # ---------------------------------------------------------------------------
 # cache
 
-def _cache_dir() -> Path:
-    env = os.environ.get("SOLHOM_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "solhom"
+def _cache_dir() -> str:
+    # os.path strings: pathlib interns each directory name it parses, for good
+    return os.environ.get("SOLHOM_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "solhom"
+    )
 
 
 def _cache_key(min_poly: str, lefschetz_n: int) -> str:
@@ -335,9 +337,9 @@ def _cache_key(min_poly: str, lefschetz_n: int) -> str:
 def _cache_read(key: str, min_poly: str, lefschetz_n: int) -> dict | None:
     """The stored report for the key, when it is one for this request;
     a collision, a foreign or truncated file is a miss."""
-    path = _cache_dir() / f"{key}.json"
     try:
-        report = json.loads(path.read_text())
+        with open(os.path.join(_cache_dir(), f"{key}.json")) as file:
+            report = json.loads(file.read())
         stamp = (report["system"]["min_poly"], report["version"], report["schema_version"])
         if stamp == (min_poly, __version__, SCHEMA_VERSION) and len(report["lefschetz"]) == lefschetz_n:
             return report
@@ -349,9 +351,9 @@ def _cache_read(key: str, min_poly: str, lefschetz_n: int) -> dict | None:
 def _cache_write(key: str, report: dict) -> None:
     directory = _cache_dir()
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{key}.json"
-        path.write_text(json.dumps(report, sort_keys=True) + "\n")
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, f"{key}.json"), "w") as file:
+            file.write(json.dumps(report, sort_keys=True) + "\n")
     except OSError:
         pass  # caching is best effort
 
@@ -476,7 +478,8 @@ def _period_count(text: str) -> int:
 
 
 @functools.cache  # once per process: building it costs about what a cache hit does
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="solhom",
         description="Exact homology and K-theory of algebraic-number solenoids.",
@@ -514,13 +517,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="quick end-to-end sanity battery")
     selftest.set_defaults(func=cmd_selftest)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """A subcommand's arguments go straight to its own parser, one pass
+    instead of the top-level parser's hand-off; leftovers are reported by
+    the top-level parser, as that hand-off reports them.  Any other argv
+    (none, --help, --version, an unknown verb) is the top-level parser's."""
+    parser, commands = _build_parser()
+    argv = _sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; that slot means hypothesis
         # violation here, so fold usage problems into the parse code
@@ -542,7 +559,7 @@ def main(argv=None) -> int:
     except (AtomClassExceeded, BoundaryRoot, HypothesisN1, IndexObstruction) as exc:
         print(f"solhom: hypothesis violated: {exc}", file=_sys.stderr)
         return 2
-    except IrreducibilityUndecided as exc:
+    except (IrreducibilityUndecided, PrincipalizationUndecided) as exc:
         print(f"solhom: outside the supported class: {exc}", file=_sys.stderr)
         return 2
     except SolhomError as exc:

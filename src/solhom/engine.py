@@ -29,6 +29,7 @@ from .errors import (
     FlatteningFailure,
     HypothesisN1,
     InternalCheckError,
+    PrincipalizationUndecided,
 )
 from .fgab import FgAbGroup, GroupHom, LocalizedForm, kunneth, localized_from_fgab
 from .intfactor import factorint
@@ -40,11 +41,14 @@ from .limits import (
     torsion_colimit,
 )
 from .linalg import IntMatrix, complement_transpose, exterior_power_det, exterior_power_matrix
-from .nfield import NfElement, canonical_generator, principal_generator
+from .nfield import BOX_RADIUS, NfElement, canonical_generator, principal_generator
 from .places import SolenoidSystem
 
 # Powers tried when splitting a transfer endomorphism off its torsion.
 MAX_SPLITTING_POWER = 24
+
+# Exponents of the expanding ideal the degree >= 3 generator search tries.
+BOX_EXPONENT_LIMIT = 12
 
 
 class DegreeEntry(NamedTuple):
@@ -133,16 +137,23 @@ def principalization(sys: SolenoidSystem) -> tuple[NfElement, int]:
     ideal = power = sys.expanding_ideal
     # Degree 2: h divides the class number, at most the number of reduced
     # forms of discriminant D, <= 2|D| (docs/principalization.md).  Degree
-    # 1 stops at h = 1.  Degree >= 3: 12 is a heuristic search limit for
-    # principal_generator's small box, not a class-number fact.
-    limit = 2 * abs(field.discriminant) if field.degree == 2 else 12
+    # 1 stops at h = 1.  Degree >= 3: BOX_EXPONENT_LIMIT is a search limit
+    # for principal_generator's small box, not a class-number fact, so
+    # reaching it is a refusal, not an internal failure.
+    limit = 2 * abs(field.discriminant) if field.degree == 2 else BOX_EXPONENT_LIMIT
     for h in range(1, limit + 1):
         gen = principal_generator(power)
         if gen is not None:
             return gen, h
         power = power * ideal
-    error = InternalCheckError if field.degree == 2 else FlatteningFailure
-    raise error(f"no principal power of the expanding ideal up to exponent {limit}")
+    if field.degree <= 2:
+        raise InternalCheckError(
+            f"no principal power of the expanding ideal up to exponent {limit}"
+        )
+    raise PrincipalizationUndecided(
+        f"no power of the expanding ideal up to exponent BOX_EXPONENT_LIMIT = {limit} "
+        f"has a generator in the box of radius BOX_RADIUS = {BOX_RADIUS}"
+    )
 
 
 def dual_principalization(

@@ -70,6 +70,12 @@ class IrreducibilityUndecided(SolhomError):
     method's limits: a limit of the method, not a bound violation."""
 
 
+class PrincipalizationUndecided(SolhomError):
+    """In degree >= 3, no principal power of the expanding ideal was found
+    within the small-box search's radius and exponent: a limit of the
+    method, not a proof that none is principal."""
+
+
 class CapExceeded(SolhomError):
     """An iteration hit its safety cap inside the diagnostic margin.
 

@@ -49,6 +49,10 @@ from .rootcount import sturm_chain
 # how an element's repr writes the field generator theta
 GEN_SYMBOL = "a"
 
+# The largest box radius the degree >= 3 generator search scans: a search
+# limit, not a bound on generators.
+BOX_RADIUS = 3
+
 
 def _squarefree_decompose_int(n: int) -> tuple[int, int]:
     """n = u^2 * m with m squarefree (sign goes to m); returns (u, m)."""
@@ -540,11 +544,12 @@ def canonical_generator(x: NfElement, ideal: Callable[[], FractionalIdeal]) -> N
 
 
 def _box_generator(I: FractionalIdeal) -> NfElement | None:
-    """The first x = I.num * combo / I.den over the boxes of radius 1, 2, 3
-    with |N(x)| = N(I), which proves (x) = I since x lies in I.  A combo
-    inside the box of the radius below was tried there, or is zero."""
+    """The first x = I.num * combo / I.den over the boxes of radius 1, 2,
+    ..., BOX_RADIUS with |N(x)| = N(I), which proves (x) = I since x lies
+    in I.  A combo inside the box of the radius below was tried there, or
+    is zero."""
     target = math.prod(row[i] for i, row in enumerate(I.num.rows))  # |det| of the HNF
-    for radius in (1, 2, 3):
+    for radius in range(1, BOX_RADIUS + 1):
         for combo in itertools.product(range(-radius, radius + 1), repeat=I.field.degree):
             if max(map(abs, combo)) < radius:
                 continue

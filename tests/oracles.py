@@ -210,10 +210,31 @@ def poly_from_roots(rational_roots, complex_pairs):
     return ints
 
 
+def det_by_elimination(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions, swapping rows
+    for nonzero pivots."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for j in range(len(a)):
+        pivot = next((i for i in range(j, len(a)) if a[i][j]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != j:
+            a[j], a[pivot] = a[pivot], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, len(a)):
+            if a[i][j]:
+                f = a[i][j] / a[j][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    return det
+
+
 def resultant(f, g) -> Fraction:
     """Resultant of two polynomials (descending Fractions), via the
     Sylvester determinant so that it shares no code with remainder
-    sequences."""
+    sequences; the determinant by elimination, since cofactor expansion
+    is exponential in the m + n rows."""
     f = [Fraction(c) for c in f]
     g = [Fraction(c) for c in g]
     while f and f[0] == 0:
@@ -231,7 +252,24 @@ def resultant(f, g) -> Fraction:
         rows.append([Fraction(0)] * i + f + [Fraction(0)] * (size - i - m - 1))
     for i in range(m):
         rows.append([Fraction(0)] * i + g + [Fraction(0)] * (size - i - n - 1))
-    return det_cofactor(rows)
+    return det_by_elimination(rows)
+
+
+def primitive_integer_coeffs(f: Poly) -> list[int]:
+    """The descending coefficients of the primitive integer multiple of
+    f, up to sign."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [int(c * den) for c in f.coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def cyclic_resultant_count(F: list[int], n: int) -> int:
+    """|Res(F, x^n - 1)|, the number of points of period n of the
+    solenoid of a root c of the primitive integer polynomial F: it is
+    |N(c^n - 1)| * |a_d|^n (docs/lefschetz.md, "Counts from the input
+    polynomial")."""
+    return abs(int(resultant(F, [1] + [0] * (n - 1) + [-1])))
 
 
 def toral_periodic_points(a_rows, n: int) -> int:

@@ -265,7 +265,7 @@ def test_spellings_of_one_c_share_an_entry(capsys, isolated_cache, spellings):
 
 
 def test_key_from_arguments_is_the_key_of_the_built_system():
-    parser = cli._build_parser()
+    parser, _ = cli._build_parser()
     for _, poly, n in answer_inputs():
         args = parser.parse_args(["analyze", "--min-poly", poly, "--lefschetz", str(n)])
         from_args = cli._cache_key(cli._min_poly_from_args(args).pretty(), n)
@@ -296,10 +296,76 @@ def test_cached_parser_does_not_carry_options_over(capsys):
     code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x-1", "--json")
     assert code == 0 and json.loads(out)["system"]["min_poly"] == "x^2 - x - 1"
 
-    parser = cli._build_parser()
+    parser, _ = cli._build_parser()
     parser.parse_args(["analyze", "--c", "2", "--side", "stable", "--element", "x"])
     args = parser.parse_args(["analyze", "--c", "2"])
     assert (args.side, args.element, args.no_cache) == ("both", None, False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--version"],
+        ["bogus"],
+        ["analyz", "--c", "3/2"],
+        ["analyze", "--help"],
+        ["analyze", "--c", "3/2", "--bogus"],
+        ["analyze", "--c", "3/2", "extra", "--json"],
+        ["analyze", "--version"],
+        ["analyze", "--side", "sideways"],
+        ["analyze", "--lefschetz", "-1"],
+        ["analyze", "--lefschetz"],
+        ["kunneth"],
+        ["fixtures", "--show"],
+        ["selftest", "extra"],
+    ],
+)
+def test_dispatch_prints_and_exits_as_the_top_level_parser(capsys, argv):
+    # main hands a known verb's arguments to that verb's parser; usage,
+    # help and errors must read as the top-level parser prints them
+    parser, _ = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    want = capsys.readouterr()
+    assert run(capsys, *argv) == (0 if exc.value.code == 0 else 1, want.out, want.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--c", "3/2"],
+        ["analyze", "--min-poly", "x^2-x-1", "--element", "2*x", "--side", "stable", "--json"],
+        ["analyze", "--no-c", "--lef", "3", "--c", "2"],
+        ["kunneth", "klein", "point", "--json"],
+        ["fixtures", "--show", "klein"],
+        ["selftest"],
+    ],
+)
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    parser, _ = cli._build_parser()
+    want = vars(parser.parse_args(argv))
+    assert want.pop("command") == argv[0]
+    assert vars(cli._parse(argv)) == want
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["solhom", "fixtures", "--json"])
+    assert main(None) == 0
+    assert json.loads(capsys.readouterr().out) == cli.fixture_names()
+
+
+def test_the_cli_does_not_import_pathlib():
+    # under -S no site module loads pathlib first, so this sees the
+    # package's own imports: pathlib and what it imports cost about 4 ms
+    # of cold start, and it interns each cache directory name it parses
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "import solhom.cli, sys; assert 'pathlib' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reports_without_the_cache_do_not_load_hashlib(tmp_path):
@@ -734,6 +800,35 @@ def test_failed_clearing_self_check_is_internal(monkeypatch):
     monkeypatch.setattr(qpoly.Poly, "is_integer", lambda self: False)
     with pytest.raises(InternalCheckError, match="monic integer"):
         qpoly.clear_to_monic_integer(qpoly.parse_poly("x^2-1/2"))
+
+
+def test_exhausted_generator_search_is_a_typed_refusal(capsys, monkeypatch, isolated_cache):
+    # x^3-x/4-1/8 certifies through the degree >= 3 box search; with the
+    # search finding nothing it reaches the search's limits, which is a
+    # limit of the method (exit 2), not an internal failure (exit 3)
+    monkeypatch.setattr(engine, "principal_generator", lambda _ideal: None)
+    code, out, err = run(capsys, "analyze", "--min-poly", "x^3-x/4-1/8")
+    assert code == 2 and out == ""
+    assert err.startswith("solhom: outside the supported class: ") and err.count("\n") == 1
+    assert "BOX_RADIUS = 3" in err and "BOX_EXPONENT_LIMIT = 12" in err
+    assert not isolated_cache.exists() or not list(isolated_cache.iterdir())
+
+
+def test_a_cubic_past_the_search_limits_is_refused(capsys, isolated_cache):
+    # no power of this input's expanding ideal up to the exponent limit
+    # has a generator in the box: a real input, not a patched search
+    code, out, err = run(capsys, "analyze", "--json", "--min-poly", "x^3-7/4*x-7")
+    assert code == 2 and out == ""
+    assert err.startswith("solhom: outside the supported class: no power of the expanding ideal")
+    assert not isolated_cache.exists() or not list(isolated_cache.iterdir())
+
+
+def test_quadratic_generator_search_failure_stays_internal(monkeypatch):
+    # in degree 2 the exponent limit is a class-number bound, so missing
+    # a generator within it is an arithmetic fault
+    monkeypatch.setattr(engine, "principal_generator", lambda _ideal: None)
+    with pytest.raises(InternalCheckError, match="no principal power"):
+        engine.principalization(build_system("x^2+x+15/2"))
 
 
 def test_undecided_irreducibility_exits_2(capsys, monkeypatch):

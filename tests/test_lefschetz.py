@@ -1,23 +1,31 @@
 """Lefschetz rows from Newton power sums against the matrix-power loop
 they replaced (tests/oracles.py), the characteristic polynomial they
 start from read off the dual's minimal polynomial against
-Faddeev-LeVerrier, and periodic counts without per-period objects."""
+Faddeev-LeVerrier, periodic counts without per-period objects, and every
+reported count against the resultant of the input polynomial alone."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import lefschetz_rows_by_matrix_powers, system_with
-from record_answer_reports import answer_inputs
+from oracles import (
+    cyclic_resultant_count,
+    lefschetz_rows_by_matrix_powers,
+    primitive_integer_coeffs,
+    system_with,
+)
+from record_answer_reports import DATA, HIGH_DEGREE_DATA, answer_inputs
 from solhom import engine, nfield
+from solhom.cli import build_report
 from solhom.engine import lefschetz_rows, lefschetz_traces
 from solhom.errors import DegenerateFix, InternalCheckError, SolhomError
 from solhom.linalg import IntMatrix, char_poly
 from solhom.places import build_system
-from solhom.qpoly import Poly
+from solhom.qpoly import Poly, parse_poly
 
 
 def rows_of_matrix(A, m, N, n):
@@ -188,3 +196,58 @@ def test_periodic_counts_create_no_objects_per_period(monkeypatch):
         created.clear()
         counts = sys_.periodic_counts(12)
         assert created == [] and len(counts) == 12, (poly, created)
+
+
+def count_problems(poly: str, report: dict) -> list[str]:
+    """The rows of the report of c whose count is not |Res(F, x^n - 1)|,
+    F the primitive integer polynomial of the input: solhom only parses
+    F (docs/lefschetz.md, "Counts from the input polynomial")."""
+    F = primitive_integer_coeffs(parse_poly(poly))
+    problems = []
+    for row in report["lefschetz"]:
+        want = cyclic_resultant_count(F, row["n"])
+        if row["periodic_points"] != want:
+            problems.append(f"{poly}, period {row['n']}: {row['periodic_points']}, not {want}")
+    return problems
+
+
+def _recorded_reports() -> list[tuple[str, dict]]:
+    """(input polynomial, report) for every recorded report that certifies."""
+    out = []
+    for path in (DATA, HIGH_DEGREE_DATA):
+        for key, record in sorted(json.loads(path.read_text()).items()):
+            if record["exit"] == 0:
+                out.append((key.split(" --lefschetz ")[0], json.loads(record["stdout"])))
+    return out
+
+
+def test_recorded_counts_are_resultants_of_the_input_polynomial():
+    reports = _recorded_reports()
+    assert len(reports) >= 40
+    for poly, report in reports:
+        assert count_problems(poly, report) == []
+
+
+def test_a_raised_count_fails_the_resultant_check():
+    for poly, report in _recorded_reports():
+        copied = json.loads(json.dumps(report))
+        copied["lefschetz"][-1]["periodic_points"] += 1
+        assert len(count_problems(poly, copied)) == 1, poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-7, 7), min_size=d, max_size=d), st.lists(st.integers(1, 6), min_size=d, max_size=d)
+        )
+    )
+)
+def test_drawn_counts_are_resultants_of_the_input_polynomial(case):
+    nums, dens = case
+    poly = Poly([1, *(Fraction(a, b) for a, b in zip(nums, dens))]).pretty()
+    try:
+        report = build_report(build_system(poly), 8)
+    except SolhomError:
+        assume(False)  # reducible, c = 0, a root on the unit circle, or refused
+    assert count_problems(poly, report) == []
