@@ -319,6 +319,26 @@ def _cache_dir() -> str:
     )
 
 
+# build_report's keys: "cache" sorts before them all and "timing_seconds"
+# just before "version", the last, whose value ends the report's line
+_REPORT_KEYS = {"hk", "homology", "k_theory", "lefschetz", "principalization",
+                "schema_version", "system", "version"}
+
+
+def _version_tail() -> str:
+    """How a report's compact sorted line ends."""
+    return f', "version": {json.dumps(__version__)}}}'
+
+
+def _json_line(line: str, cache_state: str, elapsed: float) -> str:
+    """The report's line with "cache" and "timing_seconds" in their sorted
+    places, first and just before "version": what json.dumps(report |
+    {...}, sort_keys=True) gives, without encoding the report again."""
+    tail = _version_tail()
+    body = line[1 : -len(tail)]
+    return f'{{"cache": "{cache_state}", {body}, "timing_seconds": {elapsed!r}{tail}'
+
+
 def _cache_key(min_poly: str, lefschetz_n: int) -> str:
     """Key of a report: the monic minimal polynomial of c, which fixes
     the system, plus everything else the report depends on.  A checksum
@@ -334,26 +354,39 @@ def _cache_key(min_poly: str, lefschetz_n: int) -> str:
     return f"{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
 
 
-def _cache_read(key: str, min_poly: str, lefschetz_n: int) -> dict | None:
-    """The stored report for the key, when it is one for this request;
-    a collision, a foreign or truncated file is a miss."""
+def _cache_read(key: str, min_poly: str, lefschetz_n: int) -> tuple[dict, str] | None:
+    """The stored report for the key and its line, when it is one for
+    this request; a collision, a foreign or truncated file, or one with
+    keys a report does not have, is a miss.
+    The line is decoded for the stamp check and the text renderer, and
+    --json prints it as it is, unless it is not the compact sorted line
+    _cache_write stores (an indented entry of an earlier version, say):
+    then it is the report encoded afresh."""
     try:
         with open(os.path.join(_cache_dir(), f"{key}.json")) as file:
-            report = json.loads(file.read())
+            line = file.read().removesuffix("\n")
+        report = json.loads(line)
         stamp = (report["system"]["min_poly"], report["version"], report["schema_version"])
-        if stamp == (min_poly, __version__, SCHEMA_VERSION) and len(report["lefschetz"]) == lefschetz_n:
-            return report
+        if (
+            stamp == (min_poly, __version__, SCHEMA_VERSION)
+            and len(report["lefschetz"]) == lefschetz_n
+            and report.keys() == _REPORT_KEYS
+        ):
+            if not (line.startswith('{"') and line.endswith(_version_tail())):
+                line = json.dumps(report, sort_keys=True)
+            return report, line
     except (OSError, ValueError, KeyError, TypeError):
         pass
     return None
 
 
-def _cache_write(key: str, report: dict) -> None:
+def _cache_write(key: str, line: str) -> None:
+    """Store a report's compact sorted line."""
     directory = _cache_dir()
     try:
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, f"{key}.json"), "w") as file:
-            file.write(json.dumps(report, sort_keys=True) + "\n")
+            file.write(line + "\n")
     except OSError:
         pass  # caching is best effort
 
@@ -387,29 +420,30 @@ def _min_poly_from_args(args) -> Poly:
 def cmd_analyze(args) -> int:
     """Look the report up first; only a miss builds the system.  Entries
     are written after a successful report, so a refused input never hits
-    and is refused by build_system on every call."""
+    and is refused by build_system on every call.  The report is encoded
+    at most once: a hit prints the line it read, a miss encodes the line
+    it stores and prints, and text output with --no-cache encodes none."""
     start = time.perf_counter()
     min_poly = _min_poly_from_args(args)
-    report = None
-    cache_state = "miss"
+    cached = None
     if not args.no_cache:
         text = min_poly.pretty()
         key = _cache_key(text, args.lefschetz)
-        report = _cache_read(key, text, args.lefschetz)
-        if report is not None:
-            cache_state = "hit"
-    if report is None:
-        report = build_report(build_system(min_poly), args.lefschetz)
-        if not args.no_cache:
-            _cache_write(key, report)
-    report = dict(report)
-    report["timing_seconds"] = time.perf_counter() - start
-    report["cache"] = cache_state
-    if args.json:
-        # one compact line: json uses its C encoder only when indent is None
-        print(json.dumps(report, sort_keys=True))
+        cached = _cache_read(key, text, args.lefschetz)
+    if cached is not None:
+        cache_state, (report, line) = "hit", cached
     else:
-        print(_render_text(report, args.side))
+        cache_state, report = "miss", build_report(build_system(min_poly), args.lefschetz)
+        if args.json or not args.no_cache:
+            # one compact line: json uses its C encoder only when indent is None
+            line = json.dumps(report, sort_keys=True)
+        if not args.no_cache:
+            _cache_write(key, line)
+    elapsed = time.perf_counter() - start
+    if args.json:
+        print(_json_line(line, cache_state, elapsed))
+    else:
+        print(_render_text(report | {"timing_seconds": elapsed, "cache": cache_state}, args.side))
     return 0
 
 

@@ -171,10 +171,6 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.peek()
             self.pos += 1
-            if op == "*" and self.peek() == "*":  # ** power
-                self.pos += 1
-                node = self.power_of(node)
-                continue
             rhs = self.factor()
             if op == "*":
                 node = _mul(node, rhs)
@@ -205,8 +201,9 @@ class _Parser:
             self.pos += 1
             return self.factor()
         node = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
+        ch = self.peek()
+        if ch == "^" or self.text.startswith("**", self.pos):  # one power, of the atom
+            self.pos += 1 if ch == "^" else 2
             node = self.power_of(node)
         return node
 

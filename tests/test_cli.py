@@ -135,6 +135,68 @@ def test_indented_entries_of_earlier_versions_still_hit(capsys, isolated_cache, 
     assert old.read_bytes() == before and list(isolated_cache.iterdir()) == [old]
 
 
+def _stored_line(out: str) -> str:
+    """A --json line with its "cache" and "timing_seconds" taken out as
+    text, which leaves the line the cache stores."""
+    line, cuts = re.subn(r'(?<=^\{)"cache": "(hit|miss)", |, "timing_seconds": [-+.e0-9]+(?=, "version": )', "", out)
+    assert cuts == 2, out
+    return line
+
+
+def test_a_hit_prints_its_stored_line_without_encoding(capsys, isolated_cache, monkeypatch):
+    argv = ("analyze", "--min-poly", "x^2+x+15/2", "--json")
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(miss)["cache"] == "miss"
+    dumps = json.dumps
+
+    def refuse(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "homology" in obj:
+            raise AssertionError("a report was encoded")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    code, hit, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and json.loads(hit)["cache"] == "hit"
+    (path,) = isolated_cache.glob("*.json")
+    assert _stored_line(miss) == _stored_line(hit) == path.read_text()
+    with pytest.raises(AssertionError, match="was encoded"):
+        main(["analyze", "--c", "5/3", "--json"])  # the patch is live: a miss encodes
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda report: " " + json.dumps(report, sort_keys=True),
+        lambda report: json.dumps(report),  # build_report's order: "version" is not last
+        lambda report: json.dumps(report, sort_keys=True, separators=(",", ":")),
+    ],
+)
+def test_a_compact_entry_foreign_at_its_ends_prints_one_compact_sorted_line(capsys, isolated_cache, entry):
+    argv = ("analyze", "--min-poly", "x^2-x+3/2", "--json")
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0
+    (path,) = isolated_cache.glob("*.json")
+    path.write_text(entry(_without_volatile(miss)) + "\n")
+    before = path.read_bytes()
+    code, hit, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(hit)["cache"] == "hit"
+    assert hit == json.dumps(json.loads(hit), sort_keys=True) + "\n"
+    assert _stored_line(hit) == _stored_line(miss)
+    assert path.read_bytes() == before
+
+
+def test_an_entry_with_keys_no_report_has_is_a_miss(capsys, isolated_cache):
+    argv = ("analyze", "--min-poly", "x^2-x+3/2", "--json")
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0
+    (path,) = isolated_cache.glob("*.json")
+    for extra in ({"aside": 1}, {"cache": "hit"}, {"unsorted": 0}):
+        path.write_text(json.dumps(_without_volatile(miss) | extra, sort_keys=True) + "\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["cache"] == "miss", extra
+        assert _stored_line(out) == _stored_line(miss) == path.read_text()
+
+
 def test_cache_key_is_the_monic_polynomial_and_version(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", "--c", "3/2", "--json")
     assert code == 0 and json.loads(out)["cache"] == "miss"
@@ -241,7 +303,7 @@ def test_another_inputs_report_under_the_key_is_a_miss(capsys, isolated_cache):
         assert code == 0 and json.loads(again)["cache"] == "miss", stored
     code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json", "--lefschetz", "3")
     assert code == 0 and json.loads(out)["cache"] == "miss"
-    cli._cache_write(key, json.loads(path.read_text()) | {"lefschetz": []})
+    cli._cache_write(key, json.dumps(json.loads(path.read_text()) | {"lefschetz": []}, sort_keys=True))
     code, again, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
     assert code == 0 and json.loads(again)["cache"] == "miss"
     assert json.loads(run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")[1])["cache"] == "hit"
@@ -251,6 +313,7 @@ def test_another_inputs_report_under_the_key_is_a_miss(capsys, isolated_cache):
     "spellings",
     [
         [("--c", "3/2"), ("--min-poly", "x-3/2"), ("--min-poly", "2*x-3")],
+        [("--min-poly", "x^2-3/2"), ("--min-poly", "2*x^2-3"), ("--min-poly", "2*x**2-3")],
         [("--min-poly", "x^2-x-1", "--element", "x"), ("--min-poly", "x^2-x-1")],
     ],
 )

@@ -76,6 +76,11 @@ PARSE_TABLE = [
     ("-3/-4", ["3/4"]),
     ("(((x)))", [1, 0]),
     ("  x  ^ 2  - 3 ", [1, 0, -3]),
+    # ** binds to its atom alone, as ^ does, not to the product before it
+    ("2*x**2", [2, 0, 0]),
+    ("x**3-2*x**2-1", [1, -2, 0, -1]),
+    ("x/2**2", ["1/4", 0]),
+    ("3*x**2/2", ["3/2", 0, 0]),
 ]
 
 
@@ -109,6 +114,7 @@ PARSE_ERROR_TABLE = [
     ("", "unexpected end of expression"),
     ("x+", "unexpected end of expression"),
     ("x^\u00b2", "invalid literal for int() with base 10: '\u00b2'"),
+    ("x**2**2", "unexpected character '*'"),
 ]
 
 
@@ -502,6 +508,29 @@ def test_parse_poly_agrees_with_eval(text):
     python_text = re.sub(r"(?<!\^)(\d)", r"Fraction(\1)", text).replace("^", "**")
     for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-5, 7)):
         assert poly_eval(f.coeffs, x) == eval(python_text, {"Fraction": Fraction, "x": x})
+
+
+@st.composite
+def _unparenthesized_powers(draw):
+    """Sums of k*x**n and x/k**n terms with no parentheses, where ** must
+    bind to the atom before it alone, as in Python."""
+    terms = st.one_of(
+        st.tuples(st.integers(0, 9), st.integers(0, 4)).map(lambda t: f"{t[0]}*x**{t[1]}"),
+        st.tuples(st.integers(1, 9), st.integers(0, 3)).map(lambda t: f"x/{t[0]}**{t[1]}"),
+        st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(1, 9)).map(
+            lambda t: f"{t[0]}*x**{t[1]}/{t[2]}"
+        ),
+    )
+    parts = draw(st.lists(st.tuples(st.sampled_from(["+", "-"]), terms), min_size=1, max_size=4))
+    return "".join(sign + term for sign, term in parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unparenthesized_powers())
+def test_unparenthesized_powers_agree_with_eval(text):
+    f = parse_poly(text)
+    for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-5, 7)):
+        assert poly_eval(f.coeffs, x) == eval(text, {"x": x})
 
 
 @settings(max_examples=80, deadline=None)
