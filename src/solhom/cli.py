@@ -554,6 +554,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+_SIGNED_VALUE_OPTIONS = ("--c", "--min-poly", "--element")
+
+
 def _parse(argv) -> argparse.Namespace:
     """A subcommand's arguments go straight to its own parser, one pass
     instead of the top-level parser's hand-off; leftovers are reported by
@@ -563,7 +566,15 @@ def _parse(argv) -> argparse.Namespace:
     argv = _sys.argv[1:] if argv is None else argv
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    rest = []
+    for arg in argv[1:]:
+        # argparse reads a value such as -3/2 or -x as an option, so it
+        # joins its option as --c=-3/2 would
+        if rest and rest[-1] in _SIGNED_VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            rest[-1] += "=" + arg
+        else:
+            rest.append(arg)
+    args, extras = commands[argv[0]].parse_known_args(rest)
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args

@@ -162,9 +162,10 @@ def dual_principalization(
     """The dual system's (g', h') from sys's principalization (g, h), with
     no search.  The dual's expanding ideal is sys's contracting ideal M,
     and (c) = M J^-1 for sys's expanding ideal J, so (c^h g) = M^h: h' = h
-    and g' is the canonical generator of (c^h g) (docs/principalization.md,
-    "The dual's generator").  Without contracting finite places M is the
-    whole ring, and g' = 1, h' = 1 as principalization gives."""
+    and g' = +-c^h g by the sign rule, with M^h built only for the real
+    quadratic walk (docs/principalization.md, "The dual's generator").
+    Without contracting finite places M is the whole ring, and g' = 1,
+    h' = 1 as principalization gives."""
     dual = sys.dual_system()
     if not dual.finite_unstable:
         return sys.field.one(), 1

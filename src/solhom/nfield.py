@@ -497,15 +497,14 @@ def element_valuations(x: NfElement) -> dict[PrimeIdeal, int]:
 
 
 def principal_generator(I: FractionalIdeal) -> NfElement | None:
-    """A generator when I is principal and the search is conclusive: the
-    one canonical_generator picks from the generator found.
+    """A generator when I is principal and the search is conclusive.
 
     Rational: always conclusive.  Quadratic: conclusive from the norm
     form N(a*u1 + b*u2)/N(I), which takes the value +-1 exactly at the
     generators: for D < 0 the reduced form has A = 1 and v1 is one, for
-    D > 0 the cycle of reduced forms holds a form with A = +-1.  Degree
-    >= 3: None unless the small box holds a generator, and then its
-    first hit.
+    D > 0 the cycle of reduced forms holds a form with A = +-1; either
+    goes through canonical_generator.  Degree >= 3: None unless the small
+    box holds a generator, and then its first hit.
     """
     field = I.field
     if field.degree >= 3:
@@ -521,25 +520,13 @@ def principal_generator(I: FractionalIdeal) -> NfElement | None:
 
 
 def canonical_generator(x: NfElement, ideal: Callable[[], FractionalIdeal]) -> NfElement:
-    """The generator principal_generator returns for I = (x), from any
-    generator x of I, with ideal() building I for the picks that read its
-    lattice (docs/principalization.md, "The dual's generator").
-
-    Degree 1 and imaginary quadratic with D < -4: the sign rule alone,
-    the first nonzero integral coordinate positive.  Q(i) and Q(sqrt(-3)):
-    first the unit multiple with least lattice coordinates (b, a).  Real
-    quadratic: first the walk's pick (_walk_real_quadratic).  Degree >= 3:
-    the small box's first hit, or x itself when the box misses.
-    """
-    field = x.field
-    if field.degree >= 3:
-        found = _box_generator(ideal())
-        return x if found is None else found
-    if field.degree == 2:
-        if field.discriminant > 0:
-            x = _walk_real_quadratic(ideal(), x)
-        elif field.discriminant >= -4:
-            x = _least_unit_multiple(ideal(), x)
+    """x, or -x, made to have its first nonzero integral coordinate
+    positive (the sign rule), for a generator x of I.  In a real quadratic
+    field the walk's pick (_walk_real_quadratic) on ideal(), which builds
+    I, comes first; no other field calls ideal() (docs/principalization.md,
+    "The dual's generator")."""
+    if x.field.degree == 2 and x.field.discriminant > 0:
+        x = _walk_real_quadratic(ideal(), x)
     return -x if next(c for c in x.num if c) < 0 else x
 
 
@@ -576,19 +563,6 @@ def _norm_form(I: FractionalIdeal) -> tuple[int, int, int]:
     if ra or rb or rc or B * B - 4 * A * C != I.field.discriminant:
         raise InternalCheckError("norm form of an ideal is not integral of discriminant disc(K)")
     return A, B, C
-
-
-def _least_unit_multiple(I: FractionalIdeal, x: NfElement) -> NfElement:
-    """Of the generators u*x of I, for u a root of unity, the one with
-    least lattice coordinates (b, a).  The roots of unity are the
-    a + b*omega of norm 1, and 4 = (2a + tb)^2 + |D|b^2 puts them in
-    |a|, |b| <= 1."""
-    field = I.field
-    _, minus_t, n = field.omega_coeffs
-    box = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    roots = [(a, b) for a, b in box if a * a - minus_t * a * b + n * b * b == 1]
-    b, a = min(_lattice_coords(I, field._mul_int(u, x.num), x.den)[::-1] for u in roots)
-    return _lattice_element(I, a, b)
 
 
 def _reduce_definite(A: int, B: int, C: int) -> tuple[tuple[int, int, int], tuple]:

@@ -226,6 +226,29 @@ def test_a_schema_1_report_is_never_served(capsys, monkeypatch, isolated_cache):
     assert len(list(isolated_cache.glob("*.json"))) == 2
 
 
+def test_a_0_1_0_report_is_never_served(capsys, monkeypatch, isolated_cache):
+    # the cache key holds the package version: x^3-2's stable towers moved
+    # in 0.1.1, when the dual took +-c^h for its generator, so a report
+    # that 0.1.0 stored with the old towers is a miss now
+    version = cli.__version__
+    assert version == "0.1.1"
+    argv = ("analyze", "--min-poly", "x^3-2", "--json")
+    monkeypatch.setattr(cli, "__version__", "0.1.0")
+    code, old, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(old)["version"] == "0.1.0"
+    (entry,) = isolated_cache.glob("*.json")
+    stale = json.loads(entry.read_text())
+    stale["homology"]["stable"]["-1"]["tower"] = [[0, -4, -4], [2, 0, -4], [2, 2, 0]]
+    entry.write_text(json.dumps(stale, sort_keys=True) + "\n")
+    monkeypatch.setattr(cli, "__version__", version)
+    for state in ("miss", "hit"):
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert (code, report["cache"], report["version"]) == (0, state, version)
+    assert report["homology"]["stable"]["-1"]["tower"] == [[0, 0, 4], [-2, 0, 0], [0, -2, 0]]
+    assert len(list(isolated_cache.glob("*.json"))) == 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-(10**12), 10**12), st.integers(1, 10**6))
 @example(0, 1)
@@ -327,6 +350,20 @@ def test_spellings_of_one_c_share_an_entry(capsys, isolated_cache, spellings):
     assert len(list(isolated_cache.glob("*.json"))) == 1
 
 
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        [("--c", "-3/2"), ("--c=-3/2",), ("--min-poly", "x+3/2")],
+        [("--min-poly", "-x^2+2"), ("--min-poly=-x^2+2",), ("--min-poly", "x^2-2")],
+        [("--min-poly", "x^2-2", "--element", "-x"), ("--min-poly", "x^2-2", "--element=-x")],
+    ],
+)
+def test_a_value_that_starts_with_a_minus_reads_as_a_value(capsys, isolated_cache, spellings):
+    # argparse alone reads "-3/2" or "-x" as an option and exits 1 with
+    # "expected one argument"; each value must read as its "=" form does
+    test_spellings_of_one_c_share_an_entry(capsys, isolated_cache, spellings)
+
+
 def test_key_from_arguments_is_the_key_of_the_built_system():
     parser, _ = cli._build_parser()
     for _, poly, n in answer_inputs():
@@ -383,6 +420,8 @@ def test_cached_parser_does_not_carry_options_over(capsys):
         ["kunneth"],
         ["fixtures", "--show"],
         ["selftest", "extra"],
+        # a negative period count is still refused when --c comes before it
+        ["analyze", "--c", "3/2", "--lefschetz", "-1"],
     ],
 )
 def test_dispatch_prints_and_exits_as_the_top_level_parser(capsys, argv):

@@ -4,7 +4,8 @@ than any fixed exponent cap the engine once had.
 The exponent must be the order of the expanding ideal's class, and the
 rank-one degrees of x^2-1/2*x+12 must be the ones derived from the place
 data alone in docs/principalization.md.  The dual side's generator,
-taken from c^h g with no search, must be the one the search picks.
++-c^h g with no search outside real quadratic fields, must generate the
+dual's M^h, and be the search's pick in real quadratic fields.
 """
 
 import functools
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import element_norm_form, reduced_form_count
+from oracles import element_norm_form, principal_ideal, reduced_form_count
 from record_answer_reports import answer_inputs
 from solhom import cli, engine, nfield
 from solhom.engine import dual_principalization, principalization
@@ -182,8 +183,9 @@ def field_kind(K) -> str:
 
 def test_dual_generator_is_the_search_pick_on_its_ideal():
     # docs/principalization.md, "The dual's generator": the dual's
-    # expanding ideal M has M^h = (c^h g), and the canonical pick of
-    # c^h g is what principal_generator picks on M^h
+    # expanding ideal M has M^h = (c^h g), so g' = +-c^h g generates M^h
+    # and h' = h is the dual search's own exponent; only a real field
+    # still walks to the search's pick, which the dual takes too
     rng = random.Random(31)
     seen = set()
     for _ in range(160):
@@ -194,13 +196,18 @@ def test_dual_generator_is_the_search_pick_on_its_ideal():
         g, h = principalization(sys_)
         dual = sys_.dual_system()
         found = dual_principalization(sys_, (g, h))
+        searched = principalization(dual)
         if dual.finite_unstable:
-            assert found == (principal_generator(dual.expanding_ideal.pow(h)), h), sys_.min_poly
+            gen, power = found[0], dual.expanding_ideal.pow(h)
+            assert principal_ideal(sys_.field, gen) == power, sys_.min_poly
+            assert found[1] == searched[1] == h, sys_.min_poly
+            if field_kind(sys_.field) == "real":
+                assert gen == searched[0] == principal_generator(power), sys_.min_poly
+            else:
+                assert gen in (sys_.c.pow(h) * g, -(sys_.c.pow(h) * g)), sys_.min_poly
         else:
-            assert found == (sys_.field.one(), 1)
+            assert found == searched == (sys_.field.one(), 1)
             seen.add("no expanding place on the dual")
-        # the search on the dual system itself agrees
-        assert found == principalization(dual), sys_.min_poly
         seen |= {field_kind(sys_.field), "integral" if sys_.c.den == 1 else "non-integral"}
     assert seen == {
         "rational", "real", "Q(i)", "Q(sqrt(-3))", "imaginary, D < -4",
@@ -214,3 +221,47 @@ def test_a_forged_dual_generator_exits_3(poly, monkeypatch, capsys):
     monkeypatch.setattr(engine, "canonical_generator", lambda x, ideal: x + x)
     assert cli.main(["analyze", "--no-cache", "--min-poly", poly]) == 3
     assert "does not have the norm of M^" in capsys.readouterr().err
+
+
+def count_searches(monkeypatch) -> list[str]:
+    """Appends "box" for each nfield._box_generator call and "pow" for
+    each FractionalIdeal.pow call, the way the dual once built M^h."""
+    calls = []
+    box, power = nfield._box_generator, nfield.FractionalIdeal.pow
+    monkeypatch.setattr(nfield, "_box_generator", lambda I: calls.append("box") or box(I))
+    monkeypatch.setattr(nfield.FractionalIdeal, "pow", lambda I, e: calls.append("pow") or power(I, e))
+    return calls
+
+
+# each dual has an expanding place, so M^h is there to build: rational,
+# imaginary with D < -4, Q(i) and Q(sqrt(-3)), degree >= 3 with c integral
+# and not
+@pytest.mark.parametrize(
+    "poly", ["x-3/2", "x^2-x+5/6", "x^2-x+5/2", "x^2-x+13/3", "x^3-2", "x^9-2", "x^3-x/4-3/8"]
+)
+def test_the_dual_outside_real_quadratic_fields_builds_no_power_and_scans_no_box(poly, monkeypatch):
+    sys_ = build_system(poly)
+    found = principalization(sys_)
+    assert sys_.dual_system().finite_unstable
+    calls = count_searches(monkeypatch)
+    g, h = dual_principalization(sys_, found)
+    assert calls == [] and g in (sys_.c.pow(h) * found[0], -(sys_.c.pow(h) * found[0]))
+
+
+def test_the_real_quadratic_dual_still_walks_on_its_power():
+    # the counter's control: x^2-79/4's dual picks the walk's generator of M^h
+    sys_ = build_system("x^2-79/4")
+    found = principalization(sys_)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_searches(monkeypatch)
+        dual_principalization(sys_, found)
+    assert calls == ["pow"]
+
+
+@pytest.mark.parametrize("poly", ["x^3-2", "x^4-2", "x^9-2", "x^3-x-3"])
+def test_an_integral_report_of_degree_3_and_up_scans_no_box(poly, monkeypatch, capsys):
+    # integral c has no expanding finite place, so g = 1 with no search,
+    # and the dual takes +-c^h: no box on either side
+    calls = count_searches(monkeypatch)
+    assert cli.main(["analyze", "--no-cache", "--json", "--min-poly", poly]) == 0
+    assert "box" not in calls

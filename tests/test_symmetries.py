@@ -166,5 +166,5 @@ def test_an_element_reports_as_its_own_minimal_polynomial(f, coeffs):
     assume(e.degree >= 1)
     mu = element_min_poly(f, e)
     assume(mu != Poly([1, 0]))  # e(c) = 0 is bad input on both routes
-    # "--element=-x", since argparse reads a separate "-x" as an option
-    assert analyze(f"--min-poly={f.pretty()}", f"--element={e.pretty()}") == analyze(f"--min-poly={mu.pretty()}")
+    # a separate value such as "-x" reads as a value, as "--element=-x" does
+    assert analyze("--min-poly", f.pretty(), "--element", e.pretty()) == analyze("--min-poly", mu.pretty())
