@@ -319,12 +319,6 @@ def _cache_dir() -> str:
     )
 
 
-# build_report's keys: "cache" sorts before them all and "timing_seconds"
-# just before "version", the last, whose value ends the report's line
-_REPORT_KEYS = {"hk", "homology", "k_theory", "lefschetz", "principalization",
-                "schema_version", "system", "version"}
-
-
 def _version_tail() -> str:
     """How a report's compact sorted line ends."""
     return f', "version": {json.dumps(__version__)}}}'
@@ -332,61 +326,62 @@ def _version_tail() -> str:
 
 def _json_line(line: str, cache_state: str, elapsed: float) -> str:
     """The report's line with "cache" and "timing_seconds" in their sorted
-    places, first and just before "version": what json.dumps(report |
-    {...}, sort_keys=True) gives, without encoding the report again."""
+    places, first and just before "version", the last of build_report's
+    keys: what json.dumps(report | {...}, sort_keys=True) gives, without
+    encoding the report again."""
     tail = _version_tail()
     body = line[1 : -len(tail)]
     return f'{{"cache": "{cache_state}", {body}, "timing_seconds": {elapsed!r}{tail}'
 
 
-def _cache_key(min_poly: str, lefschetz_n: int) -> str:
-    """Key of a report: the monic minimal polynomial of c, which fixes
-    the system, plus everything else the report depends on.  A checksum
-    names the file, not a cryptographic hash (hashlib loads OpenSSL,
-    about 3.6 MB resident), since _cache_read checks what it reads."""
+def _cache_key(min_poly: str, lefschetz_n: int) -> tuple[str, bytes]:
+    """Key of a report and its stamp.  The stamp is the monic minimal
+    polynomial of c, which fixes the system, plus everything else the
+    report depends on, as sorted JSON text; the key is a checksum of it.
+    A checksum names the file, not a cryptographic hash (hashlib loads
+    OpenSSL, about 3.6 MB resident), since each entry holds its stamp."""
     payload = {
         "min_poly": min_poly,
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
         "lefschetz": lefschetz_n,
     }
-    text = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return f"{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
+    stamp = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return f"{zlib.crc32(stamp):08x}{zlib.adler32(stamp):08x}", stamp
 
 
-def _cache_read(key: str, min_poly: str, lefschetz_n: int) -> tuple[dict, str] | None:
-    """The stored report for the key and its line, when it is one for
-    this request; a collision, a foreign or truncated file, or one with
-    keys a report does not have, is a miss.
-    The line is decoded for the stamp check and the text renderer, and
-    --json prints it as it is, unless it is not the compact sorted line
-    _cache_write stores (an indented entry of an earlier version, say):
-    then it is the report encoded afresh."""
+def _entry_header(stamp: bytes, line: bytes) -> bytes:
+    """An entry's first line: the CRC-32 of its report line, then its stamp."""
+    return b"%08x %s" % (zlib.crc32(line), stamp)
+
+
+def _cache_read(key: str, stamp: bytes) -> str | None:
+    """The stored report line for this request, or None for a miss.
+    An entry is two lines: a header, the CRC-32 of the second line and
+    the request's stamp, then the report's compact sorted line.  Any
+    other file is a miss: a truncated or corrupted entry, another
+    request's, or a one-line entry in the layout earlier code wrote.  Only
+    _cache_write makes a header, over the json.dumps(report,
+    sort_keys=True) line it stores, so the line is served without a
+    JSON decode."""
     try:
-        with open(os.path.join(_cache_dir(), f"{key}.json")) as file:
-            line = file.read().removesuffix("\n")
-        report = json.loads(line)
-        stamp = (report["system"]["min_poly"], report["version"], report["schema_version"])
-        if (
-            stamp == (min_poly, __version__, SCHEMA_VERSION)
-            and len(report["lefschetz"]) == lefschetz_n
-            and report.keys() == _REPORT_KEYS
-        ):
-            if not (line.startswith('{"') and line.endswith(_version_tail())):
-                line = json.dumps(report, sort_keys=True)
-            return report, line
-    except (OSError, ValueError, KeyError, TypeError):
+        with open(os.path.join(_cache_dir(), f"{key}.json"), "rb") as file:
+            header, line, end = file.read().split(b"\n")
+        if not end and header == _entry_header(stamp, line):
+            return line.decode("utf-8")
+    except (OSError, ValueError):
         pass
     return None
 
 
-def _cache_write(key: str, line: str) -> None:
-    """Store a report's compact sorted line."""
+def _cache_write(key: str, stamp: bytes, line: str) -> None:
+    """Store a report's compact sorted line under its header."""
+    data = line.encode("utf-8")
     directory = _cache_dir()
     try:
         os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, f"{key}.json"), "w") as file:
-            file.write(line + "\n")
+        with open(os.path.join(directory, f"{key}.json"), "wb") as file:
+            file.write(b"%s\n%s\n" % (_entry_header(stamp, data), data))
     except OSError:
         pass  # caching is best effort
 
@@ -421,24 +416,26 @@ def cmd_analyze(args) -> int:
     """Look the report up first; only a miss builds the system.  Entries
     are written after a successful report, so a refused input never hits
     and is refused by build_system on every call.  The report is encoded
-    at most once: a hit prints the line it read, a miss encodes the line
-    it stores and prints, and text output with --no-cache encodes none."""
+    at most once and decoded at most once: a --json hit prints the line
+    it read, a text hit decodes it, a miss encodes the line it stores
+    and prints, and text output with --no-cache encodes none."""
     start = time.perf_counter()
     min_poly = _min_poly_from_args(args)
-    cached = None
+    line = None
     if not args.no_cache:
-        text = min_poly.pretty()
-        key = _cache_key(text, args.lefschetz)
-        cached = _cache_read(key, text, args.lefschetz)
-    if cached is not None:
-        cache_state, (report, line) = "hit", cached
+        key, stamp = _cache_key(min_poly.pretty(), args.lefschetz)
+        line = _cache_read(key, stamp)
+    if line is not None:
+        cache_state = "hit"
+        if not args.json:
+            report = json.loads(line)
     else:
         cache_state, report = "miss", build_report(build_system(min_poly), args.lefschetz)
         if args.json or not args.no_cache:
             # one compact line: json uses its C encoder only when indent is None
             line = json.dumps(report, sort_keys=True)
         if not args.no_cache:
-            _cache_write(key, line)
+            _cache_write(key, stamp, line)
     elapsed = time.perf_counter() - start
     if args.json:
         print(_json_line(line, cache_state, elapsed))
@@ -569,8 +566,12 @@ def _parse(argv) -> argparse.Namespace:
     rest = []
     for arg in argv[1:]:
         # argparse reads a value such as -3/2 or -x as an option, so it
-        # joins its option as --c=-3/2 would
-        if rest and rest[-1] in _SIGNED_VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+        # joins its option as --c=-3/2 would; so does an abbreviation such
+        # as --min-p, any prefix past "--" (argparse refuses an ambiguous one)
+        if (
+            rest and arg[:1] == "-" and arg[:2] != "--" and len(rest[-1]) > 2
+            and any(option.startswith(rest[-1]) for option in _SIGNED_VALUE_OPTIONS)
+        ):
             rest[-1] += "=" + arg
         else:
             rest.append(arg)

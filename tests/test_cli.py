@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,29 +111,44 @@ def test_json_output_is_one_compact_sorted_line(capsys, extra):
 
 
 def test_cache_entry_is_the_compact_report(capsys, isolated_cache):
+    # two lines: the CRC-32 of the report line and the stamp the key
+    # hashes, then the report's compact sorted line
     code, out, _ = run(capsys, "analyze", "--c", "5/3", "--json")
     assert code == 0
     (path,) = isolated_cache.glob("*.json")
-    stored = path.read_text()
-    assert stored == json.dumps(_without_volatile(out), sort_keys=True) + "\n"
+    header, line = path.read_text().splitlines()
+    assert line == json.dumps(_without_volatile(out), sort_keys=True)
+    key, stamp = cli._cache_key("x - 5/3", cli.DEFAULT_LEFSCHETZ)
+    assert path.name == f"{key}.json"
+    assert header == f"{zlib.crc32(line.encode()):08x} {stamp.decode()}"
+    assert json.loads(stamp) == {"lefschetz": 6, "min_poly": "x - 5/3", "schema_version": 2, "version": "0.1.1"}
 
 
-def test_indented_entries_of_earlier_versions_still_hit(capsys, isolated_cache, tmp_path, monkeypatch):
-    poly = "x^2-x+3/2"
-    monkeypatch.setenv("SOLHOM_CACHE_DIR", str(tmp_path / "fresh"))
-    code, miss, _ = run(capsys, "analyze", "--min-poly", poly, "--json")
-    assert code == 0 and json.loads(miss)["cache"] == "miss"
+def _report_line(path) -> str:
+    """The report line of a cache entry, with its newline."""
+    return path.read_text().split("\n", 1)[1]
 
-    monkeypatch.setenv("SOLHOM_CACHE_DIR", str(isolated_cache))
-    key = cli._cache_key(places.monic_min_poly(poly).pretty(), cli.DEFAULT_LEFSCHETZ)
-    isolated_cache.mkdir()
-    old = isolated_cache / f"{key}.json"
-    old.write_text(json.dumps(_without_volatile(miss), sort_keys=True, indent=2) + "\n")
-    before = old.read_bytes()
-    code, hit, _ = run(capsys, "analyze", "--min-poly", poly, "--json")
-    assert code == 0 and json.loads(hit)["cache"] == "hit"
-    assert _without_volatile(hit) == _without_volatile(miss)
-    assert old.read_bytes() == before and list(isolated_cache.iterdir()) == [old]
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda report: json.dumps(report, sort_keys=True, indent=2), id="indented"),
+        pytest.param(lambda report: json.dumps(report, sort_keys=True), id="one-line"),
+    ],
+)
+def test_entries_of_earlier_versions_are_misses_and_are_rewritten(capsys, isolated_cache, entry):
+    # earlier code stored the report alone, indented and later as one
+    # compact line: with no header such an entry is a miss, and is rewritten
+    argv = ("analyze", "--min-poly", "x^2-x+3/2", "--json")
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0
+    (path,) = isolated_cache.glob("*.json")
+    stored = path.read_bytes()
+    path.write_text(entry(_without_volatile(miss)) + "\n")
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(again)["cache"] == "miss"
+    assert _stored_line(again) == _stored_line(miss) and path.read_bytes() == stored
+    assert list(isolated_cache.iterdir()) == [path]
 
 
 def _stored_line(out: str) -> str:
@@ -158,7 +174,7 @@ def test_a_hit_prints_its_stored_line_without_encoding(capsys, isolated_cache, m
     code, hit, err = run(capsys, *argv)
     assert (code, err) == (0, "") and json.loads(hit)["cache"] == "hit"
     (path,) = isolated_cache.glob("*.json")
-    assert _stored_line(miss) == _stored_line(hit) == path.read_text()
+    assert _stored_line(miss) == _stored_line(hit) == _report_line(path)
     with pytest.raises(AssertionError, match="was encoded"):
         main(["analyze", "--c", "5/3", "--json"])  # the patch is live: a miss encodes
 
@@ -167,22 +183,25 @@ def test_a_hit_prints_its_stored_line_without_encoding(capsys, isolated_cache, m
     "entry",
     [
         lambda report: " " + json.dumps(report, sort_keys=True),
-        lambda report: json.dumps(report),  # build_report's order: "version" is not last
+        lambda report: json.dumps({"version": report["version"]} | report),  # "version" is not last
         lambda report: json.dumps(report, sort_keys=True, separators=(",", ":")),
     ],
 )
 def test_a_compact_entry_foreign_at_its_ends_prints_one_compact_sorted_line(capsys, isolated_cache, entry):
+    # under the entry's own header the foreign line fails the CRC: a miss,
+    # and the entry is rewritten with the line _cache_write stores
     argv = ("analyze", "--min-poly", "x^2-x+3/2", "--json")
     code, miss, _ = run(capsys, *argv)
     assert code == 0
     (path,) = isolated_cache.glob("*.json")
-    path.write_text(entry(_without_volatile(miss)) + "\n")
-    before = path.read_bytes()
-    code, hit, _ = run(capsys, *argv)
-    assert code == 0 and json.loads(hit)["cache"] == "hit"
-    assert hit == json.dumps(json.loads(hit), sort_keys=True) + "\n"
-    assert _stored_line(hit) == _stored_line(miss)
-    assert path.read_bytes() == before
+    stored = path.read_bytes()
+    header = path.read_text().split("\n", 1)[0]
+    path.write_text(f"{header}\n{entry(_without_volatile(miss))}\n")
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(again)["cache"] == "miss"
+    assert again == json.dumps(json.loads(again), sort_keys=True) + "\n"
+    assert _stored_line(again) == _stored_line(miss)
+    assert path.read_bytes() == stored
 
 
 def test_an_entry_with_keys_no_report_has_is_a_miss(capsys, isolated_cache):
@@ -190,11 +209,59 @@ def test_an_entry_with_keys_no_report_has_is_a_miss(capsys, isolated_cache):
     code, miss, _ = run(capsys, *argv)
     assert code == 0
     (path,) = isolated_cache.glob("*.json")
+    header = path.read_text().split("\n", 1)[0]
     for extra in ({"aside": 1}, {"cache": "hit"}, {"unsorted": 0}):
-        path.write_text(json.dumps(_without_volatile(miss) | extra, sort_keys=True) + "\n")
+        path.write_text(f"{header}\n{json.dumps(_without_volatile(miss) | extra, sort_keys=True)}\n")
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["cache"] == "miss", extra
-        assert _stored_line(out) == _stored_line(miss) == path.read_text()
+        assert _stored_line(out) == _stored_line(miss) == _report_line(path)
+
+
+def test_a_flipped_digit_in_the_stored_report_is_a_miss_and_is_rewritten(capsys, isolated_cache):
+    # the line still decodes and still names this input; only its CRC
+    # tells it from the report that was stored
+    argv = ("analyze", "--min-poly", "x^2-x+3/2", "--json")
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0
+    (path,) = isolated_cache.glob("*.json")
+    stored = path.read_text()
+    *head, line, end = stored.split("\n")
+    flipped = re.sub(r'(?<="periodic_points": )[1-9]', lambda m: str(int(m[0]) % 9 + 1), line, count=1)
+    assert flipped != line and json.loads(flipped)["system"] == json.loads(line)["system"]
+    path.write_text("\n".join([*head, flipped, end]))
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(again)["cache"] == "miss"
+    assert _stored_line(again) == _stored_line(miss) and path.read_text() == stored
+
+
+def test_a_json_hit_decodes_nothing(capsys, isolated_cache, monkeypatch):
+    argv = ("analyze", "--min-poly", "x^2+x+15/2", "--json")
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report was decoded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.json, "loads", refuse)
+        code, hit, err = run(capsys, *argv)
+        with pytest.raises(AssertionError, match="was decoded"):
+            main(["analyze", "--min-poly", "x^2+x+15/2"])  # the patch is live: a text hit decodes
+    (path,) = isolated_cache.glob("*.json")
+    assert (code, err) == (0, "") and json.loads(hit)["cache"] == "hit"
+    assert _stored_line(hit) == _stored_line(miss) == _report_line(path)
+
+
+@pytest.mark.parametrize("side", ["both", "stable"])
+def test_a_text_hit_prints_the_text_of_the_miss(capsys, side):
+    argv = ("analyze", "--min-poly", "x^2-79/4", "--side", side)
+    (code, miss, _), (hit_code, hit, _) = run(capsys, *argv), run(capsys, *argv)
+    assert code == hit_code == 0
+    *miss_lines, miss_elapsed = miss.splitlines()
+    *hit_lines, hit_elapsed = hit.splitlines()
+    assert hit_lines == miss_lines
+    assert miss_elapsed.startswith("elapsed: ") and not miss_elapsed.endswith("(cached)")
+    assert hit_elapsed.startswith("elapsed: ") and hit_elapsed.endswith("  (cached)")
 
 
 def test_cache_key_is_the_monic_polynomial_and_version(capsys, monkeypatch):
@@ -237,9 +304,10 @@ def test_a_0_1_0_report_is_never_served(capsys, monkeypatch, isolated_cache):
     code, old, _ = run(capsys, *argv)
     assert code == 0 and json.loads(old)["version"] == "0.1.0"
     (entry,) = isolated_cache.glob("*.json")
-    stale = json.loads(entry.read_text())
+    stale = json.loads(_report_line(entry))
     stale["homology"]["stable"]["-1"]["tower"] = [[0, -4, -4], [2, 0, -4], [2, 2, 0]]
-    entry.write_text(json.dumps(stale, sort_keys=True) + "\n")
+    key, stamp = cli._cache_key("x^3 - 2", cli.DEFAULT_LEFSCHETZ)
+    cli._cache_write(key, stamp, json.dumps(stale, sort_keys=True))
     monkeypatch.setattr(cli, "__version__", version)
     for state in ("miss", "hit"):
         code, out, _ = run(capsys, *argv)
@@ -301,32 +369,36 @@ def test_truncated_cache_entry_is_a_miss_and_is_rewritten(capsys, isolated_cache
     assert code == 0
     (path,) = isolated_cache.glob("*.json")
     stored = path.read_bytes()
-    path.write_bytes(stored[: len(stored) // 2])
-    code, again, _ = run(capsys, "analyze", "--c", "5/3", "--json")
-    assert code == 0 and json.loads(again)["cache"] == "miss"
-    assert path.read_bytes() == stored
-    assert _without_volatile(again) == _without_volatile(out)
+    # inside the report line, just before its newline, and just after the header's
+    for cut in (len(stored) // 2, len(stored) - 1, stored.index(b"\n") + 1):
+        path.write_bytes(stored[:cut])
+        code, again, _ = run(capsys, "analyze", "--c", "5/3", "--json")
+        assert code == 0 and json.loads(again)["cache"] == "miss", cut
+        assert path.read_bytes() == stored
+        assert _without_volatile(again) == _without_volatile(out)
     assert json.loads(run(capsys, "analyze", "--c", "5/3", "--json")[1])["cache"] == "hit"
 
 
 def test_another_inputs_report_under_the_key_is_a_miss(capsys, isolated_cache):
     # a checksum names the file, so a hit is taken only when the stored
-    # report is one for this input, version, schema and period count
+    # stamp is this request's: its input, version, schema and period count
     code, other, _ = run(capsys, "analyze", "--c", "5/3", "--json")
     assert code == 0
     (planted,) = isolated_cache.glob("*.json")
-    key = cli._cache_key(places.monic_min_poly("x^2-x+3/2").pretty(), cli.DEFAULT_LEFSCHETZ)
+    text = places.monic_min_poly("x^2-x+3/2").pretty()
+    key, _ = cli._cache_key(text, cli.DEFAULT_LEFSCHETZ)
     path = planted.rename(isolated_cache / f"{key}.json")
     code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
     assert code == 0 and json.loads(out)["cache"] == "miss"
-    assert json.loads(path.read_text()) == _without_volatile(out) != _without_volatile(other)
+    assert json.loads(_report_line(path)) == _without_volatile(out) != _without_volatile(other)
     for stored in ([1, 2], {"system": {"min_poly": "x^2 - x + 3/2"}}, "null"):
         path.write_text(json.dumps(stored))
         code, again, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
         assert code == 0 and json.loads(again)["cache"] == "miss", stored
     code, out, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json", "--lefschetz", "3")
     assert code == 0 and json.loads(out)["cache"] == "miss"
-    cli._cache_write(key, json.dumps(json.loads(path.read_text()) | {"lefschetz": []}, sort_keys=True))
+    _, three_periods = cli._cache_key(text, 3)
+    cli._cache_write(key, three_periods, _report_line(path).removesuffix("\n"))
     code, again, _ = run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")
     assert code == 0 and json.loads(again)["cache"] == "miss"
     assert json.loads(run(capsys, "analyze", "--min-poly", "x^2-x+3/2", "--json")[1])["cache"] == "hit"
@@ -354,14 +426,20 @@ def test_spellings_of_one_c_share_an_entry(capsys, isolated_cache, spellings):
     "spellings",
     [
         [("--c", "-3/2"), ("--c=-3/2",), ("--min-poly", "x+3/2")],
-        [("--min-poly", "-x^2+2"), ("--min-poly=-x^2+2",), ("--min-poly", "x^2-2")],
-        [("--min-poly", "x^2-2", "--element", "-x"), ("--min-poly", "x^2-2", "--element=-x")],
+        [("--min-poly", "-x^2+2"), ("--min-poly=-x^2+2",), ("--min-poly", "x^2-2"),
+         ("--min-p", "-x^2+2"), ("--m", "-x^2+2")],
+        [("--min-poly", "x^2-2", "--element", "-x"), ("--min-poly", "x^2-2", "--element=-x"),
+         ("--min-poly", "x^2-2", "--elem", "-x"), ("--min", "x^2-2", "--e", "-x")],
     ],
 )
 def test_a_value_that_starts_with_a_minus_reads_as_a_value(capsys, isolated_cache, spellings):
     # argparse alone reads "-3/2" or "-x" as an option and exits 1 with
-    # "expected one argument"; each value must read as its "=" form does
+    # "expected one argument"; each value must read as its "=" form does,
+    # after the option's name or an abbreviation argparse accepts for it
     test_spellings_of_one_c_share_an_entry(capsys, isolated_cache, spellings)
+    for option in ("--lefschetz", "--lef"):  # a period count is not joined
+        code, out, err = run(capsys, "analyze", "--c", "3/2", option, "-1")
+        assert (code, out) == (1, "") and "at least 0, not -1" in err, option
 
 
 def test_key_from_arguments_is_the_key_of_the_built_system():

@@ -1,14 +1,14 @@
-"""Reports of c against those of -c, 1/c, c^2 and an element e(c) given
-by --element: relations the mathematics fixes in advance, so they need
-no recorded answer (docs/symmetries.md).
+"""Reports of c against those of -c, 1/c, c^2, c^3 and an element e(c)
+given by --element: relations the mathematics fixes in advance, so they
+need no recorded answer (docs/symmetries.md).
 
 c -> -c keeps the refusal class, the degrees of both sides and every
 degree's invariant signature, and the closed form wherever both inputs
 have one.  c -> 1/c keeps the periodic-point counts where both certify.
-c -> c^2 takes the counts of period 2k to those of period k, raised to
-the degree of Q(c) over Q(c^2), and when that degree is 1 keeps the
-groups as -c does.  --min-poly F --element e prints the report of e's
-own minimal polynomial, computed here from a resultant.
+c -> c^n, for n = 2 and 3, takes the counts of period nk to those of
+period k, raised to the degree of Q(c) over Q(c^n), and when that degree
+is 1 keeps the groups as -c does.  --min-poly F --element e prints the
+report of e's own minimal polynomial, computed here from a resultant.
 Refusals under 1/c are not symmetric today (an index obstruction on one
 side only), so they are not compared here; nor is the degree >= 3
 generator search's limit under -c, since that search runs in the
@@ -127,22 +127,39 @@ def test_inverting_c_keeps_the_periodic_point_counts(f):
     assert counts == [row["periodic_points"] for row in mirror["lefschetz"]]
 
 
+def assert_power_relation(f: Poly, n: int):
+    """Per_k(c^n)^e = Per_nk(c) for each nk within the report's periods,
+    with e = [Q(c) : Q(c^n)], and the same groups when e = 1, wherever
+    both c and c^n certify."""
+    power = element_min_poly(f, Poly([1] + [0] * n))
+    _, sys_, report = outcome(f)
+    _, mirror, mirror_report = outcome(power)
+    assume(report is not None and mirror_report is not None)
+    counts = [row["periodic_points"] for row in report["lefschetz"]]
+    power_counts = [row["periodic_points"] for row in mirror_report["lefschetz"]]
+    index = f.degree // power.degree
+    for k in range(1, LEFSCHETZ // n + 1):
+        assert power_counts[k - 1] ** index == counts[n * k - 1], k
+    if index == 1:
+        assert_same_groups(sys_, mirror)
+
+
 @settings(max_examples=60, deadline=None)
 @given(minimal_polys())
 @example(Poly([1, 0, Fraction(-3, 2)]))  # Q(c) over Q(c^2) of degree 2
 @example(Poly([1, -1, -1]))
 def test_squaring_c_takes_period_2k_to_period_k(f):
-    square = element_min_poly(f, Poly([1, 0, 0]))
-    _, sys_, report = outcome(f)
-    _, mirror, mirror_report = outcome(square)
-    assume(report is not None and mirror_report is not None)
-    counts = [row["periodic_points"] for row in report["lefschetz"]]
-    square_counts = [row["periodic_points"] for row in mirror_report["lefschetz"]]
-    index = f.degree // square.degree  # [Q(c) : Q(c^2)], 1 or 2
-    for k in range(1, LEFSCHETZ // 2 + 1):
-        assert square_counts[k - 1] ** index == counts[2 * k - 1], k
-    if index == 1:
-        assert_same_groups(sys_, mirror)
+    assert_power_relation(f, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(minimal_polys())
+@example(Poly([1, 0, 0, -2]))  # c^3 = 2: Q(c) over Q(c^3) of degree 3
+@example(Poly([1, 2, 4]))  # c = 2 omega, c^3 = 8: degree 2
+@example(Poly([1, -1, -1]))
+@example(Poly([1, Fraction(-3, 2)]))
+def test_cubing_c_takes_period_3k_to_period_k(f):
+    assert_power_relation(f, 3)
 
 
 def analyze(*argv) -> tuple[int, str, str]:
