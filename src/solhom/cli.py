@@ -197,10 +197,10 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     unstable homology, K-theory, the H/K comparison and the reported
     principalization, the dual's feeds stable homology.  Only the
     forward side searches for a principal generator; the dual's comes
-    from it, and for a unit c the dual's ladder too.  The two sides'
-    actions are checked against each other by Jacobi duality, and each
-    stable closed form is certified against its tower as hk_check
-    certifies the unstable ones.
+    from it.  Each side builds its own exterior-power ladder, so the
+    check of the two sides' actions against each other by Jacobi duality
+    compares independent computations, and each stable closed form is
+    certified against its tower as hk_check certifies the unstable ones.
     """
     finite = finite_part_homology(sys_)
     k_groups = k_theory(sys_, finite)
@@ -208,7 +208,7 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     dual = sys_.dual_system()
     unstable = shifted_homology(sys_, finite)
     found = dual_principalization(sys_, finite.principalization)
-    stable = shifted_homology(dual, finite_part_homology(dual, found, finite.dual_ladders))
+    stable = shifted_homology(dual, finite_part_homology(dual, found))
     duality_check(sys_, unstable, stable)
     certify_closed_forms((f"stable H_{k}", e) for k, e in sorted(stable.entries.items()))
     g, h = finite.principalization

@@ -90,19 +90,12 @@ class GradedGroup:
     """Finitely supported family of groups indexed by an integer degree.
 
     A finite part keeps the (g, h) of principalization its tower was
-    flattened with and, for a unit c, the dual's pair of ladders
-    (finite_part_homology).
+    flattened with.
     """
 
-    def __init__(
-        self,
-        entries: dict[int, DegreeEntry],
-        principalization: tuple[NfElement, int] | None = None,
-        dual_ladders: tuple[list[IntMatrix], list[IntMatrix]] | None = None,
-    ):
+    def __init__(self, entries: dict[int, DegreeEntry], principalization: tuple[NfElement, int] | None = None):
         self.entries = entries
         self.principalization = principalization
-        self.dual_ladders = dual_ladders
 
     def __repr__(self) -> str:
         return f"GradedGroup(entries={self.entries!r}, principalization={self.principalization!r})"
@@ -176,9 +169,7 @@ def dual_principalization(
     return gen, h
 
 
-def finite_part_homology(
-    sys: SolenoidSystem, found: tuple[NfElement, int] | None = None, ladders=None
-) -> GradedGroup:
+def finite_part_homology(sys: SolenoidSystem, found: tuple[NfElement, int] | None = None) -> GradedGroup:
     """Homology of the finite-place tower, graded by exterior degree
     0..[K:Q], flattened with found = (g, h), principalization(sys) when
     not given.
@@ -192,17 +183,12 @@ def finite_part_homology(
     once g is: its entries are minors of an integer matrix.
 
     Each matrix's exterior powers are built once, as one Laplace ladder,
-    and shared by the tower and the action when g = 1.  Each tower's
-    determinant is Sylvester-Franke's, its adjugate Jacobi's, read off
-    the complementary power, and every prime of its determinant lies
-    under a finite place of c (docs/duality.md).
-
-    For a unit c, N = g = m = 1 and det A = +-1, and by Jacobi
-    Lambda^k(A^-1) is det A times the complement transpose of
-    Lambda^(d-k)(A), which also gives the tower's adjugate.  The result's
-    dual_ladders is the pair (ladder of A^-1, ladder of A): the dual's
-    matrix is A^-1, and its call takes the pair as ladders and builds
-    none (docs/duality.md).
+    and shared by the tower and the action when g = 1, as for a unit c.
+    Each tower's determinant is Sylvester-Franke's, its adjugate Jacobi's,
+    read off the complementary power, and every prime of its determinant
+    lies under a finite place of c (docs/duality.md).  The dual side
+    builds its own ladder, so duality_check compares two independent
+    computations.
     """
     d = sys.field.degree
     n_index = sys.transfer_index
@@ -213,21 +199,14 @@ def finite_part_homology(
     a_flat, m_flat = (g * c_inv).mult_pair()
     a_theta, m_theta = c_inv.mult_pair()
     primes = {fp.prime.p for fp in sys.finite_stable + sys.finite_unstable}
-    if ladders is not None and ladders[0][1] != a_flat:
-        raise InternalCheckError("the given ladder is not that of the flattened step")
-    flat_powers = _exterior_ladder(a_flat, d) if ladders is None else ladders[0]
-    if ladders is None and not primes:
-        det_a = flat_powers[d].rows[0][0]
-        ladders = flat_powers, [
-            _scaled_complement(flat_powers[d - k], d, d - k, det_a, 1) for k in range(d + 1)
-        ]
+    flat_powers = _exterior_ladder(a_flat, d)
     # g = 1 (a unit c, or the forward side of an integral one): one ladder
     same = (a_theta, m_theta) == (a_flat, m_flat)
     theta_powers = flat_powers if same else _exterior_ladder(a_theta, d)
 
     entries: dict[int, DegreeEntry] = {}
     for k in range(d + 1):
-        tower = _ladder_tower(flat_powers, k, m_flat, n_index, primes, ladders and ladders[1][k])
+        tower = _ladder_tower(flat_powers, k, m_flat, n_index, primes)
         try:
             closed = canonical_form(tower)
             provenance = "canonical_form_rank1" if tower.rank == 1 else "canonical_form"
@@ -238,7 +217,7 @@ def finite_part_homology(
         common = 1 if den == 1 else math.gcd(den, *(n_index * x for row in theta for x in row))
         action = _rescaled(theta_powers[k], n_index, common), den // common
         entries[k] = DegreeEntry(tower, closed, action, provenance)
-    return GradedGroup(entries, (g, h), ladders and ladders[::-1])
+    return GradedGroup(entries, (g, h))
 
 
 def _exterior_ladder(A: IntMatrix, d: int) -> list[IntMatrix]:
@@ -249,16 +228,14 @@ def _exterior_ladder(A: IntMatrix, d: int) -> list[IntMatrix]:
     return powers
 
 
-def _ladder_tower(
-    powers: list[IntMatrix], k: int, m: int, n_index: int, primes: set[int], inverse=None
-) -> ColimitGroup:
+def _ladder_tower(powers: list[IntMatrix], k: int, m: int, n_index: int, primes: set[int]) -> ColimitGroup:
     """The tower T = N Lambda^k(A) / m^k of a d x d matrix A, from the
     ladder powers = [Lambda^0(A), ..., Lambda^d(A)].  det A is Lambda^d(A),
     det T is Sylvester-Franke's N^s det(A)^C(d-1, k-1) / m^(k s) for
     s = C(d, k), and by Jacobi T^-1 = m^k J / (N det A) for J the
     complement transpose of Lambda^(d-k)(A), so adj T = det T m^k J /
-    (N det A), built when first asked for, or det T times inverse, T^-1
-    when it is given.  primes holds every prime of det T."""
+    (N det A), built when first asked for.  primes holds every prime of
+    det T."""
     d = len(powers) - 1
     flat, den = powers[k].rows, m**k
     if den > 1 and any(n_index * x % den for row in flat for x in row):
@@ -268,12 +245,7 @@ def _ladder_tower(
     det, rest = divmod(n_index**size * exterior_power_det(det_a, d, k), den**size)
     if rest:
         raise InternalCheckError(f"tower determinant at degree {k} is not an integer")
-    if inverse is not None:
-        adjugate = functools.partial(_rescaled, inverse, det, 1)
-    else:
-        adjugate = functools.partial(
-            _scaled_complement, powers[d - k], d, d - k, det * den, n_index * det_a
-        )
+    adjugate = functools.partial(_scaled_complement, powers[d - k], d, d - k, det * den, n_index * det_a)
     return ColimitGroup(delta, det, adjugate, primes)
 
 

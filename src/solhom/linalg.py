@@ -24,8 +24,8 @@ Conventions fixed here and relied on elsewhere:
 * ``exterior_power_matrix(A, k, lower)`` takes an IntMatrix and indexes
   rows and columns by k-element subsets in lexicographic order; entries
   are k x k minors, each one Laplace expansion along its first row over
-  ``lower``, the (k-1)-th power, so a ladder of all powers costs one
-  expansion per minor.
+  ``lower``, the (k-1)-th power, summed over nonzero terms only, so a
+  ladder of all powers costs one product per pair of nonzeros.
 * ``complement_transpose(X, d, k)`` sends a matrix on k-subsets of
   range(d) to the one on (d-k)-subsets with entry (K, L) equal to
   (-1)^(sum K + sum L) X[L^c, K^c]; on Lambda^k(A) it gives
@@ -436,22 +436,26 @@ def exterior_power_matrix(A: IntMatrix, k: int, lower: IntMatrix | None = None) 
 def _laplace_step(rows: tuple[tuple[int, ...], ...], k: int, lower) -> IntMatrix:
     """The k-minors of rows from its (k-1)-minors: the minor on row set R
     and column set C is the sum over t of (-1)^t a[R_0][C_t] times the
-    (k-1)-minor on R minus R_0 and C minus C_t.  The first power is the
-    matrix itself."""
+    (k-1)-minor on R minus R_0 and C minus C_t.  So each nonzero
+    a[R_0][c] times each nonzero (k-1)-minor on R minus R_0 and a column
+    set J without c is added at J + {c}, signed by the place of c in it,
+    and the cost follows the nonzeros.  The first power is the matrix
+    itself."""
     if k == 1:
         return IntMatrix._trusted(rows)
-    row_terms, col_terms = _laplace_terms(len(rows), len(rows[0]), k)
-    mul = operator.mul
+    row_terms, slots, width = _laplace_terms(len(rows), len(rows[0]), k)
+    below = [[(j, v) for j, v in enumerate(row) if v] for row in lower]
     out = []
     for r, below_row in row_terms:
-        at, below = rows[r].__getitem__, lower[below_row].__getitem__
-        out.append(
-            tuple(
-                sum(map(mul, map(at, ce), map(below, je)))
-                - sum(map(mul, map(at, co), map(below, jo)))
-                for ce, je, co, jo in col_terms
-            )
-        )
+        minors = [0] * width
+        for c, a in enumerate(rows[r]):
+            if a:
+                to = slots[c]
+                for j, v in below[below_row]:
+                    if to[j]:
+                        slot, sign = to[j]
+                        minors[slot] += sign * a * v
+        out.append(tuple(minors))
     return IntMatrix._trusted(tuple(out))
 
 
@@ -459,16 +463,20 @@ def _laplace_step(rows: tuple[tuple[int, ...], ...], k: int, lower) -> IntMatrix
 def _laplace_terms(nrows: int, ncols: int, k: int):
     """Index data of one Laplace step, shared by every matrix of a shape:
     per row set R, its first row and the slot of R minus R_0 among the
-    (k-1)-subsets; per column set C, the columns C_t and the slots of C
-    minus C_t, even t then odd t."""
+    (k-1)-subsets; per column c and (k-1)-subset J, None when c is in J,
+    else the slot of J + {c} among the k-subsets and (-1)^t for t the
+    place of c in it; and the number of k-subsets of columns."""
     below_rows = {s: i for i, s in enumerate(itertools.combinations(range(nrows), k - 1))}
-    below_cols = {s: i for i, s in enumerate(itertools.combinations(range(ncols), k - 1))}
     row_terms = tuple((rs[0], below_rows[rs[1:]]) for rs in itertools.combinations(range(nrows), k))
-    col_terms = []
-    for cs in itertools.combinations(range(ncols), k):
-        rests = [below_cols[cs[:t] + cs[t + 1 :]] for t in range(k)]
-        col_terms.append((cs[0::2], rests[0::2], cs[1::2], rests[1::2]))
-    return row_terms, tuple(col_terms)
+    cols = {s: i for i, s in enumerate(itertools.combinations(range(ncols), k))}
+    slots = tuple(
+        tuple(
+            None if c in J else (cols[tuple(sorted(J + (c,)))], (-1) ** sum(x < c for x in J))
+            for J in itertools.combinations(range(ncols), k - 1)
+        )
+        for c in range(ncols)
+    )
+    return row_terms, slots, len(cols)
 
 
 def exterior_power_det(det: int, d: int, k: int) -> int:

@@ -1728,8 +1728,9 @@ def block_sum_hk_check(sys, finite) -> dict:
 
 # ---------------------------------------------------------------------------
 # tower data without the exterior-power identities: the per-minor route
-# that the Laplace ladder replaced, and each tower's determinant and
-# adjugate by elimination instead of Sylvester-Franke and Jacobi
+# and the dense Laplace step that the sparse one replaced, and each
+# tower's determinant and adjugate by elimination instead of
+# Sylvester-Franke and Jacobi
 
 
 def minor_exterior_power(A: IntMatrix, k: int) -> IntMatrix:
@@ -1745,6 +1746,47 @@ def minor_exterior_power(A: IntMatrix, k: int) -> IntMatrix:
             for rs in itertools.combinations(range(A.nrows), k)
         ]
     )
+
+
+def dense_exterior_ladder(A: IntMatrix) -> list[IntMatrix]:
+    """Lambda^0(A), ..., Lambda^min(rows, cols)(A) by the dense Laplace
+    step: every k-minor is expanded along its first row over every one of
+    its k (k-1)-minors, nonzero or not, at a cost of k C(d, k)^2 products
+    for a d x d matrix."""
+    rows = A.rows
+    powers = [IntMatrix([[1]])]
+    for k in range(1, min(A.nrows, A.ncols) + 1):
+        if k == 1:
+            powers.append(A)
+            continue
+        lower = powers[-1].rows
+        row_terms, col_terms = _dense_laplace_terms(A.nrows, A.ncols, k)
+        out = []
+        for r, below_row in row_terms:
+            at, below = rows[r].__getitem__, lower[below_row].__getitem__
+            out.append(
+                [
+                    sum(map(operator.mul, map(at, ce), map(below, je)))
+                    - sum(map(operator.mul, map(at, co), map(below, jo)))
+                    for ce, je, co, jo in col_terms
+                ]
+            )
+        powers.append(IntMatrix(out))
+    return powers
+
+
+def _dense_laplace_terms(nrows: int, ncols: int, k: int):
+    """Per row set R, its first row and the slot of R minus R_0 among the
+    (k-1)-subsets; per column set C, the columns C_t and the slots of C
+    minus C_t, even t then odd t."""
+    below_rows = {s: i for i, s in enumerate(itertools.combinations(range(nrows), k - 1))}
+    below_cols = {s: i for i, s in enumerate(itertools.combinations(range(ncols), k - 1))}
+    row_terms = [(rs[0], below_rows[rs[1:]]) for rs in itertools.combinations(range(nrows), k)]
+    col_terms = []
+    for cs in itertools.combinations(range(ncols), k):
+        rests = [below_cols[cs[:t] + cs[t + 1 :]] for t in range(k)]
+        col_terms.append((cs[0::2], rests[0::2], cs[1::2], rests[1::2]))
+    return row_terms, col_terms
 
 
 def eliminated_adjugate(T: IntMatrix) -> IntMatrix:

@@ -591,9 +591,10 @@ def test_build_report_builds_each_finite_part_once(monkeypatch):
     assert calls["principalization"] == 1
 
 
-def test_a_unit_report_builds_one_exterior_ladder(monkeypatch):
-    # the dual's powers of A^-1 come from the forward ladder by Jacobi, so
-    # a report on a unit of degree d takes the d + 1 powers of A alone
+def test_a_unit_report_builds_one_exterior_ladder_per_side(monkeypatch):
+    # g = 1 on both sides of a unit, so each side's one ladder serves its
+    # flattened step and its action: a report on a unit of degree d takes
+    # the d + 1 powers of A, then those of A^-1, and no derived ladder
     calls = []
     original = engine.exterior_power_matrix
 
@@ -603,7 +604,7 @@ def test_a_unit_report_builds_one_exterior_ladder(monkeypatch):
 
     monkeypatch.setattr(engine, "exterior_power_matrix", counted)
     cli.build_report(build_system("x^4-x-1"), 6)
-    assert calls == [0, 1, 2, 3, 4]
+    assert calls == [0, 1, 2, 3, 4] * 2
 
 
 def test_reports_leave_no_cyclic_garbage():

@@ -2,14 +2,17 @@
 generic route it replaced (tests/oracles.py).
 
 * The Laplace ladder (linalg.exterior_power_matrix given the power
-  below) against every k-minor taken on its own by Bareiss.
+  below), whose step visits nonzeros only, against the dense step and
+  every k-minor taken on its own by Bareiss, on drawn matrices of every
+  density and on every ladder of the recorded inputs.
 * Sylvester-Franke, det Lambda^k(A) = det(A)^C(d-1, k-1), against
   Bareiss on the power itself.
 * Jacobi's adjugate, read off the complementary power, against the
   fraction-free Gauss-Jordan inverse.
 
 Random integer d x d matrices with d <= 5 and both sides of every
-answer input are checked.  Then: a tower whose determinant has a prime
+answer input are checked, and for unimodular A the ladder of A^-1 is
+det A times the complement transpose of the ladder of A.  Then: a tower whose determinant has a prime
 under no finite place of c is an internal error, and on a degree-4 unit
 and a quadratic with a large prime no tower runs Bareiss, Gauss-Jordan
 or Pollard rho.
@@ -22,12 +25,12 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import atom_colimit, eliminated_adjugate, minor_exterior_power, system_with
-from record_answer_reports import answer_inputs
+from oracles import atom_colimit, dense_exterior_ladder, eliminated_adjugate, minor_exterior_power, system_with
+from record_answer_reports import answer_inputs, high_degree_inputs
 from solhom import engine, intfactor, linalg
-from solhom.engine import finite_part_homology, hk_check
+from solhom.engine import dual_principalization, finite_part_homology, hk_check, principalization
 from solhom.errors import InternalCheckError, SolhomError
 from solhom.limits import ColimitGroup
 from solhom.linalg import (
@@ -60,6 +63,83 @@ def test_ladder_matches_the_per_minor_route(rows):
         for k in range(1, min(A.nrows, A.ncols) + 1):
             lower = exterior_power_matrix(A, k, lower)
             assert lower == minor_exterior_power(A, k) == exterior_power_matrix(A, k)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """An n x m integer matrix, n and m up to 8, with entries nonzero at a
+    drawn density and some rows and columns all zero."""
+    n, m = draw(st.integers(1, 8), label="rows"), draw(st.integers(1, 8), label="columns")
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]), label="density")
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2), label="zero rows")
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=2), label="zero columns")
+    rng = draw(st.randoms(use_true_random=False), label="entries")
+    return IntMatrix(
+        [
+            [
+                rng.randint(-5, 5) if i not in zero_rows and j not in zero_cols and rng.random() < density else 0
+                for j in range(m)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices())
+@example(IntMatrix([[0] * 8] + [[0] + [(3 * i + 5 * j) % 11 - 5 for j in range(7)] for i in range(7)]))
+def test_sparse_ladder_matches_the_dense_step_and_the_minors(A):
+    ladder = engine._exterior_ladder(A, min(A.nrows, A.ncols))
+    assert ladder == dense_exterior_ladder(A)
+    assert ladder == [minor_exterior_power(A, k) for k in range(len(ladder))]
+
+
+def test_every_recorded_ladder_matches_the_dense_step():
+    # the four ladders of each recorded input: the flattened step m_{g/c}
+    # and the action's m_{1/c}, on the forward side and on the dual's
+    checked = 0
+    for poly in sorted({poly for _, poly, _ in answer_inputs() + high_degree_inputs()}):
+        try:
+            sys_ = build_system(poly)
+        except SolhomError:
+            continue  # refused inputs have no towers
+        found = principalization(sys_)
+        for side, (g, _) in ((sys_, found), (sys_.dual_system(), dual_principalization(sys_, found))):
+            for step in (g * side.c_inverse, side.c_inverse):
+                A, _ = step.mult_pair()
+                assert engine._exterior_ladder(A, A.nrows) == dense_exterior_ladder(A), poly
+                checked += 1
+    assert checked >= 4 * 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-3, 3)), max_size=12),
+            st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d),
+        )
+    )
+)
+def test_ladder_of_a_unimodular_inverse_is_the_complement_transpose(draw):
+    # Jacobi on a unimodular A, the step of a unit on either side:
+    # Lambda^k(A^-1) = det A * complement_transpose(Lambda^(d-k)(A)),
+    # for A a product of shears, row swaps and a diagonal of signs
+    d, moves, signs = draw
+    rows = [[s if i == j else 0 for j in range(d)] for i, s in enumerate(signs)]
+    for i, j, q in moves:
+        if i == j:
+            rows[0], rows[i] = rows[i], rows[0]
+        else:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    A = IntMatrix(rows)
+    B, m = A.inverse_pair()  # A^-1 = B / m with m = +-1
+    det_a = A.det()
+    assert abs(det_a) == 1 and abs(m) == 1
+    forward, inverse = engine._exterior_ladder(A, d), engine._exterior_ladder(B.scale(m), d)
+    for k in range(d + 1):
+        assert inverse[k] == complement_transpose(forward[d - k], d, d - k).scale(det_a)
 
 
 def test_ladder_refuses_a_lower_power_of_the_wrong_shape():

@@ -70,7 +70,7 @@ def homology_sides(sys_):
     finite = finite_part_homology(sys_)
     dual = sys_.dual_system()
     found = dual_principalization(sys_, finite.principalization)
-    stable = shifted_homology(dual, finite_part_homology(dual, found, finite.dual_ladders))
+    stable = shifted_homology(dual, finite_part_homology(dual, found))
     return shifted_homology(sys_, finite), stable
 
 
