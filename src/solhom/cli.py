@@ -26,7 +26,6 @@ from .engine import (
     DegreeEntry,
     GradedGroup,
     certify_closed_forms,
-    dual_principalization,
     duality_check,
     finite_part_homology,
     groupoid_homology,
@@ -34,6 +33,7 @@ from .engine import (
     k_theory,
     kunneth_product,
     lefschetz_traces,
+    principalization,
     shifted_homology,
     transfer_colimit,
 )
@@ -194,24 +194,23 @@ def build_report(sys_: SolenoidSystem, lefschetz_n: int) -> dict:
     time so cached payloads do not depend on it.
 
     Each side's finite part is built once: the forward one feeds
-    unstable homology, K-theory, the H/K comparison and the reported
-    principalization, the dual's feeds stable homology.  Only the
-    forward side searches for a principal generator; the dual's comes
-    from it.  Each side builds its own exterior-power ladder, so the
-    check of the two sides' actions against each other by Jacobi duality
-    compares independent computations, and each stable closed form is
-    certified against its tower as hk_check certifies the unstable ones.
+    unstable homology, K-theory and the H/K comparison, the dual's feeds
+    stable homology, built as groupoid_homology builds it for any
+    caller.  principalization searches for a generator once, on the
+    forward side, and the dual's comes from that search.  Each side
+    builds its own exterior-power ladder, so the check of the two sides'
+    actions against each other by Jacobi duality compares independent
+    computations, and each stable closed form is certified against its
+    tower as hk_check certifies the unstable ones.
     """
     finite = finite_part_homology(sys_)
     k_groups = k_theory(sys_, finite)
     hk = hk_check(sys_, finite)
-    dual = sys_.dual_system()
     unstable = shifted_homology(sys_, finite)
-    found = dual_principalization(sys_, finite.principalization)
-    stable = shifted_homology(dual, finite_part_homology(dual, found))
+    stable = groupoid_homology(sys_.dual_system())
     duality_check(sys_, unstable, stable)
     certify_closed_forms((f"stable H_{k}", e) for k, e in sorted(stable.entries.items()))
-    g, h = finite.principalization
+    g, h = principalization(sys_)
     report = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -339,14 +338,13 @@ def _cache_key(min_poly: str, lefschetz_n: int) -> tuple[str, bytes]:
     polynomial of c, which fixes the system, plus everything else the
     report depends on, as sorted JSON text; the key is a checksum of it.
     A checksum names the file, not a cryptographic hash (hashlib loads
-    OpenSSL, about 3.6 MB resident), since each entry holds its stamp."""
-    payload = {
-        "min_poly": min_poly,
-        "version": __version__,
-        "schema_version": SCHEMA_VERSION,
-        "lefschetz": lefschetz_n,
-    }
-    stamp = json.dumps(payload, sort_keys=True).encode("utf-8")
+    OpenSSL, about 3.6 MB resident), since each entry holds its stamp.
+    It is json.dumps of the four in a dict, sort_keys=True: stored entries
+    carry that text."""
+    stamp = (
+        f'{{"lefschetz": {lefschetz_n}, "min_poly": {json.dumps(min_poly)}, '
+        f'"schema_version": {SCHEMA_VERSION}{_version_tail()}'
+    ).encode("utf-8")
     return f"{zlib.crc32(stamp):08x}{zlib.adler32(stamp):08x}", stamp
 
 

@@ -7,7 +7,8 @@ multiplication by 1/c.  That map does not preserve the reference
 lattice when c has expanding finite places, so the tower is flattened
 first: a generator g of a principal power of the expanding ideal is
 folded in, replacing the step by an integer matrix on the same lattice
-without changing the colimit.
+without changing the colimit.  The stable side is the dual system's
+unstable side, whose g principalization reads off the forward search.
 
 All of this runs on integers: a multiplication matrix is a pair A / m
 (NfElement.mult_pair), its k-th exterior power is Lambda^k(A) / m^k,
@@ -41,7 +42,7 @@ from .limits import (
     torsion_colimit,
 )
 from .linalg import IntMatrix, complement_transpose, exterior_power_det, exterior_power_matrix
-from .nfield import BOX_RADIUS, NfElement, canonical_generator, principal_generator
+from .nfield import BOX_RADIUS, FractionalIdeal, NfElement, canonical_generator, principal_generator
 from .places import SolenoidSystem
 
 # Powers tried when splitting a transfer endomorphism off its torsion.
@@ -87,18 +88,13 @@ _ZERO_ENTRY = DegreeEntry(None, LocalizedForm.zero(), None, "trivial")
 
 
 class GradedGroup:
-    """Finitely supported family of groups indexed by an integer degree.
+    """Finitely supported family of groups indexed by an integer degree."""
 
-    A finite part keeps the (g, h) of principalization its tower was
-    flattened with.
-    """
-
-    def __init__(self, entries: dict[int, DegreeEntry], principalization: tuple[NfElement, int] | None = None):
+    def __init__(self, entries: dict[int, DegreeEntry]):
         self.entries = entries
-        self.principalization = principalization
 
     def __repr__(self) -> str:
-        return f"GradedGroup(entries={self.entries!r}, principalization={self.principalization!r})"
+        return f"GradedGroup(entries={self.entries!r})"
 
     def degrees(self) -> list[int]:
         return sorted(k for k, e in self.entries.items() if not e.is_zero())
@@ -123,11 +119,32 @@ class GradedGroup:
 def principalization(sys: SolenoidSystem) -> tuple[NfElement, int]:
     """Generator g and the least exponent h with (g) equal to the h-th
     power of sys.expanding_ideal, the order of its class.  Without
-    expanding finite places the ideal is the whole ring and g = 1."""
-    field = sys.field
-    if not sys.finite_unstable:
-        return field.one(), 1
-    ideal = power = sys.expanding_ideal
+    expanding finite places the ideal is the whole ring and g = 1.
+
+    A dual system's expanding ideal is its forward's contracting ideal
+    M, and (c) = M J^-1 for the forward's expanding ideal J, so the
+    search on J gives h' = h and g' = +-c^h g by the sign rule, with M^h
+    built only for the real quadratic walk (docs/principalization.md,
+    "The dual's generator")."""
+    if sys.finite_unstable and not sys._is_dual:
+        return _principal_power(sys.expanding_ideal)
+    if not sys.finite_unstable or not sys._is_dual:
+        return sys.field.one(), 1
+    g, h = _principal_power(sys.contracting_ideal) if sys.finite_stable else (sys.field.one(), 1)
+    # the dual holds its forward's c as its 1/c
+    gen = canonical_generator(sys.c_inverse.pow(h) * g, lambda: sys.expanding_ideal.pow(h))
+    if gen.den != 1 or abs(sys.field.integer_norm(gen.num)) != sys.expanding_ideal.norm() ** h:
+        raise InternalCheckError(f"dual generator {gen!r} does not have the norm of M^{h}")
+    return gen, h
+
+
+def _principal_power(ideal: FractionalIdeal) -> tuple[NfElement, int]:
+    """(g, h) for the least h with ideal^h = (g), ideal integral; kept
+    with the ideal, which a report asks three times and its two sides
+    share."""
+    if ideal._principal_power is not None:
+        return ideal._principal_power
+    field, power = ideal.field, ideal
     # Degree 2: h divides the class number, at most the number of reduced
     # forms of discriminant D, <= 2|D| (docs/principalization.md).  Degree
     # 1 stops at h = 1.  Degree >= 3: BOX_EXPONENT_LIMIT is a search limit
@@ -137,6 +154,7 @@ def principalization(sys: SolenoidSystem) -> tuple[NfElement, int]:
     for h in range(1, limit + 1):
         gen = principal_generator(power)
         if gen is not None:
+            ideal._principal_power = gen, h
             return gen, h
         power = power * ideal
     if field.degree <= 2:
@@ -149,30 +167,9 @@ def principalization(sys: SolenoidSystem) -> tuple[NfElement, int]:
     )
 
 
-def dual_principalization(
-    sys: SolenoidSystem, found: tuple[NfElement, int]
-) -> tuple[NfElement, int]:
-    """The dual system's (g', h') from sys's principalization (g, h), with
-    no search.  The dual's expanding ideal is sys's contracting ideal M,
-    and (c) = M J^-1 for sys's expanding ideal J, so (c^h g) = M^h: h' = h
-    and g' = +-c^h g by the sign rule, with M^h built only for the real
-    quadratic walk (docs/principalization.md, "The dual's generator").
-    Without contracting finite places M is the whole ring, and g' = 1,
-    h' = 1 as principalization gives."""
-    dual = sys.dual_system()
-    if not dual.finite_unstable:
-        return sys.field.one(), 1
-    g, h = found
-    gen = canonical_generator(sys.c.pow(h) * g, lambda: dual.expanding_ideal.pow(h))
-    if gen.den != 1 or abs(sys.field.integer_norm(gen.num)) != sys.transfer_index**h:
-        raise InternalCheckError(f"dual generator {gen!r} does not have the norm of M^{h}")
-    return gen, h
-
-
-def finite_part_homology(sys: SolenoidSystem, found: tuple[NfElement, int] | None = None) -> GradedGroup:
+def finite_part_homology(sys: SolenoidSystem) -> GradedGroup:
     """Homology of the finite-place tower, graded by exterior degree
-    0..[K:Q], flattened with found = (g, h), principalization(sys) when
-    not given.
+    0..[K:Q], flattened with principalization(sys) = (g, h).
 
     Degree k is the colimit of the integer matrix N * Lambda^k(m_{g/c})
     in the integral basis.  The stored action is the untwisted transfer
@@ -192,7 +189,7 @@ def finite_part_homology(sys: SolenoidSystem, found: tuple[NfElement, int] | Non
     """
     d = sys.field.degree
     n_index = sys.transfer_index
-    g, h = principalization(sys) if found is None else found
+    g, _ = principalization(sys)
     if g.den != 1:
         raise FlatteningFailure("principal generator is not integral")
     c_inv = sys.c_inverse
@@ -217,7 +214,7 @@ def finite_part_homology(sys: SolenoidSystem, found: tuple[NfElement, int] | Non
         common = 1 if den == 1 else math.gcd(den, *(n_index * x for row in theta for x in row))
         action = _rescaled(theta_powers[k], n_index, common), den // common
         entries[k] = DegreeEntry(tower, closed, action, provenance)
-    return GradedGroup(entries, (g, h))
+    return GradedGroup(entries)
 
 
 def _exterior_ladder(A: IntMatrix, d: int) -> list[IntMatrix]:
@@ -281,15 +278,10 @@ def shifted_homology(base: SolenoidSystem, finite: GradedGroup) -> GradedGroup:
     return GradedGroup(entries)
 
 
-def groupoid_homology(sys: SolenoidSystem, side: str = "unstable") -> GradedGroup:
-    """Homology of the chosen side; the stable side is the dual system's
-    unstable side."""
-    if side not in ("unstable", "stable"):
-        raise ValueError(f"side must be 'stable' or 'unstable', not {side!r}")
-    if side == "unstable":
-        return shifted_homology(sys, finite_part_homology(sys))
-    dual, found = sys.dual_system(), dual_principalization(sys, principalization(sys))
-    return shifted_homology(dual, finite_part_homology(dual, found))
+def groupoid_homology(sys: SolenoidSystem) -> GradedGroup:
+    """Unstable homology of sys; the stable side is
+    groupoid_homology(sys.dual_system())."""
+    return shifted_homology(sys, finite_part_homology(sys))
 
 
 def duality_check(sys: SolenoidSystem, unstable: GradedGroup, stable: GradedGroup) -> None:

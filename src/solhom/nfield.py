@@ -319,6 +319,7 @@ class FractionalIdeal:
         if g != 1:
             num = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in num.rows))
         self.field, self.num, self.den = field, num, den // g
+        self._principal_power = None  # (g, h) once engine.principalization searched
 
     @staticmethod
     def ring_of_integers(field: NumberField) -> "FractionalIdeal":
@@ -441,18 +442,15 @@ def factor_rational_prime(field: NumberField, p: int) -> list[PrimeIdeal]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     d = field.degree
-    if d == 1:
-        data = [(field.from_rational(p), 1, (0, 1))]
-    else:
-        # factor the minimal polynomial of the basis generator omega; in
-        # degree 2, Z[omega] is the full ring of integers, so no index
-        # issues, and above it omega_poly is f
-        factors = factor_mod_p(field.omega_coeffs, p)
-        if d > 2 and not dedekind_index_free(field.omega_coeffs, p, factors):
-            raise IndexObstruction(
-                f"p = {p} divides the index of the working order Z[theta]"
-            )
-        data = [(_lift_at_omega(field, irr), mult, irr) for irr, mult in factors]
+    # factor the minimal polynomial of the basis generator omega; in
+    # degree <= 2, Z[omega] is the full ring of integers, so no index
+    # issues, and above it omega_poly is f
+    factors = factor_mod_p(field.omega_coeffs, p)
+    if d > 2 and not dedekind_index_free(field.omega_coeffs, p, factors):
+        raise IndexObstruction(
+            f"p = {p} divides the index of the working order Z[theta]"
+        )
+    data = [(_lift_at_omega(field, irr), mult, irr) for irr, mult in factors]
     out = []
     for second, e, coeffs_asc in data:
         gamma = second.pow(e - 1)

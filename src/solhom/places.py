@@ -88,6 +88,7 @@ class SolenoidSystem:
         self._c_inverse: NfElement | None = None
         self._contracting_ideal: FractionalIdeal | None = None
         self._expanding_ideal: FractionalIdeal | None = None
+        self._is_dual = False  # set by dual_system(), for engine.principalization
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
@@ -174,6 +175,7 @@ class SolenoidSystem:
                 (self.expanding_ideal, self.contracting_ideal),
             )
             self._dual._c_inverse = self.c
+            self._dual._is_dual = not self._is_dual
         return self._dual
 
     def describe(self) -> dict:

@@ -421,6 +421,8 @@ def factor_mod_p(coeffs_desc: Sequence[int], p: int) -> list[tuple[tuple[int, ..
         raise ValueError("cannot factor a constant")
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
+    if len(f) == 2:
+        return [(tuple(f), 1)]
     if len(f) == 3:
         return _factor_quadratic(f[1], f[0], p)
     out: list[tuple[tuple[int, ...], int]] = []

@@ -52,7 +52,7 @@ def test_criterion_1_rational_three_halves():
     unstable = groupoid_homology(sys_)
     assert unstable.entry(0).closed == Z3
     assert unstable.entry(1).closed == Z2
-    stable = groupoid_homology(sys_, "stable")
+    stable = groupoid_homology(sys_.dual_system())
     assert stable.entry(-1).closed == Z2
     assert stable.entry(0).closed == Z3
 
@@ -85,7 +85,7 @@ def test_criterion_2_sqrt_minus_five():
         and finite.entries[2].action == (IntMatrix([[2]]), 1),
     )
 
-    stable = groupoid_homology(sys_, "stable")
+    stable = groupoid_homology(sys_.dual_system())
     check("stable H-2 = Z[1/2]", stable.entry(-2).closed == Z2)
     dual = sys_.dual_system()
     dual_sqrt = dual.field.one() - dual.c.scale(3)  # sqrt(-5) = 1 - 3/c

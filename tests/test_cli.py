@@ -275,6 +275,31 @@ def test_cache_key_is_the_monic_polynomial_and_version(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["cache"] == "miss"
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.lists(st.fractions(max_denominator=50), min_size=2, max_size=7)
+        .filter(lambda cs: cs[0] != 0)
+        .map(lambda cs: qpoly.Poly(cs).monic().pretty()),
+    ),
+    periods=st.integers(min_value=0, max_value=10**20),
+)
+@example(text="x^2 - x - 1", periods=cli.DEFAULT_LEFSCHETZ)
+@example(text="x^3 - 1/4*x - 1/8", periods=41)
+def test_the_cache_stamp_is_the_sorted_json_of_its_fields(text, periods):
+    # stored entries carry this text in their header, so formatting it
+    # directly must give it byte for byte, quotes and escapes included
+    payload = {
+        "min_poly": text,
+        "version": cli.__version__,
+        "schema_version": cli.SCHEMA_VERSION,
+        "lefschetz": periods,
+    }
+    stamp = json.dumps(payload, sort_keys=True).encode("utf-8")
+    assert cli._cache_key(text, periods) == (f"{zlib.crc32(stamp):08x}{zlib.adler32(stamp):08x}", stamp)
+
+
 def test_a_schema_1_report_is_never_served(capsys, monkeypatch, isolated_cache):
     # the cache key holds the schema version, so a report written under
     # the schema-1 key (K-groups as block-sum towers) is a miss now
@@ -574,21 +599,31 @@ def test_reports_without_the_cache_do_not_load_hashlib(tmp_path):
 
 
 def test_build_report_builds_each_finite_part_once(monkeypatch):
-    calls = {"finite_part_homology": 0, "principalization": 0}
-    for name in calls:
-        original = getattr(engine, name)
+    calls = []
+    original = engine.finite_part_homology
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(side):
+        calls.append(side)
+        return original(side)
 
-        for module in (engine, cli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    cli.build_report(build_system("x^2-x+3/2"), 6)
-    assert calls["finite_part_homology"] == 2
-    # one search per report: the dual's generator comes from the forward's
-    assert calls["principalization"] == 1
+    for module in (engine, cli):
+        monkeypatch.setattr(module, "finite_part_homology", counted)
+    sys_ = build_system("x^2-x+3/2")
+    cli.build_report(sys_, 6)
+    assert calls == [sys_, sys_.dual_system()]
+
+
+@pytest.mark.parametrize(
+    "poly, searches", [("x^2-x+3/2", 2), ("x^2+x+15/2", 2), ("x^2-79/4", 1), ("x^3-x/4-1/8", 1)]
+)
+def test_a_report_runs_one_generator_search(poly, searches, monkeypatch):
+    # one search per report, over the exponents 1..h of the forward's
+    # expanding ideal: the dual's generator is read off it
+    calls = []
+    search = engine.principal_generator
+    monkeypatch.setattr(engine, "principal_generator", lambda I: calls.append(I) or search(I))
+    cli.build_report(build_system(poly), 6)
+    assert len(calls) == searches
 
 
 def test_a_unit_report_builds_one_exterior_ladder_per_side(monkeypatch):
@@ -852,19 +887,19 @@ def test_wrong_closed_form_exits_3(capsys, monkeypatch):
 
 
 def _change_stable_tower(monkeypatch, change):
-    """Replace the degree-1 tower of the dual's finite part, the second
-    that build_report builds, by change(tower)."""
-    right = cli.finite_part_homology
-    calls = []
+    """Replace the degree-1 tower of the dual's finite part by
+    change(tower).  build_report builds it through groupoid_homology,
+    which calls engine's finite_part_homology, and the forward one
+    through its own binding, which this leaves alone."""
+    right = engine.finite_part_homology
 
-    def patched(side, *args):
-        finite = right(side, *args)
-        calls.append(side)
-        if len(calls) == 2:
-            finite.entries[1] = finite.entries[1]._replace(colimit=change(finite.entries[1].colimit))
+    def patched(side):
+        assert side._is_dual
+        finite = right(side)
+        finite.entries[1] = finite.entries[1]._replace(colimit=change(finite.entries[1].colimit))
         return finite
 
-    monkeypatch.setattr(cli, "finite_part_homology", patched)
+    monkeypatch.setattr(engine, "finite_part_homology", patched)
 
 
 def test_wrong_stable_determinant_exits_3(capsys, monkeypatch):

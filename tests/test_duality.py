@@ -172,8 +172,7 @@ def test_duality_check_fails_on_a_wrong_stable_scale():
                 degree: entry._replace(
                     action=int_pair(RatMatrix([[x / 4 for x in row] for row in rat(entry.action).rows])),
                 ),
-            },
-            stable.principalization,
+            }
         )
         with pytest.raises(InternalCheckError):
             duality_check(sys_, unstable, scaled)

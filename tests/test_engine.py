@@ -63,7 +63,7 @@ def test_rational_three_halves_both_sides():
     assert unstable.degrees() == [0, 1]
     assert unstable.entry(0).closed == LocalizedForm.localized(3)
     assert unstable.entry(1).closed == LocalizedForm.localized(2)
-    stable = groupoid_homology(sys, "stable")
+    stable = groupoid_homology(sys.dual_system())
     assert stable.degrees() == [-1, 0]
     assert stable.entry(-1).closed == LocalizedForm.localized(2)
     assert stable.entry(0).closed == LocalizedForm.localized(3)
@@ -135,7 +135,7 @@ def test_sqrt_minus_five_stable():
     sys = build_system("x^2-x+3/2")
     dual = sys.dual_system()
     assert dual.transfer_index == 2
-    stable = groupoid_homology(sys, "stable")
+    stable = groupoid_homology(sys.dual_system())
     assert stable.degrees() == [-2, -1, 0]
     assert stable.entry(-2).closed == LocalizedForm.localized(2)
     assert stable.entry(-1).closed is None
@@ -168,7 +168,7 @@ def test_sqrt_minus_five_stable_top_degree_is_odd():
     tower = finite_part_homology(dual).entries[2].colimit.matrix
     assert tower.rows == ((entry,),)
     assert entry % 2 == 1
-    assert groupoid_homology(sys, "stable").entry(0).closed == LocalizedForm.localized(3)
+    assert groupoid_homology(sys.dual_system()).entry(0).closed == LocalizedForm.localized(3)
 
 
 def test_sqrt_minus_five_k_theory():

@@ -43,7 +43,7 @@ from oracles import (
 )
 from solhom import linalg, nfield
 from solhom.cli import build_report
-from solhom.engine import finite_part_homology, lefschetz_traces
+from solhom.engine import finite_part_homology, lefschetz_traces, principalization
 from solhom.errors import DegenerateFix, InternalCheckError
 from solhom.linalg import IntMatrix, char_poly
 from solhom.nfield import NumberField
@@ -227,7 +227,7 @@ def test_towers_and_actions_match_fraction_route(poly):
     sys_ = build_system(poly)
     for side in (sys_, sys_.dual_system()):
         finite = finite_part_homology(side)
-        g, _ = finite.principalization
+        g, _ = principalization(side)
         c_inv = side.c.inverse()
         m_flat, m_theta = fraction_mult_matrix(g * c_inv), fraction_mult_matrix(c_inv)
         for k, entry in finite.entries.items():

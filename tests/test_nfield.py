@@ -564,14 +564,11 @@ def test_prime_generators_and_discriminants_are_their_coordinates():
             except IndexObstruction:
                 continue
             for P in primes:
-                if K.degree == 1:
-                    assert P.second_gen == K.from_rational(p)
-                    continue
                 lift = Poly(list(reversed(P.gen_poly_mod_p)))
                 assert P.second_gen == K.evaluate(lift, w)
                 if P.f == K.degree:
                     inert_degrees.add(K.degree)
-    assert inert_degrees == {2, 3, 4, 5}
+    assert inert_degrees == {1, 2, 3, 4, 5}
 
 
 # squarefree m of each residue mod 4 (Python's, so -3 = 1 mod 4), both signs

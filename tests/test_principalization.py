@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import element_norm_form, principal_ideal, reduced_form_count
 from record_answer_reports import answer_inputs
 from solhom import cli, engine, nfield
-from solhom.engine import dual_principalization, principalization
+from solhom.engine import finite_part_homology, principalization
 from solhom.errors import SolhomError
 from solhom.intfactor import factorint
 from solhom.nfield import principal_generator
@@ -184,8 +184,8 @@ def field_kind(K) -> str:
 def test_dual_generator_is_the_search_pick_on_its_ideal():
     # docs/principalization.md, "The dual's generator": the dual's
     # expanding ideal M has M^h = (c^h g), so g' = +-c^h g generates M^h
-    # and h' = h is the dual search's own exponent; only a real field
-    # still walks to the search's pick, which the dual takes too
+    # and h' = h is the exponent of a search on M itself; only a real
+    # field still walks to that search's pick, which the dual takes too
     rng = random.Random(31)
     seen = set()
     for _ in range(160):
@@ -195,9 +195,9 @@ def test_dual_generator_is_the_search_pick_on_its_ideal():
             continue  # a conjugate on the unit circle
         g, h = principalization(sys_)
         dual = sys_.dual_system()
-        found = dual_principalization(sys_, (g, h))
-        searched = principalization(dual)
+        found = principalization(dual)
         if dual.finite_unstable:
+            searched = engine._principal_power(dual.expanding_ideal)
             gen, power = found[0], dual.expanding_ideal.pow(h)
             assert principal_ideal(sys_.field, gen) == power, sys_.min_poly
             assert found[1] == searched[1] == h, sys_.min_poly
@@ -206,7 +206,7 @@ def test_dual_generator_is_the_search_pick_on_its_ideal():
             else:
                 assert gen in (sys_.c.pow(h) * g, -(sys_.c.pow(h) * g)), sys_.min_poly
         else:
-            assert found == searched == (sys_.field.one(), 1)
+            assert found == (sys_.field.one(), 1)
             seen.add("no expanding place on the dual")
         seen |= {field_kind(sys_.field), "integral" if sys_.c.den == 1 else "non-integral"}
     assert seen == {
@@ -244,17 +244,17 @@ def test_the_dual_outside_real_quadratic_fields_builds_no_power_and_scans_no_box
     found = principalization(sys_)
     assert sys_.dual_system().finite_unstable
     calls = count_searches(monkeypatch)
-    g, h = dual_principalization(sys_, found)
+    g, h = principalization(sys_.dual_system())
     assert calls == [] and g in (sys_.c.pow(h) * found[0], -(sys_.c.pow(h) * found[0]))
 
 
 def test_the_real_quadratic_dual_still_walks_on_its_power():
     # the counter's control: x^2-79/4's dual picks the walk's generator of M^h
     sys_ = build_system("x^2-79/4")
-    found = principalization(sys_)
+    principalization(sys_)
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = count_searches(monkeypatch)
-        dual_principalization(sys_, found)
+        principalization(sys_.dual_system())
     assert calls == ["pow"]
 
 
@@ -265,3 +265,44 @@ def test_an_integral_report_of_degree_3_and_up_scans_no_box(poly, monkeypatch, c
     calls = count_searches(monkeypatch)
     assert cli.main(["analyze", "--no-cache", "--json", "--min-poly", poly]) == 0
     assert "box" not in calls
+
+
+def stable_towers(key: str) -> dict[int, list[list[int]]]:
+    """The tower rows answer_reports.json prints for the stable side of
+    an input, by stable degree."""
+    text = (Path(__file__).parent / "data" / "answer_reports.json").read_text()
+    stable = json.loads(json.loads(text)[key]["stdout"])["homology"]["stable"]
+    return {int(k): rec["tower"] for k, rec in stable.items() if "tower" in rec}
+
+
+def test_the_duals_own_finite_part_is_the_reported_stable_side():
+    # a library caller's dual of x^3-2 flattens with the report's g' = a,
+    # not with the pick of a search of its own, -a^2 - a - 2, so its
+    # towers are the printed ones
+    sys_ = build_system("x^3-2")
+    dual = sys_.dual_system()
+    assert principalization(dual) == (sys_.c, 1)
+    finite = finite_part_homology(dual)
+    printed = stable_towers("x^3-2 --lefschetz 6")
+    assert sorted(printed) == [-2, -1]
+    for degree, rows in printed.items():
+        assert [list(r) for r in finite.entries[degree + dual.degree_shift].colimit.matrix.rows] == rows
+    assert finite.entries[3].colimit.matrix.rows == ((4,),)
+
+
+def test_a_duals_generator_is_read_off_the_forward_search(monkeypatch):
+    # x^11-3's dual reads g' = c = a off the forward's g = 1 with no
+    # search; a box search of its own takes seconds and picks a^7 - a^2 - a
+    sys_ = build_system("x^11-3")
+    dual = sys_.dual_system()
+    calls = []
+    monkeypatch.setattr(engine, "principal_generator", lambda I: calls.append(I))
+    assert principalization(dual) == (sys_.c, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("poly", ["x-3/2", "x^2-x+3/2", "x^2-79/4", "x^3-x/4-1/8"])
+def test_a_duals_dual_searches_as_its_forward_does(poly):
+    sys_ = build_system(poly)
+    again = sys_.dual_system().dual_system()
+    assert again is not sys_ and principalization(again) == principalization(sys_)

@@ -211,6 +211,7 @@ def _reassemble(factors, p, degree):
         ([1, 0, 1, 1], 2),
         ([1, 0, -1], 7),
         ([1, 3, 0, 0, 4], 5),
+        ([3, 4], 7),  # linear, made monic
     ],
 )
 def test_factor_mod_p_reassembles(coeffs, p):

@@ -26,7 +26,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import QPoly, resultant, reversed_poly
 from solhom.cli import build_report, main
-from solhom.engine import dual_principalization, finite_part_homology, shifted_homology
+from solhom.engine import groupoid_homology
 from solhom.errors import PrincipalizationUndecided, SolhomError
 from solhom.places import build_system
 from solhom.qpoly import Poly, clear_to_monic_integer, is_irreducible_over_q
@@ -67,11 +67,7 @@ def outcome(f: Poly):
 
 def homology_sides(sys_):
     """The unstable and stable homology a report prints, as graded groups."""
-    finite = finite_part_homology(sys_)
-    dual = sys_.dual_system()
-    found = dual_principalization(sys_, finite.principalization)
-    stable = shifted_homology(dual, finite_part_homology(dual, found))
-    return shifted_homology(sys_, finite), stable
+    return groupoid_homology(sys_), groupoid_homology(sys_.dual_system())
 
 
 def element_min_poly(f: Poly, e: Poly) -> QPoly:
